@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -61,12 +62,23 @@ class CliError(Exception):
         self.exit_code = exit_code
 
 
+def _reject_constant(name: str):
+    raise CliError(f"config file contains the non-finite number {name}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        _reject_constant(text)
+    return value
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}")
     except json.JSONDecodeError as exc:
@@ -179,15 +191,23 @@ def _distribution_path(out: str) -> str:
     return str(p.with_name(p.stem + "_distribution" + p.suffix))
 
 
+def _sweep_case(index: int, case) -> SweepCase:
+    if not isinstance(case, dict) or set(case) != {"name", "freqs"}:
+        raise CliError(f"sweep case {index} must be an object with the keys 'name' and 'freqs' only")
+    name, freqs = case["name"], case["freqs"]
+    numbers = isinstance(freqs, list) and all(
+        isinstance(f, (int, float)) and not isinstance(f, bool) for f in freqs
+    )
+    if not isinstance(name, str) or not numbers:
+        raise CliError(f"sweep case {index} needs a string 'name' and a list of numbers 'freqs'")
+    return SweepCase(name, tuple(freqs))
+
+
 def _cmd_sweep(args) -> int:
     cfg = _parse_budget_mode(_merge("sweep", args))
-    if "cases" in cfg:
-        cfg["cases"] = tuple(
-            SweepCase(c["name"], tuple(c["freqs"])) if isinstance(c, dict) else c
-            for c in cfg["cases"]
-        )
-    else:
-        raise CliError("sweep requires 'cases' (via preset or config)")
+    if not isinstance(cfg.get("cases"), list):
+        raise CliError("sweep requires a list 'cases' (via preset or config)")
+    cfg["cases"] = tuple(_sweep_case(k, c) for k, c in enumerate(cfg["cases"]))
     scenario = _build_scenario(
         SweepScenario, cfg, tuple_keys=("epsilons", "m_values", "senses")
     )

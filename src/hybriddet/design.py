@@ -410,5 +410,23 @@ def optimized_thresholds(
         result = design_pso(problem, derived, initial_guesses=guesses)
         if best is None or result.objective > best.objective:
             best = result
+    best = _separate_ties(best, problem)
     _DESIGN_CACHE[key] = best
     return best
+
+
+def _separate_ties(result: DesignResult, problem: DesignProblem) -> DesignResult:
+    """Move exactly tied thresholds apart by the fewest ulps.
+
+    The swarm sorts each particle, so its best point can repeat a value,
+    which no quantizer accepts.  Each repeat is raised to the next float
+    above its predecessor and the objective is re-evaluated there; results
+    without ties are returned unchanged.
+    """
+    tau = list(result.thresholds)
+    for i in range(1, len(tau)):
+        if tau[i] <= tau[i - 1]:
+            tau[i] = float(np.nextafter(tau[i - 1], np.inf))
+    if tau == list(result.thresholds):
+        return result
+    return replace(result, thresholds=tuple(tau), objective=design_objective(tau, problem))

@@ -215,7 +215,9 @@ class NetworkKernels:
         analog = np.asarray(analog, dtype=float)
         total = 0.0
         for idx, table in self.groups:
-            total = total + table[levels[..., idx] - 1].sum(axis=-1)
+            # ``take`` keeps the sensor axis contiguous, so each trial of a
+            # batch is summed in the same order as a single trial.
+            total = total + table[np.take(levels, idx, axis=-1) - 1].sum(axis=-1)
         if analog.size:
             total = total + analog.sum(axis=-1) / self.config.params.sigma_n2
         return total
@@ -285,15 +287,40 @@ def theoretical_pd(lam: float, eta: float) -> float:
     return float(gaussian_upper_tail(eta - lam))
 
 
+#: Cells narrower than this many noise standard deviations decode to their
+#: midpoint.  The centroid formula divides two differences that cancel to
+#: rounding noise as the width goes to 0 (about ``1e-16 / width``), while
+#: the midpoint is off by at most ``width**2 * |z| / 12``.
+_CENTROID_MIN_WIDTH = 1e-5
+
+
 def reconstruction_table(quantizer: QuantizerSpec, sigma_n: float) -> np.ndarray:
     """Noise-only conditional cell centroids, indexed by level.
 
-    ``E[y | level, noise only] = sigma_n * (pdf(z[j-1]) - pdf(z[j])) / P(cell)``.
-    Used by the reconstruction baseline, which decodes each received level
-    to its centroid without attempting any channel correction.
+    ``E[y | level, noise only] = sigma_n * (pdf(z[j-1]) - pdf(z[j])) / P(cell)``,
+    with ``P(cell)`` taken from the upper tails on the cell's own side of
+    zero so that no two numbers close to 1 are subtracted; near-empty cells
+    use their midpoint (see ``_CENTROID_MIN_WIDTH``).  Every centroid lies
+    in its cell.  Used by the reconstruction baseline, which decodes each
+    received level to its centroid without attempting any channel
+    correction.
     """
-    probs = bin_probs(quantizer, sigma_n)
-    return bin_scores(quantizer, sigma_n) / (sigma_n * probs)
+    edges = quantizer.edges()
+    lo, hi = edges[:-1], edges[1:]
+    z_lo, z_hi = lo / sigma_n, hi / sigma_n
+    mass = np.where(
+        z_lo >= 0.0,
+        gaussian_upper_tail(z_lo) - gaussian_upper_tail(z_hi),
+        np.where(
+            z_hi <= 0.0,
+            gaussian_upper_tail(-z_hi) - gaussian_upper_tail(-z_lo),
+            1.0 - gaussian_upper_tail(-z_lo) - gaussian_upper_tail(z_hi),
+        ),
+    )
+    narrow = hi - lo < _CENTROID_MIN_WIDTH * sigma_n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        centroid = sigma_n * (gaussian_pdf(z_lo) - gaussian_pdf(z_hi)) / mass
+    return np.where(narrow, 0.5 * (lo + hi), centroid)
 
 
 BASELINE_KINDS = ("clairvoyant", "quantized_only", "fp_only", "reconstruction_hybrid")

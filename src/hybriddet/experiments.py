@@ -35,6 +35,7 @@ from .model import (
     SignalParams,
     bsc_corrupt_levels,
     quantize_batch,
+    received_levels,
     simulate_observations,
     trial_rng,
 )
@@ -60,6 +61,10 @@ __all__ = [
 ]
 
 ROC_COLUMNS = ("detector", "pfa_target", "eta", "pd_theory", "pfa_mc", "pd_mc", "stderr_mc")
+
+#: Trials simulated together in ``run_roc``; its memory grows with this,
+#: not with the trial count.
+ROC_BLOCK = 256
 
 
 @dataclass
@@ -279,13 +284,11 @@ def _scenario_thresholds(scenario: RocScenario) -> tuple[tuple[float, ...], tupl
 
 def _fleet_config(
     scenario: RocScenario,
-    bits: int,
-    thresholds: tuple[float, ...],
+    quantizer: QuantizerSpec,
     n_quantized: int,
     n_full: int,
 ) -> NetworkConfig:
     params = SignalParams(scenario.theta, scenario.sigma_n2, scenario.sigma_h2)
-    quantizer = QuantizerSpec(bits, thresholds)
     channel = ChannelSpec(scenario.p_e)
     sensors = tuple(QuantizedSensor(quantizer, channel) for _ in range(n_quantized))
     sensors += tuple(FullPrecisionSensor() for _ in range(n_full))
@@ -299,91 +302,94 @@ def run_roc(scenario: RocScenario) -> Table:
     false-alarm rate is reported next to the target to expose asymptotic
     error.  Theory detection probabilities are filled for the locally
     optimal detectors (the reconstruction baseline has none).
+
+    Trial ``t`` under hypothesis ``h`` draws from ``trial_rng(seed, h, t)``:
+    its observations, then one uniform per hybrid codeword bit if a
+    ``bits_hybrid`` detector is requested, then one per low-rate codeword
+    bit if the ``bits_low`` detector is; no flips are drawn when
+    ``p_e == 0``.  Everything after the draws runs on blocks of
+    ``ROC_BLOCK`` trials.
     """
     thr_hybrid, thr_low = _scenario_thresholds(scenario)
     sigma_n = math.sqrt(scenario.sigma_n2)
     params = SignalParams(scenario.theta, scenario.sigma_n2, scenario.sigma_h2)
-    m_q, m_u = scenario.m_quantized, scenario.m_full
+    m_q, m_u, m_total = scenario.m_quantized, scenario.m_full, scenario.m_total
     want = set(scenario.detectors)
+    norm = sigma_n * math.sqrt(m_total)
 
-    kernels = {}
-    lam = {}
-    if {scenario.label_hybrid_q, scenario.label_hybrid, scenario.label_reconstruction} & want and m_q:
-        hybrid_cfg = _fleet_config(scenario, scenario.bits_hybrid, thr_hybrid, m_q, m_u)
-        kernels["hybrid_full"] = network_kernels(hybrid_cfg, scenario.mapping)
-        quantized_cfg = _fleet_config(scenario, scenario.bits_hybrid, thr_hybrid, m_q, 0)
-        kernels["hybrid_q"] = network_kernels(quantized_cfg, scenario.mapping)
-    if scenario.label_low in want and m_q:
-        low_cfg = _fleet_config(scenario, scenario.bits_low, thr_low, m_q, 0)
-        kernels["low"] = network_kernels(low_cfg, scenario.mapping)
-    lam["clairvoyant"] = params.theta * math.sqrt(scenario.m_total / scenario.sigma_n2)
-    lam["fp"] = params.theta * math.sqrt(m_u / scenario.sigma_n2) if m_u else None
-    if "hybrid_full" in kernels:
-        lam[scenario.label_hybrid] = params.theta * math.sqrt(kernels["hybrid_full"].fisher_info)
-        lam[scenario.label_hybrid_q] = params.theta * math.sqrt(kernels["hybrid_q"].fisher_info)
-    if "low" in kernels:
-        lam[scenario.label_low] = params.theta * math.sqrt(kernels["low"].fisher_info)
+    # Each detector maps a block (observations, received hybrid levels,
+    # received low-rate levels) to one statistic per trial.
+    detectors = {"clairvoyant": lambda y, hybrid, low: y.sum(axis=1) / norm}
+    lam = {"clairvoyant": params.theta * math.sqrt(m_total / scenario.sigma_n2)}
+    if m_u:
+        detectors["fp"] = lambda y, hybrid, low: y[:, m_q:].sum(axis=1) / (sigma_n * math.sqrt(m_u))
+        lam["fp"] = params.theta * math.sqrt(m_u / scenario.sigma_n2)
 
-    recon = None
-    if scenario.label_reconstruction in want:
-        recon = reconstruction_table(QuantizerSpec(scenario.bits_hybrid, thr_hybrid), sigma_n)
+    spec_hybrid = spec_low = None
+    if {scenario.label_hybrid_q, scenario.label_hybrid, scenario.label_reconstruction} & want:
+        spec_hybrid = QuantizerSpec(scenario.bits_hybrid, thr_hybrid)
+        full = network_kernels(_fleet_config(scenario, spec_hybrid, m_q, m_u), scenario.mapping)
+        quantized = network_kernels(_fleet_config(scenario, spec_hybrid, m_q, 0), scenario.mapping)
+        recon = reconstruction_table(spec_hybrid, sigma_n)
+        detectors[scenario.label_hybrid_q] = lambda y, hybrid, low: quantized.statistic(hybrid, ())
+        detectors[scenario.label_hybrid] = lambda y, hybrid, low: full.statistic(hybrid, y[:, m_q:])
+        detectors[scenario.label_reconstruction] = (
+            lambda y, hybrid, low: (recon[hybrid - 1].sum(axis=1) + y[:, m_q:].sum(axis=1)) / norm
+        )
+        lam[scenario.label_hybrid] = params.theta * math.sqrt(full.fisher_info)
+        lam[scenario.label_hybrid_q] = params.theta * math.sqrt(quantized.fisher_info)
+    if scenario.label_low in want:
+        spec_low = QuantizerSpec(scenario.bits_low, thr_low)
+        low_kernels = network_kernels(_fleet_config(scenario, spec_low, m_q, 0), scenario.mapping)
+        detectors[scenario.label_low] = lambda y, hybrid, low: low_kernels.statistic(low, ())
+        lam[scenario.label_low] = params.theta * math.sqrt(low_kernels.fisher_info)
 
-    stats = {
-        hyp: {d: np.empty(scenario.trials) for d in scenario.detectors}
-        for hyp in (Hypothesis.H0, Hypothesis.H1)
-    }
-    empty = np.zeros(0)
+    def flip_mask(spec):
+        if spec is None or scenario.p_e == 0:
+            return None
+        return np.empty((ROC_BLOCK, m_q, spec.bits), dtype=bool)
+
+    def received(spec, y, flips):
+        if spec is None:
+            return None
+        if flips is not None:
+            flips = flips[: len(y)]
+        return received_levels(quantize_batch(y[:, :m_q], spec), flips, spec.bits, scenario.mapping)
+
+    etas = np.array([threshold_for_pfa(pfa) for pfa in scenario.pfa_grid])
+    exceed = np.zeros((2, len(scenario.detectors), len(etas)), dtype=np.int64)
+    y = np.empty((ROC_BLOCK, m_total))
+    flips_hybrid, flips_low = flip_mask(spec_hybrid), flip_mask(spec_low)
     for hyp_idx, hyp in enumerate((Hypothesis.H0, Hypothesis.H1)):
-        for t in range(scenario.trials):
-            rng = trial_rng(scenario.seed, hyp_idx, t)
-            y = simulate_observations(params, hyp, scenario.m_total, rng)
-            y_q, y_u = y[:m_q], y[m_q:]
-            levels_hybrid = levels_low = None
-            if "hybrid_full" in kernels or recon is not None:
-                sent = quantize_batch(y_q, QuantizerSpec(scenario.bits_hybrid, thr_hybrid))
-                levels_hybrid = bsc_corrupt_levels(
-                    sent, scenario.bits_hybrid, scenario.p_e, rng, scenario.mapping
-                )
-            if "low" in kernels:
-                sent = quantize_batch(y_q, QuantizerSpec(scenario.bits_low, thr_low))
-                levels_low = bsc_corrupt_levels(
-                    sent, scenario.bits_low, scenario.p_e, rng, scenario.mapping
-                )
-            row = stats[hyp]
-            for det in scenario.detectors:
-                if det == "clairvoyant":
-                    row[det][t] = y.sum() / (sigma_n * math.sqrt(scenario.m_total))
-                elif det == "fp":
-                    row[det][t] = float(kernels_fp_statistic(y_u, scenario))
-                elif det == scenario.label_low:
-                    row[det][t] = float(kernels["low"].statistic(levels_low, empty))
-                elif det == scenario.label_hybrid_q:
-                    row[det][t] = float(kernels["hybrid_q"].statistic(levels_hybrid, empty))
-                elif det == scenario.label_hybrid:
-                    row[det][t] = float(kernels["hybrid_full"].statistic(levels_hybrid, y_u))
-                elif det == scenario.label_reconstruction:
-                    restored = recon[levels_hybrid - 1].sum() + y_u.sum()
-                    row[det][t] = restored / (sigma_n * math.sqrt(scenario.m_total))
+        for start in range(0, scenario.trials, ROC_BLOCK):
+            n = min(ROC_BLOCK, scenario.trials - start)
+            for b in range(n):
+                rng = trial_rng(scenario.seed, hyp_idx, start + b)
+                y[b] = simulate_observations(params, hyp, m_total, rng)
+                if flips_hybrid is not None:
+                    flips_hybrid[b] = rng.random((m_q, scenario.bits_hybrid)) < scenario.p_e
+                if flips_low is not None:
+                    flips_low[b] = rng.random((m_q, scenario.bits_low)) < scenario.p_e
+            block = y[:n]
+            hybrid = received(spec_hybrid, block, flips_hybrid)
+            low = received(spec_low, block, flips_low)
+            for k, det in enumerate(scenario.detectors):
+                stat = detectors[det](block, hybrid, low)
+                exceed[hyp_idx, k] += np.count_nonzero(stat[:, None] > etas, axis=0)
 
     rows = []
-    for det in scenario.detectors:
+    for k, det in enumerate(scenario.detectors):
         lam_det = lam.get(det)
-        for pfa in scenario.pfa_grid:
-            eta = threshold_for_pfa(pfa)
-            pfa_mc = float(np.mean(stats[Hypothesis.H0][det] > eta))
-            pd_mc = float(np.mean(stats[Hypothesis.H1][det] > eta))
+        for j, pfa in enumerate(scenario.pfa_grid):
+            eta = float(etas[j])
+            pfa_mc = int(exceed[0, k, j]) / scenario.trials
+            pd_mc = int(exceed[1, k, j]) / scenario.trials
             stderr = math.sqrt(max(pd_mc * (1.0 - pd_mc), 0.0) / scenario.trials)
             pd_theory = theoretical_pd(lam_det, eta) if lam_det is not None else None
             rows.append(
-                RocPoint(det, float(pfa), float(eta), pd_theory, pfa_mc, pd_mc, stderr).row()
+                RocPoint(det, float(pfa), eta, pd_theory, pfa_mc, pd_mc, stderr).row()
             )
     return Table(ROC_COLUMNS, rows)
-
-
-def kernels_fp_statistic(y_u: np.ndarray, scenario: RocScenario) -> float:
-    """Analog-only statistic: scaled sample sum with unit null variance."""
-    sigma_n = math.sqrt(scenario.sigma_n2)
-    return float(y_u.sum() / (sigma_n * math.sqrt(y_u.size)))
 
 
 def roc_transmission_bits(scenario: RocScenario) -> dict[str, int | None]:

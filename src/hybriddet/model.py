@@ -45,6 +45,7 @@ __all__ = [
     "quantize_batch",
     "bsc_transmit",
     "bsc_corrupt_levels",
+    "received_levels",
     "trial_rng",
 ]
 
@@ -356,17 +357,30 @@ def bsc_corrupt_levels(
 ) -> np.ndarray:
     """Send an array of levels through the channel; returns received levels.
 
-    Encodes each level, flips bits independently, and decodes the corrupted
-    codeword back to a level index.  With ``crossover == 0`` no randomness
-    is consumed.
+    Draws one uniform per codeword bit, flips the bits whose uniform falls
+    below the crossover probability, and decodes with
+    :func:`received_levels`.  With ``crossover == 0`` no randomness is
+    consumed.
     """
     levels = np.asarray(levels)
-    codes = _level_codes(bits, mapping)[levels - 1]
+    flips = None
     if crossover > 0:
         rng = np.random.default_rng(rng)
-        flip_bits = rng.random(levels.shape + (bits,)) < crossover
+        flips = rng.random(levels.shape + (bits,)) < crossover
+    return received_levels(levels, flips, bits, mapping)
+
+
+def received_levels(levels, flips, bits: int, mapping: str = DEFAULT_MAPPING) -> np.ndarray:
+    """Levels decoded after flipping the marked bits of each sent codeword.
+
+    ``flips`` is a boolean mask with the shape of ``levels`` plus a trailing
+    axis of ``bits``; entry ``k`` flips the codeword bit of weight ``2**k``.
+    ``None`` means an error-free channel.
+    """
+    codes = _level_codes(bits, mapping)[np.asarray(levels) - 1]
+    if flips is not None:
         weights = 1 << np.arange(bits)
-        codes = codes ^ (flip_bits @ weights).astype(codes.dtype)
+        codes = codes ^ (flips @ weights).astype(codes.dtype)
     return _code_levels(bits, mapping)[codes]
 
 

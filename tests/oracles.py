@@ -1,7 +1,7 @@
 """Independent numerical oracles used to freeze expected test values.
 
 Everything here deliberately avoids the package's own computational paths:
-tail probabilities come from adaptive quadrature, inverses and slice maxima
+tail probabilities and cell centroids come from adaptive quadrature, inverses and slice maxima
 from bisection, information sums from explicit loops with a local
 Hamming-weight kernel, and integer programs from exhaustive enumeration.
 """
@@ -38,6 +38,35 @@ def upper_tail_inverse_bisect(p: float, lo: float = -12.0, hi: float = 12.0) -> 
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def cell_centroid_quad(lo: float, hi: float) -> float:
+    """E[X | lo <= X < hi] for a standard normal X, by quadrature.
+
+    The density is integrated relative to its value at a reference point
+    of the cell (the midpoint, or the finite edge of a tail cell), so the
+    integrands stay of order one however narrow or remote the cell is.
+    """
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+    if math.isinf(lo) and math.isinf(hi):
+        return 0.0
+    if math.isinf(lo) or math.isinf(hi):
+        edge, sign = (hi, -1.0) if math.isinf(lo) else (lo, 1.0)
+        # x = edge + sign * s with s >= 0; weight exp(-x**2/2 + edge**2/2).
+        weight = lambda s: math.exp(-sign * edge * s - 0.5 * s * s)
+        mass, _ = integrate.quad(weight, 0.0, math.inf, **opts)
+        moment, _ = integrate.quad(lambda s: s * weight(s), 0.0, math.inf, **opts)
+        return edge + sign * moment / mass
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    # x = mid + half * u with |u| <= 1, folded onto u >= 0 so that the odd
+    # part of the weight exp(-x**2/2 + mid**2/2) does not cancel.
+    a = mid * half
+    if a == 0.0:
+        return mid
+    envelope = lambda u: math.exp(-0.5 * (half * u) ** 2)
+    mass, _ = integrate.quad(lambda u: envelope(u) * math.cosh(a * u), 0.0, 1.0, **opts)
+    moment, _ = integrate.quad(lambda u: u * envelope(u) * math.sinh(a * u), 0.0, 1.0, **opts)
+    return mid - half * moment / mass
 
 
 def codes_for(bits: int, mapping: str) -> list[int]:

@@ -85,3 +85,29 @@ def test_every_preset_is_registered_for_a_real_command():
     assert {cmd for cmd, _ in PRESETS} <= commands
     for cmd in commands:
         assert any(c == cmd for c, _ in PRESETS)
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("roc", '{"theta": NaN}'),
+        ("fi-landscape", '{"tau_lo": Infinity}'),
+    ],
+)
+def test_non_finite_json_constants_rejected(tmp_path, capsys, command, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "x.csv"
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert "non-finite" in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists()
+
+
+def test_sweep_case_without_freqs_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cases": [{"name": "favorable"}]}))
+    out = tmp_path / "x.csv"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert "sweep case 0" in json.loads(capsys.readouterr().err)["error"]

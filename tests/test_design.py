@@ -17,6 +17,8 @@ from hybriddet.design import (
     optimized_thresholds,
 )
 
+from hybriddet.model import QuantizerSpec
+
 from oracles import central_difference, quantized_fi_oracle
 
 
@@ -169,6 +171,17 @@ class TestPso:
         result = optimized_thresholds(2, 0.2, 1.0, PsoSettings(seed=2))
         tau = np.array(result.thresholds)
         np.testing.assert_allclose(tau, -tau[::-1], atol=0.05)
+
+    def test_tied_swarm_optimum_is_separated(self):
+        # With this seed the best 3-bit swarm point at p_e = 0.2 repeats its
+        # lowest threshold exactly; the repeat is moved up by one ulp.
+        result = optimized_thresholds(3, 0.2, 1.0, PsoSettings(seed=967776465))
+        tau = np.array(result.thresholds)
+        assert np.all(np.diff(tau) > 0)
+        assert tau[1] == np.nextafter(tau[0], np.inf)
+        QuantizerSpec(3, result.thresholds)
+        problem = DesignProblem(bits=3, p_e=0.2)
+        assert result.objective == design_objective(result.thresholds, problem)
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):

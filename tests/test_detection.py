@@ -35,7 +35,7 @@ from hybriddet.model import (
     trial_rng,
 )
 
-from oracles import quantized_fi_oracle, upper_tail_inverse_bisect, upper_tail_quad
+from oracles import cell_centroid_quad, quantized_fi_oracle, upper_tail_inverse_bisect, upper_tail_quad
 
 PARAMS = SignalParams(theta=0.25, sigma_n2=1.0, sigma_h2=0.5)
 
@@ -262,6 +262,44 @@ class TestBaselines:
         cfg = _config(1, 1, (0.0,), 0.0, 1)
         with pytest.raises(ValueError):
             baseline_statistic("nope", cfg, observations=[1.0])
+
+
+class TestReconstructionTable:
+    # The 3-bit swarm design of ``roc --preset errorprone`` (seed 20260810):
+    # four of its cells are between 6e-16 and 3e-12 wide.
+    ERRORPRONE_3BIT = (
+        -0.35870825067754725, -0.3587082506775467, 0.020315721306721147,
+        0.020315721306773806, 0.02031572130934028, 0.020315721309374486,
+        0.36715130256065565,
+    )
+
+    @staticmethod
+    def _designs():
+        yield QuantizerSpec(3, TestReconstructionTable.ERRORPRONE_3BIT), 1.0
+        rng = np.random.default_rng(2026)
+        for _ in range(40):
+            bits = int(rng.integers(1, 4))
+            sigma_n = float(rng.uniform(0.5, 2.0))
+            tau = np.sort(rng.uniform(-4.0, 4.0, 2**bits - 1)) * sigma_n
+            # Squeeze some cells to widths from a few ulps up to past the
+            # midpoint cutoff, on both sides of zero.
+            for i in range(1, tau.size):
+                if rng.random() < 0.5:
+                    tau[i] = tau[i - 1] + abs(tau[i - 1]) * 10.0 ** rng.uniform(-15.5, -3.0) + 1e-300
+            yield QuantizerSpec(bits, tuple(tau)), sigma_n
+
+    def test_centroids_lie_in_their_cells(self):
+        for spec, sigma_n in self._designs():
+            table = reconstruction_table(spec, sigma_n)
+            edges = spec.edges()
+            assert np.all(edges[:-1] <= table) and np.all(table <= edges[1:]), spec
+
+    def test_centroids_match_quadrature(self):
+        for spec, sigma_n in self._designs():
+            table = reconstruction_table(spec, sigma_n)
+            z = spec.edges() / sigma_n
+            want = [sigma_n * cell_centroid_quad(a, b) for a, b in zip(z[:-1], z[1:])]
+            np.testing.assert_allclose(table, want, rtol=0.0, atol=1e-9, err_msg=str(spec))
 
 
 class TestDegenerateCells:

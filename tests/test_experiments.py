@@ -8,6 +8,7 @@ import pytest
 
 from hybriddet.allocation import BudgetMode, Sense
 from hybriddet.experiments import (
+    ROC_BLOCK,
     ROC_COLUMNS,
     AllocateScenario,
     DesignScenario,
@@ -35,6 +36,8 @@ from hybriddet.model import (
     QuantizerSpec,
     SignalParams,
 )
+
+from roc_reference import per_trial_roc
 
 
 def by_detector(table):
@@ -152,6 +155,43 @@ class TestRoc:
         assert recs["r-3b-fp"][0.2]["pd_theory"] is None
         assert recs["3b-fp"][0.2]["pd_theory"] is not None
         assert recs["clairvoyant"][0.2]["pd_theory"] is not None
+
+
+#: Hybrid thresholds: a 3-bit design for a clean channel, and the swarm
+#: design of ``roc --preset errorprone``, which has near-empty cells.
+_CLEAN_3BIT = (-1.748, -1.05, -0.501, 0.0, 0.501, 1.05, 1.748)
+_NOISY_3BIT = (
+    -0.35870825067754725, -0.3587082506775467, 0.020315721306721147,
+    0.020315721306773806, 0.02031572130934028, 0.020315721309374486,
+    0.36715130256065565,
+)
+
+
+def _roc_case(p_e, trials, detectors=(), mapping="natural"):
+    return RocScenario(
+        p_e=p_e, trials=trials, seed=11, detectors=detectors, mapping=mapping,
+        thresholds_hybrid=_NOISY_3BIT if p_e else _CLEAN_3BIT, thresholds_low=(0.0,),
+    )
+
+
+class TestRocBlocksMatchPerTrialLoop:
+    """``run_roc`` simulates blocks of ``ROC_BLOCK`` trials; its rows must be
+    exactly those of the trial-at-a-time loop in ``roc_reference``."""
+
+    @pytest.mark.parametrize("trials", [1, ROC_BLOCK - 1, ROC_BLOCK, ROC_BLOCK + 1])
+    @pytest.mark.parametrize("p_e", [0.0, 0.2])
+    def test_all_detectors(self, p_e, trials):
+        scenario = _roc_case(p_e, trials)
+        assert run_roc(scenario).rows == per_trial_roc(scenario).rows
+
+    def test_gray_mapping(self):
+        scenario = _roc_case(0.2, ROC_BLOCK + 1, mapping="gray")
+        assert run_roc(scenario).rows == per_trial_roc(scenario).rows
+
+    @pytest.mark.parametrize("detectors", [("1b",), ("r-3b-fp",), ("clairvoyant", "fp")])
+    def test_detector_subsets_skip_their_draws(self, detectors):
+        scenario = _roc_case(0.2, ROC_BLOCK + 1, detectors)
+        assert run_roc(scenario).rows == per_trial_roc(scenario).rows
 
 
 class TestScoreSamples:
