@@ -3,10 +3,10 @@ full-precision sensor reporting.
 
 Subpackages cover the data plane (:mod:`hybriddet.model`), fusion-center
 detection kernels (:mod:`hybriddet.detection`), per-sensor quantizer
-design (:mod:`hybriddet.design`), a small integer programming solver
-(:mod:`hybriddet.ilp`), network bandwidth allocation
-(:mod:`hybriddet.allocation`), and reproducible experiment runners with a
-CLI (:mod:`hybriddet.experiments`, :mod:`hybriddet.cli`).
+design (:mod:`hybriddet.design`), network bandwidth allocation solved
+with HiGHS and checked by a dynamic program (:mod:`hybriddet.allocation`),
+and reproducible experiment runners with a CLI
+(:mod:`hybriddet.experiments`, :mod:`hybriddet.cli`).
 """
 
 from .model import (
@@ -61,19 +61,21 @@ from .design import (
     objective_gradient,
     optimized_thresholds,
 )
-from .ilp import IlpProblem, IlpSolution, LpResult, SolveStatus, solve_ilp, solve_lp_relaxation
 from .allocation import (
     AllocationInfeasibleError,
     AllocationResult,
     BudgetMode,
     ErrorHistogram,
     FiTable,
+    IlpProblem,
+    IlpSolution,
     Sense,
     allocate,
     allocate_dp_oracle,
     build_fi_table,
     build_ilp,
     categorize_errors,
+    solve_ilp,
     validate_allocation,
 )
 

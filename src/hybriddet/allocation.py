@@ -5,9 +5,9 @@ Each category's head count is fixed; the optimizer chooses how many
 sensors in each category report at each low-bit depth and how many are
 promoted to full-precision (error-free) reporting, subject to a total
 bit budget.  The assignment maximizing (or, for comparison, minimizing)
-total information is found with the in-package integer programming
-solver; an independent dynamic program over (category, bits spent)
-verifies it exactly.
+total information is found by HiGHS through ``scipy.optimize.milp``;
+an independent dynamic program over (category, bits spent) verifies it
+exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from enum import Enum
 import numpy as np
 
 from .design import PsoSettings, optimized_thresholds
-from .ilp import IlpProblem, IlpSolution, SolveStatus, solve_ilp
 from .model import DEFAULT_MAPPING
 
 __all__ = [
@@ -29,9 +28,12 @@ __all__ = [
     "ErrorHistogram",
     "FiTable",
     "AllocationResult",
+    "IlpProblem",
+    "IlpSolution",
     "categorize_errors",
     "build_fi_table",
     "build_ilp",
+    "solve_ilp",
     "allocate",
     "allocate_dp_oracle",
     "validate_allocation",
@@ -164,6 +166,25 @@ def build_fi_table(
     return FiTable(gamma=gamma, gamma0=1.0 / sigma_n2)
 
 
+@dataclass(frozen=True)
+class IlpProblem:
+    """Minimize ``cost @ x`` over integer ``x`` with ``eq_matrix @ x == eq_rhs``
+    and ``lower <= x <= upper`` (upper may be ``inf``)."""
+
+    cost: np.ndarray
+    eq_matrix: np.ndarray
+    eq_rhs: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+
+@dataclass(frozen=True)
+class IlpSolution:
+    x: np.ndarray
+    objective: float
+    nodes_explored: int
+
+
 def build_ilp(
     hist: ErrorHistogram,
     table: FiTable,
@@ -280,6 +301,30 @@ def validate_allocation(
         raise ValueError("allocation exceeds the bit budget")
 
 
+def solve_ilp(problem: IlpProblem) -> IlpSolution:
+    """Integer optimum of ``problem`` by HiGHS branch and cut, at zero gap.
+
+    Raises :class:`AllocationInfeasibleError` when no integer point is
+    feasible and ``RuntimeError`` on any other non-optimal outcome.
+    """
+    # Deferred: scipy.optimize adds about 0.2 s to every CLI start.
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    res = milp(
+        problem.cost,
+        integrality=1,
+        bounds=Bounds(problem.lower, problem.upper),
+        constraints=LinearConstraint(problem.eq_matrix, problem.eq_rhs, problem.eq_rhs),
+        options={"mip_rel_gap": 0.0},
+    )
+    if res.status == 2:
+        raise AllocationInfeasibleError("no assignment meets the head counts and the bit budget")
+    if res.status != 0:
+        raise RuntimeError(f"milp failed with status {res.status}: {res.message}")
+    x = np.round(res.x).astype(np.int64)
+    return IlpSolution(x, float(problem.cost @ x), int(res.mip_node_count))
+
+
 def allocate(
     hist: ErrorHistogram,
     table: FiTable,
@@ -288,7 +333,7 @@ def allocate(
     budget_mode: BudgetMode = BudgetMode.AT_MOST,
     sense: Sense = Sense.MAXIMIZE_FI,
 ) -> AllocationResult:
-    """Globally optimal assignment via branch and bound.
+    """Globally optimal assignment via :func:`solve_ilp`.
 
     Raises :class:`AllocationInfeasibleError` when no assignment fits,
     e.g. an exact budget that no combination of bit widths reaches, or an
@@ -297,18 +342,8 @@ def allocate(
     problem = build_ilp(hist, table, budget, l0, budget_mode)
     if sense is Sense.MINIMIZE_FI:
         problem = replace(problem, cost=-problem.cost)
-    # Presolve: per-category head counts imply x[l, n] <= counts[n], which
-    # shrinks the branch-and-bound tree without changing the optimum.
+    solution = solve_ilp(problem)
     L, N = table.max_bits, hist.n_categories
-    tight = problem.upper.copy()
-    tight[: L * N] = np.minimum(
-        tight[: L * N], np.repeat(np.array(hist.counts, dtype=float), L)
-    )
-    solution: IlpSolution = solve_ilp(replace(problem, upper=tight))
-    if solution.status is not SolveStatus.OPTIMAL:
-        raise AllocationInfeasibleError(
-            f"allocation is {solution.status.value} for budget {budget}"
-        )
     x = solution.x
     x_matrix = x[: L * N].reshape((L, N), order="F")
     promotions = x[L * N : L * N + N]

@@ -341,7 +341,7 @@ class TestC06IlpCorrectness:
                     paper_points += 1
         elapsed = time.perf_counter() - t0
         ok = agreements == 100 and paper_points == 36 and elapsed < 60.0
-        report("criterion 6 (branch-and-bound vs dynamic program)",
+        report("criterion 6 (HiGHS milp vs dynamic program)",
                ok, f"{agreements} randomized + {paper_points} budget-500 points agree; "
                    f"{elapsed:.1f}s < 60s")
         assert ok

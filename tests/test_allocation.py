@@ -16,9 +16,12 @@ from hybriddet.allocation import (
     build_fi_table,
     build_ilp,
     categorize_errors,
+    solve_ilp,
     validate_allocation,
 )
-from hybriddet.design import PsoSettings
+from hybriddet.design import DesignProblem, PsoSettings, _error_free_optimum, design_objective
+
+from oracles import enumerate_ilp
 
 
 def random_instance(rng, max_count=16, max_budget=200):
@@ -36,6 +39,15 @@ def random_instance(rng, max_count=16, max_budget=200):
     mode = BudgetMode.AT_MOST if rng.random() < 0.5 else BudgetMode.EXACT
     sense = Sense.MAXIMIZE_FI if rng.random() < 0.5 else Sense.MINIMIZE_FI
     return hist, table, budget, l0, mode, sense
+
+
+def error_free_design_table(epsilons, max_bits):
+    """Information of the error-free optimal thresholds on each channel."""
+    gamma = []
+    for bits in range(1, max_bits + 1):
+        tau = _error_free_optimum(bits, 1.0)
+        gamma.append([design_objective(tau, DesignProblem(bits=bits, p_e=e)) for e in epsilons])
+    return FiTable(gamma=np.array(gamma), gamma0=1.0)
 
 
 class TestCategorize:
@@ -200,6 +212,91 @@ class TestAllocate:
             except AllocationInfeasibleError:
                 continue
             assert hi.total_fi >= lo.total_fi - 1e-12
+
+    def test_two_sensor_reference(self):
+        # Two sensors, 33 bits exactly, l0 = 32: one promotion and one 1-bit
+        # sensor is the only fill.
+        hist = ErrorHistogram((0.0,), (1.0,), 2)
+        table = FiTable(gamma=np.array([[0.6366]]), gamma0=1.0)
+        result = allocate(hist, table, 33, 32, BudgetMode.EXACT)
+        assert np.array_equal(result.x_matrix, [[1]])
+        assert np.array_equal(result.promotions, [1])
+        assert result.total_fi == pytest.approx(1.6366, abs=1e-12)
+
+    def test_matches_enumeration_tiny(self):
+        rng = np.random.default_rng(33)
+        seen = {"feasible": 0, "infeasible": 0}
+        for trial in range(48):
+            mode = (BudgetMode.AT_MOST, BudgetMode.EXACT)[trial % 2]
+            sense = (Sense.MAXIMIZE_FI, Sense.MINIMIZE_FI)[trial // 2 % 2]
+            n, levels = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+            counts = rng.integers(1, 3, n)
+            m = int(counts.sum())
+            hist = ErrorHistogram(tuple(0.1 * np.arange(n)), tuple(counts / m), m)
+            table = FiTable(gamma=rng.uniform(0.0, 0.95, (levels, n)), gamma0=1.0)
+            l0 = int(rng.integers(2, 6))
+            budget = int(rng.integers(0, m * l0 + 2))
+            prob = build_ilp(hist, table, budget, l0, mode)
+            # Head counts bound every column; the slack is bounded by the budget.
+            box = np.concatenate([np.repeat(counts, levels), counts, [budget]])
+            upper = np.minimum(prob.upper, box[: prob.cost.size])
+            maximize = sense is Sense.MAXIMIZE_FI
+            cost = prob.cost if maximize else -prob.cost
+            _, best = enumerate_ilp(cost, prob.eq_matrix, prob.eq_rhs, prob.lower, upper)
+            if best is None:
+                with pytest.raises(AllocationInfeasibleError):
+                    allocate(hist, table, budget, l0, mode, sense)
+                seen["infeasible"] += 1
+            else:
+                result = allocate(hist, table, budget, l0, mode, sense)
+                assert result.total_fi == pytest.approx(-best if maximize else best, abs=1e-9)
+                seen["feasible"] += 1
+        assert min(seen.values()) >= 10
+
+    def test_repeated_calls_identical(self):
+        # Equal columns make many assignments optimal; the solver must still
+        # pick the same one every time.
+        hist = ErrorHistogram((0.0, 0.1, 0.2), (0.25, 0.25, 0.5), 12)
+        table = FiTable(gamma=np.repeat([[0.6], [0.85], [0.95]], 3, axis=1), gamma0=1.0)
+        a = allocate(hist, table, 70, 8)
+        b = allocate(hist, table, 70, 8)
+        assert np.array_equal(a.x_matrix, b.x_matrix)
+        assert np.array_equal(a.promotions, b.promotions)
+
+    def test_solve_ilp_reports_solution_and_nodes(self):
+        hist = ErrorHistogram((0.0, 0.2), (0.5, 0.5), 8)
+        table = FiTable(gamma=np.array([[0.6, 0.2], [0.85, 0.3], [0.95, 0.4]]), gamma0=1.0)
+        prob = build_ilp(hist, table, 40, 16)
+        sol = solve_ilp(prob)
+        assert sol.x.dtype == np.int64
+        np.testing.assert_array_equal(prob.eq_matrix @ sol.x, prob.eq_rhs)
+        assert sol.objective == float(prob.cost @ sol.x)
+        assert isinstance(sol.nodes_explored, int) and sol.nodes_explored >= 0
+
+    def test_heavy_branching_instance_matches_dp_oracle(self):
+        # Eight categories at budget 218: a dense-simplex branch and bound
+        # needs over 14,000 nodes and about 20 s on this instance.
+        eps = (0.10, 0.12, 0.13, 0.29, 0.30, 0.35, 0.38, 0.40)
+        counts = np.array((9, 7, 9, 13, 12, 8, 10, 8))
+        m = int(counts.sum())
+        hist = ErrorHistogram(eps, tuple(counts / m), m)
+        table = error_free_design_table(eps, 3)
+        result = allocate(hist, table, 218, 32, BudgetMode.AT_MOST, Sense.MAXIMIZE_FI)
+        oracle = allocate_dp_oracle(hist, table, 218, 32, BudgetMode.AT_MOST, Sense.MAXIMIZE_FI)
+        assert oracle.total_fi == pytest.approx(18.4367306, abs=1e-7)
+        assert abs(result.total_fi - oracle.total_fi) <= 1e-9
+
+    def test_twenty_categories_four_bits_match_dp_oracle(self):
+        rng = np.random.default_rng(17)
+        eps = rng.choice(np.round(np.linspace(0.0, 0.45, 46), 2), 20, replace=False)
+        hist = categorize_errors(np.repeat(eps, 3))
+        assert hist.n_categories == 20 and hist.m_total == 60
+        table = error_free_design_table(hist.epsilons, 4)
+        for budget, mode in ((150, BudgetMode.AT_MOST), (211, BudgetMode.EXACT)):
+            for sense in (Sense.MAXIMIZE_FI, Sense.MINIMIZE_FI):
+                result = allocate(hist, table, budget, 32, mode, sense)
+                oracle = allocate_dp_oracle(hist, table, budget, 32, mode, sense)
+                assert abs(result.total_fi - oracle.total_fi) <= 1e-9
 
     def test_nonbinding_budget_promotes_everything(self):
         hist = ErrorHistogram((0.0, 0.2), (0.5, 0.5), 4)

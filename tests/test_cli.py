@@ -1,9 +1,14 @@
 """Command-line interface tests: flags, config merging, error reporting."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hybriddet
 from hybriddet.cli import PRESETS, main
 from hybriddet.experiments import load_table
 
@@ -111,3 +116,12 @@ def test_sweep_case_without_freqs_rejected(tmp_path, capsys):
     code = main(["sweep", "--config", str(cfg), "--out", str(out)])
     assert code == 2
     assert "sweep case 0" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # Only allocation needs scipy.optimize; importing it at CLI start would
+    # cost every command about 0.2 s.
+    env = dict(os.environ, PYTHONPATH=str(Path(hybriddet.__file__).resolve().parents[1]))
+    code = "import hybriddet.cli, sys; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
