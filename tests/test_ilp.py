@@ -1,97 +1,38 @@
-"""Integer programming solver tests against exhaustive enumeration."""
+"""allocation.solve_ilp on general integer programs against exhaustive enumeration.
+
+``build_ilp`` only produces nonnegative head-count and budget rows; these
+programs also have negative coefficients and several equality rows, so they
+check the HiGHS call itself: integrality, bounds, the equality constraint and
+the mapping of its status to a solution or to ``AllocationInfeasibleError``.
+"""
 
 import numpy as np
 import pytest
 
-from hybriddet.ilp import (
-    IlpProblem,
-    SolveStatus,
-    solve_ilp,
-    solve_lp_relaxation,
-)
+from hybriddet.allocation import AllocationInfeasibleError, IlpProblem, solve_ilp
 
 from oracles import enumerate_ilp
 
 
-class TestProblemValidation:
-    def test_dimension_checks(self):
-        with pytest.raises(ValueError):
-            IlpProblem([1.0, 2.0], [[1.0]], [1.0], [0.0], [1.0])
-        with pytest.raises(ValueError):
-            IlpProblem([1.0], [[1.0]], [1.0, 2.0], [0.0], [1.0])
-
-    def test_bound_checks(self):
-        with pytest.raises(ValueError):
-            IlpProblem([1.0], [[1.0]], [1.0], [-1.0], [1.0])
-        with pytest.raises(ValueError):
-            IlpProblem([1.0], [[1.0]], [1.0], [2.0], [1.0])
-
-
-class TestLpRelaxation:
-    def test_fully_determined(self):
-        result = solve_lp_relaxation(IlpProblem([-1.0], [[1.0]], [3.0], [0.0], [5.0]))
-        assert result.status is SolveStatus.OPTIMAL
-        assert result.x[0] == pytest.approx(3.0, abs=1e-9)
-        assert result.objective == pytest.approx(-3.0, abs=1e-9)
-
-    def test_objective_unique_solution_not(self):
-        result = solve_lp_relaxation(
-            IlpProblem([-1.0, -1.0], [[1.0, 1.0]], [4.0], [0, 0], [3, 3])
-        )
-        assert result.objective == pytest.approx(-4.0, abs=1e-9)
-
-    def test_bound_sum_below_rhs_infeasible(self):
-        result = solve_lp_relaxation(
-            IlpProblem([0.0, 0.0], [[1.0, 1.0]], [5.0], [0, 0], [2, 2])
-        )
-        assert result.status is SolveStatus.INFEASIBLE
-
-    def test_unbounded(self):
-        result = solve_lp_relaxation(
-            IlpProblem([-1.0, 0.0], [[0.0, 1.0]], [1.0], [0, 0], [np.inf, np.inf])
-        )
-        assert result.status is SolveStatus.UNBOUNDED
-
-    def test_relaxation_bounds_integer_optimum(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            n = int(rng.integers(2, 5))
-            A = rng.integers(-2, 3, (1, n)).astype(float)
-            ub = rng.integers(1, 5, n).astype(float)
-            xstar = np.array([rng.integers(0, int(u) + 1) for u in ub], dtype=float)
-            b = A @ xstar
-            c = np.round(rng.normal(0, 1, n), 3)
-            prob = IlpProblem(c, A, b, np.zeros(n), ub)
-            lp = solve_lp_relaxation(prob)
-            ilp = solve_ilp(prob)
-            assert lp.status is SolveStatus.OPTIMAL
-            assert ilp.status is SolveStatus.OPTIMAL
-            assert lp.objective <= ilp.objective + 1e-9
+def _problem(cost, eq_matrix, eq_rhs, lower, upper):
+    as_float = lambda v: np.asarray(v, dtype=float)
+    return IlpProblem(
+        as_float(cost), as_float(eq_matrix), as_float(eq_rhs), as_float(lower), as_float(upper)
+    )
 
 
 class TestSolveIlp:
     def test_integral_relaxation_single_node(self):
-        prob = IlpProblem([-1.0], [[1.0]], [3.0], [0.0], [5.0])
-        sol = solve_ilp(prob)
-        assert sol.status is SolveStatus.OPTIMAL
-        assert sol.nodes_explored == 1
+        # The relaxation's optimum is integral, so no branching is needed:
+        # HiGHS counts 0 nodes when presolve settles it, 1 for the root alone.
+        sol = solve_ilp(_problem([-1.0], [[1.0]], [3.0], [0.0], [5.0]))
+        assert sol.nodes_explored <= 1
         assert sol.x[0] == 3
-
-    def test_two_variable_reference(self):
-        prob = IlpProblem(
-            [-1.0, -0.6366], [[1.0, 1.0], [32.0, 1.0]], [2.0, 33.0],
-            [0.0, 0.0], [np.inf, np.inf],
-        )
-        sol = solve_ilp(prob)
-        x, v = enumerate_ilp(prob.cost, prob.eq_matrix, prob.eq_rhs, [0, 0], [2, 33])
-        assert sol.status is SolveStatus.OPTIMAL
-        assert np.array_equal(sol.x, [1, 1])
-        assert sol.objective == pytest.approx(v, abs=1e-12)
-        assert sol.objective == pytest.approx(-1.6366, abs=1e-12)
+        assert sol.objective == -3.0
 
     def test_fractional_only_rhs_infeasible(self):
-        sol = solve_ilp(IlpProblem([1.0], [[2.0]], [3.0], [0.0], [np.inf]))
-        assert sol.status is SolveStatus.INFEASIBLE
+        with pytest.raises(AllocationInfeasibleError):
+            solve_ilp(_problem([1.0], [[2.0]], [3.0], [0.0], [np.inf]))
 
     def test_solution_is_integral_and_feasible(self):
         rng = np.random.default_rng(21)
@@ -103,8 +44,7 @@ class TestSolveIlp:
             xstar = np.array([rng.integers(0, int(u) + 1) for u in ub], dtype=float)
             b = A @ xstar
             c = np.round(rng.normal(0, 2, n), 3)
-            sol = solve_ilp(IlpProblem(c, A, b, np.zeros(n), ub))
-            assert sol.status is SolveStatus.OPTIMAL
+            sol = solve_ilp(_problem(c, A, b, np.zeros(n), ub))
             assert sol.x.dtype == np.int64
             assert np.max(np.abs(A @ sol.x.astype(float) - b)) <= 1e-7
             assert np.all(sol.x >= 0)
@@ -125,10 +65,8 @@ class TestSolveIlp:
             xstar = np.array([rng.integers(0, int(u) + 1) for u in ub], dtype=float)
             b = A @ xstar
             c = np.round(rng.normal(0, 2, n), 3)
-            prob = IlpProblem(c, A, b, np.zeros(n), ub)
-            sol = solve_ilp(prob)
+            sol = solve_ilp(_problem(c, A, b, np.zeros(n), ub))
             _, best = enumerate_ilp(c, A, b, np.zeros(n), ub)
-            assert sol.status is SolveStatus.OPTIMAL
             assert sol.objective == pytest.approx(best, abs=1e-9)
 
     def test_infeasible_detection_randomized(self):
@@ -138,14 +76,5 @@ class TestSolveIlp:
             A = rng.integers(0, 4, (1, n)).astype(float)
             ub = rng.integers(1, 4, n).astype(float)
             b = np.array([float((A @ ub)[0]) + 1.5])
-            sol = solve_ilp(IlpProblem(np.ones(n), A, b, np.zeros(n), ub))
-            assert sol.status is SolveStatus.INFEASIBLE
-
-    def test_deterministic(self):
-        prob = IlpProblem(
-            [-1.0, -0.5, -0.1], [[1.0, 2.0, 3.0]], [7.0], [0, 0, 0], [5, 5, 5]
-        )
-        a = solve_ilp(prob)
-        b = solve_ilp(prob)
-        assert np.array_equal(a.x, b.x)
-        assert a.nodes_explored == b.nodes_explored
+            with pytest.raises(AllocationInfeasibleError):
+                solve_ilp(_problem(np.ones(n), A, b, np.zeros(n), ub))
