@@ -104,7 +104,10 @@ def _merge(command: str, args) -> dict:
     if getattr(args, "budget_mode", None) is not None:
         cfg["budget_mode"] = args.budget_mode
     if getattr(args, "sense", None) is not None:
-        cfg["sense"] = args.sense
+        if command == "sweep":
+            cfg["senses"] = [args.sense]
+        else:
+            cfg["sense"] = args.sense
     return cfg
 
 

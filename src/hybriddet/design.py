@@ -105,11 +105,15 @@ class DesignResult:
     trace: tuple[float, ...]
 
 
-def _objective_rows(tau: np.ndarray, problem: DesignProblem) -> np.ndarray:
+def _objective_rows(
+    tau: np.ndarray, problem: DesignProblem, kernel: np.ndarray | None = None
+) -> np.ndarray:
     """Information contribution for each row of sorted thresholds.
 
     Rows may contain repeated values (e.g. after clipping); the resulting
-    zero-probability cells contribute nothing.
+    zero-probability cells contribute nothing.  ``kernel`` is the problem's
+    ``bsc_kernel``; callers that evaluate many batches pass it in once
+    instead of having it rebuilt per call.
     """
     tau = np.atleast_2d(np.asarray(tau, dtype=float))
     n_rows = tau.shape[0]
@@ -127,7 +131,8 @@ def _objective_rows(tau: np.ndarray, problem: DesignProblem) -> np.ndarray:
     dens = gaussian_pdf(z)
     probs = tails[:, :-1] - tails[:, 1:]
     scores = sigma**2 * (dens[:, :-1] - dens[:, 1:])
-    kernel = bsc_kernel(problem.bits, problem.p_e, problem.mapping)
+    if kernel is None:
+        kernel = bsc_kernel(problem.bits, problem.p_e, problem.mapping)
     received = probs @ kernel.T
     numerators = scores @ kernel.T
     live = received > 0.0
@@ -242,6 +247,12 @@ def design_bgda(
     return DesignResult(tuple(float(t) for t in x), obj, tuple(trace))
 
 
+#: Stall stop of the swarm: it ends once its best objective has risen by at
+#: most ``_STALL_TOL * |best|`` over the last ``_STALL_ITERS`` sweeps.
+_STALL_ITERS = 150
+_STALL_TOL = 1e-12
+
+
 def design_pso(
     problem: DesignProblem,
     settings: PsoSettings,
@@ -252,8 +263,11 @@ def design_pso(
     Particle coordinates are sorted before each objective evaluation, so
     the box search space needs no ordering constraint.  All randomness
     comes from one seeded stream in a fixed order; runs are reproducible.
-    Stops when every velocity component is within ``v_tol`` or after
-    ``max_iters`` sweeps.
+    Stops for the first of three reasons: every velocity component is
+    within ``v_tol``; the best objective has stalled, rising by at most
+    ``_STALL_TOL * |best|`` over the last ``_STALL_ITERS`` sweeps; or
+    ``max_iters`` sweeps have run.  The trace holds the initial best and
+    one value per sweep run.
 
     ``initial_guesses`` optionally overwrites the first few particles;
     useful to seed the swarm with known-good candidates when the surface
@@ -264,12 +278,13 @@ def design_pso(
     swarm = settings.swarm_size
     chi = settings.constriction()
     bound = problem.tau_max
+    kernel = bsc_kernel(problem.bits, problem.p_e, problem.mapping)
 
     pos = rng.uniform(-bound, bound, size=(swarm, dim))
     for k, guess in enumerate(initial_guesses[:swarm]):
         pos[k] = np.clip(np.asarray(guess, dtype=float), -bound, bound)
     vel = np.zeros((swarm, dim))
-    obj = _objective_rows(np.sort(pos, axis=1), problem)
+    obj = _objective_rows(np.sort(pos, axis=1), problem, kernel)
     pbest = pos.copy()
     pbest_obj = obj.copy()
     g_idx = int(np.argmax(pbest_obj))
@@ -286,7 +301,7 @@ def design_pso(
             + settings.c2 * r2 * (gbest - pos)
         )
         pos = np.clip(pos + vel, -bound, bound)
-        obj = _objective_rows(np.sort(pos, axis=1), problem)
+        obj = _objective_rows(np.sort(pos, axis=1), problem, kernel)
         better = obj > pbest_obj
         pbest[better] = pos[better]
         pbest_obj[better] = obj[better]
@@ -296,6 +311,11 @@ def design_pso(
             gbest_obj = float(pbest_obj[g_idx])
         trace.append(gbest_obj)
         if np.max(np.abs(vel)) <= settings.v_tol:
+            break
+        if (
+            len(trace) > _STALL_ITERS
+            and gbest_obj - trace[-1 - _STALL_ITERS] <= _STALL_TOL * abs(gbest_obj)
+        ):
             break
 
     thresholds = tuple(float(t) for t in np.sort(gbest))

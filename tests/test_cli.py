@@ -78,6 +78,21 @@ def test_sweep_writes_companion_distribution(tmp_path):
     assert (tmp_path / "sweep_distribution.csv").exists()
 
 
+def test_sweep_sense_flag_selects_one_sense(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m_values": [20, 30]}))
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--preset", "two-mixes", "--config", str(cfg),
+                 "--sense", "min", "--out", str(out)])
+    assert code == 0
+    table = load_table(out, "csv")
+    sense = table.columns.index("sense")
+    assert len(table.rows) == 4
+    assert {row[sense] for row in table.rows} == {"min"}
+    dist = load_table(tmp_path / "sweep_distribution.csv", "csv")
+    assert {row[dist.columns.index("sense")] for row in dist.rows} == {"min"}
+
+
 def test_budget_mode_flag(tmp_path):
     out = tmp_path / "a.csv"
     code = main(["allocate", "--preset", "mixed", "--budget-mode", "exact",

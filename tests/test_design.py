@@ -4,10 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hybriddet import design
 from hybriddet.design import (
     DesignProblem,
+    DesignResult,
     PsoSettings,
+    _objective_rows,
+    _separate_ties,
     design_bgda,
     design_objective,
     design_pso,
@@ -17,7 +23,8 @@ from hybriddet.design import (
     optimized_thresholds,
 )
 
-from hybriddet.model import QuantizerSpec
+from hybriddet.detection import bsc_kernel
+from hybriddet.model import GRAY, NATURAL, QuantizerSpec
 
 from oracles import central_difference, quantized_fi_oracle
 
@@ -56,6 +63,25 @@ class TestObjective:
         assert design_objective(tau, problem) == pytest.approx(
             quantized_fi_oracle(tau, 0.15, 2.0), rel=1e-9
         )
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_passed_kernel_matches_per_call_kernel(self, data):
+        # The swarm builds the channel kernel once and passes it in; every
+        # row must come out bit for bit as when each call builds its own.
+        bits = data.draw(st.integers(1, 4))
+        problem = DesignProblem(
+            bits=bits,
+            p_e=data.draw(st.floats(0.0, 0.5)),
+            sigma_n2=data.draw(st.floats(0.25, 4.0)),
+            mapping=data.draw(st.sampled_from((NATURAL, GRAY))),
+        )
+        n_rows = data.draw(st.integers(1, 6))
+        size = n_rows * problem.n_thresholds
+        values = data.draw(st.lists(st.floats(-8.0, 8.0), min_size=size, max_size=size))
+        rows = np.sort(np.reshape(values, (n_rows, problem.n_thresholds)), axis=1)
+        kernel = bsc_kernel(bits, problem.p_e, problem.mapping)
+        assert np.array_equal(_objective_rows(rows, problem, kernel), _objective_rows(rows, problem))
 
 
 class TestGradient:
@@ -174,14 +200,33 @@ class TestPso:
 
     def test_tied_swarm_optimum_is_separated(self):
         # With this seed the best 3-bit swarm point at p_e = 0.2 repeats its
-        # lowest threshold exactly; the repeat is moved up by one ulp.
-        result = optimized_thresholds(3, 0.2, 1.0, PsoSettings(seed=967776465))
+        # third threshold exactly; the repeat is moved up by one ulp.
+        result = optimized_thresholds(3, 0.2, 1.0, PsoSettings(seed=2))
         tau = np.array(result.thresholds)
         assert np.all(np.diff(tau) > 0)
-        assert tau[1] == np.nextafter(tau[0], np.inf)
+        assert tau[3] == np.nextafter(tau[2], np.inf)
         QuantizerSpec(3, result.thresholds)
         problem = DesignProblem(bits=3, p_e=0.2)
         assert result.objective == design_objective(result.thresholds, problem)
+
+    def test_separate_ties_moves_each_repeat_one_ulp(self):
+        problem = DesignProblem(bits=3, p_e=0.2)
+        tied = DesignResult((-1.0, -1.0, -1.0, 0.0, 0.5, 0.5, 2.0), -1.0, (-1.0,))
+        result = _separate_ties(tied, problem)
+        tau = result.thresholds
+        expected = [-1.0]
+        expected.append(float(np.nextafter(expected[-1], np.inf)))
+        expected.append(float(np.nextafter(expected[-1], np.inf)))
+        expected += [0.0, 0.5, float(np.nextafter(0.5, np.inf)), 2.0]
+        assert list(tau) == expected
+        assert result.objective == design_objective(tau, problem)
+        assert result.objective != tied.objective
+        assert result.trace == tied.trace
+
+    def test_separate_ties_returns_untied_result_itself(self):
+        problem = DesignProblem(bits=2, p_e=0.2)
+        untied = DesignResult((-1.0, 0.0, 1.0), -1.0, (-1.0,))
+        assert _separate_ties(untied, problem) is untied
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
@@ -199,6 +244,58 @@ class TestPso:
             ]
             assert objs[0] <= objs[1] + 1e-6
             assert objs[1] <= objs[2] + 1e-6
+
+
+#: The (bits, p_e) cells of the sweep preset's information table, and its seed.
+SWEEP_CELLS = [(bits, p_e) for bits in (1, 2, 3) for p_e in (0.0, 0.01, 0.1, 0.2)]
+SWEEP_SEED = 20260810
+
+
+def _cell_swarms(monkeypatch, bits, p_e, settings):
+    """Design one cell with an empty cache; return it and every restart's result."""
+    runs = []
+    swarm = design.design_pso
+
+    def recorded(*args, **kwargs):
+        runs.append(swarm(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(design, "_DESIGN_CACHE", {})
+    monkeypatch.setattr(design, "design_pso", recorded)
+    result = optimized_thresholds(bits, p_e, 1.0, settings)
+    monkeypatch.setattr(design, "design_pso", swarm)
+    return result, runs
+
+
+def _stalled(trace, end):
+    """Whether the stall rule holds after sweep ``end`` of ``trace``."""
+    best = trace[end]
+    return (
+        end >= design._STALL_ITERS
+        and best - trace[end - design._STALL_ITERS] <= design._STALL_TOL * abs(best)
+    )
+
+
+class TestStallStop:
+    @pytest.mark.parametrize("bits, p_e", SWEEP_CELLS)
+    def test_stall_loses_nothing_against_unstopped_swarm(self, monkeypatch, bits, p_e):
+        settings = PsoSettings(seed=SWEEP_SEED)
+        stalled, runs = _cell_swarms(monkeypatch, bits, p_e, settings)
+        for run in runs:
+            assert np.all(np.diff(np.array(run.trace)) >= 0)
+        monkeypatch.setattr(design, "_STALL_ITERS", settings.max_iters + 1)
+        unstopped, _ = _cell_swarms(monkeypatch, bits, p_e, settings)
+        assert stalled.objective >= unstopped.objective - 1e-12
+
+    def test_two_bit_cell_stops_early_and_at_the_first_stall(self, monkeypatch):
+        settings = PsoSettings(seed=SWEEP_SEED)
+        _, runs = _cell_swarms(monkeypatch, 2, 0.1, settings)
+        assert len(runs) == design._PSO_RESTARTS
+        for run in runs:
+            sweeps = len(run.trace) - 1
+            assert sweeps < 500
+            assert _stalled(run.trace, sweeps)
+            assert not any(_stalled(run.trace, k) for k in range(sweeps))
 
 
 class TestLandscape:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybriddet.detection import (
     ReceivedData,
@@ -104,6 +106,19 @@ class TestBscKernel:
                     g = bsc_kernel(bits, p, mapping)
                     np.testing.assert_allclose(g.sum(axis=0), 1.0, atol=1e-12)
                     np.testing.assert_allclose(g.sum(axis=1), 1.0, atol=1e-12)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        bits=st.integers(1, 8),
+        p_e=st.floats(0.0, 0.5),
+        mapping=st.sampled_from(("natural", "gray")),
+    )
+    def test_doubly_stochastic_property(self, bits, p_e, mapping):
+        g = bsc_kernel(bits, p_e, mapping)
+        assert g.shape == (2**bits, 2**bits)
+        assert np.all(g >= 0.0)
+        np.testing.assert_allclose(g.sum(axis=0), 1.0, atol=1e-12)
+        np.testing.assert_allclose(g.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestFisherInformation:
