@@ -1,9 +1,9 @@
 """Experiment runners and table emission.
 
-Everything here is deterministic given the master seed: per-trial streams
-derive from ``(seed, hypothesis, trial)``, threshold designs derive their
-swarm seeds from the same master seed, and emitted files are byte-stable
-across runs.
+Everything here is deterministic given the master seed: the ROC Monte
+Carlo draws each block of ``ROC_BLOCK`` trials from one stream keyed by
+``(seed, hypothesis, block)``, threshold designs derive their swarm seeds
+from the same master seed, and emitted files are byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -63,7 +63,9 @@ __all__ = [
 ROC_COLUMNS = ("detector", "pfa_target", "eta", "pd_theory", "pfa_mc", "pd_mc", "stderr_mc")
 
 #: Trials simulated together in ``run_roc``; its memory grows with this,
-#: not with the trial count.
+#: not with the trial count.  Each block draws from its own stream, so this
+#: is part of the output contract: changing it changes the ROC Monte Carlo
+#: columns.
 ROC_BLOCK = 256
 
 
@@ -303,12 +305,13 @@ def run_roc(scenario: RocScenario) -> Table:
     error.  Theory detection probabilities are filled for the locally
     optimal detectors (the reconstruction baseline has none).
 
-    Trial ``t`` under hypothesis ``h`` draws from ``trial_rng(seed, h, t)``:
-    its observations, then one uniform per hybrid codeword bit if a
-    ``bits_hybrid`` detector is requested, then one per low-rate codeword
-    bit if the ``bits_low`` detector is; no flips are drawn when
-    ``p_e == 0``.  Everything after the draws runs on blocks of
-    ``ROC_BLOCK`` trials.
+    Trials run in blocks of ``ROC_BLOCK``.  Block ``b`` under hypothesis
+    ``h`` draws from ``trial_rng(seed, h, b)``: the block's ``n * m_total``
+    observations (under H1 all gains, then all noise), reshaped to one row
+    per trial; then an ``(n, m_quantized, bits_hybrid)`` flip mask if a
+    ``bits_hybrid`` detector is requested; then an ``(n, m_quantized,
+    bits_low)`` mask if the ``bits_low`` detector is.  No flips are drawn
+    when ``p_e == 0``.  Only exceedance counts outlive a block.
     """
     thr_hybrid, thr_low = _scenario_thresholds(scenario)
     sigma_n = math.sqrt(scenario.sigma_n2)
@@ -344,37 +347,26 @@ def run_roc(scenario: RocScenario) -> Table:
         detectors[scenario.label_low] = lambda y, hybrid, low: low_kernels.statistic(low, ())
         lam[scenario.label_low] = params.theta * math.sqrt(low_kernels.fisher_info)
 
-    def flip_mask(spec):
-        if spec is None or scenario.p_e == 0:
-            return None
-        return np.empty((ROC_BLOCK, m_q, spec.bits), dtype=bool)
-
-    def received(spec, y, flips):
+    def received(spec, y, rng):
         if spec is None:
             return None
-        if flips is not None:
-            flips = flips[: len(y)]
+        flips = None
+        if scenario.p_e > 0:
+            flips = rng.random((len(y), m_q, spec.bits)) < scenario.p_e
         return received_levels(quantize_batch(y[:, :m_q], spec), flips, spec.bits, scenario.mapping)
 
     etas = np.array([threshold_for_pfa(pfa) for pfa in scenario.pfa_grid])
     exceed = np.zeros((2, len(scenario.detectors), len(etas)), dtype=np.int64)
-    y = np.empty((ROC_BLOCK, m_total))
-    flips_hybrid, flips_low = flip_mask(spec_hybrid), flip_mask(spec_low)
     for hyp_idx, hyp in enumerate((Hypothesis.H0, Hypothesis.H1)):
-        for start in range(0, scenario.trials, ROC_BLOCK):
+        for block_idx, start in enumerate(range(0, scenario.trials, ROC_BLOCK)):
             n = min(ROC_BLOCK, scenario.trials - start)
-            for b in range(n):
-                rng = trial_rng(scenario.seed, hyp_idx, start + b)
-                y[b] = simulate_observations(params, hyp, m_total, rng)
-                if flips_hybrid is not None:
-                    flips_hybrid[b] = rng.random((m_q, scenario.bits_hybrid)) < scenario.p_e
-                if flips_low is not None:
-                    flips_low[b] = rng.random((m_q, scenario.bits_low)) < scenario.p_e
-            block = y[:n]
-            hybrid = received(spec_hybrid, block, flips_hybrid)
-            low = received(spec_low, block, flips_low)
+            rng = trial_rng(scenario.seed, hyp_idx, block_idx)
+            y = simulate_observations(params, hyp, n * m_total, rng).reshape(n, m_total)
+            # The flips are drawn in this order, after the observations.
+            hybrid = received(spec_hybrid, y, rng)
+            low = received(spec_low, y, rng)
             for k, det in enumerate(scenario.detectors):
-                stat = detectors[det](block, hybrid, low)
+                stat = detectors[det](y, hybrid, low)
                 exceed[hyp_idx, k] += np.count_nonzero(stat[:, None] > etas, axis=0)
 
     rows = []

@@ -5,8 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from hybriddet import experiments
 from hybriddet.allocation import BudgetMode, Sense
+from hybriddet.cli import PRESETS
 from hybriddet.experiments import (
     ROC_BLOCK,
     ROC_COLUMNS,
@@ -35,6 +39,7 @@ from hybriddet.model import (
     QuantizedSensor,
     QuantizerSpec,
     SignalParams,
+    gaussian_upper_tail,
 )
 
 from roc_reference import per_trial_roc
@@ -175,8 +180,10 @@ def _roc_case(p_e, trials, detectors=(), mapping="natural"):
 
 
 class TestRocBlocksMatchPerTrialLoop:
-    """``run_roc`` simulates blocks of ``ROC_BLOCK`` trials; its rows must be
-    exactly those of the trial-at-a-time loop in ``roc_reference``."""
+    """``run_roc`` quantizes, sends and scores whole blocks of ``ROC_BLOCK``
+    trials at once; its rows must be exactly those of ``roc_reference``,
+    which draws from the same per-block streams and then handles one trial
+    at a time with the scalar quantizer and codeword code."""
 
     @pytest.mark.parametrize("trials", [1, ROC_BLOCK - 1, ROC_BLOCK, ROC_BLOCK + 1])
     @pytest.mark.parametrize("p_e", [0.0, 0.2])
@@ -192,6 +199,81 @@ class TestRocBlocksMatchPerTrialLoop:
     def test_detector_subsets_skip_their_draws(self, detectors):
         scenario = _roc_case(0.2, ROC_BLOCK + 1, detectors)
         assert run_roc(scenario).rows == per_trial_roc(scenario).rows
+
+
+class TestRocStreams:
+    """The stream contract: one ``trial_rng(seed, h, block)`` per block."""
+
+    def test_one_stream_per_block_and_hypothesis(self, monkeypatch):
+        keys = []
+        real = experiments.trial_rng
+
+        def spy(seed, *key):
+            keys.append((seed, *key))
+            return real(seed, *key)
+
+        monkeypatch.setattr(experiments, "trial_rng", spy)
+        run_roc(_roc_case(0.2, 2 * ROC_BLOCK + 1))
+        assert sorted(keys) == [(11, h, b) for h in (0, 1) for b in (0, 1, 2)]
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        m_q=st.integers(0, 6),
+        m_u=st.integers(0, 4),
+        p_e=st.sampled_from((0.0, 0.05, 0.3)),
+        mapping=st.sampled_from(("natural", "gray")),
+        # Block edges are drawn often: the last block is where a stream
+        # key or a short block goes wrong.
+        trials=st.integers(1, 2 * ROC_BLOCK + 1)
+        | st.sampled_from((ROC_BLOCK, ROC_BLOCK + 1, 2 * ROC_BLOCK, 2 * ROC_BLOCK + 1)),
+        chosen=st.sets(st.sampled_from(("clairvoyant", "1b", "3b", "fp", "3b-fp", "r-3b-fp"))),
+    )
+    def test_block_and_per_trial_roc_counts_agree_on_random_fleets(
+        self, m_q, m_u, p_e, mapping, trials, chosen
+    ):
+        assume(m_q + m_u >= 1)
+        valid = {"clairvoyant"}
+        if m_q:
+            valid |= {"1b", "3b"}
+        if m_u:
+            valid |= {"fp"}
+        if m_q and m_u:
+            valid |= {"3b-fp", "r-3b-fp"}
+        detectors = tuple(sorted(chosen & valid)) or ("clairvoyant",)
+        scenario = RocScenario(
+            m_quantized=m_q, m_full=m_u, p_e=p_e, trials=trials, seed=17,
+            detectors=detectors, mapping=mapping,
+            thresholds_hybrid=_NOISY_3BIT if p_e else _CLEAN_3BIT, thresholds_low=(0.0,),
+        )
+        assert run_roc(scenario).rows == per_trial_roc(scenario).rows
+
+
+class TestRocClosedForm:
+    """The two Gaussian detectors have exact ROCs: under H0 the statistic is
+    N(0, 1); under H1 it is N(theta sqrt(m / sigma_n2), 1 + theta^2
+    sigma_h2 / sigma_n2) for the ``m`` analog samples it sums."""
+
+    def test_errorprone_gaussian_detectors_within_four_standard_errors(self):
+        trials = 20_000
+        # Observations are each block's first draws, so these two rows are
+        # those of the full preset roster; the roster skips the swarm designs.
+        scenario = RocScenario(
+            **PRESETS[("roc", "errorprone")], trials=trials, detectors=("clairvoyant", "fp"))
+        theta, s_n2, s_h2 = scenario.theta, scenario.sigma_n2, scenario.sigma_h2
+        sd1 = math.sqrt(1.0 + theta**2 * s_h2 / s_n2)
+        fleet = {"clairvoyant": scenario.m_total, "fp": scenario.m_full}
+        table = run_roc(scenario)
+        assert len(table.rows) == 2 * len(scenario.pfa_grid)
+        for row in table.rows:
+            rec = dict(zip(table.columns, row))
+            mean1 = theta * math.sqrt(fleet[rec["detector"]] / s_n2)
+            exact = {
+                "pfa_mc": float(gaussian_upper_tail(rec["eta"])),
+                "pd_mc": float(gaussian_upper_tail((rec["eta"] - mean1) / sd1)),
+            }
+            for column, p in exact.items():
+                se = math.sqrt(p * (1.0 - p) / trials)
+                assert abs(rec[column] - p) <= 4 * se, (rec["detector"], column, rec[column], p)
 
 
 class TestScoreSamples:
