@@ -14,7 +14,6 @@ from .model import (
     GRAY,
     NATURAL,
     ChannelSpec,
-    Codeword,
     FullPrecisionSensor,
     Hypothesis,
     NetworkConfig,
@@ -23,28 +22,17 @@ from .model import (
     SensorSpec,
     SignalParams,
     bsc_corrupt_levels,
-    bsc_transmit,
-    codeword_to_level,
     gaussian_pdf,
     gaussian_upper_tail,
-    hamming_distance,
-    level_to_codeword,
-    quantize,
     quantize_batch,
     simulate_observations,
     trial_rng,
 )
 from .detection import (
-    DetectorOutput,
     LikelihoodKernels,
-    ReceivedData,
-    baseline_statistic,
-    bin_prob,
-    bin_score,
     bsc_kernel,
     fisher_information,
     likelihood_kernels,
-    lmpt_statistic,
     network_kernels,
     theoretical_pd,
     threshold_for_pfa,

@@ -14,6 +14,8 @@ import dataclasses
 import json
 import math
 import sys
+import types
+import typing
 from pathlib import Path
 
 from .allocation import AllocationInfeasibleError, BudgetMode, Sense
@@ -119,12 +121,36 @@ def _listify(cfg: dict, keys: tuple[str, ...]) -> dict:
     return out
 
 
+def _fits(value, hint) -> bool:
+    """Whether ``value`` has the declared type ``hint`` of a scenario field.
+
+    An int is accepted where a float is declared; a bool is never taken
+    for a number.
+    """
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, a) for a in args)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, tuple) and all(_fits(v, args[0]) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
 def _build_scenario(cls, cfg: dict, tuple_keys: tuple[str, ...] = ()):
     cfg = _listify(cfg, tuple_keys)
     valid = {f.name for f in dataclasses.fields(cls)}
     unknown = set(cfg) - valid
     if unknown:
         raise CliError(f"unknown config keys {sorted(unknown)} for {cls.__name__}")
+    hints = typing.get_type_hints(cls)
+    for name, value in cfg.items():
+        if not _fits(value, hints[name]):
+            hint = hints[name]
+            expected = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise CliError(f"config key {name!r} must be of type {expected}, got {value!r}")
     try:
         return cls(**cfg)
     except (TypeError, ValueError) as exc:

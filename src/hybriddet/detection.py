@@ -1,6 +1,9 @@
 """Fusion-center side: likelihood kernels, Fisher information, the hybrid
-weak-signal test statistic, its asymptotic ROC theory, and the reference
-detectors used for comparison.
+weak-signal test statistic, its asymptotic ROC theory, and the cell
+centroids of the reconstruction baseline.
+
+The detectors themselves are assembled from these tables, one block of
+trials at a time, by ``experiments.run_roc``.
 
 All kernels are evaluated at amplitude zero, where the locally optimal
 statistic lives.  The quantized-sensor score divides by ``sigma_n**3`` (and
@@ -13,20 +16,16 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from .model import (
     DEFAULT_MAPPING,
-    Codeword,
-    FullPrecisionSensor,
     NetworkConfig,
-    QuantizedSensor,
     QuantizerSpec,
     ChannelSpec,
-    codeword_to_level,
     distance_matrix,
     gaussian_pdf,
     gaussian_upper_tail,
@@ -34,33 +33,39 @@ from .model import (
 
 __all__ = [
     "LikelihoodKernels",
-    "DetectorOutput",
-    "ReceivedData",
     "NetworkKernels",
-    "bin_prob",
     "bin_probs",
-    "bin_score",
     "bin_scores",
     "bsc_kernel",
     "likelihood_kernels",
     "fisher_information",
     "network_kernels",
-    "lmpt_statistic",
     "threshold_for_pfa",
     "theoretical_pd",
     "reconstruction_table",
-    "baseline_statistic",
-    "BASELINE_KINDS",
 ]
 
 logger = logging.getLogger(__name__)
 
 
 def bin_probs(spec: QuantizerSpec, sigma_n: float) -> np.ndarray:
-    """Noise-only probability of each quantizer cell; sums to 1."""
+    """Noise-only probability of each quantizer cell; sums to 1.
+
+    Each cell's mass comes from the upper tails on its own side of zero, so
+    no two numbers close to 1 are subtracted and cells far in the lower
+    tail keep their relative precision.
+    """
     z = spec.edges() / sigma_n
-    tails = gaussian_upper_tail(z)
-    return tails[:-1] - tails[1:]
+    z_lo, z_hi = z[:-1], z[1:]
+    return np.where(
+        z_lo >= 0.0,
+        gaussian_upper_tail(z_lo) - gaussian_upper_tail(z_hi),
+        np.where(
+            z_hi <= 0.0,
+            gaussian_upper_tail(-z_hi) - gaussian_upper_tail(-z_lo),
+            1.0 - gaussian_upper_tail(-z_lo) - gaussian_upper_tail(z_hi),
+        ),
+    )
 
 
 def bin_scores(spec: QuantizerSpec, sigma_n: float) -> np.ndarray:
@@ -72,20 +77,6 @@ def bin_scores(spec: QuantizerSpec, sigma_n: float) -> np.ndarray:
     z = spec.edges() / sigma_n
     dens = gaussian_pdf(z)
     return sigma_n**2 * (dens[:-1] - dens[1:])
-
-
-def bin_prob(level: int, spec: QuantizerSpec, sigma_n: float) -> float:
-    """Noise-only probability of cell ``level`` (1-indexed)."""
-    if not 1 <= level <= spec.levels:
-        raise ValueError(f"level {level} out of range 1..{spec.levels}")
-    return float(bin_probs(spec, sigma_n)[level - 1])
-
-
-def bin_score(level: int, spec: QuantizerSpec, sigma_n: float) -> float:
-    """Score weight of cell ``level`` (1-indexed)."""
-    if not 1 <= level <= spec.levels:
-        raise ValueError(f"level {level} out of range 1..{spec.levels}")
-    return float(bin_scores(spec, sigma_n)[level - 1])
 
 
 def bsc_kernel(bits: int, p_e: float, mapping: str = DEFAULT_MAPPING) -> np.ndarray:
@@ -153,25 +144,6 @@ def likelihood_kernels(
         score_table=score_table,
         fi_contribution=fi,
     )
-
-
-@dataclass(frozen=True)
-class ReceivedData:
-    """One trial's inputs at the fusion center.
-
-    ``codewords`` holds the received codeword of each quantized sensor in
-    roster order; ``analog`` the raw samples of the full-precision sensors.
-    """
-
-    codewords: tuple[Codeword, ...]
-    analog: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class DetectorOutput:
-    statistic: float
-    fisher_info: float
-    noncentrality: float
 
 
 class NetworkKernels:
@@ -242,34 +214,6 @@ def fisher_information(config: NetworkConfig, mapping: str = DEFAULT_MAPPING) ->
     return network_kernels(config, mapping).fisher_info
 
 
-def lmpt_statistic(
-    config: NetworkConfig,
-    data: ReceivedData,
-    mapping: str = DEFAULT_MAPPING,
-) -> DetectorOutput:
-    """Locally optimal hybrid test statistic for one trial.
-
-    The unnormalized score sums each quantized sensor's table entry at its
-    received level plus ``v / sigma_n2`` for each analog sample, and is
-    divided by the square root of the Fisher information.
-    """
-    if len(data.codewords) != config.m_q or len(data.analog) != config.m_u:
-        raise ValueError("received data does not match the sensor roster")
-    kernels = network_kernels(config, mapping)
-    if kernels.fisher_info <= 0.0:
-        raise ValueError("Fisher information is zero; statistic undefined")
-    levels = np.array(
-        [codeword_to_level(cw, mapping) for cw in data.codewords], dtype=int
-    )
-    score = kernels.unnormalized_scores(levels, np.asarray(data.analog, dtype=float))
-    fi = kernels.fisher_info
-    return DetectorOutput(
-        statistic=float(score / math.sqrt(fi)),
-        fisher_info=fi,
-        noncentrality=config.params.theta * math.sqrt(fi),
-    )
-
-
 def threshold_for_pfa(p_fa: float) -> float:
     """Decision threshold whose upper-tail probability equals ``p_fa``."""
     if not 0.0 < p_fa < 1.0:
@@ -298,88 +242,16 @@ def reconstruction_table(quantizer: QuantizerSpec, sigma_n: float) -> np.ndarray
     """Noise-only conditional cell centroids, indexed by level.
 
     ``E[y | level, noise only] = sigma_n * (pdf(z[j-1]) - pdf(z[j])) / P(cell)``,
-    with ``P(cell)`` taken from the upper tails on the cell's own side of
-    zero so that no two numbers close to 1 are subtracted; near-empty cells
-    use their midpoint (see ``_CENTROID_MIN_WIDTH``).  Every centroid lies
-    in its cell.  Used by the reconstruction baseline, which decodes each
-    received level to its centroid without attempting any channel
-    correction.
+    with ``P(cell)`` from :func:`bin_probs`; near-empty cells use their
+    midpoint (see ``_CENTROID_MIN_WIDTH``).  Every centroid lies in its
+    cell.  Used by the reconstruction baseline, which decodes each received
+    level to its centroid without attempting any channel correction.
     """
     edges = quantizer.edges()
     lo, hi = edges[:-1], edges[1:]
     z_lo, z_hi = lo / sigma_n, hi / sigma_n
-    mass = np.where(
-        z_lo >= 0.0,
-        gaussian_upper_tail(z_lo) - gaussian_upper_tail(z_hi),
-        np.where(
-            z_hi <= 0.0,
-            gaussian_upper_tail(-z_hi) - gaussian_upper_tail(-z_lo),
-            1.0 - gaussian_upper_tail(-z_lo) - gaussian_upper_tail(z_hi),
-        ),
-    )
+    mass = bin_probs(quantizer, sigma_n)
     narrow = hi - lo < _CENTROID_MIN_WIDTH * sigma_n
     with np.errstate(divide="ignore", invalid="ignore"):
         centroid = sigma_n * (gaussian_pdf(z_lo) - gaussian_pdf(z_hi)) / mass
     return np.where(narrow, 0.5 * (lo + hi), centroid)
-
-
-BASELINE_KINDS = ("clairvoyant", "quantized_only", "fp_only", "reconstruction_hybrid")
-
-
-def _subnetwork(config: NetworkConfig, keep_quantized: bool, keep_full: bool) -> NetworkConfig:
-    sensors: list = []
-    if keep_quantized:
-        sensors.extend(config.quantized)
-    if keep_full:
-        sensors.extend(s for s in config.sensors if isinstance(s, FullPrecisionSensor))
-    if not sensors:
-        raise ValueError("requested baseline has an empty sensor subset")
-    return replace(config, sensors=tuple(sensors))
-
-
-def baseline_statistic(
-    kind: str,
-    config: NetworkConfig,
-    observations=None,
-    data: ReceivedData | None = None,
-    mapping: str = DEFAULT_MAPPING,
-) -> float:
-    """Reference detectors used alongside the hybrid statistic.
-
-    ``clairvoyant`` averages raw analog samples from every sensor;
-    ``quantized_only`` and ``fp_only`` apply the locally optimal statistic
-    to the respective roster subset; ``reconstruction_hybrid`` replaces
-    each received level by its noise-only centroid and averages those with
-    the analog samples.  The averaging baselines divide by
-    ``sigma_n * sqrt(M)``, which bounds the null variance by one; only the
-    threshold sweep (ROC) behavior matters for comparisons.
-    """
-    sigma_n = config.params.sigma_n
-    if kind == "clairvoyant":
-        if observations is None or len(observations) == 0:
-            raise ValueError("clairvoyant baseline needs raw observations")
-        y = np.asarray(observations, dtype=float)
-        return float(y.sum() / (sigma_n * math.sqrt(y.size)))
-    if kind == "quantized_only":
-        if data is None:
-            raise ValueError("quantized_only baseline needs received data")
-        sub = _subnetwork(config, keep_quantized=True, keep_full=False)
-        return lmpt_statistic(sub, ReceivedData(data.codewords, ()), mapping).statistic
-    if kind == "fp_only":
-        if data is None:
-            raise ValueError("fp_only baseline needs received data")
-        sub = _subnetwork(config, keep_quantized=False, keep_full=True)
-        return lmpt_statistic(sub, ReceivedData((), data.analog), mapping).statistic
-    if kind == "reconstruction_hybrid":
-        if data is None:
-            raise ValueError("reconstruction_hybrid baseline needs received data")
-        if config.m_q == 0:
-            raise ValueError("reconstruction_hybrid needs at least one quantized sensor")
-        values = []
-        for sensor, cw in zip(config.quantized, data.codewords):
-            table = reconstruction_table(sensor.quantizer, sigma_n)
-            values.append(table[codeword_to_level(cw, mapping) - 1])
-        values.extend(float(v) for v in data.analog)
-        total = float(np.sum(values))
-        return total / (sigma_n * math.sqrt(config.m_total))
-    raise ValueError(f"unknown baseline kind {kind!r}; expected one of {BASELINE_KINDS}")

@@ -35,7 +35,6 @@ from .model import (
     SignalParams,
     bsc_corrupt_levels,
     quantize_batch,
-    received_levels,
     simulate_observations,
     trial_rng,
 )
@@ -47,8 +46,6 @@ __all__ = [
     "RocScenario",
     "RocPoint",
     "run_roc",
-    "roc_transmission_bits",
-    "score_samples_h0",
     "SweepCase",
     "SweepScenario",
     "run_sweep",
@@ -221,6 +218,8 @@ class RocScenario:
             raise ValueError("pfa_grid must be strictly increasing")
         if not self.detectors:
             object.__setattr__(self, "detectors", self.default_detectors())
+        if len(set(self.detectors)) != len(self.detectors):
+            raise ValueError("detectors must not repeat a name")
         unknown = set(self.detectors) - set(self.default_detectors())
         if unknown:
             raise ValueError(f"unknown detectors {sorted(unknown)}")
@@ -308,10 +307,11 @@ def run_roc(scenario: RocScenario) -> Table:
     Trials run in blocks of ``ROC_BLOCK``.  Block ``b`` under hypothesis
     ``h`` draws from ``trial_rng(seed, h, b)``: the block's ``n * m_total``
     observations (under H1 all gains, then all noise), reshaped to one row
-    per trial; then an ``(n, m_quantized, bits_hybrid)`` flip mask if a
-    ``bits_hybrid`` detector is requested; then an ``(n, m_quantized,
-    bits_low)`` mask if the ``bits_low`` detector is.  No flips are drawn
-    when ``p_e == 0``.  Only exceedance counts outlive a block.
+    per trial; then, through ``bsc_corrupt_levels``, an ``(n, m_quantized,
+    bits_hybrid)`` flip mask if a ``bits_hybrid`` detector is requested;
+    then an ``(n, m_quantized, bits_low)`` mask if the ``bits_low``
+    detector is.  No flips are drawn when ``p_e == 0``.  Only exceedance
+    counts outlive a block.
     """
     thr_hybrid, thr_low = _scenario_thresholds(scenario)
     sigma_n = math.sqrt(scenario.sigma_n2)
@@ -350,10 +350,8 @@ def run_roc(scenario: RocScenario) -> Table:
     def received(spec, y, rng):
         if spec is None:
             return None
-        flips = None
-        if scenario.p_e > 0:
-            flips = rng.random((len(y), m_q, spec.bits)) < scenario.p_e
-        return received_levels(quantize_batch(y[:, :m_q], spec), flips, spec.bits, scenario.mapping)
+        sent = quantize_batch(y[:, :m_q], spec)
+        return bsc_corrupt_levels(sent, spec.bits, scenario.p_e, rng, scenario.mapping)
 
     etas = np.array([threshold_for_pfa(pfa) for pfa in scenario.pfa_grid])
     exceed = np.zeros((2, len(scenario.detectors), len(etas)), dtype=np.int64)
@@ -382,60 +380,6 @@ def run_roc(scenario: RocScenario) -> Table:
                 RocPoint(det, float(pfa), eta, pd_theory, pfa_mc, pd_mc, stderr).row()
             )
     return Table(ROC_COLUMNS, rows)
-
-
-def roc_transmission_bits(scenario: RocScenario) -> dict[str, int | None]:
-    """Bits sent to the fusion center per trial, by detector.
-
-    The clairvoyant reference is an idealized analog feed with no digital
-    budget, reported as ``None``.
-    """
-    m_q, m_u, l0 = scenario.m_quantized, scenario.m_full, scenario.l0
-    hybrid_bits = m_q * scenario.bits_hybrid + m_u * l0
-    return {
-        "clairvoyant": None,
-        scenario.label_low: m_q * scenario.bits_low,
-        scenario.label_hybrid_q: m_q * scenario.bits_hybrid,
-        "fp": m_u * l0,
-        scenario.label_hybrid: hybrid_bits,
-        scenario.label_reconstruction: hybrid_bits,
-    }
-
-
-def score_samples_h0(
-    config: NetworkConfig,
-    trials: int,
-    seed: int,
-    block_size: int = 20000,
-    mapping: str = DEFAULT_MAPPING,
-) -> np.ndarray:
-    """Unnormalized null-hypothesis scores, simulated in vectorized blocks.
-
-    Used for moment checks (the score has zero mean and variance equal to
-    the Fisher information).  Per-block streams derive from the seed, so
-    results are reproducible for a fixed block size.
-    """
-    kernels = network_kernels(config, mapping)
-    sigma_n = config.params.sigma_n
-    m_q, m_u = config.m_q, config.m_u
-    quantized = config.quantized
-    out = np.empty(trials)
-    done = 0
-    block_idx = 0
-    while done < trials:
-        n = min(block_size, trials - done)
-        rng = trial_rng(seed, block_idx)
-        y = rng.normal(0.0, sigma_n, (n, m_q + m_u))
-        levels = np.empty((n, m_q), dtype=np.int64)
-        for pos, sensor in enumerate(quantized):
-            sent = quantize_batch(y[:, pos], sensor.quantizer)
-            levels[:, pos] = bsc_corrupt_levels(
-                sent, sensor.quantizer.bits, sensor.channel.crossover, rng, mapping
-            )
-        out[done : done + n] = kernels.unnormalized_scores(levels, y[:, m_q:])
-        done += n
-        block_idx += 1
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Sensor-side data plane: observation synthesis, multi-bit quantization,
-codeword mapping, and binary-symmetric-channel transport.
+level-to-codeword mapping, and binary-symmetric-channel transport.
 
 The network watches for a weak nonnegative amplitude that arrives through a
 unit-mean Gaussian multiplicative gain on top of additive Gaussian noise.
@@ -12,7 +12,6 @@ reliable link.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -33,19 +32,12 @@ __all__ = [
     "FullPrecisionSensor",
     "SensorSpec",
     "NetworkConfig",
-    "Codeword",
     "gaussian_upper_tail",
     "gaussian_pdf",
-    "level_to_codeword",
-    "codeword_to_level",
-    "hamming_distance",
     "distance_matrix",
     "simulate_observations",
-    "quantize",
     "quantize_batch",
-    "bsc_transmit",
     "bsc_corrupt_levels",
-    "received_levels",
     "trial_rng",
 ]
 
@@ -217,78 +209,18 @@ class NetworkConfig:
         return len(self.sensors)
 
 
-@dataclass(frozen=True)
-class Codeword:
-    """Fixed-length bit sequence, most significant bit first."""
+@lru_cache(maxsize=None)
+def _level_codes(bits: int, mapping: str) -> np.ndarray:
+    """Integer codeword per level, indexed by ``level - 1``.
 
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-        if not self.bits:
-            raise ValueError("codeword must contain at least one bit")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("codeword bits must be 0 or 1")
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-
-def _gray_encode(v: int) -> int:
-    return v ^ (v >> 1)
-
-
-def _gray_decode(g: int) -> int:
-    b = 0
-    while g:
-        b ^= g
-        g >>= 1
-    return b
-
-
-def _code_index(level: int, bits: int, mapping: str) -> int:
-    if not 1 <= level <= 2**bits:
-        raise ValueError(f"level {level} out of range 1..{2**bits}")
-    v = level - 1
+    Bit ``k`` of the integer is the codeword bit of weight ``2**k``.
+    """
+    v = np.arange(2**bits)
     if mapping == GRAY:
-        return _gray_encode(v)
+        return v ^ (v >> 1)
     if mapping == NATURAL:
         return v
     raise ValueError(f"unknown codeword mapping {mapping!r}")
-
-
-def level_to_codeword(level: int, bits: int, mapping: str = DEFAULT_MAPPING) -> Codeword:
-    """Bijective map from quantizer level ``1..2**bits`` to a codeword."""
-    v = _code_index(level, bits, mapping)
-    return Codeword(tuple((v >> k) & 1 for k in range(bits - 1, -1, -1)))
-
-
-def codeword_to_level(code: Codeword, mapping: str = DEFAULT_MAPPING) -> int:
-    """Inverse of :func:`level_to_codeword`."""
-    v = 0
-    for b in code.bits:
-        v = (v << 1) | b
-    if mapping == GRAY:
-        v = _gray_decode(v)
-    elif mapping != NATURAL:
-        raise ValueError(f"unknown codeword mapping {mapping!r}")
-    return v + 1
-
-
-def hamming_distance(a: Codeword, b: Codeword) -> int:
-    """Number of differing bit positions between two equal-length codewords."""
-    if len(a) != len(b):
-        raise ValueError("codeword length mismatch")
-    return sum(x != y for x, y in zip(a.bits, b.bits))
-
-
-@lru_cache(maxsize=None)
-def _level_codes(bits: int, mapping: str) -> np.ndarray:
-    """Integer codeword per level, indexed by ``level - 1``."""
-    return np.array([_code_index(lv, bits, mapping) for lv in range(1, 2**bits + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -308,13 +240,11 @@ def distance_matrix(bits: int, mapping: str = DEFAULT_MAPPING) -> np.ndarray:
     return np.vectorize(lambda v: bin(v).count("1"))(xor)
 
 
-def quantize(y: float, spec: QuantizerSpec) -> int:
-    """Level ``i`` with ``t[i-1] <= y < t[i]``; values on a threshold go up."""
-    return bisect_right(spec.thresholds, y) + 1
-
-
 def quantize_batch(y, spec: QuantizerSpec) -> np.ndarray:
-    """Vectorized :func:`quantize`."""
+    """Level ``i`` with ``t[i-1] <= y < t[i]`` for each sample of ``y``.
+
+    Levels run from 1 to ``2**bits``; a sample on a threshold goes up.
+    """
     return np.searchsorted(spec.thresholds, np.asarray(y), side="right") + 1
 
 
@@ -341,13 +271,6 @@ def simulate_observations(
     return gain * params.theta + noise
 
 
-def bsc_transmit(code: Codeword, channel: ChannelSpec, rng) -> Codeword:
-    """Flip each bit of ``code`` independently with the crossover probability."""
-    rng = np.random.default_rng(rng)
-    flips = rng.random(len(code)) < channel.crossover
-    return Codeword(tuple(int(b) ^ int(f) for b, f in zip(code.bits, flips)))
-
-
 def bsc_corrupt_levels(
     levels,
     bits: int,
@@ -357,30 +280,16 @@ def bsc_corrupt_levels(
 ) -> np.ndarray:
     """Send an array of levels through the channel; returns received levels.
 
-    Draws one uniform per codeword bit, flips the bits whose uniform falls
-    below the crossover probability, and decodes with
-    :func:`received_levels`.  With ``crossover == 0`` no randomness is
-    consumed.
-    """
-    levels = np.asarray(levels)
-    flips = None
-    if crossover > 0:
-        rng = np.random.default_rng(rng)
-        flips = rng.random(levels.shape + (bits,)) < crossover
-    return received_levels(levels, flips, bits, mapping)
-
-
-def received_levels(levels, flips, bits: int, mapping: str = DEFAULT_MAPPING) -> np.ndarray:
-    """Levels decoded after flipping the marked bits of each sent codeword.
-
-    ``flips`` is a boolean mask with the shape of ``levels`` plus a trailing
-    axis of ``bits``; entry ``k`` flips the codeword bit of weight ``2**k``.
-    ``None`` means an error-free channel.
+    Encodes each level as its ``bits``-bit codeword, draws one uniform per
+    codeword bit (shape ``levels.shape + (bits,)``; entry ``k`` goes with
+    the bit of weight ``2**k``), flips the bits whose uniform falls below
+    the crossover probability, and decodes.  With ``crossover == 0`` no
+    randomness is consumed.
     """
     codes = _level_codes(bits, mapping)[np.asarray(levels) - 1]
-    if flips is not None:
-        weights = 1 << np.arange(bits)
-        codes = codes ^ (flips @ weights).astype(codes.dtype)
+    if crossover > 0:
+        flips = np.random.default_rng(rng).random(codes.shape + (bits,)) < crossover
+        codes = codes ^ (flips @ (1 << np.arange(bits))).astype(codes.dtype)
     return _code_levels(bits, mapping)[codes]
 
 

@@ -1,15 +1,22 @@
-"""Trial-at-a-time ROC simulation, kept as the oracle for ``run_roc``.
+"""Independent references for the ROC engine in ``experiments.run_roc``.
 
-It draws from the same streams as ``run_roc``: block ``b`` of
-``ROC_BLOCK`` trials under hypothesis ``h`` uses ``trial_rng(seed, h, b)``
-for its observations, then its hybrid flip mask, then its low-rate flip
-mask.  Everything after the draws is done one trial at a time with the
-scalar reference code: the bisecting ``quantize``, bit flips applied to
-``Codeword`` objects, and each detector scored on its own.  The block
+``per_trial_roc`` is the trial-at-a-time oracle.  It draws from the same
+streams as ``run_roc``: block ``b`` of ``ROC_BLOCK`` trials under
+hypothesis ``h`` uses ``trial_rng(seed, h, b)`` for its observations, then
+its hybrid flip mask, then its low-rate flip mask.  Everything after the
+draws is done one trial at a time with the scalar code below: a bisecting
+``quantize``, and ``send_level``, which flips bits of an explicit
+most-significant-first bit list with its own Gray code.  It shares neither
+``quantize_batch`` nor ``bsc_corrupt_levels`` with the engine, and the
 engine must reproduce its rows exactly.
+
+``null_scores`` is not an oracle: it replays the engine's own calls to
+give the hybrid detector's unnormalized noise-only scores, which the
+acceptance suite's variance identity is checked on.
 """
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -22,19 +29,53 @@ from hybriddet.detection import (
 from hybriddet.experiments import ROC_BLOCK, ROC_COLUMNS, RocScenario, Table, _scenario_thresholds
 from hybriddet.model import (
     ChannelSpec,
-    Codeword,
     FullPrecisionSensor,
     Hypothesis,
     NetworkConfig,
     QuantizedSensor,
     QuantizerSpec,
     SignalParams,
-    codeword_to_level,
-    level_to_codeword,
-    quantize,
+    bsc_corrupt_levels,
+    quantize_batch,
     simulate_observations,
     trial_rng,
 )
+
+
+def quantize(y: float, spec: QuantizerSpec) -> int:
+    """Level ``i`` with ``t[i-1] <= y < t[i]``; values on a threshold go up."""
+    return bisect_right(spec.thresholds, y) + 1
+
+
+def _to_bits(level, bits, mapping):
+    """Codeword of ``level`` as a list of bits, most significant first."""
+    v = level - 1
+    if mapping == "gray":
+        v ^= v >> 1
+    return [(v >> k) & 1 for k in range(bits - 1, -1, -1)]
+
+
+def _from_bits(code, mapping):
+    """Level of a most-significant-first codeword; inverse of ``_to_bits``."""
+    v = 0
+    for b in code:
+        v = (v << 1) | b
+    if mapping == "gray":
+        g, v = v, 0
+        while g:
+            v ^= g
+            g >>= 1
+    return v + 1
+
+
+def send_level(level, bits, flips, mapping):
+    """Level received when ``level`` is sent and the bits marked in ``flips`` flip.
+
+    ``flips[k]`` flips the codeword bit of weight ``2**k``, so the mask is
+    reversed against the most-significant-first bit list.
+    """
+    code = _to_bits(level, bits, mapping)
+    return _from_bits([b ^ int(f) for b, f in zip(code, flips[::-1])], mapping)
 
 
 def _fleet(scenario, bits, thresholds, n_quantized, n_full):
@@ -46,16 +87,11 @@ def _fleet(scenario, bits, thresholds, n_quantized, n_full):
 
 
 def _received(y_q, spec, flips, mapping):
-    """Levels at the fusion center for one trial's quantized samples.
-
-    ``flips[i, k]`` flips the bit of weight ``2**k`` of sensor ``i``'s
-    codeword; ``Codeword`` lists its bits most significant first.
-    """
-    levels = []
-    for i, y in enumerate(y_q):
-        code = level_to_codeword(quantize(float(y), spec), spec.bits, mapping)
-        code = Codeword(tuple(b ^ int(f) for b, f in zip(code.bits, flips[i][::-1])))
-        levels.append(codeword_to_level(code, mapping))
+    """Levels at the fusion center for one trial's quantized samples."""
+    levels = [
+        send_level(quantize(float(y), spec), spec.bits, flips[i], mapping)
+        for i, y in enumerate(y_q)
+    ]
     return np.array(levels, dtype=np.int64)
 
 
@@ -148,3 +184,28 @@ def per_trial_roc(scenario: RocScenario) -> Table:
             pd_theory = theoretical_pd(lam_det, eta) if lam_det is not None else None
             rows.append((det, float(pfa), float(eta), pd_theory, pfa_mc, pd_mc, stderr))
     return Table(ROC_COLUMNS, rows)
+
+
+def null_scores(config: NetworkConfig, trials: int, seed: int) -> np.ndarray:
+    """Unnormalized hybrid scores of ``trials`` noise-only trials.
+
+    Block ``b`` of ``ROC_BLOCK`` trials draws from ``trial_rng(seed, 0, b)``
+    and makes the calls, in the order, that ``run_roc`` makes for its
+    hybrid detector under H0, so dividing by the square root of the Fisher
+    information gives that detector's statistics.  Like ``run_roc``'s
+    fleets, every quantized sensor must share one quantizer and channel.
+    """
+    if len(set(config.quantized)) != 1:
+        raise ValueError("null_scores needs quantized sensors that share one quantizer and channel")
+    sensor = config.quantized[0]
+    kernels = network_kernels(config)
+    m_q, m_total = config.m_q, config.m_total
+    out = np.empty(trials)
+    for block, start in enumerate(range(0, trials, ROC_BLOCK)):
+        n = min(ROC_BLOCK, trials - start)
+        rng = trial_rng(seed, 0, block)
+        y = simulate_observations(config.params, Hypothesis.H0, n * m_total, rng).reshape(n, m_total)
+        sent = quantize_batch(y[:, :m_q], sensor.quantizer)
+        levels = bsc_corrupt_levels(sent, sensor.quantizer.bits, sensor.channel.crossover, rng)
+        out[start : start + n] = kernels.unnormalized_scores(levels, y[:, m_q:])
+    return out

@@ -53,7 +53,6 @@ from hybriddet.experiments import (
     SweepScenario,
     run_roc,
     run_sweep,
-    score_samples_h0,
 )
 from hybriddet.model import (
     ChannelSpec,
@@ -70,6 +69,7 @@ from oracles import (
     diagonal_profile,
     quantized_fi_oracle,
 )
+from roc_reference import null_scores
 from test_allocation import random_instance
 
 SEED = 20260810
@@ -246,7 +246,8 @@ class TestC04VarianceIdentity:
     def test_c04_score_variance_matches_information(self, sigma_n2, p_e):
         config = _fleet(p_e, sigma_n2=sigma_n2)
         fi = fisher_information(config)
-        scores = score_samples_h0(config, 10**6, seed=SEED)
+        # The hybrid detector's own null draws: ``run_roc``'s H0 streams.
+        scores = null_scores(config, 10**6, seed=SEED)
         ratio = scores.var() / fi
         ok = abs(ratio - 1.0) <= 0.02
         report(f"criterion 4 (score variance identity, p_e={p_e}, sigma_n2={sigma_n2})",

@@ -124,6 +124,37 @@ def test_non_finite_json_constants_rejected(tmp_path, capsys, command, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("roc", {"trials": 10.5}),
+        ("roc", {"m_quantized": 2.5}),
+        ("roc", {"bits_hybrid": 2.5}),
+        ("roc", {"theta": "abc"}),
+        ("roc", {"seed": 1.5}),
+        ("roc", {"theta": True}),
+        ("roc", {"pfa_grid": 0.1}),
+        ("roc", {"thresholds_hybrid": [0.0, "x"]}),
+        ("roc", {"detectors": ["fp", "fp"]}),
+        ("allocate", {"budget": "500"}),
+        ("allocate", {"max_bits": 2.5}),
+        ("fi-landscape", {"points": 10.5}),
+        ("design-quantizer", {"bits": 2.5}),
+        ("design-quantizer", {"p_e": "0.1"}),
+    ],
+)
+def test_mistyped_config_values_rejected(tmp_path, capsys, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "x.csv"
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "error" in json.loads(err)
+    assert not out.exists()
+
+
 def test_sweep_case_without_freqs_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"cases": [{"name": "favorable"}]}))

@@ -2,22 +2,18 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybriddet.detection import (
-    ReceivedData,
-    baseline_statistic,
-    bin_prob,
     bin_probs,
-    bin_score,
     bin_scores,
     bsc_kernel,
     fisher_information,
     likelihood_kernels,
-    lmpt_statistic,
     network_kernels,
     reconstruction_table,
     theoretical_pd,
@@ -31,13 +27,14 @@ from hybriddet.model import (
     QuantizedSensor,
     QuantizerSpec,
     SignalParams,
-    level_to_codeword,
     quantize_batch,
     simulate_observations,
     trial_rng,
 )
+from hybriddet.experiments import RocScenario, run_roc
 
 from oracles import cell_centroid_quad, quantized_fi_oracle, upper_tail_inverse_bisect, upper_tail_quad
+from roc_reference import null_scores
 
 PARAMS = SignalParams(theta=0.25, sigma_n2=1.0, sigma_h2=0.5)
 
@@ -53,13 +50,13 @@ def _config(n_quantized, bits, thresholds, p_e, n_full, params=PARAMS):
 
 class TestCellTables:
     def test_one_bit_prob(self):
-        assert bin_prob(1, QuantizerSpec(1, (0.0,)), 1.0) == pytest.approx(0.5, abs=1e-12)
+        assert bin_probs(QuantizerSpec(1, (0.0,)), 1.0)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_two_bit_prob_against_quadrature(self):
         spec = QuantizerSpec(2, (-1.0, 0.0, 1.0))
         expected = upper_tail_quad(-1.0) - upper_tail_quad(0.0)
-        assert bin_prob(2, spec, 1.0) == pytest.approx(expected, abs=1e-9)
-        assert bin_prob(2, spec, 1.0) == pytest.approx(0.341345, abs=1e-6)
+        assert bin_probs(spec, 1.0)[1] == pytest.approx(expected, abs=1e-9)
+        assert bin_probs(spec, 1.0)[1] == pytest.approx(0.341345, abs=1e-6)
 
     def test_probs_partition(self):
         for spec in (QuantizerSpec(1, (0.3,)), QuantizerSpec(3, tuple(np.linspace(-2, 2, 7)))):
@@ -67,26 +64,36 @@ class TestCellTables:
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(probs >= 0)
 
+    def test_tail_cells_match_mpmath(self):
+        # Cells out to -8 sigma keep their relative precision (an upper tail
+        # near 1 subtracted from 1 would leave rounding noise).
+        spec = QuantizerSpec(3, (-8.0, -7.0, -5.5, -3.0, 2.0, 6.0, 8.0))
+        sigma_n = 1.3
+        with mpmath.workdps(50):
+            z = [mpmath.mpf(-math.inf)] + [mpmath.mpf(t) / mpmath.mpf(sigma_n) for t in spec.thresholds]
+            z.append(mpmath.mpf(math.inf))
+            want = [float(mpmath.ncdf(b) - mpmath.ncdf(a)) for a, b in zip(z[:-1], z[1:])]
+        np.testing.assert_allclose(bin_probs(spec, sigma_n), want, rtol=1e-12, atol=0.0)
+
     def test_one_bit_scores(self):
         spec = QuantizerSpec(1, (0.0,))
         psi0 = 0.3989422804014327
-        assert bin_score(1, spec, 1.0) == pytest.approx(-psi0, abs=1e-12)
-        assert bin_score(2, spec, 1.0) == pytest.approx(psi0, abs=1e-12)
+        assert bin_scores(spec, 1.0)[0] == pytest.approx(-psi0, abs=1e-12)
+        assert bin_scores(spec, 1.0)[1] == pytest.approx(psi0, abs=1e-12)
 
     def test_two_bit_score(self):
         spec = QuantizerSpec(2, (-1.0, 0.0, 1.0))
-        assert bin_score(2, spec, 1.0) == pytest.approx(-0.15697155588228936, abs=1e-12)
+        assert bin_scores(spec, 1.0)[1] == pytest.approx(-0.15697155588228936, abs=1e-12)
 
     def test_scores_telescope_to_zero(self):
         spec = QuantizerSpec(3, (-2.1, -1.4, -0.3, 0.2, 0.9, 1.7, 2.5))
         assert abs(bin_scores(spec, 0.8).sum()) <= 1e-12
 
     def test_level_bounds(self):
-        spec = QuantizerSpec(1, (0.0,))
-        with pytest.raises(ValueError):
-            bin_prob(0, spec, 1.0)
-        with pytest.raises(ValueError):
-            bin_score(3, spec, 1.0)
+        # One entry per level 1..2**bits, indexed by ``level - 1``.
+        for bits in (1, 2, 3):
+            spec = QuantizerSpec(bits, tuple(np.linspace(-1, 1, 2**bits - 1)))
+            assert bin_probs(spec, 1.0).shape == bin_scores(spec, 1.0).shape == (2**bits,)
 
 
 class TestBscKernel:
@@ -170,60 +177,78 @@ class TestFisherInformation:
         assert values[0] > values[1] > values[2] == pytest.approx(0.0, abs=1e-12)
 
 
+class TestKernelProperties:
+    """Random sorted designs: the null mean of the score table is zero, one
+    sensor's information is below an analog sample's, and a noisier channel
+    never adds information (data processing: binary symmetric channels
+    compose)."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        bits=st.integers(1, 5),
+        sigma_n2=st.floats(0.1, 10.0),
+        p_e=st.floats(0.0, 0.5, exclude_max=True),
+        mapping=st.sampled_from(("natural", "gray")),
+        data=st.data(),
+    )
+    def test_null_mean_information_bound_and_channel_monotonicity(
+        self, bits, sigma_n2, p_e, mapping, data
+    ):
+        n = 2**bits - 1
+        tau = data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n, unique=True))
+        p_worse = data.draw(st.floats(p_e, 0.5, exclude_max=True))
+        spec = QuantizerSpec(bits, tuple(sorted(tau)))
+        sigma_n = math.sqrt(sigma_n2)
+        k = likelihood_kernels(spec, ChannelSpec(p_e), sigma_n, mapping)
+        worse = likelihood_kernels(spec, ChannelSpec(p_worse), sigma_n, mapping)
+        assert abs(k.received_probs @ k.score_table) <= 1e-12 / sigma_n
+        assert k.fi_contribution <= 1.0 / sigma_n2
+        assert worse.fi_contribution <= k.fi_contribution * (1.0 + 1e-12)
+
+
 class TestLmptStatistic:
+    """``NetworkKernels.statistic``, the hybrid detector of ``run_roc``."""
+
     def test_single_analog(self):
-        cfg = _config(0, 1, (0.0,), 0.0, 1)
-        out = lmpt_statistic(cfg, ReceivedData((), (0.7,)))
-        assert out.statistic == pytest.approx(0.7, abs=1e-12)
-        assert out.fisher_info == pytest.approx(1.0, abs=1e-12)
+        kernels = network_kernels(_config(0, 1, (0.0,), 0.0, 1))
+        assert kernels.statistic((), (0.7,)) == pytest.approx(0.7, abs=1e-12)
+        assert kernels.fisher_info == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_cancellation(self):
-        cfg = _config(0, 1, (0.0,), 0.0, 4)
-        out = lmpt_statistic(cfg, ReceivedData((), (1.0, -1.0, 1.0, -1.0)))
-        assert out.statistic == pytest.approx(0.0, abs=1e-12)
+        kernels = network_kernels(_config(0, 1, (0.0,), 0.0, 4))
+        assert kernels.statistic((), (1.0, -1.0, 1.0, -1.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_one_bit_sensor(self):
         # score = pdf(0)/0.5 and sqrt(FI) = sqrt(2/pi) coincide, so the
         # normalized statistic is exactly +/-1 for the two received levels.
-        cfg = _config(1, 1, (0.0,), 0.0, 0)
-        up = lmpt_statistic(cfg, ReceivedData((level_to_codeword(2, 1),), ()))
-        down = lmpt_statistic(cfg, ReceivedData((level_to_codeword(1, 1),), ()))
-        assert up.statistic == pytest.approx(1.0, abs=1e-12)
-        assert down.statistic == pytest.approx(-1.0, abs=1e-12)
+        kernels = network_kernels(_config(1, 1, (0.0,), 0.0, 0))
+        assert kernels.statistic((2,), ()) == pytest.approx(1.0, abs=1e-12)
+        assert kernels.statistic((1,), ()) == pytest.approx(-1.0, abs=1e-12)
 
     def test_noncentrality(self):
-        cfg = _config(0, 1, (0.0,), 0.0, 16)
-        out = lmpt_statistic(cfg, ReceivedData((), tuple(np.zeros(16))))
-        assert out.noncentrality == pytest.approx(0.25 * 4.0, abs=1e-12)
+        # ``run_roc``'s theory column uses theta * sqrt(FI) of the hybrid fleet.
+        thresholds = (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)
+        scenario = RocScenario(
+            m_quantized=4, m_full=16, p_e=0.1, trials=1, seed=1, pfa_grid=(0.1, 0.3),
+            detectors=("3b-fp",), thresholds_hybrid=thresholds, thresholds_low=(0.0,),
+        )
+        lam = PARAMS.theta * math.sqrt(fisher_information(_config(4, 3, thresholds, 0.1, 16)))
+        for row in run_roc(scenario).rows:
+            rec = dict(zip(("detector", "pfa_target", "eta", "pd_theory"), row))
+            assert rec["pd_theory"] == theoretical_pd(lam, rec["eta"])
 
     def test_zero_information_raises(self):
-        cfg = _config(1, 1, (0.0,), 0.5, 0)
+        kernels = network_kernels(_config(1, 1, (0.0,), 0.5, 0))
         with pytest.raises(ValueError):
-            lmpt_statistic(cfg, ReceivedData((level_to_codeword(1, 1),), ()))
-
-    def test_roster_mismatch_raises(self):
-        cfg = _config(1, 1, (0.0,), 0.0, 1)
-        with pytest.raises(ValueError):
-            lmpt_statistic(cfg, ReceivedData((), (0.1,)))
+            kernels.statistic((1,), ())
 
 
 class TestScoreMoments:
     def test_null_mean_and_variance_match_information(self):
         cfg = _config(12, 2, (-0.8, 0.0, 0.8), 0.1, 4)
-        kernels = network_kernels(cfg)
-        rng = trial_rng(77, 0)
-        trials = 120_000
-        y = rng.normal(0.0, 1.0, (trials, cfg.m_total))
-        levels = np.empty((trials, cfg.m_q), dtype=np.int64)
-        spec = cfg.quantized[0].quantizer
-        for pos in range(cfg.m_q):
-            sent = quantize_batch(y[:, pos], spec)
-            from hybriddet.model import bsc_corrupt_levels
-
-            levels[:, pos] = bsc_corrupt_levels(sent, spec.bits, 0.1, rng)
-        scores = kernels.unnormalized_scores(levels, y[:, cfg.m_q:])
-        fi = kernels.fisher_info
-        stderr = math.sqrt(fi / trials)
+        scores = null_scores(cfg, 120_000, seed=77)
+        fi = fisher_information(cfg)
+        stderr = math.sqrt(fi / scores.size)
         assert abs(scores.mean()) <= 3 * stderr
         assert scores.var() == pytest.approx(fi, rel=0.02)
 
@@ -250,9 +275,18 @@ class TestRocTheory:
 
 
 class TestBaselines:
+    """The baseline detectors, computed inline by ``run_roc``."""
+
     def test_clairvoyant(self):
-        cfg = _config(0, 1, (0.0,), 0.0, 1)
-        assert baseline_statistic("clairvoyant", cfg, observations=[1.3]) == pytest.approx(1.3)
+        # On an analog-only fleet the clairvoyant average is the analog-only
+        # statistic, row for row.
+        scenario = RocScenario(m_quantized=0, m_full=3, trials=300, seed=4,
+                               pfa_grid=(0.1, 0.5), detectors=("clairvoyant", "fp"),
+                               thresholds_hybrid=tuple(np.linspace(-1.5, 1.5, 7)),
+                               thresholds_low=(0.0,))
+        rows = run_roc(scenario).rows
+        half = len(rows) // 2
+        assert [r[1:] for r in rows[:half]] == [r[1:] for r in rows[half:]]
 
     def test_reconstruction_centroid(self):
         spec = QuantizerSpec(1, (0.0,))
@@ -261,22 +295,22 @@ class TestBaselines:
         assert table[0] == pytest.approx(-2 * 0.3989422804014327, abs=1e-9)
 
     def test_quantized_only_equals_sub_network_statistic(self):
-        cfg = _config(3, 1, (0.0,), 0.0, 2)
-        codewords = tuple(level_to_codeword(lv, 1) for lv in (1, 2, 2))
-        data = ReceivedData(codewords, (0.4, -0.1))
-        sub = _config(3, 1, (0.0,), 0.0, 0)
-        expected = lmpt_statistic(sub, ReceivedData(codewords, ())).statistic
-        assert baseline_statistic("quantized_only", cfg, data=data) == pytest.approx(expected)
+        # The hybrid score is the quantized-only score plus v / sigma_n2 per
+        # analog sample, and the information adds the same way.
+        full = network_kernels(_config(3, 1, (0.0,), 0.0, 2))
+        sub = network_kernels(_config(3, 1, (0.0,), 0.0, 0))
+        levels, analog = (1, 2, 2), (0.4, -0.1)
+        assert full.unnormalized_scores(levels, analog) == pytest.approx(
+            sub.unnormalized_scores(levels, ()) + sum(analog) / PARAMS.sigma_n2)
+        assert full.fisher_info == pytest.approx(sub.fisher_info + 2 / PARAMS.sigma_n2)
 
     def test_empty_subset_raises(self):
-        cfg = _config(2, 1, (0.0,), 0.0, 0)
         with pytest.raises(ValueError):
-            baseline_statistic("fp_only", cfg, data=ReceivedData((), ()))
+            RocScenario(m_quantized=2, m_full=0, detectors=("fp",))
 
     def test_unknown_kind(self):
-        cfg = _config(1, 1, (0.0,), 0.0, 1)
         with pytest.raises(ValueError):
-            baseline_statistic("nope", cfg, observations=[1.0])
+            RocScenario(detectors=("clairvoyant", "nope"))
 
 
 class TestReconstructionTable:

@@ -23,26 +23,16 @@ from hybriddet.experiments import (
     Table,
     emit,
     load_table,
-    roc_transmission_bits,
     run_allocate,
     run_design,
     run_landscape,
     run_roc,
     run_sweep,
-    score_samples_h0,
 )
 from hybriddet.detection import fisher_information
-from hybriddet.model import (
-    ChannelSpec,
-    FullPrecisionSensor,
-    NetworkConfig,
-    QuantizedSensor,
-    QuantizerSpec,
-    SignalParams,
-    gaussian_upper_tail,
-)
+from hybriddet.model import QuantizerSpec, gaussian_upper_tail
 
-from roc_reference import per_trial_roc
+from roc_reference import null_scores, per_trial_roc
 
 
 def by_detector(table):
@@ -143,15 +133,6 @@ class TestRoc:
             RocScenario(m_quantized=0)
         RocScenario(m_quantized=0, detectors=("clairvoyant", "fp"))  # valid subset
 
-    def test_transmission_bit_accounting(self):
-        scenario = RocScenario()
-        bits = roc_transmission_bits(scenario)
-        assert bits["1b"] == 80
-        assert bits["3b"] == 240
-        assert bits["fp"] == 640
-        assert bits["3b-fp"] == 880
-        assert bits["clairvoyant"] is None
-
     def test_theory_column_presence(self):
         scenario = RocScenario(m_quantized=6, m_full=3, trials=100, seed=2,
                                pfa_grid=(0.2,))
@@ -216,6 +197,20 @@ class TestRocStreams:
         run_roc(_roc_case(0.2, 2 * ROC_BLOCK + 1))
         assert sorted(keys) == [(11, h, b) for h in (0, 1) for b in (0, 1, 2)]
 
+    @pytest.mark.parametrize("p_e", [0.0, 0.2])
+    def test_null_scores_are_the_hybrid_detectors_null_draws(self, p_e):
+        # ``null_scores`` carries the variance identity of the acceptance
+        # suite; it must replay the engine's H0 streams exactly.
+        trials = 2 * ROC_BLOCK + 1
+        scenario = _roc_case(p_e, trials, detectors=("3b-fp",))
+        spec = QuantizerSpec(scenario.bits_hybrid, scenario.thresholds_hybrid)
+        config = experiments._fleet_config(scenario, spec, scenario.m_quantized, scenario.m_full)
+        stats = null_scores(config, trials, scenario.seed) / math.sqrt(fisher_information(config))
+        table = run_roc(scenario)
+        for row in table.rows:
+            rec = dict(zip(table.columns, row))
+            assert np.count_nonzero(stats > rec["eta"]) == round(rec["pfa_mc"] * trials)
+
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
         m_q=st.integers(0, 6),
@@ -274,27 +269,6 @@ class TestRocClosedForm:
             for column, p in exact.items():
                 se = math.sqrt(p * (1.0 - p) / trials)
                 assert abs(rec[column] - p) <= 4 * se, (rec["detector"], column, rec[column], p)
-
-
-class TestScoreSamples:
-    def test_variance_matches_information_quickly(self):
-        params = SignalParams(0.25, 1.0, 0.5)
-        sensors = tuple(
-            QuantizedSensor(QuantizerSpec(2, (-0.9816, 0.0, 0.9816)), ChannelSpec(0.2))
-            for _ in range(10)
-        ) + tuple(FullPrecisionSensor() for _ in range(5))
-        config = NetworkConfig(params, sensors)
-        scores = score_samples_h0(config, 200_000, seed=13)
-        fi = fisher_information(config)
-        assert abs(scores.mean()) <= 3 * math.sqrt(fi / scores.size)
-        assert scores.var() == pytest.approx(fi, rel=0.02)
-
-    def test_block_size_invariant_statistics(self):
-        params = SignalParams(0.25, 1.0, 0.5)
-        config = NetworkConfig(params, (FullPrecisionSensor(),) * 4)
-        a = score_samples_h0(config, 1000, seed=1, block_size=1000)
-        b = score_samples_h0(config, 1000, seed=1, block_size=1000)
-        np.testing.assert_array_equal(a, b)
 
 
 class TestSweep:

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybriddet.model import (
     ChannelSpec,
-    Codeword,
     FullPrecisionSensor,
     Hypothesis,
     NetworkConfig,
@@ -15,20 +16,16 @@ from hybriddet.model import (
     QuantizerSpec,
     SignalParams,
     bsc_corrupt_levels,
-    bsc_transmit,
-    codeword_to_level,
     distance_matrix,
     gaussian_pdf,
     gaussian_upper_tail,
-    hamming_distance,
-    level_to_codeword,
-    quantize,
     quantize_batch,
     simulate_observations,
     trial_rng,
 )
 
 from oracles import upper_tail_quad
+from roc_reference import quantize, send_level
 
 
 class TestGaussianTail:
@@ -72,42 +69,39 @@ class TestGaussianPdf:
 
 
 class TestCodewords:
+    """The level-to-codeword mapping, seen through the channel code that uses it."""
+
     @pytest.mark.parametrize(
         "level,bits,expected",
         [(1, 2, "00"), (4, 2, "11"), (3, 3, "010")],
     )
     def test_natural_mapping(self, level, bits, expected):
-        assert str(level_to_codeword(level, bits, "natural")) == expected
+        # Distances to every natural codeword pin the codeword of ``level``.
+        code = int(expected, 2)
+        want = [bin(code ^ j).count("1") for j in range(2**bits)]
+        assert list(distance_matrix(bits, "natural")[level - 1]) == want
 
     def test_roundtrip_both_mappings(self):
         for mapping in ("natural", "gray"):
             for bits in (1, 2, 3, 4):
-                levels = list(range(1, 2**bits + 1))
-                back = [
-                    codeword_to_level(level_to_codeword(lv, bits, mapping), mapping)
-                    for lv in levels
-                ]
-                assert back == levels
+                levels = np.arange(1, 2**bits + 1)
+                back = bsc_corrupt_levels(levels, bits, 0.0, None, mapping)
+                np.testing.assert_array_equal(back, levels)
 
     def test_gray_adjacent_levels_differ_by_one_bit(self):
         for bits in (2, 3):
+            d = distance_matrix(bits, "gray")
             for lv in range(1, 2**bits):
-                a = level_to_codeword(lv, bits, "gray")
-                b = level_to_codeword(lv + 1, bits, "gray")
-                assert hamming_distance(a, b) == 1
-
-    def test_level_out_of_range(self):
-        with pytest.raises(ValueError):
-            level_to_codeword(0, 2)
-        with pytest.raises(ValueError):
-            level_to_codeword(5, 2)
+                assert d[lv - 1, lv] == 1
 
     def test_hamming_distance(self):
-        assert hamming_distance(Codeword((0, 0)), Codeword((0, 0))) == 0
-        assert hamming_distance(Codeword((0, 0)), Codeword((1, 1))) == 2
-        assert hamming_distance(Codeword((0, 1, 0)), Codeword((1, 1, 1))) == 2
-        with pytest.raises(ValueError):
-            hamming_distance(Codeword((0,)), Codeword((0, 1)))
+        # Gray codewords of levels 1..4 are 00, 01, 11, 10.
+        d = distance_matrix(2, "gray")
+        assert d[0, 0] == 0
+        assert d[0, 2] == 2
+        assert d[0, 3] == 1
+        assert d[1, 3] == 2
+        assert distance_matrix(3, "natural")[2, 7] == 2  # 010 against 111
 
     def test_distance_matrix_symmetric_zero_diagonal(self):
         for mapping in ("natural", "gray"):
@@ -121,9 +115,10 @@ class TestQuantize:
 
     @pytest.mark.parametrize("y,expected", [(0.5, 3), (-5.0, 1), (1.0, 4), (-1.0, 2)])
     def test_cases(self, y, expected):
-        assert quantize(y, self.SPEC) == expected
+        assert quantize_batch(y, self.SPEC) == expected
 
     def test_batch_matches_scalar(self):
+        # ``quantize`` is the bisecting oracle of ``roc_reference``.
         rng = np.random.default_rng(0)
         y = rng.normal(0, 2, 300)
         batch = quantize_batch(y, self.SPEC)
@@ -169,8 +164,27 @@ class TestSimulateObservations:
 
 class TestBsc:
     def test_noiseless_identity(self):
-        code = Codeword((1, 0, 1))
-        assert bsc_transmit(code, ChannelSpec(0.0), 5) == code
+        levels = np.array([[6, 1], [8, 3]])
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        np.testing.assert_array_equal(bsc_corrupt_levels(levels, 3, 0.0, rng), levels)
+        assert rng.bit_generator.state == before  # nothing is drawn
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        bits=st.integers(1, 8),
+        mapping=st.sampled_from(("natural", "gray")),
+        crossover=st.sampled_from((0.05, 0.3, 0.5)),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_bit_level_oracle(self, bits, mapping, crossover, seed, data):
+        levels = np.array(data.draw(st.lists(st.integers(1, 2**bits), min_size=1, max_size=12)))
+        received = bsc_corrupt_levels(levels, bits, crossover, np.random.default_rng(seed), mapping)
+        # The contract: one uniform per bit, shape ``levels.shape + (bits,)``.
+        flips = np.random.default_rng(seed).random(levels.shape + (bits,)) < crossover
+        want = [send_level(int(lv), bits, f, mapping) for lv, f in zip(levels, flips)]
+        assert received.tolist() == want
 
     def test_intact_codeword_rate(self):
         levels = np.full(10**6, 4)
