@@ -33,7 +33,6 @@ from .detection import (
     bsc_kernel,
     fisher_information,
     likelihood_kernels,
-    network_kernels,
     theoretical_pd,
     threshold_for_pfa,
 )

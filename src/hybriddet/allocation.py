@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .design import PsoSettings, optimized_thresholds
-from .model import DEFAULT_MAPPING
+from .model import DEFAULT_MAPPING, check_bits
 
 __all__ = [
     "BudgetMode",
@@ -153,8 +153,7 @@ def build_fi_table(
     Deterministic given the design seed; cell designs are cached across
     calls.  A full-precision sensor contributes ``1 / sigma_n2``.
     """
-    if max_bits < 1:
-        raise ValueError("max_bits must be >= 1")
+    check_bits("max_bits", max_bits)
     if settings is None:
         settings = PsoSettings()
     gamma = np.zeros((max_bits, hist.n_categories))

@@ -35,7 +35,7 @@ from .experiments import (
     run_sweep,
 )
 
-__all__ = ["main", "PRESETS", "run_preset"]
+__all__ = ["main", "PRESETS"]
 
 _EXIT_VALIDATION = 2
 _EXIT_INFEASIBLE = 3
@@ -291,17 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     return parser
-
-
-def run_preset(command: str, preset: str, out: str, fmt: str = "csv",
-               seed: int | None = None, trials: int | None = None) -> int:
-    """Programmatic equivalent of one CLI invocation."""
-    argv = [command, "--preset", preset, "--out", out, "--format", fmt]
-    if seed is not None:
-        argv += ["--seed", str(seed)]
-    if trials is not None:
-        argv += ["--trials", str(trials)]
-    return main(argv)
 
 
 def main(argv=None) -> int:

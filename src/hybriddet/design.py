@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detection import bsc_kernel
-from .model import DEFAULT_MAPPING, gaussian_pdf, gaussian_upper_tail
+from .detection import bsc_kernel, received_information
+from .model import DEFAULT_MAPPING, check_bits, gaussian_pdf, gaussian_upper_tail
 
 __all__ = [
     "DesignProblem",
@@ -47,8 +47,7 @@ class DesignProblem:
     mapping: str = DEFAULT_MAPPING
 
     def __post_init__(self):
-        if self.bits < 1:
-            raise ValueError("bits must be >= 1")
+        check_bits("bits", self.bits)
         if not 0.0 <= self.p_e <= 0.5:
             raise ValueError("p_e must lie in [0, 0.5]")
         if self.sigma_n2 <= 0:
@@ -105,19 +104,20 @@ class DesignResult:
     trace: tuple[float, ...]
 
 
-def _objective_rows(
-    tau: np.ndarray, problem: DesignProblem, kernel: np.ndarray | None = None
-) -> np.ndarray:
-    """Information contribution for each row of sorted thresholds.
+def _swarm_cells(tau: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cell probabilities and score weights for rows of sorted thresholds.
 
-    Rows may contain repeated values (e.g. after clipping); the resulting
-    zero-probability cells contribute nothing.  ``kernel`` is the problem's
-    ``bsc_kernel``; callers that evaluate many batches pass it in once
-    instead of having it rebuilt per call.
+    The last copy of ``detection.cell_tables``, kept on purpose.  Its
+    probabilities subtract adjacent upper tails, ``tails[:, :-1] -
+    tails[:, 1:]``, which cancels to 0 in cells far below zero.  Switching
+    to ``cell_tables`` is a one-line change that waits for a tie-aware
+    roc-mc check and a restated design gate (ROADMAP item 2): any
+    tail-safe form moves the 3-bit designs, ``cell_tables`` itself costs
+    35-45% per call, and the full-speed tail-safe form puts the 1-bit
+    designs exactly on 0, where the ``1b`` detector's null statistic ties
+    with eta = 0 in 8.9% of trials.
     """
-    tau = np.atleast_2d(np.asarray(tau, dtype=float))
     n_rows = tau.shape[0]
-    sigma = problem.sigma_n
     edges = np.concatenate(
         (
             np.full((n_rows, 1), -np.inf),
@@ -129,15 +129,25 @@ def _objective_rows(
     z = edges / sigma
     tails = gaussian_upper_tail(z)
     dens = gaussian_pdf(z)
-    probs = tails[:, :-1] - tails[:, 1:]
-    scores = sigma**2 * (dens[:, :-1] - dens[:, 1:])
+    return tails[:, :-1] - tails[:, 1:], sigma**2 * (dens[:, :-1] - dens[:, 1:])
+
+
+def _objective_rows(
+    tau: np.ndarray, problem: DesignProblem, kernel: np.ndarray | None = None
+) -> np.ndarray:
+    """Information contribution for each row of sorted thresholds.
+
+    Rows may contain repeated values (e.g. after clipping); the resulting
+    zero-probability cells contribute nothing.  ``kernel`` is the problem's
+    ``bsc_kernel``; callers that evaluate many batches pass it in once
+    instead of having it rebuilt per call.
+    """
+    tau = np.atleast_2d(np.asarray(tau, dtype=float))
+    sigma = problem.sigma_n
+    probs, scores = _swarm_cells(tau, sigma)
     if kernel is None:
         kernel = bsc_kernel(problem.bits, problem.p_e, problem.mapping)
-    received = probs @ kernel.T
-    numerators = scores @ kernel.T
-    live = received > 0.0
-    terms = np.where(live, numerators**2 / np.where(live, received, 1.0), 0.0)
-    return terms.sum(axis=1) / sigma**6
+    return received_information(probs, scores, kernel, sigma)[2]
 
 
 def _check_monotone(thresholds) -> np.ndarray:
@@ -175,12 +185,7 @@ def objective_gradient(thresholds, problem: DesignProblem) -> np.ndarray:
             f"expected {problem.n_thresholds} thresholds, got {tau.size}"
         )
     sigma = problem.sigma_n
-    edges = np.concatenate(([-np.inf], tau, [np.inf]))
-    z = edges / sigma
-    tails = gaussian_upper_tail(z)
-    dens = gaussian_pdf(z)
-    probs = tails[:-1] - tails[1:]
-    scores = sigma**2 * (dens[:-1] - dens[1:])
+    probs, scores = (table[0] for table in _swarm_cells(tau[None, :], sigma))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(probs > 0.0, scores / np.where(probs > 0.0, probs, 1.0), 0.0)
     psi = gaussian_pdf(tau / sigma)

@@ -34,12 +34,11 @@ from .model import (
 __all__ = [
     "LikelihoodKernels",
     "NetworkKernels",
-    "bin_probs",
-    "bin_scores",
     "bsc_kernel",
+    "cell_tables",
+    "received_information",
     "likelihood_kernels",
     "fisher_information",
-    "network_kernels",
     "threshold_for_pfa",
     "theoretical_pd",
     "reconstruction_table",
@@ -48,35 +47,28 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-def bin_probs(spec: QuantizerSpec, sigma_n: float) -> np.ndarray:
-    """Noise-only probability of each quantizer cell; sums to 1.
+def cell_tables(thresholds, sigma_n: float) -> tuple[np.ndarray, np.ndarray]:
+    """Noise-only cell probabilities and score weights, indexed by ``level - 1``.
 
-    Each cell's mass comes from the upper tails on its own side of zero, so
-    no two numbers close to 1 are subtracted and cells far in the lower
-    tail keep their relative precision.
+    ``thresholds`` is one sorted threshold vector or rows of them; the
+    tables run along the last axis.  Each probability comes from the upper
+    tails on its cell's own side of zero, one tail per edge, so no two
+    numbers close to 1 are subtracted and cells far in the lower tail keep
+    their relative precision.  The score weights
+    ``sigma_n**2 * (pdf(z[j-1]) - pdf(z[j]))`` telescope to zero; divided
+    by ``sigma_n**3`` they are the amplitude-derivative of the log cell
+    probability at zero.
     """
-    z = spec.edges() / sigma_n
-    z_lo, z_hi = z[:-1], z[1:]
-    return np.where(
-        z_lo >= 0.0,
-        gaussian_upper_tail(z_lo) - gaussian_upper_tail(z_hi),
-        np.where(
-            z_hi <= 0.0,
-            gaussian_upper_tail(-z_hi) - gaussian_upper_tail(-z_lo),
-            1.0 - gaussian_upper_tail(-z_lo) - gaussian_upper_tail(z_hi),
-        ),
+    tau = np.asarray(thresholds, dtype=float)
+    pad = np.full(tau.shape[:-1] + (1,), np.inf)
+    z = np.concatenate((-pad, tau, pad), axis=-1) / sigma_n
+    tail = gaussian_upper_tail(np.abs(z))
+    lo, hi = tail[..., :-1], tail[..., 1:]
+    probs = np.where(
+        z[..., :-1] >= 0.0, lo - hi, np.where(z[..., 1:] <= 0.0, hi - lo, 1.0 - lo - hi)
     )
-
-
-def bin_scores(spec: QuantizerSpec, sigma_n: float) -> np.ndarray:
-    """Per-cell score weights ``sigma_n**2 * (pdf(z[j-1]) - pdf(z[j]))``.
-
-    Telescoping makes them sum to zero; dividing by ``sigma_n**3`` turns
-    them into the amplitude-derivative of the log cell probability at zero.
-    """
-    z = spec.edges() / sigma_n
     dens = gaussian_pdf(z)
-    return sigma_n**2 * (dens[:-1] - dens[1:])
+    return probs, sigma_n**2 * (dens[..., :-1] - dens[..., 1:])
 
 
 def bsc_kernel(bits: int, p_e: float, mapping: str = DEFAULT_MAPPING) -> np.ndarray:
@@ -93,21 +85,34 @@ def bsc_kernel(bits: int, p_e: float, mapping: str = DEFAULT_MAPPING) -> np.ndar
     return np.power(p_e, dist) * np.power(1.0 - p_e, bits - dist)
 
 
+def received_information(
+    probs: np.ndarray, scores: np.ndarray, kernel: np.ndarray, sigma_n: float
+) -> tuple:
+    """Pass cell tables through the channel: ``(received, numerators, information)``.
+
+    ``probs`` and ``scores`` are cell tables (one row or rows) and
+    ``kernel`` the channel's :func:`bsc_kernel`.  The information of a row
+    is ``sum_k numerators[k]**2 / received[k] / sigma_n**6``; received
+    levels of probability 0 contribute nothing.
+    """
+    received = probs @ kernel.T
+    numerators = scores @ kernel.T
+    live = received > 0.0
+    terms = np.where(live, numerators**2 / np.where(live, received, 1.0), 0.0)
+    return received, numerators, terms.sum(axis=-1) / sigma_n**6
+
+
 @dataclass(frozen=True)
 class LikelihoodKernels:
     """Precomputed per-sensor tables for one quantizer/channel pair.
 
-    ``received_probs`` and ``score_numerators`` are indexed by received
-    level; ``score_table`` is the per-received-level contribution to the
+    ``received_probs`` and ``score_table`` are indexed by received level;
+    ``score_table`` is the per-received-level contribution to the
     unnormalized statistic and ``fi_contribution`` the sensor's share of
     the Fisher information.
     """
 
-    bin_probs: np.ndarray
-    bin_scores: np.ndarray
-    bsc_matrix: np.ndarray
     received_probs: np.ndarray
-    score_numerators: np.ndarray
     score_table: np.ndarray
     fi_contribution: float
 
@@ -119,11 +124,9 @@ def likelihood_kernels(
     mapping: str = DEFAULT_MAPPING,
 ) -> LikelihoodKernels:
     """Build all zero-amplitude tables for one quantized sensor."""
-    probs = bin_probs(quantizer, sigma_n)
-    scores = bin_scores(quantizer, sigma_n)
+    probs, scores = cell_tables(quantizer.thresholds, sigma_n)
     kernel = bsc_kernel(quantizer.bits, channel.crossover, mapping)
-    received = kernel @ probs
-    numerators = kernel @ scores
+    received, numerators, fi = received_information(probs, scores, kernel, sigma_n)
     live = received > 0.0
     if not np.all(live):
         logger.warning(
@@ -132,18 +135,7 @@ def likelihood_kernels(
             int(np.count_nonzero(~live)),
         )
     score_table = np.where(live, numerators / np.where(live, received, 1.0), 0.0)
-    score_table = score_table / sigma_n**3
-    fi = float(np.sum(np.where(live, numerators**2 / np.where(live, received, 1.0), 0.0)))
-    fi /= sigma_n**6
-    return LikelihoodKernels(
-        bin_probs=probs,
-        bin_scores=scores,
-        bsc_matrix=kernel,
-        received_probs=received,
-        score_numerators=numerators,
-        score_table=score_table,
-        fi_contribution=fi,
-    )
+    return LikelihoodKernels(received, score_table / sigma_n**3, float(fi))
 
 
 class NetworkKernels:
@@ -170,12 +162,9 @@ class NetworkKernels:
                 )
             groups.setdefault(key, []).append(pos)
         self.config = config
-        self.mapping = mapping
-        self.sigma_n = sigma_n
         self.groups = tuple(
             (np.array(idx), table_for[key].score_table) for key, idx in groups.items()
         )
-        self.kernels = tuple(table_for.values())
         quantized_fi = sum(
             table_for[key].fi_contribution * len(idx) for key, idx in groups.items()
         )
@@ -201,17 +190,13 @@ class NetworkKernels:
         return self.unnormalized_scores(levels, analog) / math.sqrt(self.fisher_info)
 
 
-def network_kernels(config: NetworkConfig, mapping: str = DEFAULT_MAPPING) -> NetworkKernels:
-    return NetworkKernels(config, mapping)
-
-
 def fisher_information(config: NetworkConfig, mapping: str = DEFAULT_MAPPING) -> float:
     """Zero-amplitude Fisher information of the whole network.
 
     Additive over sensors: quantized sensors contribute their kernel sum,
     each full-precision sensor contributes ``1 / sigma_n2``.
     """
-    return network_kernels(config, mapping).fisher_info
+    return NetworkKernels(config, mapping).fisher_info
 
 
 def threshold_for_pfa(p_fa: float) -> float:
@@ -242,7 +227,7 @@ def reconstruction_table(quantizer: QuantizerSpec, sigma_n: float) -> np.ndarray
     """Noise-only conditional cell centroids, indexed by level.
 
     ``E[y | level, noise only] = sigma_n * (pdf(z[j-1]) - pdf(z[j])) / P(cell)``,
-    with ``P(cell)`` from :func:`bin_probs`; near-empty cells use their
+    with ``P(cell)`` from :func:`cell_tables`; near-empty cells use their
     midpoint (see ``_CENTROID_MIN_WIDTH``).  Every centroid lies in its
     cell.  Used by the reconstruction baseline, which decodes each received
     level to its centroid without attempting any channel correction.
@@ -250,7 +235,7 @@ def reconstruction_table(quantizer: QuantizerSpec, sigma_n: float) -> np.ndarray
     edges = quantizer.edges()
     lo, hi = edges[:-1], edges[1:]
     z_lo, z_hi = lo / sigma_n, hi / sigma_n
-    mass = bin_probs(quantizer, sigma_n)
+    mass, _ = cell_tables(quantizer.thresholds, sigma_n)
     narrow = hi - lo < _CENTROID_MIN_WIDTH * sigma_n
     with np.errstate(divide="ignore", invalid="ignore"):
         centroid = sigma_n * (gaussian_pdf(z_lo) - gaussian_pdf(z_hi)) / mass

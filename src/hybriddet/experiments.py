@@ -19,7 +19,7 @@ import numpy as np
 from . import allocation as alloc
 from .design import DesignProblem, PsoSettings, design_bgda, design_pso, fi_landscape, optimized_thresholds
 from .detection import (
-    network_kernels,
+    NetworkKernels,
     reconstruction_table,
     theoretical_pd,
     threshold_for_pfa,
@@ -34,6 +34,7 @@ from .model import (
     QuantizerSpec,
     SignalParams,
     bsc_corrupt_levels,
+    check_bits,
     quantize_batch,
     simulate_observations,
     trial_rng,
@@ -44,7 +45,6 @@ __all__ = [
     "emit",
     "load_table",
     "RocScenario",
-    "RocPoint",
     "run_roc",
     "SweepCase",
     "SweepScenario",
@@ -160,28 +160,6 @@ def load_table(path, fmt: str) -> Table:
 
 
 @dataclass(frozen=True)
-class RocPoint:
-    detector: str
-    pfa_target: float
-    eta: float
-    pd_theory: float | None
-    pfa_mc: float
-    pd_mc: float
-    stderr_mc: float
-
-    def row(self) -> tuple:
-        return (
-            self.detector,
-            self.pfa_target,
-            self.eta,
-            self.pd_theory,
-            self.pfa_mc,
-            self.pd_mc,
-            self.stderr_mc,
-        )
-
-
-@dataclass(frozen=True)
 class RocScenario:
     """One ROC comparison run over a fixed sensor fleet.
 
@@ -209,6 +187,8 @@ class RocScenario:
     mapping: str = DEFAULT_MAPPING
 
     def __post_init__(self):
+        check_bits("bits_hybrid", self.bits_hybrid)
+        check_bits("bits_low", self.bits_low)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         grid = tuple(self.pfa_grid)
@@ -264,23 +244,16 @@ class RocScenario:
         return self.m_quantized + self.m_full
 
 
-def _scenario_thresholds(scenario: RocScenario) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    settings = PsoSettings(seed=scenario.seed)
-    if scenario.thresholds_hybrid is not None:
-        hybrid = tuple(scenario.thresholds_hybrid)
-    else:
-        hybrid = optimized_thresholds(
-            scenario.bits_hybrid, scenario.p_e, scenario.sigma_n2, settings,
+def _scenario_quantizer(
+    scenario: RocScenario, bits: int, thresholds: tuple[float, ...] | None
+) -> QuantizerSpec:
+    """The given thresholds, or else the swarm design for the scenario's channel."""
+    if thresholds is None:
+        thresholds = optimized_thresholds(
+            bits, scenario.p_e, scenario.sigma_n2, PsoSettings(seed=scenario.seed),
             mapping=scenario.mapping,
         ).thresholds
-    if scenario.thresholds_low is not None:
-        low = tuple(scenario.thresholds_low)
-    else:
-        low = optimized_thresholds(
-            scenario.bits_low, scenario.p_e, scenario.sigma_n2, settings,
-            mapping=scenario.mapping,
-        ).thresholds
-    return hybrid, low
+    return QuantizerSpec(bits, thresholds)
 
 
 def _fleet_config(
@@ -313,7 +286,6 @@ def run_roc(scenario: RocScenario) -> Table:
     detector is.  No flips are drawn when ``p_e == 0``.  Only exceedance
     counts outlive a block.
     """
-    thr_hybrid, thr_low = _scenario_thresholds(scenario)
     sigma_n = math.sqrt(scenario.sigma_n2)
     params = SignalParams(scenario.theta, scenario.sigma_n2, scenario.sigma_h2)
     m_q, m_u, m_total = scenario.m_quantized, scenario.m_full, scenario.m_total
@@ -330,9 +302,9 @@ def run_roc(scenario: RocScenario) -> Table:
 
     spec_hybrid = spec_low = None
     if {scenario.label_hybrid_q, scenario.label_hybrid, scenario.label_reconstruction} & want:
-        spec_hybrid = QuantizerSpec(scenario.bits_hybrid, thr_hybrid)
-        full = network_kernels(_fleet_config(scenario, spec_hybrid, m_q, m_u), scenario.mapping)
-        quantized = network_kernels(_fleet_config(scenario, spec_hybrid, m_q, 0), scenario.mapping)
+        spec_hybrid = _scenario_quantizer(scenario, scenario.bits_hybrid, scenario.thresholds_hybrid)
+        full = NetworkKernels(_fleet_config(scenario, spec_hybrid, m_q, m_u), scenario.mapping)
+        quantized = NetworkKernels(_fleet_config(scenario, spec_hybrid, m_q, 0), scenario.mapping)
         recon = reconstruction_table(spec_hybrid, sigma_n)
         detectors[scenario.label_hybrid_q] = lambda y, hybrid, low: quantized.statistic(hybrid, ())
         detectors[scenario.label_hybrid] = lambda y, hybrid, low: full.statistic(hybrid, y[:, m_q:])
@@ -342,8 +314,8 @@ def run_roc(scenario: RocScenario) -> Table:
         lam[scenario.label_hybrid] = params.theta * math.sqrt(full.fisher_info)
         lam[scenario.label_hybrid_q] = params.theta * math.sqrt(quantized.fisher_info)
     if scenario.label_low in want:
-        spec_low = QuantizerSpec(scenario.bits_low, thr_low)
-        low_kernels = network_kernels(_fleet_config(scenario, spec_low, m_q, 0), scenario.mapping)
+        spec_low = _scenario_quantizer(scenario, scenario.bits_low, scenario.thresholds_low)
+        low_kernels = NetworkKernels(_fleet_config(scenario, spec_low, m_q, 0), scenario.mapping)
         detectors[scenario.label_low] = lambda y, hybrid, low: low_kernels.statistic(low, ())
         lam[scenario.label_low] = params.theta * math.sqrt(low_kernels.fisher_info)
 
@@ -376,9 +348,7 @@ def run_roc(scenario: RocScenario) -> Table:
             pd_mc = int(exceed[1, k, j]) / scenario.trials
             stderr = math.sqrt(max(pd_mc * (1.0 - pd_mc), 0.0) / scenario.trials)
             pd_theory = theoretical_pd(lam_det, eta) if lam_det is not None else None
-            rows.append(
-                RocPoint(det, float(pfa), eta, pd_theory, pfa_mc, pd_mc, stderr).row()
-            )
+            rows.append((det, float(pfa), eta, pd_theory, pfa_mc, pd_mc, stderr))
     return Table(ROC_COLUMNS, rows)
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "NATURAL",
     "GRAY",
     "DEFAULT_MAPPING",
+    "MAX_BITS",
     "Hypothesis",
     "SignalParams",
     "QuantizerSpec",
@@ -53,6 +54,17 @@ GRAY = "gray"
 #: Assignment used when callers do not pick one explicitly.  Natural binary
 #: is the default; the reflected code is kept as a selectable alternative.
 DEFAULT_MAPPING = NATURAL
+
+#: Deepest quantizer the package builds.  Tables grow as ``2**bits`` (the
+#: channel kernel as ``4**bits``), so a deeper request is refused where it
+#: enters instead of exhausting memory.
+MAX_BITS = 8
+
+
+def check_bits(name: str, bits: int) -> None:
+    """Reject a bit depth outside ``1..MAX_BITS``."""
+    if not 1 <= bits <= MAX_BITS:
+        raise ValueError(f"{name} must lie in [1, {MAX_BITS}], got {bits}")
 
 
 def gaussian_upper_tail(x):
@@ -116,8 +128,7 @@ class QuantizerSpec:
     thresholds: tuple[float, ...]
 
     def __post_init__(self):
-        if self.bits < 1:
-            raise ValueError("bits must be >= 1")
+        check_bits("bits", self.bits)
         object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
         if len(self.thresholds) != 2**self.bits - 1:
             raise ValueError(
@@ -129,10 +140,6 @@ class QuantizerSpec:
             raise ValueError("thresholds must be strictly increasing")
         if not np.all(np.isfinite(self.thresholds)):
             raise ValueError("thresholds must be finite")
-
-    @property
-    def levels(self) -> int:
-        return 2**self.bits
 
     def edges(self) -> np.ndarray:
         """Cell edges including the infinite sentinels."""
@@ -177,7 +184,6 @@ class NetworkConfig:
     params: SignalParams
     sensors: tuple[SensorSpec, ...]
     l0: int = 32
-    budget_q: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "sensors", tuple(self.sensors))
@@ -189,8 +195,6 @@ class NetworkConfig:
                 raise ValueError("quantized sensors must precede full-precision ones")
         if self.l0 < 1:
             raise ValueError("l0 must be a positive integer")
-        if self.budget_q is not None and self.budget_q < 1:
-            raise ValueError("budget_q must be positive when given")
 
     @property
     def quantized(self) -> tuple[QuantizedSensor, ...]:

@@ -21,12 +21,12 @@ from bisect import bisect_right
 import numpy as np
 
 from hybriddet.detection import (
-    network_kernels,
+    NetworkKernels,
     reconstruction_table,
     theoretical_pd,
     threshold_for_pfa,
 )
-from hybriddet.experiments import ROC_BLOCK, ROC_COLUMNS, RocScenario, Table, _scenario_thresholds
+from hybriddet.experiments import ROC_BLOCK, ROC_COLUMNS, RocScenario, Table, _scenario_quantizer
 from hybriddet.model import (
     ChannelSpec,
     FullPrecisionSensor,
@@ -78,9 +78,8 @@ def send_level(level, bits, flips, mapping):
     return _from_bits([b ^ int(f) for b, f in zip(code, flips[::-1])], mapping)
 
 
-def _fleet(scenario, bits, thresholds, n_quantized, n_full):
+def _fleet(scenario, quantizer, n_quantized, n_full):
     params = SignalParams(scenario.theta, scenario.sigma_n2, scenario.sigma_h2)
-    quantizer = QuantizerSpec(bits, thresholds)
     sensors = tuple(QuantizedSensor(quantizer, ChannelSpec(scenario.p_e)) for _ in range(n_quantized))
     sensors += tuple(FullPrecisionSensor() for _ in range(n_full))
     return NetworkConfig(params, sensors, l0=scenario.l0)
@@ -97,22 +96,23 @@ def _received(y_q, spec, flips, mapping):
 
 def per_trial_roc(scenario: RocScenario) -> Table:
     """ROC rows of ``scenario``, each trial quantized, sent and scored alone."""
-    thr_hybrid, thr_low = _scenario_thresholds(scenario)
     sigma_n = math.sqrt(scenario.sigma_n2)
     params = SignalParams(scenario.theta, scenario.sigma_n2, scenario.sigma_h2)
     m_q, m_u = scenario.m_quantized, scenario.m_full
     want = set(scenario.detectors)
 
+    spec_hybrid = spec_low = None
+    if {scenario.label_hybrid_q, scenario.label_hybrid, scenario.label_reconstruction} & want:
+        spec_hybrid = _scenario_quantizer(scenario, scenario.bits_hybrid, scenario.thresholds_hybrid)
+    if scenario.label_low in want:
+        spec_low = _scenario_quantizer(scenario, scenario.bits_low, scenario.thresholds_low)
     kernels = {}
     lam = {}
-    if {scenario.label_hybrid_q, scenario.label_hybrid, scenario.label_reconstruction} & want and m_q:
-        kernels["hybrid_full"] = network_kernels(
-            _fleet(scenario, scenario.bits_hybrid, thr_hybrid, m_q, m_u), scenario.mapping)
-        kernels["hybrid_q"] = network_kernels(
-            _fleet(scenario, scenario.bits_hybrid, thr_hybrid, m_q, 0), scenario.mapping)
-    if scenario.label_low in want and m_q:
-        kernels["low"] = network_kernels(
-            _fleet(scenario, scenario.bits_low, thr_low, m_q, 0), scenario.mapping)
+    if spec_hybrid is not None and m_q:
+        kernels["hybrid_full"] = NetworkKernels(_fleet(scenario, spec_hybrid, m_q, m_u), scenario.mapping)
+        kernels["hybrid_q"] = NetworkKernels(_fleet(scenario, spec_hybrid, m_q, 0), scenario.mapping)
+    if spec_low is not None and m_q:
+        kernels["low"] = NetworkKernels(_fleet(scenario, spec_low, m_q, 0), scenario.mapping)
     lam["clairvoyant"] = params.theta * math.sqrt(scenario.m_total / scenario.sigma_n2)
     lam["fp"] = params.theta * math.sqrt(m_u / scenario.sigma_n2) if m_u else None
     if "hybrid_full" in kernels:
@@ -121,8 +121,6 @@ def per_trial_roc(scenario: RocScenario) -> Table:
     if "low" in kernels:
         lam[scenario.label_low] = params.theta * math.sqrt(kernels["low"].fisher_info)
 
-    spec_hybrid = QuantizerSpec(scenario.bits_hybrid, thr_hybrid)
-    spec_low = QuantizerSpec(scenario.bits_low, thr_low)
     recon = None
     if scenario.label_reconstruction in want:
         recon = reconstruction_table(spec_hybrid, sigma_n)
@@ -198,7 +196,7 @@ def null_scores(config: NetworkConfig, trials: int, seed: int) -> np.ndarray:
     if len(set(config.quantized)) != 1:
         raise ValueError("null_scores needs quantized sensors that share one quantizer and channel")
     sensor = config.quantized[0]
-    kernels = network_kernels(config)
+    kernels = NetworkKernels(config)
     m_q, m_total = config.m_q, config.m_total
     out = np.empty(trials)
     for block, start in enumerate(range(0, trials, ROC_BLOCK)):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import hybriddet
 from hybriddet.cli import PRESETS, main
 from hybriddet.experiments import load_table
+from hybriddet.model import MAX_BITS
 
 
 def test_roc_with_preset_and_trials_override(tmp_path, capsys):
@@ -152,6 +154,38 @@ def test_mistyped_config_values_rejected(tmp_path, capsys, command, config):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "error" in json.loads(err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("roc", {"trials": 10, "bits_hybrid": 40}),
+        ("roc", {"trials": 10, "bits_hybrid": 20}),
+        ("roc", {"trials": 10, "bits_low": 9}),
+        ("design-quantizer", {"bits": 40}),
+        ("design-quantizer", {"bits": 9}),
+        ("allocate", {"max_bits": 9}),
+        ("sweep", {"max_bits": 40, "cases": [{"name": "a", "freqs": [0.5, 0.5, 0, 0]}]}),
+    ],
+)
+def test_bit_depths_beyond_the_limit_rejected(tmp_path, capsys, command, config):
+    # Tables grow as 2**bits and the channel kernel as 4**bits, so a depth
+    # past the limit is refused before anything is built or designed.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "x.csv"
+    tracemalloc.start()
+    try:
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"[1, {MAX_BITS}]" in json.loads(err)["error"]
+    assert peak < 2**20
     assert not out.exists()
 
 

@@ -2,9 +2,10 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hybriddet import design
@@ -23,8 +24,8 @@ from hybriddet.design import (
     optimized_thresholds,
 )
 
-from hybriddet.detection import bsc_kernel
-from hybriddet.model import GRAY, NATURAL, QuantizerSpec
+from hybriddet.detection import bsc_kernel, likelihood_kernels
+from hybriddet.model import GRAY, NATURAL, ChannelSpec, QuantizerSpec
 
 from oracles import central_difference, quantized_fi_oracle
 
@@ -82,6 +83,70 @@ class TestObjective:
         rows = np.sort(np.reshape(values, (n_rows, problem.n_thresholds)), axis=1)
         kernel = bsc_kernel(bits, problem.p_e, problem.mapping)
         assert np.array_equal(_objective_rows(rows, problem, kernel), _objective_rows(rows, problem))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        bits=st.integers(1, 4),
+        sigma_n2=st.floats(0.1, 10.0),
+        # Crossovers in (0, 1e-3) are left to
+        # ``TestFarTailObjective.test_cancelled_cell_over_a_subnormal_crossover``.
+        p_e=st.just(0.0) | st.floats(1e-3, 0.5),
+        mapping=st.sampled_from((NATURAL, GRAY)),
+        data=st.data(),
+    )
+    def test_matches_detection_kernels(self, bits, sigma_n2, p_e, mapping, data):
+        # The swarm's cell form and ``detection.cell_tables`` differ only in
+        # how they round; inside +/-4 sigma no cell is small enough for that
+        # to matter.
+        problem = DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2, mapping=mapping)
+        n = problem.n_thresholds
+        z = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n, unique=True))
+        tau = np.sort(z) * problem.sigma_n
+        assume(np.all(np.diff(tau) > 0))
+        kernels = likelihood_kernels(QuantizerSpec(bits, tuple(tau)), ChannelSpec(p_e), problem.sigma_n, mapping)
+        assert _objective_rows(tau, problem)[0] == pytest.approx(kernels.fi_contribution, rel=1e-10, abs=0.0)
+
+
+def _one_bit_information_mpmath(threshold: float, sigma_n2: float) -> float:
+    """``pdf(z)**2 / (P(cell 1) P(cell 2)) / sigma_n2`` at 50 digits."""
+    with mpmath.workdps(50):
+        z = mpmath.mpf(threshold) / mpmath.mpf(math.sqrt(sigma_n2))
+        below = mpmath.ncdf(z)
+        return float(mpmath.npdf(z) ** 2 / (below * (1 - below)) / mpmath.mpf(sigma_n2))
+
+
+class TestFarTailObjective:
+    """A 1-bit threshold at -8.5 sigma: its lower cell holds 9.5e-18."""
+
+    PROBLEM = DesignProblem(bits=1, p_e=0.0, sigma_n2=0.125)
+
+    def test_detection_kernels_match_mpmath(self):
+        want = _one_bit_information_mpmath(-3.0, self.PROBLEM.sigma_n2)
+        got = likelihood_kernels(QuantizerSpec(1, (-3.0,)), ChannelSpec(0.0), self.PROBLEM.sigma_n)
+        assert got.fi_contribution == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the swarm's cells subtract upper tails near 1 (design._swarm_cells); "
+        "remove this marker when they come from detection.cell_tables",
+    )
+    def test_swarm_objective_matches_mpmath(self):
+        want = _one_bit_information_mpmath(-3.0, self.PROBLEM.sigma_n2)
+        assert design_objective((-3.0,), self.PROBLEM) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a cell the swarm's form cancels to 0 keeps its nonzero score, which a "
+        "received probability of order p_e then divides (design._swarm_cells)",
+    )
+    def test_cancelled_cell_over_a_subnormal_crossover(self):
+        # The middle cell is one ulp wide at -4 sigma; its true probability
+        # is 6e-20.  Any objective stays below 1 / sigma_n2.
+        tau = (-4.0, -3.9999999999999996, 0.0)
+        problem = DesignProblem(bits=2, p_e=2.225073858507203e-309)
+        kernels = likelihood_kernels(QuantizerSpec(2, tau), ChannelSpec(problem.p_e), 1.0)
+        assert kernels.fi_contribution <= 1.0
+        assert design_objective(tau, problem) == pytest.approx(kernels.fi_contribution, rel=1e-10, abs=0.0)
 
 
 class TestGradient:

@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybriddet.detection import (
-    bin_probs,
-    bin_scores,
+    NetworkKernels,
     bsc_kernel,
+    cell_tables,
     fisher_information,
     likelihood_kernels,
-    network_kernels,
     reconstruction_table,
     theoretical_pd,
     threshold_for_pfa,
@@ -50,17 +49,17 @@ def _config(n_quantized, bits, thresholds, p_e, n_full, params=PARAMS):
 
 class TestCellTables:
     def test_one_bit_prob(self):
-        assert bin_probs(QuantizerSpec(1, (0.0,)), 1.0)[0] == pytest.approx(0.5, abs=1e-12)
+        assert cell_tables((0.0,), 1.0)[0][0] == pytest.approx(0.5, abs=1e-12)
 
     def test_two_bit_prob_against_quadrature(self):
         spec = QuantizerSpec(2, (-1.0, 0.0, 1.0))
         expected = upper_tail_quad(-1.0) - upper_tail_quad(0.0)
-        assert bin_probs(spec, 1.0)[1] == pytest.approx(expected, abs=1e-9)
-        assert bin_probs(spec, 1.0)[1] == pytest.approx(0.341345, abs=1e-6)
+        assert cell_tables(spec.thresholds, 1.0)[0][1] == pytest.approx(expected, abs=1e-9)
+        assert cell_tables(spec.thresholds, 1.0)[0][1] == pytest.approx(0.341345, abs=1e-6)
 
     def test_probs_partition(self):
         for spec in (QuantizerSpec(1, (0.3,)), QuantizerSpec(3, tuple(np.linspace(-2, 2, 7)))):
-            probs = bin_probs(spec, 1.3)
+            probs = cell_tables(spec.thresholds, 1.3)[0]
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(probs >= 0)
 
@@ -73,27 +72,38 @@ class TestCellTables:
             z = [mpmath.mpf(-math.inf)] + [mpmath.mpf(t) / mpmath.mpf(sigma_n) for t in spec.thresholds]
             z.append(mpmath.mpf(math.inf))
             want = [float(mpmath.ncdf(b) - mpmath.ncdf(a)) for a, b in zip(z[:-1], z[1:])]
-        np.testing.assert_allclose(bin_probs(spec, sigma_n), want, rtol=1e-12, atol=0.0)
+        probs = cell_tables(spec.thresholds, sigma_n)[0]
+        np.testing.assert_allclose(probs, want, rtol=1e-12, atol=0.0)
 
     def test_one_bit_scores(self):
         spec = QuantizerSpec(1, (0.0,))
         psi0 = 0.3989422804014327
-        assert bin_scores(spec, 1.0)[0] == pytest.approx(-psi0, abs=1e-12)
-        assert bin_scores(spec, 1.0)[1] == pytest.approx(psi0, abs=1e-12)
+        assert cell_tables(spec.thresholds, 1.0)[1][0] == pytest.approx(-psi0, abs=1e-12)
+        assert cell_tables(spec.thresholds, 1.0)[1][1] == pytest.approx(psi0, abs=1e-12)
 
     def test_two_bit_score(self):
         spec = QuantizerSpec(2, (-1.0, 0.0, 1.0))
-        assert bin_scores(spec, 1.0)[1] == pytest.approx(-0.15697155588228936, abs=1e-12)
+        assert cell_tables(spec.thresholds, 1.0)[1][1] == pytest.approx(-0.15697155588228936, abs=1e-12)
 
     def test_scores_telescope_to_zero(self):
         spec = QuantizerSpec(3, (-2.1, -1.4, -0.3, 0.2, 0.9, 1.7, 2.5))
-        assert abs(bin_scores(spec, 0.8).sum()) <= 1e-12
+        assert abs(cell_tables(spec.thresholds, 0.8)[1].sum()) <= 1e-12
 
     def test_level_bounds(self):
         # One entry per level 1..2**bits, indexed by ``level - 1``.
         for bits in (1, 2, 3):
             spec = QuantizerSpec(bits, tuple(np.linspace(-1, 1, 2**bits - 1)))
-            assert bin_probs(spec, 1.0).shape == bin_scores(spec, 1.0).shape == (2**bits,)
+            probs, scores = cell_tables(spec.thresholds, 1.0)
+            assert probs.shape == scores.shape == (2**bits,)
+
+    def test_rows_match_single_vectors(self):
+        rng = np.random.default_rng(11)
+        rows = np.sort(rng.uniform(-9.0, 9.0, (20, 7)), axis=1)
+        probs, scores = cell_tables(rows, 1.7)
+        for row, p, s in zip(rows, probs, scores):
+            want_p, want_s = cell_tables(tuple(row), 1.7)
+            np.testing.assert_array_equal(p, want_p)
+            np.testing.assert_array_equal(s, want_s)
 
 
 class TestBscKernel:
@@ -210,18 +220,18 @@ class TestLmptStatistic:
     """``NetworkKernels.statistic``, the hybrid detector of ``run_roc``."""
 
     def test_single_analog(self):
-        kernels = network_kernels(_config(0, 1, (0.0,), 0.0, 1))
+        kernels = NetworkKernels(_config(0, 1, (0.0,), 0.0, 1))
         assert kernels.statistic((), (0.7,)) == pytest.approx(0.7, abs=1e-12)
         assert kernels.fisher_info == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_cancellation(self):
-        kernels = network_kernels(_config(0, 1, (0.0,), 0.0, 4))
+        kernels = NetworkKernels(_config(0, 1, (0.0,), 0.0, 4))
         assert kernels.statistic((), (1.0, -1.0, 1.0, -1.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_one_bit_sensor(self):
         # score = pdf(0)/0.5 and sqrt(FI) = sqrt(2/pi) coincide, so the
         # normalized statistic is exactly +/-1 for the two received levels.
-        kernels = network_kernels(_config(1, 1, (0.0,), 0.0, 0))
+        kernels = NetworkKernels(_config(1, 1, (0.0,), 0.0, 0))
         assert kernels.statistic((2,), ()) == pytest.approx(1.0, abs=1e-12)
         assert kernels.statistic((1,), ()) == pytest.approx(-1.0, abs=1e-12)
 
@@ -238,7 +248,7 @@ class TestLmptStatistic:
             assert rec["pd_theory"] == theoretical_pd(lam, rec["eta"])
 
     def test_zero_information_raises(self):
-        kernels = network_kernels(_config(1, 1, (0.0,), 0.5, 0))
+        kernels = NetworkKernels(_config(1, 1, (0.0,), 0.5, 0))
         with pytest.raises(ValueError):
             kernels.statistic((1,), ())
 
@@ -297,8 +307,8 @@ class TestBaselines:
     def test_quantized_only_equals_sub_network_statistic(self):
         # The hybrid score is the quantized-only score plus v / sigma_n2 per
         # analog sample, and the information adds the same way.
-        full = network_kernels(_config(3, 1, (0.0,), 0.0, 2))
-        sub = network_kernels(_config(3, 1, (0.0,), 0.0, 0))
+        full = NetworkKernels(_config(3, 1, (0.0,), 0.0, 2))
+        sub = NetworkKernels(_config(3, 1, (0.0,), 0.0, 0))
         levels, analog = (1, 2, 2), (0.4, -0.1)
         assert full.unnormalized_scores(levels, analog) == pytest.approx(
             sub.unnormalized_scores(levels, ()) + sum(analog) / PARAMS.sigma_n2)
@@ -365,7 +375,7 @@ class TestDegenerateCells:
 class TestNullDistribution:
     def test_statistic_tail_matches_theory(self):
         cfg = _config(80, 3, tuple(np.linspace(-1.75, 1.75, 7)), 0.0, 20)
-        kernels = network_kernels(cfg)
+        kernels = NetworkKernels(cfg)
         trials = 5000
         stats = np.empty(trials)
         spec = cfg.quantized[0].quantizer

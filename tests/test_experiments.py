@@ -243,6 +243,34 @@ class TestRocStreams:
         assert run_roc(scenario).rows == per_trial_roc(scenario).rows
 
 
+class TestRocDesigns:
+    """``run_roc`` designs a threshold set only for a detector that uses it."""
+
+    @pytest.mark.parametrize(
+        "detectors, m_quantized, designed",
+        [
+            (("clairvoyant", "fp"), 80, []),
+            (("clairvoyant", "fp"), 0, []),
+            (("1b",), 80, [(1, 0.2)]),
+            (("3b", "3b-fp", "r-3b-fp"), 80, [(3, 0.2)]),
+            ((), 80, [(3, 0.2), (1, 0.2)]),
+        ],
+    )
+    def test_designs_follow_the_roster(self, monkeypatch, detectors, m_quantized, designed):
+        calls = []
+        real = experiments.optimized_thresholds
+
+        def spy(bits, p_e, *args, **kwargs):
+            calls.append((bits, p_e))
+            return real(bits, p_e, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "optimized_thresholds", spy)
+        scenario = RocScenario(
+            **PRESETS[("roc", "errorprone")], m_quantized=m_quantized, trials=10, detectors=detectors)
+        run_roc(scenario)
+        assert calls == designed
+
+
 class TestRocClosedForm:
     """The two Gaussian detectors have exact ROCs: under H0 the statistic is
     N(0, 1); under H1 it is N(theta sqrt(m / sigma_n2), 1 + theta^2
@@ -251,7 +279,8 @@ class TestRocClosedForm:
     def test_errorprone_gaussian_detectors_within_four_standard_errors(self):
         trials = 20_000
         # Observations are each block's first draws, so these two rows are
-        # those of the full preset roster; the roster skips the swarm designs.
+        # those of the full preset roster.  This roster runs no swarm design
+        # (``TestRocDesigns``).
         scenario = RocScenario(
             **PRESETS[("roc", "errorprone")], trials=trials, detectors=("clairvoyant", "fp"))
         theta, s_n2, s_h2 = scenario.theta, scenario.sigma_n2, scenario.sigma_h2
