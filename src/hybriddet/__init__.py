@@ -13,13 +13,8 @@ from .model import (
     DEFAULT_MAPPING,
     GRAY,
     NATURAL,
-    ChannelSpec,
-    FullPrecisionSensor,
     Hypothesis,
-    NetworkConfig,
-    QuantizedSensor,
     QuantizerSpec,
-    SensorSpec,
     SignalParams,
     bsc_corrupt_levels,
     gaussian_pdf,
@@ -31,7 +26,6 @@ from .model import (
 from .detection import (
     LikelihoodKernels,
     bsc_kernel,
-    fisher_information,
     likelihood_kernels,
     theoretical_pd,
     threshold_for_pfa,

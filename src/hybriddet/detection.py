@@ -23,9 +23,7 @@ from scipy import special
 
 from .model import (
     DEFAULT_MAPPING,
-    NetworkConfig,
     QuantizerSpec,
-    ChannelSpec,
     distance_matrix,
     gaussian_pdf,
     gaussian_upper_tail,
@@ -38,7 +36,6 @@ __all__ = [
     "cell_tables",
     "received_information",
     "likelihood_kernels",
-    "fisher_information",
     "threshold_for_pfa",
     "theoretical_pd",
     "reconstruction_table",
@@ -119,13 +116,14 @@ class LikelihoodKernels:
 
 def likelihood_kernels(
     quantizer: QuantizerSpec,
-    channel: ChannelSpec,
+    p_e: float,
     sigma_n: float,
     mapping: str = DEFAULT_MAPPING,
 ) -> LikelihoodKernels:
-    """Build all zero-amplitude tables for one quantized sensor."""
+    """Build all zero-amplitude tables for one quantized sensor over a
+    binary symmetric channel with crossover ``p_e``."""
     probs, scores = cell_tables(quantizer.thresholds, sigma_n)
-    kernel = bsc_kernel(quantizer.bits, channel.crossover, mapping)
+    kernel = bsc_kernel(quantizer.bits, p_e, mapping)
     received, numerators, fi = received_information(probs, scores, kernel, sigma_n)
     live = received > 0.0
     if not np.all(live):
@@ -139,48 +137,36 @@ def likelihood_kernels(
 
 
 class NetworkKernels:
-    """Per-configuration tables shared read-only across Monte Carlo trials.
+    """The locally optimal detector of one fleet, read-only across trials.
 
-    Sensors with identical quantizer/channel pairs share one score table;
-    ``unnormalized_scores`` accepts either a single trial (1-D levels) or a
-    batch (levels with a leading trial axis).
+    The fleet has ``m_q`` sensors that share ``quantizer`` and a channel of
+    crossover ``p_e``, and ``m_u`` analog sensors; its Fisher information
+    adds over the sensors.  ``unnormalized_scores`` accepts either a single
+    trial (1-D levels) or a batch (levels with a leading trial axis).
     """
 
-    def __init__(self, config: NetworkConfig, mapping: str = DEFAULT_MAPPING):
-        sigma_n = config.params.sigma_n
-        groups: dict[tuple, list[int]] = {}
-        table_for: dict[tuple, LikelihoodKernels] = {}
-        for pos, sensor in enumerate(config.quantized):
-            key = (
-                sensor.quantizer.bits,
-                sensor.quantizer.thresholds,
-                sensor.channel.crossover,
-            )
-            if key not in table_for:
-                table_for[key] = likelihood_kernels(
-                    sensor.quantizer, sensor.channel, sigma_n, mapping
-                )
-            groups.setdefault(key, []).append(pos)
-        self.config = config
-        self.groups = tuple(
-            (np.array(idx), table_for[key].score_table) for key, idx in groups.items()
-        )
-        quantized_fi = sum(
-            table_for[key].fi_contribution * len(idx) for key, idx in groups.items()
-        )
-        self.fisher_info = quantized_fi + config.m_u / config.params.sigma_n2
+    def __init__(
+        self,
+        quantizer: QuantizerSpec,
+        p_e: float,
+        m_q: int,
+        m_u: int,
+        sigma_n2: float,
+        mapping: str = DEFAULT_MAPPING,
+    ):
+        kernels = likelihood_kernels(quantizer, p_e, math.sqrt(sigma_n2), mapping)
+        self.score_table = kernels.score_table
+        self.sigma_n2 = sigma_n2
+        self.fisher_info = kernels.fi_contribution * m_q + m_u / sigma_n2
 
     def unnormalized_scores(self, levels, analog) -> np.ndarray | float:
         """Zero-amplitude score; ``levels``/``analog`` may carry a batch axis."""
-        levels = np.asarray(levels)
+        # Indexing gathers the scores into a new contiguous sensor axis, so
+        # each trial of a batch is summed in the same order as a single trial.
+        total = self.score_table[np.asarray(levels, dtype=np.intp) - 1].sum(axis=-1)
         analog = np.asarray(analog, dtype=float)
-        total = 0.0
-        for idx, table in self.groups:
-            # ``take`` keeps the sensor axis contiguous, so each trial of a
-            # batch is summed in the same order as a single trial.
-            total = total + table[np.take(levels, idx, axis=-1) - 1].sum(axis=-1)
         if analog.size:
-            total = total + analog.sum(axis=-1) / self.config.params.sigma_n2
+            total = total + analog.sum(axis=-1) / self.sigma_n2
         return total
 
     def statistic(self, levels, analog) -> np.ndarray | float:
@@ -188,15 +174,6 @@ class NetworkKernels:
         if self.fisher_info <= 0.0:
             raise ValueError("Fisher information is zero; statistic undefined")
         return self.unnormalized_scores(levels, analog) / math.sqrt(self.fisher_info)
-
-
-def fisher_information(config: NetworkConfig, mapping: str = DEFAULT_MAPPING) -> float:
-    """Zero-amplitude Fisher information of the whole network.
-
-    Additive over sensors: quantized sensors contribute their kernel sum,
-    each full-precision sensor contributes ``1 / sigma_n2``.
-    """
-    return NetworkKernels(config, mapping).fisher_info
 
 
 def threshold_for_pfa(p_fa: float) -> float:

@@ -26,11 +26,7 @@ from .detection import (
 )
 from .model import (
     DEFAULT_MAPPING,
-    ChannelSpec,
-    FullPrecisionSensor,
     Hypothesis,
-    NetworkConfig,
-    QuantizedSensor,
     QuantizerSpec,
     SignalParams,
     bsc_corrupt_levels,
@@ -177,7 +173,6 @@ class RocScenario:
     p_e: float = 0.0
     bits_hybrid: int = 3
     bits_low: int = 1
-    l0: int = 32
     trials: int = 5000
     seed: int = 20260810
     pfa_grid: tuple[float, ...] = (0.01, 0.05, 0.1, 0.2, 0.3, 0.5)
@@ -187,6 +182,7 @@ class RocScenario:
     mapping: str = DEFAULT_MAPPING
 
     def __post_init__(self):
+        SignalParams(self.theta, self.sigma_n2, self.sigma_h2)  # checks the three fields
         check_bits("bits_hybrid", self.bits_hybrid)
         check_bits("bits_low", self.bits_low)
         if self.trials < 1:
@@ -212,6 +208,11 @@ class RocScenario:
             raise ValueError("quantized detectors need m_quantized >= 1")
         if self.m_full == 0 and {"fp", self.label_hybrid, self.label_reconstruction} & set(self.detectors):
             raise ValueError("full-precision detectors need m_full >= 1")
+        if not 0.0 <= self.p_e <= 0.5:
+            raise ValueError("p_e must lie in [0, 0.5]")
+        blind = {self.label_low, self.label_hybrid_q} & set(self.detectors)
+        if self.p_e == 0.5 and blind:
+            raise ValueError(f"p_e = 0.5 erases every level: detectors {sorted(blind)} carry no information")
 
     @property
     def label_low(self) -> str:
@@ -256,19 +257,6 @@ def _scenario_quantizer(
     return QuantizerSpec(bits, thresholds)
 
 
-def _fleet_config(
-    scenario: RocScenario,
-    quantizer: QuantizerSpec,
-    n_quantized: int,
-    n_full: int,
-) -> NetworkConfig:
-    params = SignalParams(scenario.theta, scenario.sigma_n2, scenario.sigma_h2)
-    channel = ChannelSpec(scenario.p_e)
-    sensors = tuple(QuantizedSensor(quantizer, channel) for _ in range(n_quantized))
-    sensors += tuple(FullPrecisionSensor() for _ in range(n_full))
-    return NetworkConfig(params, sensors, l0=scenario.l0)
-
-
 def run_roc(scenario: RocScenario) -> Table:
     """Monte Carlo ROC table for the scenario's detector roster.
 
@@ -303,8 +291,8 @@ def run_roc(scenario: RocScenario) -> Table:
     spec_hybrid = spec_low = None
     if {scenario.label_hybrid_q, scenario.label_hybrid, scenario.label_reconstruction} & want:
         spec_hybrid = _scenario_quantizer(scenario, scenario.bits_hybrid, scenario.thresholds_hybrid)
-        full = NetworkKernels(_fleet_config(scenario, spec_hybrid, m_q, m_u), scenario.mapping)
-        quantized = NetworkKernels(_fleet_config(scenario, spec_hybrid, m_q, 0), scenario.mapping)
+        full = NetworkKernels(spec_hybrid, scenario.p_e, m_q, m_u, scenario.sigma_n2, scenario.mapping)
+        quantized = NetworkKernels(spec_hybrid, scenario.p_e, m_q, 0, scenario.sigma_n2, scenario.mapping)
         recon = reconstruction_table(spec_hybrid, sigma_n)
         detectors[scenario.label_hybrid_q] = lambda y, hybrid, low: quantized.statistic(hybrid, ())
         detectors[scenario.label_hybrid] = lambda y, hybrid, low: full.statistic(hybrid, y[:, m_q:])
@@ -315,7 +303,7 @@ def run_roc(scenario: RocScenario) -> Table:
         lam[scenario.label_hybrid_q] = params.theta * math.sqrt(quantized.fisher_info)
     if scenario.label_low in want:
         spec_low = _scenario_quantizer(scenario, scenario.bits_low, scenario.thresholds_low)
-        low_kernels = NetworkKernels(_fleet_config(scenario, spec_low, m_q, 0), scenario.mapping)
+        low_kernels = NetworkKernels(spec_low, scenario.p_e, m_q, 0, scenario.sigma_n2, scenario.mapping)
         detectors[scenario.label_low] = lambda y, hybrid, low: low_kernels.statistic(low, ())
         lam[scenario.label_low] = params.theta * math.sqrt(low_kernels.fisher_info)
 
@@ -380,6 +368,10 @@ class SweepScenario:
     senses: tuple[alloc.Sense, ...] = (alloc.Sense.MAXIMIZE_FI, alloc.Sense.MINIMIZE_FI)
     seed: int = 20260810
     mapping: str = DEFAULT_MAPPING
+
+    def __post_init__(self):
+        if self.theta < 0:
+            raise ValueError("theta must be nonnegative (one-sided test)")
 
 
 SWEEP_COLUMNS = ("case", "m_total", "sense", "status", "total_fi", "noncentrality", "pd_theory", "bits_used")

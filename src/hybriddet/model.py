@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Union
 
 import numpy as np
 from scipy import special
@@ -28,11 +27,6 @@ __all__ = [
     "Hypothesis",
     "SignalParams",
     "QuantizerSpec",
-    "ChannelSpec",
-    "QuantizedSensor",
-    "FullPrecisionSensor",
-    "SensorSpec",
-    "NetworkConfig",
     "gaussian_upper_tail",
     "gaussian_pdf",
     "distance_matrix",
@@ -144,73 +138,6 @@ class QuantizerSpec:
     def edges(self) -> np.ndarray:
         """Cell edges including the infinite sentinels."""
         return np.concatenate(([-np.inf], self.thresholds, [np.inf]))
-
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Binary symmetric channel with per-bit crossover probability."""
-
-    crossover: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.crossover <= 0.5:
-            raise ValueError("crossover must lie in [0, 0.5]")
-
-
-@dataclass(frozen=True)
-class QuantizedSensor:
-    quantizer: QuantizerSpec
-    channel: ChannelSpec
-
-
-@dataclass(frozen=True)
-class FullPrecisionSensor:
-    """Analog reporter; assumed to reach the fusion center error-free."""
-
-
-SensorSpec = Union[QuantizedSensor, FullPrecisionSensor]
-
-
-@dataclass(frozen=True)
-class NetworkConfig:
-    """Roster of sensors plus shared signal parameters.
-
-    Quantized sensors must precede full-precision ones.  ``l0`` is the bit
-    width charged for one full-precision report; it only matters for
-    bandwidth accounting, the analog samples themselves are treated as
-    exact reals.
-    """
-
-    params: SignalParams
-    sensors: tuple[SensorSpec, ...]
-    l0: int = 32
-
-    def __post_init__(self):
-        object.__setattr__(self, "sensors", tuple(self.sensors))
-        seen_full = False
-        for s in self.sensors:
-            if isinstance(s, FullPrecisionSensor):
-                seen_full = True
-            elif seen_full:
-                raise ValueError("quantized sensors must precede full-precision ones")
-        if self.l0 < 1:
-            raise ValueError("l0 must be a positive integer")
-
-    @property
-    def quantized(self) -> tuple[QuantizedSensor, ...]:
-        return tuple(s for s in self.sensors if isinstance(s, QuantizedSensor))
-
-    @property
-    def m_q(self) -> int:
-        return len(self.quantized)
-
-    @property
-    def m_u(self) -> int:
-        return len(self.sensors) - self.m_q
-
-    @property
-    def m_total(self) -> int:
-        return len(self.sensors)
 
 
 @lru_cache(maxsize=None)

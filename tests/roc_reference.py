@@ -28,11 +28,7 @@ from hybriddet.detection import (
 )
 from hybriddet.experiments import ROC_BLOCK, ROC_COLUMNS, RocScenario, Table, _scenario_quantizer
 from hybriddet.model import (
-    ChannelSpec,
-    FullPrecisionSensor,
     Hypothesis,
-    NetworkConfig,
-    QuantizedSensor,
     QuantizerSpec,
     SignalParams,
     bsc_corrupt_levels,
@@ -78,13 +74,6 @@ def send_level(level, bits, flips, mapping):
     return _from_bits([b ^ int(f) for b, f in zip(code, flips[::-1])], mapping)
 
 
-def _fleet(scenario, quantizer, n_quantized, n_full):
-    params = SignalParams(scenario.theta, scenario.sigma_n2, scenario.sigma_h2)
-    sensors = tuple(QuantizedSensor(quantizer, ChannelSpec(scenario.p_e)) for _ in range(n_quantized))
-    sensors += tuple(FullPrecisionSensor() for _ in range(n_full))
-    return NetworkConfig(params, sensors, l0=scenario.l0)
-
-
 def _received(y_q, spec, flips, mapping):
     """Levels at the fusion center for one trial's quantized samples."""
     levels = [
@@ -109,10 +98,13 @@ def per_trial_roc(scenario: RocScenario) -> Table:
     kernels = {}
     lam = {}
     if spec_hybrid is not None and m_q:
-        kernels["hybrid_full"] = NetworkKernels(_fleet(scenario, spec_hybrid, m_q, m_u), scenario.mapping)
-        kernels["hybrid_q"] = NetworkKernels(_fleet(scenario, spec_hybrid, m_q, 0), scenario.mapping)
+        kernels["hybrid_full"] = NetworkKernels(
+            spec_hybrid, scenario.p_e, m_q, m_u, scenario.sigma_n2, scenario.mapping)
+        kernels["hybrid_q"] = NetworkKernels(
+            spec_hybrid, scenario.p_e, m_q, 0, scenario.sigma_n2, scenario.mapping)
     if spec_low is not None and m_q:
-        kernels["low"] = NetworkKernels(_fleet(scenario, spec_low, m_q, 0), scenario.mapping)
+        kernels["low"] = NetworkKernels(
+            spec_low, scenario.p_e, m_q, 0, scenario.sigma_n2, scenario.mapping)
     lam["clairvoyant"] = params.theta * math.sqrt(scenario.m_total / scenario.sigma_n2)
     lam["fp"] = params.theta * math.sqrt(m_u / scenario.sigma_n2) if m_u else None
     if "hybrid_full" in kernels:
@@ -184,26 +176,27 @@ def per_trial_roc(scenario: RocScenario) -> Table:
     return Table(ROC_COLUMNS, rows)
 
 
-def null_scores(config: NetworkConfig, trials: int, seed: int) -> np.ndarray:
+def null_scores(
+    quantizer: QuantizerSpec, p_e: float, m_q: int, m_u: int, sigma_n2: float, trials: int, seed: int
+) -> np.ndarray:
     """Unnormalized hybrid scores of ``trials`` noise-only trials.
 
+    The fleet is ``m_q`` sensors sharing ``quantizer`` over a channel of
+    crossover ``p_e``, then ``m_u`` analog sensors, as in ``run_roc``.
     Block ``b`` of ``ROC_BLOCK`` trials draws from ``trial_rng(seed, 0, b)``
     and makes the calls, in the order, that ``run_roc`` makes for its
     hybrid detector under H0, so dividing by the square root of the Fisher
-    information gives that detector's statistics.  Like ``run_roc``'s
-    fleets, every quantized sensor must share one quantizer and channel.
+    information gives that detector's statistics.
     """
-    if len(set(config.quantized)) != 1:
-        raise ValueError("null_scores needs quantized sensors that share one quantizer and channel")
-    sensor = config.quantized[0]
-    kernels = NetworkKernels(config)
-    m_q, m_total = config.m_q, config.m_total
+    params = SignalParams(0.0, sigma_n2, 0.0)
+    kernels = NetworkKernels(quantizer, p_e, m_q, m_u, sigma_n2)
+    m_total = m_q + m_u
     out = np.empty(trials)
     for block, start in enumerate(range(0, trials, ROC_BLOCK)):
         n = min(ROC_BLOCK, trials - start)
         rng = trial_rng(seed, 0, block)
-        y = simulate_observations(config.params, Hypothesis.H0, n * m_total, rng).reshape(n, m_total)
-        sent = quantize_batch(y[:, :m_q], sensor.quantizer)
-        levels = bsc_corrupt_levels(sent, sensor.quantizer.bits, sensor.channel.crossover, rng)
+        y = simulate_observations(params, Hypothesis.H0, n * m_total, rng).reshape(n, m_total)
+        sent = quantize_batch(y[:, :m_q], quantizer)
+        levels = bsc_corrupt_levels(sent, quantizer.bits, p_e, rng)
         out[start : start + n] = kernels.unnormalized_scores(levels, y[:, m_q:])
     return out

@@ -46,7 +46,7 @@ from hybriddet.design import (
     objective_gradient,
     optimized_thresholds,
 )
-from hybriddet.detection import fisher_information
+from hybriddet.detection import NetworkKernels
 from hybriddet.experiments import (
     RocScenario,
     SweepCase,
@@ -54,14 +54,7 @@ from hybriddet.experiments import (
     run_roc,
     run_sweep,
 )
-from hybriddet.model import (
-    ChannelSpec,
-    FullPrecisionSensor,
-    NetworkConfig,
-    QuantizedSensor,
-    QuantizerSpec,
-    SignalParams,
-)
+from hybriddet.model import QuantizerSpec
 
 from oracles import (
     central_difference,
@@ -82,17 +75,10 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[acceptance] {criterion}: {verdict} ({detail})")
 
 
-def _fleet(p_e, sigma_n2=1.0, thresholds=None, bits=3, n_q=80, n_u=20):
-    if thresholds is None:
-        base = optimized_thresholds(bits, p_e, 1.0, PsoSettings(seed=SEED)).thresholds
-        thresholds = tuple(t * math.sqrt(sigma_n2) for t in base)
-    params = SignalParams(0.25, sigma_n2, 0.5)
-    sensors = tuple(
-        QuantizedSensor(QuantizerSpec(bits, thresholds), ChannelSpec(p_e))
-        for _ in range(n_q)
-    )
-    sensors += tuple(FullPrecisionSensor() for _ in range(n_u))
-    return NetworkConfig(params, sensors)
+def _hybrid_quantizer(p_e, sigma_n2):
+    """The 3-bit swarm design at unit noise, scaled to ``sigma_n2``."""
+    base = optimized_thresholds(3, p_e, 1.0, PsoSettings(seed=SEED)).thresholds
+    return QuantizerSpec(3, tuple(t * math.sqrt(sigma_n2) for t in base))
 
 
 class TestC01ErrorFreeDesign:
@@ -225,15 +211,11 @@ class TestC02ErrorProneLandscape:
 
 class TestC03ClosedFormInformation:
     def test_c03_closed_forms(self):
-        one_bit = _fleet(0.0, thresholds=(0.0,), bits=1, n_q=1, n_u=0)
-        got = fisher_information(one_bit)
+        one_bit = QuantizerSpec(1, (0.0,))
+        got = NetworkKernels(one_bit, 0.0, 1, 0, 1.0).fisher_info
         dev = abs(got - 2.0 / math.pi)
-        analog = _fleet(0.0, thresholds=(0.0,), bits=1, n_q=0, n_u=20)
-        exact = fisher_information(analog) == 20.0
-        analog2 = NetworkConfig(
-            SignalParams(0.25, 2.0, 0.5), tuple(FullPrecisionSensor() for _ in range(20))
-        )
-        exact2 = fisher_information(analog2) == 10.0
+        exact = NetworkKernels(one_bit, 0.0, 0, 20, 1.0).fisher_info == 20.0
+        exact2 = NetworkKernels(one_bit, 0.0, 0, 20, 2.0).fisher_info == 10.0
         ok = dev <= 1e-9 and exact and exact2
         report("criterion 3 (closed-form information values)",
                ok, f"|FI - 2/pi| = {dev:.2e} <= 1e-9; analog-only exact: {exact and exact2}")
@@ -244,10 +226,10 @@ class TestC04VarianceIdentity:
     @pytest.mark.parametrize("sigma_n2", [1.0, 2.0])
     @pytest.mark.parametrize("p_e", [0.0, 0.2])
     def test_c04_score_variance_matches_information(self, sigma_n2, p_e):
-        config = _fleet(p_e, sigma_n2=sigma_n2)
-        fi = fisher_information(config)
+        spec = _hybrid_quantizer(p_e, sigma_n2)
+        fi = NetworkKernels(spec, p_e, 80, 20, sigma_n2).fisher_info
         # The hybrid detector's own null draws: ``run_roc``'s H0 streams.
-        scores = null_scores(config, 10**6, seed=SEED)
+        scores = null_scores(spec, p_e, 80, 20, sigma_n2, 10**6, seed=SEED)
         ratio = scores.var() / fi
         ok = abs(ratio - 1.0) <= 0.02
         report(f"criterion 4 (score variance identity, p_e={p_e}, sigma_n2={sigma_n2})",

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import hybriddet
+from hybriddet import allocation, experiments
 from hybriddet.cli import PRESETS, main
 from hybriddet.experiments import load_table
 from hybriddet.model import MAX_BITS
@@ -187,6 +188,53 @@ def test_bit_depths_beyond_the_limit_rejected(tmp_path, capsys, command, config)
     assert f"[1, {MAX_BITS}]" in json.loads(err)["error"]
     assert peak < 2**20
     assert not out.exists()
+
+
+def _no_design(*_args, **_kwargs):
+    raise AssertionError("a design ran before the configuration was checked")
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    [
+        ("roc", {"theta": -1}, "theta"),
+        ("roc", {"sigma_n2": -1}, "sigma_n2"),
+        ("roc", {"sigma_n2": 0}, "sigma_n2"),
+        ("roc", {"sigma_h2": -0.5}, "sigma_h2"),
+        ("roc", {"p_e": 0.7}, "p_e"),
+        ("roc", {"p_e": 0.5, "trials": 2000, "detectors": ["3b"]}, "p_e"),
+        ("roc", {"p_e": 0.5, "trials": 2000, "detectors": ["1b"]}, "p_e"),
+        ("roc", {"p_e": 0.5, "trials": 2000}, "p_e"),
+        ("roc", {"l0": 32}, "l0"),
+        ("sweep", {"theta": -1, "m_values": [20]}, "theta"),
+    ],
+)
+def test_invalid_fields_rejected_before_any_design(tmp_path, capsys, monkeypatch, command, config, field):
+    # At p_e = 0.5 the channel erases every level, so the quantized-only
+    # statistics are rounding noise divided by rounding noise.
+    monkeypatch.setattr(experiments, "optimized_thresholds", _no_design)
+    monkeypatch.setattr(allocation, "build_fi_table", _no_design)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "x.csv"
+    preset = ["--preset", "two-mixes"] if command == "sweep" else []
+    code = main([command, *preset, "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert field in error
+    # Raised while the scenario is built, not later by the run.
+    assert error.startswith(("invalid configuration:", "unknown config keys"))
+    assert not out.exists()
+
+
+def test_uninformative_channel_keeps_the_hybrid_detectors(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p_e": 0.5, "trials": 2000, "detectors": ["3b-fp", "fp"]}))
+    out = tmp_path / "roc.csv"
+    assert main(["roc", "--config", str(cfg), "--out", str(out)]) == 0
+    assert {row[0] for row in load_table(out, "csv").rows} == {"3b-fp", "fp"}
 
 
 def test_sweep_case_without_freqs_rejected(tmp_path, capsys):

@@ -25,7 +25,7 @@ from hybriddet.design import (
 )
 
 from hybriddet.detection import bsc_kernel, likelihood_kernels
-from hybriddet.model import GRAY, NATURAL, ChannelSpec, QuantizerSpec
+from hybriddet.model import GRAY, NATURAL, QuantizerSpec
 
 from oracles import central_difference, quantized_fi_oracle
 
@@ -103,7 +103,7 @@ class TestObjective:
         z = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n, unique=True))
         tau = np.sort(z) * problem.sigma_n
         assume(np.all(np.diff(tau) > 0))
-        kernels = likelihood_kernels(QuantizerSpec(bits, tuple(tau)), ChannelSpec(p_e), problem.sigma_n, mapping)
+        kernels = likelihood_kernels(QuantizerSpec(bits, tuple(tau)), p_e, problem.sigma_n, mapping)
         assert _objective_rows(tau, problem)[0] == pytest.approx(kernels.fi_contribution, rel=1e-10, abs=0.0)
 
 
@@ -122,7 +122,7 @@ class TestFarTailObjective:
 
     def test_detection_kernels_match_mpmath(self):
         want = _one_bit_information_mpmath(-3.0, self.PROBLEM.sigma_n2)
-        got = likelihood_kernels(QuantizerSpec(1, (-3.0,)), ChannelSpec(0.0), self.PROBLEM.sigma_n)
+        got = likelihood_kernels(QuantizerSpec(1, (-3.0,)), 0.0, self.PROBLEM.sigma_n)
         assert got.fi_contribution == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.xfail(
@@ -144,7 +144,7 @@ class TestFarTailObjective:
         # is 6e-20.  Any objective stays below 1 / sigma_n2.
         tau = (-4.0, -3.9999999999999996, 0.0)
         problem = DesignProblem(bits=2, p_e=2.225073858507203e-309)
-        kernels = likelihood_kernels(QuantizerSpec(2, tau), ChannelSpec(problem.p_e), 1.0)
+        kernels = likelihood_kernels(QuantizerSpec(2, tau), problem.p_e, 1.0)
         assert kernels.fi_contribution <= 1.0
         assert design_objective(tau, problem) == pytest.approx(kernels.fi_contribution, rel=1e-10, abs=0.0)
 

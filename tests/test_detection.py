@@ -12,18 +12,13 @@ from hybriddet.detection import (
     NetworkKernels,
     bsc_kernel,
     cell_tables,
-    fisher_information,
     likelihood_kernels,
     reconstruction_table,
     theoretical_pd,
     threshold_for_pfa,
 )
 from hybriddet.model import (
-    ChannelSpec,
-    FullPrecisionSensor,
     Hypothesis,
-    NetworkConfig,
-    QuantizedSensor,
     QuantizerSpec,
     SignalParams,
     quantize_batch,
@@ -38,13 +33,8 @@ from roc_reference import null_scores
 PARAMS = SignalParams(theta=0.25, sigma_n2=1.0, sigma_h2=0.5)
 
 
-def _config(n_quantized, bits, thresholds, p_e, n_full, params=PARAMS):
-    sensors = tuple(
-        QuantizedSensor(QuantizerSpec(bits, thresholds), ChannelSpec(p_e))
-        for _ in range(n_quantized)
-    )
-    sensors += tuple(FullPrecisionSensor() for _ in range(n_full))
-    return NetworkConfig(params, sensors)
+def _kernels(n_quantized, bits, thresholds, p_e, n_full, sigma_n2=PARAMS.sigma_n2):
+    return NetworkKernels(QuantizerSpec(bits, thresholds), p_e, n_quantized, n_full, sigma_n2)
 
 
 class TestCellTables:
@@ -140,22 +130,22 @@ class TestBscKernel:
 
 class TestFisherInformation:
     def test_analog_only(self):
-        cfg = _config(0, 1, (0.0,), 0.0, 20)
-        assert fisher_information(cfg) == pytest.approx(20.0, abs=1e-12)
+        kernels = _kernels(0, 1, (0.0,), 0.0, 20)
+        assert kernels.fisher_info == pytest.approx(20.0, abs=1e-12)
 
     def test_one_bit_closed_form(self):
-        cfg = _config(1, 1, (0.0,), 0.0, 0)
-        assert fisher_information(cfg) == pytest.approx(2.0 / math.pi, abs=1e-9)
+        kernels = _kernels(1, 1, (0.0,), 0.0, 0)
+        assert kernels.fisher_info == pytest.approx(2.0 / math.pi, abs=1e-9)
 
     def test_two_bit_reference(self):
-        cfg = _config(1, 2, (-1.0, 0.0, 1.0), 0.0, 0)
+        kernels = _kernels(1, 2, (-1.0, 0.0, 1.0), 0.0, 0)
         expected = quantized_fi_oracle((-1.0, 0.0, 1.0), 0.0, 1.0)
-        assert fisher_information(cfg) == pytest.approx(expected, abs=1e-9)
-        assert fisher_information(cfg) == pytest.approx(0.8824467547699297, abs=1e-9)
+        assert kernels.fisher_info == pytest.approx(expected, abs=1e-9)
+        assert kernels.fisher_info == pytest.approx(0.8824467547699297, abs=1e-9)
 
     def test_uninformative_channel(self):
-        cfg = _config(1, 1, (0.0,), 0.5, 0)
-        assert fisher_information(cfg) == pytest.approx(0.0, abs=1e-15)
+        kernels = _kernels(1, 1, (0.0,), 0.5, 0)
+        assert kernels.fisher_info == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_loop_oracle_randomized(self):
         rng = np.random.default_rng(5)
@@ -164,24 +154,13 @@ class TestFisherInformation:
             thresholds = tuple(np.sort(rng.normal(0, 1.5, 2**bits - 1)))
             p_e = float(rng.choice([0.0, 0.05, 0.2, 0.4]))
             sigma_n2 = float(rng.uniform(0.4, 2.5))
-            params = SignalParams(0.1, sigma_n2, 0.5)
-            cfg = _config(1, bits, thresholds, p_e, 0, params)
+            kernels = _kernels(1, bits, thresholds, p_e, 0, sigma_n2)
             expected = quantized_fi_oracle(thresholds, p_e, sigma_n2)
-            assert fisher_information(cfg) == pytest.approx(expected, rel=1e-9)
-
-    def test_additive_over_sensors(self):
-        a = _config(3, 2, (-1.0, 0.0, 1.0), 0.1, 1)
-        b = _config(2, 1, (0.2,), 0.0, 2)
-        merged = NetworkConfig(PARAMS, a.quantized + b.quantized + tuple(
-            s for s in a.sensors + b.sensors if isinstance(s, FullPrecisionSensor)
-        ))
-        assert fisher_information(merged) == pytest.approx(
-            fisher_information(a) + fisher_information(b), rel=1e-12
-        )
+            assert kernels.fisher_info == pytest.approx(expected, rel=1e-9)
 
     def test_monotone_in_channel_quality(self):
         values = [
-            fisher_information(_config(1, 2, (-1.0, 0.0, 1.0), p, 0))
+            _kernels(1, 2, (-1.0, 0.0, 1.0), p, 0).fisher_info
             for p in (0.0, 0.2, 0.5)
         ]
         assert values[0] > values[1] > values[2] == pytest.approx(0.0, abs=1e-12)
@@ -209,8 +188,8 @@ class TestKernelProperties:
         p_worse = data.draw(st.floats(p_e, 0.5, exclude_max=True))
         spec = QuantizerSpec(bits, tuple(sorted(tau)))
         sigma_n = math.sqrt(sigma_n2)
-        k = likelihood_kernels(spec, ChannelSpec(p_e), sigma_n, mapping)
-        worse = likelihood_kernels(spec, ChannelSpec(p_worse), sigma_n, mapping)
+        k = likelihood_kernels(spec, p_e, sigma_n, mapping)
+        worse = likelihood_kernels(spec, p_worse, sigma_n, mapping)
         assert abs(k.received_probs @ k.score_table) <= 1e-12 / sigma_n
         assert k.fi_contribution <= 1.0 / sigma_n2
         assert worse.fi_contribution <= k.fi_contribution * (1.0 + 1e-12)
@@ -220,18 +199,18 @@ class TestLmptStatistic:
     """``NetworkKernels.statistic``, the hybrid detector of ``run_roc``."""
 
     def test_single_analog(self):
-        kernels = NetworkKernels(_config(0, 1, (0.0,), 0.0, 1))
+        kernels = _kernels(0, 1, (0.0,), 0.0, 1)
         assert kernels.statistic((), (0.7,)) == pytest.approx(0.7, abs=1e-12)
         assert kernels.fisher_info == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_cancellation(self):
-        kernels = NetworkKernels(_config(0, 1, (0.0,), 0.0, 4))
+        kernels = _kernels(0, 1, (0.0,), 0.0, 4)
         assert kernels.statistic((), (1.0, -1.0, 1.0, -1.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_one_bit_sensor(self):
         # score = pdf(0)/0.5 and sqrt(FI) = sqrt(2/pi) coincide, so the
         # normalized statistic is exactly +/-1 for the two received levels.
-        kernels = NetworkKernels(_config(1, 1, (0.0,), 0.0, 0))
+        kernels = _kernels(1, 1, (0.0,), 0.0, 0)
         assert kernels.statistic((2,), ()) == pytest.approx(1.0, abs=1e-12)
         assert kernels.statistic((1,), ()) == pytest.approx(-1.0, abs=1e-12)
 
@@ -242,22 +221,22 @@ class TestLmptStatistic:
             m_quantized=4, m_full=16, p_e=0.1, trials=1, seed=1, pfa_grid=(0.1, 0.3),
             detectors=("3b-fp",), thresholds_hybrid=thresholds, thresholds_low=(0.0,),
         )
-        lam = PARAMS.theta * math.sqrt(fisher_information(_config(4, 3, thresholds, 0.1, 16)))
+        lam = PARAMS.theta * math.sqrt(_kernels(4, 3, thresholds, 0.1, 16).fisher_info)
         for row in run_roc(scenario).rows:
             rec = dict(zip(("detector", "pfa_target", "eta", "pd_theory"), row))
             assert rec["pd_theory"] == theoretical_pd(lam, rec["eta"])
 
     def test_zero_information_raises(self):
-        kernels = NetworkKernels(_config(1, 1, (0.0,), 0.5, 0))
+        kernels = _kernels(1, 1, (0.0,), 0.5, 0)
         with pytest.raises(ValueError):
             kernels.statistic((1,), ())
 
 
 class TestScoreMoments:
     def test_null_mean_and_variance_match_information(self):
-        cfg = _config(12, 2, (-0.8, 0.0, 0.8), 0.1, 4)
-        scores = null_scores(cfg, 120_000, seed=77)
-        fi = fisher_information(cfg)
+        spec = QuantizerSpec(2, (-0.8, 0.0, 0.8))
+        scores = null_scores(spec, 0.1, 12, 4, PARAMS.sigma_n2, 120_000, seed=77)
+        fi = NetworkKernels(spec, 0.1, 12, 4, PARAMS.sigma_n2).fisher_info
         stderr = math.sqrt(fi / scores.size)
         assert abs(scores.mean()) <= 3 * stderr
         assert scores.var() == pytest.approx(fi, rel=0.02)
@@ -307,8 +286,8 @@ class TestBaselines:
     def test_quantized_only_equals_sub_network_statistic(self):
         # The hybrid score is the quantized-only score plus v / sigma_n2 per
         # analog sample, and the information adds the same way.
-        full = NetworkKernels(_config(3, 1, (0.0,), 0.0, 2))
-        sub = NetworkKernels(_config(3, 1, (0.0,), 0.0, 0))
+        full = _kernels(3, 1, (0.0,), 0.0, 2)
+        sub = _kernels(3, 1, (0.0,), 0.0, 0)
         levels, analog = (1, 2, 2), (0.4, -0.1)
         assert full.unnormalized_scores(levels, analog) == pytest.approx(
             sub.unnormalized_scores(levels, ()) + sum(analog) / PARAMS.sigma_n2)
@@ -366,7 +345,7 @@ class TestDegenerateCells:
         # A threshold far in the tail underflows one cell's probability to 0
         # over a noiseless channel; its score table entry must be 0, not inf.
         spec = QuantizerSpec(2, (-40.0, 0.0, 40.0))
-        kernels = likelihood_kernels(spec, ChannelSpec(0.0), 1.0)
+        kernels = likelihood_kernels(spec, 0.0, 1.0)
         assert np.all(np.isfinite(kernels.score_table))
         assert kernels.score_table[0] == 0.0
         assert kernels.score_table[-1] == 0.0
@@ -374,11 +353,10 @@ class TestDegenerateCells:
 
 class TestNullDistribution:
     def test_statistic_tail_matches_theory(self):
-        cfg = _config(80, 3, tuple(np.linspace(-1.75, 1.75, 7)), 0.0, 20)
-        kernels = NetworkKernels(cfg)
+        spec = QuantizerSpec(3, tuple(np.linspace(-1.75, 1.75, 7)))
+        kernels = NetworkKernels(spec, 0.0, 80, 20, PARAMS.sigma_n2)
         trials = 5000
         stats = np.empty(trials)
-        spec = cfg.quantized[0].quantizer
         for t in range(trials):
             rng = trial_rng(123, t)
             y = simulate_observations(PARAMS, Hypothesis.H0, 100, rng)

@@ -29,7 +29,7 @@ from hybriddet.experiments import (
     run_roc,
     run_sweep,
 )
-from hybriddet.detection import fisher_information
+from hybriddet.detection import NetworkKernels
 from hybriddet.model import QuantizerSpec, gaussian_upper_tail
 
 from roc_reference import null_scores, per_trial_roc
@@ -204,8 +204,9 @@ class TestRocStreams:
         trials = 2 * ROC_BLOCK + 1
         scenario = _roc_case(p_e, trials, detectors=("3b-fp",))
         spec = QuantizerSpec(scenario.bits_hybrid, scenario.thresholds_hybrid)
-        config = experiments._fleet_config(scenario, spec, scenario.m_quantized, scenario.m_full)
-        stats = null_scores(config, trials, scenario.seed) / math.sqrt(fisher_information(config))
+        fleet = (spec, p_e, scenario.m_quantized, scenario.m_full, scenario.sigma_n2)
+        fi = NetworkKernels(*fleet).fisher_info
+        stats = null_scores(*fleet, trials, scenario.seed) / math.sqrt(fi)
         table = run_roc(scenario)
         for row in table.rows:
             rec = dict(zip(table.columns, row))

@@ -7,12 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybriddet.detection import bsc_kernel
 from hybriddet.model import (
-    ChannelSpec,
-    FullPrecisionSensor,
     Hypothesis,
-    NetworkConfig,
-    QuantizedSensor,
     QuantizerSpec,
     SignalParams,
     bsc_corrupt_levels,
@@ -199,25 +196,7 @@ class TestBsc:
 
     def test_crossover_validation(self):
         with pytest.raises(ValueError):
-            ChannelSpec(0.6)
-
-
-class TestNetworkConfig:
-    def test_ordering_enforced(self):
-        q = QuantizedSensor(QuantizerSpec(1, (0.0,)), ChannelSpec(0.0))
-        with pytest.raises(ValueError):
-            NetworkConfig(
-                SignalParams(0.1, 1.0, 0.5),
-                (FullPrecisionSensor(), q),
-            )
-
-    def test_counts(self):
-        q = QuantizedSensor(QuantizerSpec(1, (0.0,)), ChannelSpec(0.1))
-        cfg = NetworkConfig(
-            SignalParams(0.1, 1.0, 0.5),
-            (q, q, FullPrecisionSensor()),
-        )
-        assert (cfg.m_q, cfg.m_u, cfg.m_total) == (2, 1, 3)
+            bsc_kernel(1, 0.6)
 
 
 class TestTrialRng:
