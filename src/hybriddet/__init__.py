@@ -40,6 +40,7 @@ from .design import (
     fi_landscape,
     find_local_maxima,
     objective_gradient,
+    optimized_cells,
     optimized_thresholds,
 )
 from .allocation import (

@@ -18,7 +18,9 @@ from enum import Enum
 
 import numpy as np
 
-from .design import PsoSettings, optimized_thresholds
+# ``optimized_thresholds`` is not called here; perfbench's tracer wraps it by
+# name on this module.
+from .design import PsoSettings, optimized_cells, optimized_thresholds  # noqa: F401
 from .model import DEFAULT_MAPPING, check_bits
 
 __all__ = [
@@ -32,6 +34,7 @@ __all__ = [
     "IlpSolution",
     "categorize_errors",
     "build_fi_table",
+    "check_budget",
     "build_ilp",
     "solve_ilp",
     "allocate",
@@ -158,11 +161,17 @@ def build_fi_table(
         settings = PsoSettings()
     gamma = np.zeros((max_bits, hist.n_categories))
     for li in range(max_bits):
-        for n, eps in enumerate(hist.epsilons):
-            gamma[li, n] = optimized_thresholds(
-                li + 1, eps, sigma_n2, settings, mapping=mapping
-            ).objective
+        cells = optimized_cells(li + 1, hist.epsilons, sigma_n2, settings, mapping=mapping)
+        gamma[li] = [cell.objective for cell in cells]
     return FiTable(gamma=gamma, gamma0=1.0 / sigma_n2)
+
+
+def check_budget(budget: int, l0: int) -> None:
+    """Reject a negative bit budget or a full-precision report under one bit."""
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
+    if l0 < 1:
+        raise ValueError("l0 must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -198,10 +207,7 @@ def build_ilp(
     slack absorbing unused budget.  Rows: total head count, bit budget,
     one head-count row per category.
     """
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    if l0 < 1:
-        raise ValueError("l0 must be >= 1")
+    check_budget(budget, l0)
     if table.n_categories != hist.n_categories:
         raise ValueError("information table does not match the histogram")
     L = table.max_bits

@@ -10,6 +10,8 @@ used instead.  A grid evaluator reproduces the information landscape for
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -28,6 +30,7 @@ __all__ = [
     "design_pso",
     "fi_landscape",
     "find_local_maxima",
+    "optimized_cells",
     "optimized_thresholds",
 ]
 
@@ -132,21 +135,16 @@ def _swarm_cells(tau: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]
     return tails[:, :-1] - tails[:, 1:], sigma**2 * (dens[:, :-1] - dens[:, 1:])
 
 
-def _objective_rows(
-    tau: np.ndarray, problem: DesignProblem, kernel: np.ndarray | None = None
-) -> np.ndarray:
+def _objective_rows(tau: np.ndarray, problem: DesignProblem) -> np.ndarray:
     """Information contribution for each row of sorted thresholds.
 
     Rows may contain repeated values (e.g. after clipping); the resulting
-    zero-probability cells contribute nothing.  ``kernel`` is the problem's
-    ``bsc_kernel``; callers that evaluate many batches pass it in once
-    instead of having it rebuilt per call.
+    zero-probability cells contribute nothing.
     """
     tau = np.atleast_2d(np.asarray(tau, dtype=float))
     sigma = problem.sigma_n
     probs, scores = _swarm_cells(tau, sigma)
-    if kernel is None:
-        kernel = bsc_kernel(problem.bits, problem.p_e, problem.mapping)
+    kernel = bsc_kernel(problem.bits, problem.p_e, problem.mapping)
     return received_information(probs, scores, kernel, sigma)[2]
 
 
@@ -278,53 +276,92 @@ def design_pso(
     useful to seed the swarm with known-good candidates when the surface
     has large flat regions.
     """
-    rng = np.random.default_rng(settings.seed)
-    dim = problem.n_thresholds
-    swarm = settings.swarm_size
-    chi = settings.constriction()
-    bound = problem.tau_max
-    kernel = bsc_kernel(problem.bits, problem.p_e, problem.mapping)
+    return _run_swarms([problem], [settings.seed], settings, initial_guesses)[0]
 
-    pos = rng.uniform(-bound, bound, size=(swarm, dim))
+
+def _run_swarms(
+    problems: list[DesignProblem],
+    seeds: list[int],
+    settings: PsoSettings,
+    initial_guesses: tuple = (),
+) -> list[DesignResult]:
+    """One :func:`design_pso` swarm per (problem, seed) pair, run as one batch.
+
+    The problems share bit depth, noise level and box and may differ in
+    channel.  Each swarm draws from its own ``default_rng(seed)`` in a lone
+    swarm's order, stops by a lone swarm's rules and then leaves the batch.
+    All live rows share one cell-table call and one information call per
+    run of swarms with the same channel; both act row by row, so every
+    result equals its lone swarm's.
+    """
+    swarm, dim = settings.swarm_size, problems[0].n_thresholds
+    chi, bound, sigma = settings.constriction(), problems[0].tau_max, problems[0].sigma_n
+    kernels = {p: bsc_kernel(p.bits, p.p_e, p.mapping) for p in problems}
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+
+    def evaluate(pos: np.ndarray, live: np.ndarray) -> np.ndarray:
+        probs, scores = _swarm_cells(np.sort(pos, axis=2).reshape(-1, dim), sigma)
+        info, start = [], 0
+        for problem, run in itertools.groupby(problems[k] for k in live):
+            rows = slice(start, start + swarm * len(list(run)))
+            info.append(received_information(probs[rows], scores[rows], kernels[problem], sigma)[2])
+            start = rows.stop
+        return np.concatenate(info).reshape(-1, swarm)
+
+    live = np.arange(len(problems))
+    pos = np.stack([rng.uniform(-bound, bound, size=(swarm, dim)) for rng in rngs])
     for k, guess in enumerate(initial_guesses[:swarm]):
-        pos[k] = np.clip(np.asarray(guess, dtype=float), -bound, bound)
-    vel = np.zeros((swarm, dim))
-    obj = _objective_rows(np.sort(pos, axis=1), problem, kernel)
-    pbest = pos.copy()
-    pbest_obj = obj.copy()
-    g_idx = int(np.argmax(pbest_obj))
-    gbest = pbest[g_idx].copy()
-    gbest_obj = float(pbest_obj[g_idx])
-    trace = [gbest_obj]
+        pos[:, k] = np.clip(np.asarray(guess, dtype=float), -bound, bound)
+    vel = np.zeros_like(pos)
+    pbest, pbest_obj = pos.copy(), evaluate(pos, live)
+    g_idx = np.argmax(pbest_obj, axis=1)
+    gbest, gbest_obj = pbest[live, g_idx], pbest_obj[live, g_idx]
+    traces = [[float(best)] for best in gbest_obj]
+    results: list[DesignResult | None] = [None] * len(problems)
+
+    def finish(done: np.ndarray) -> None:
+        for i in np.flatnonzero(done):
+            k = live[i]
+            thresholds = tuple(float(t) for t in np.sort(gbest[i]))
+            results[k] = DesignResult(thresholds, traces[k][-1], tuple(traces[k]))
 
     for _ in range(settings.max_iters):
-        r1 = rng.random((swarm, dim))
-        r2 = rng.random((swarm, dim))
+        r1, r2 = np.empty_like(pos), np.empty_like(pos)
+        for i, k in enumerate(live):
+            rngs[k].random(out=r1[i])
+            rngs[k].random(out=r2[i])
         vel = chi * (
             vel
             + settings.c1 * r1 * (pbest - pos)
-            + settings.c2 * r2 * (gbest - pos)
+            + settings.c2 * r2 * (gbest[:, None] - pos)
         )
         pos = np.clip(pos + vel, -bound, bound)
-        obj = _objective_rows(np.sort(pos, axis=1), problem, kernel)
+        obj = evaluate(pos, live)
         better = obj > pbest_obj
         pbest[better] = pos[better]
         pbest_obj[better] = obj[better]
-        g_idx = int(np.argmax(pbest_obj))
-        if pbest_obj[g_idx] > gbest_obj:
-            gbest = pbest[g_idx].copy()
-            gbest_obj = float(pbest_obj[g_idx])
-        trace.append(gbest_obj)
-        if np.max(np.abs(vel)) <= settings.v_tol:
-            break
-        if (
-            len(trace) > _STALL_ITERS
-            and gbest_obj - trace[-1 - _STALL_ITERS] <= _STALL_TOL * abs(gbest_obj)
-        ):
-            break
-
-    thresholds = tuple(float(t) for t in np.sort(gbest))
-    return DesignResult(thresholds, gbest_obj, tuple(trace))
+        rows = np.arange(live.size)
+        g_idx = np.argmax(pbest_obj, axis=1)
+        lead = pbest_obj[rows, g_idx]
+        rose = lead > gbest_obj
+        gbest[rose] = pbest[rows, g_idx][rose]
+        gbest_obj[rose] = lead[rose]
+        done = np.max(np.abs(vel), axis=(1, 2)) <= settings.v_tol
+        for i, k in enumerate(live):
+            trace = traces[k]
+            trace.append(float(gbest_obj[i]))
+            best = trace[-1]
+            if len(trace) > _STALL_ITERS and best - trace[-1 - _STALL_ITERS] <= _STALL_TOL * abs(best):
+                done[i] = True
+        if done.any():
+            finish(done)
+            keep = ~done
+            live, pos, vel, pbest, pbest_obj = live[keep], pos[keep], vel[keep], pbest[keep], pbest_obj[keep]
+            gbest, gbest_obj = gbest[keep], gbest_obj[keep]
+            if live.size == 0:
+                break
+    finish(np.ones(live.size, dtype=bool))
+    return results
 
 
 def fi_landscape(
@@ -393,13 +430,17 @@ _GUESS_SCALES = (1.0, 0.5, 0.25, 2.0)
 _PSO_RESTARTS = 3
 
 
+@functools.cache
 def _error_free_optimum(bits: int, sigma_n2: float) -> np.ndarray:
+    """The BGDA design over an error-free channel, computed once and read-only."""
     problem = DesignProblem(bits=bits, p_e=0.0, sigma_n2=sigma_n2)
     n = problem.n_thresholds
     init = np.linspace(-1.0, 1.0, n + 2)[1:-1] * math.sqrt(sigma_n2)
     if n == 1:
         init = np.array([0.0])
-    return np.asarray(design_bgda(problem, init).thresholds)
+    optimum = np.asarray(design_bgda(problem, init).thresholds)
+    optimum.flags.writeable = False
+    return optimum
 
 
 def optimized_thresholds(
@@ -410,34 +451,48 @@ def optimized_thresholds(
     tau_max: float = 5.0,
     mapping: str = DEFAULT_MAPPING,
 ) -> DesignResult:
-    """Best swarm design for one (bit depth, channel) cell, cached.
+    """Best swarm design for one (bit depth, channel) cell, cached."""
+    return optimized_cells(bits, (p_e,), sigma_n2, settings, tau_max, mapping)[0]
 
-    Runs a few independent swarms whose seeds derive deterministically from
-    the base settings seed and the cell coordinates, each seeded with
-    scaled copies of the error-free optimum, and keeps the best objective.
-    Repeated calls (and concurrent table builds) agree exactly.
+
+def optimized_cells(
+    bits: int,
+    p_es,
+    sigma_n2: float,
+    settings: PsoSettings,
+    tau_max: float = 5.0,
+    mapping: str = DEFAULT_MAPPING,
+) -> list[DesignResult]:
+    """Best swarm design for each channel in ``p_es`` at one bit depth, cached.
+
+    Each cell runs a few independent swarms whose seeds derive
+    deterministically from the base settings seed and the cell coordinates,
+    each seeded with scaled copies of the error-free optimum, and keeps the
+    first best objective.  The swarms of every uncached cell run as one
+    batch.  Repeated calls (and concurrent table builds) agree exactly.
     """
-    key = (bits, float(p_e), float(sigma_n2), settings, float(tau_max), mapping)
-    hit = _DESIGN_CACHE.get(key)
-    if hit is not None:
-        return hit
-    base = _error_free_optimum(bits, sigma_n2)
-    guesses = tuple(tuple(base * s) for s in _GUESS_SCALES)
-    cell = np.random.SeedSequence(
-        settings.seed, spawn_key=(bits, int(round(p_e * 10**9)))
-    )
-    problem = DesignProblem(
-        bits=bits, p_e=p_e, sigma_n2=sigma_n2, tau_max=tau_max, mapping=mapping
-    )
-    best: DesignResult | None = None
-    for restart_seed in cell.generate_state(_PSO_RESTARTS):
-        derived = replace(settings, seed=int(restart_seed))
-        result = design_pso(problem, derived, initial_guesses=guesses)
-        if best is None or result.objective > best.objective:
-            best = result
-    best = _separate_ties(best, problem)
-    _DESIGN_CACHE[key] = best
-    return best
+    keys = {
+        p_e: (bits, float(p_e), float(sigma_n2), settings, float(tau_max), mapping)
+        for p_e in p_es
+    }
+    missing = [p_e for p_e, key in keys.items() if key not in _DESIGN_CACHE]
+    if missing:
+        base = _error_free_optimum(bits, sigma_n2)
+        guesses = tuple(tuple(base * s) for s in _GUESS_SCALES)
+        problems, seeds = [], []
+        for p_e in missing:
+            cell = np.random.SeedSequence(settings.seed, spawn_key=(bits, int(round(p_e * 10**9))))
+            problem = DesignProblem(
+                bits=bits, p_e=p_e, sigma_n2=sigma_n2, tau_max=tau_max, mapping=mapping
+            )
+            problems += [problem] * _PSO_RESTARTS
+            seeds += [int(seed) for seed in cell.generate_state(_PSO_RESTARTS)]
+        runs = _run_swarms(problems, seeds, settings, guesses)
+        for i, p_e in enumerate(missing):
+            restarts = runs[i * _PSO_RESTARTS : (i + 1) * _PSO_RESTARTS]
+            best = max(restarts, key=lambda result: result.objective)
+            _DESIGN_CACHE[keys[p_e]] = _separate_ties(best, problems[i * _PSO_RESTARTS])
+    return [_DESIGN_CACHE[keys[p_e]] for p_e in p_es]
 
 
 def _separate_ties(result: DesignResult, problem: DesignProblem) -> DesignResult:

@@ -372,6 +372,9 @@ class SweepScenario:
     def __post_init__(self):
         if self.theta < 0:
             raise ValueError("theta must be nonnegative (one-sided test)")
+        if not 0.0 < self.pfa < 1.0:
+            raise ValueError("pfa must lie strictly inside (0, 1)")
+        alloc.check_budget(self.budget, self.l0)
 
 
 SWEEP_COLUMNS = ("case", "m_total", "sense", "status", "total_fi", "noncentrality", "pd_theory", "bits_used")
@@ -541,6 +544,9 @@ class AllocateScenario:
     sense: alloc.Sense = alloc.Sense.MAXIMIZE_FI
     seed: int = 20260810
     mapping: str = DEFAULT_MAPPING
+
+    def __post_init__(self):
+        alloc.check_budget(self.budget, self.l0)
 
 
 ALLOCATE_COLUMNS = ("level", "epsilon", "count", "total_fi", "bits_used")

@@ -207,6 +207,11 @@ def _no_design(*_args, **_kwargs):
         ("roc", {"p_e": 0.5, "trials": 2000}, "p_e"),
         ("roc", {"l0": 32}, "l0"),
         ("sweep", {"theta": -1, "m_values": [20]}, "theta"),
+        ("sweep", {"pfa": 1.5, "m_values": [20]}, "pfa"),
+        ("sweep", {"budget": -5, "m_values": [20]}, "budget"),
+        ("sweep", {"l0": 0, "m_values": [20]}, "l0"),
+        ("allocate", {"budget": -5}, "budget"),
+        ("allocate", {"l0": 0}, "l0"),
     ],
 )
 def test_invalid_fields_rejected_before_any_design(tmp_path, capsys, monkeypatch, command, config, field):
@@ -217,7 +222,7 @@ def test_invalid_fields_rejected_before_any_design(tmp_path, capsys, monkeypatch
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "x.csv"
-    preset = ["--preset", "two-mixes"] if command == "sweep" else []
+    preset = {"sweep": ["--preset", "two-mixes"], "allocate": ["--preset", "mixed"]}.get(command, [])
     code = main([command, *preset, "--config", str(cfg), "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Quantizer design tests: objective, gradient, ascent, swarm, landscape."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -24,7 +25,9 @@ from hybriddet.design import (
     optimized_thresholds,
 )
 
-from hybriddet.detection import bsc_kernel, likelihood_kernels
+from hybriddet.allocation import ErrorHistogram, build_fi_table
+from hybriddet.detection import likelihood_kernels
+from hybriddet.experiments import SweepCase, SweepScenario, run_sweep
 from hybriddet.model import GRAY, NATURAL, QuantizerSpec
 
 from oracles import central_difference, quantized_fi_oracle
@@ -68,21 +71,29 @@ class TestObjective:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_passed_kernel_matches_per_call_kernel(self, data):
-        # The swarm builds the channel kernel once and passes it in; every
-        # row must come out bit for bit as when each call builds its own.
+        # A swarm batch builds each channel's kernel once and evaluates the
+        # rows of every swarm on that channel in one call; each swarm's
+        # values must come out bit for bit as when each call builds its own.
         bits = data.draw(st.integers(1, 4))
-        problem = DesignProblem(
-            bits=bits,
-            p_e=data.draw(st.floats(0.0, 0.5)),
-            sigma_n2=data.draw(st.floats(0.25, 4.0)),
-            mapping=data.draw(st.sampled_from((NATURAL, GRAY))),
-        )
-        n_rows = data.draw(st.integers(1, 6))
-        size = n_rows * problem.n_thresholds
+        sigma_n2 = data.draw(st.floats(0.25, 4.0))
+        problems = [
+            DesignProblem(
+                bits=bits,
+                p_e=data.draw(st.floats(0.0, 0.5)),
+                sigma_n2=sigma_n2,
+                tau_max=8.0,
+                mapping=data.draw(st.sampled_from((NATURAL, GRAY))),
+            )
+            for _ in range(data.draw(st.integers(1, 4)))
+        ]
+        n_rows = data.draw(st.integers(2, 6))
+        size = n_rows * problems[0].n_thresholds
         values = data.draw(st.lists(st.floats(-8.0, 8.0), min_size=size, max_size=size))
-        rows = np.sort(np.reshape(values, (n_rows, problem.n_thresholds)), axis=1)
-        kernel = bsc_kernel(bits, problem.p_e, problem.mapping)
-        assert np.array_equal(_objective_rows(rows, problem, kernel), _objective_rows(rows, problem))
+        rows = np.reshape(values, (n_rows, problems[0].n_thresholds))
+        settings = PsoSettings(swarm_size=n_rows, max_iters=1)
+        results = design._run_swarms(problems, list(range(len(problems))), settings, tuple(map(tuple, rows)))
+        for problem, result in zip(problems, results):
+            assert result.trace[0] == np.max(_objective_rows(np.sort(rows, axis=1), problem))
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
@@ -316,20 +327,29 @@ SWEEP_CELLS = [(bits, p_e) for bits in (1, 2, 3) for p_e in (0.0, 0.01, 0.1, 0.2
 SWEEP_SEED = 20260810
 
 
-def _cell_swarms(monkeypatch, bits, p_e, settings):
-    """Design one cell with an empty cache; return it and every restart's result."""
-    runs = []
-    swarm = design.design_pso
+def _record_batches(monkeypatch):
+    """Spy on the swarm engine; return the list its calls are recorded in.
 
-    def recorded(*args, **kwargs):
-        runs.append(swarm(*args, **kwargs))
-        return runs[-1]
+    Each entry is ``(problems, seeds, guesses, results)`` of one batch.
+    """
+    batches = []
+    engine = design._run_swarms
+
+    def recorded(problems, seeds, settings, initial_guesses=()):
+        results = engine(problems, seeds, settings, initial_guesses)
+        batches.append((problems, seeds, initial_guesses, results))
+        return results
 
     monkeypatch.setattr(design, "_DESIGN_CACHE", {})
-    monkeypatch.setattr(design, "design_pso", recorded)
+    monkeypatch.setattr(design, "_run_swarms", recorded)
+    return batches
+
+
+def _cell_swarms(monkeypatch, bits, p_e, settings):
+    """Design one cell with an empty cache; return it and every restart's result."""
+    batches = _record_batches(monkeypatch)
     result = optimized_thresholds(bits, p_e, 1.0, settings)
-    monkeypatch.setattr(design, "design_pso", swarm)
-    return result, runs
+    return result, [run for *_, results in batches for run in results]
 
 
 def _stalled(trace, end):
@@ -346,6 +366,7 @@ class TestStallStop:
     def test_stall_loses_nothing_against_unstopped_swarm(self, monkeypatch, bits, p_e):
         settings = PsoSettings(seed=SWEEP_SEED)
         stalled, runs = _cell_swarms(monkeypatch, bits, p_e, settings)
+        assert len(runs) == design._PSO_RESTARTS
         for run in runs:
             assert np.all(np.diff(np.array(run.trace)) >= 0)
         monkeypatch.setattr(design, "_STALL_ITERS", settings.max_iters + 1)
@@ -361,6 +382,81 @@ class TestStallStop:
             assert sweeps < 500
             assert _stalled(run.trace, sweeps)
             assert not any(_stalled(run.trace, k) for k in range(sweeps))
+
+
+def _assert_lone_swarms_agree(batch, settings):
+    """Every swarm of a recorded batch equals the lone swarm of its seed."""
+    problems, seeds, guesses, results = batch
+    for problem, seed, result in zip(problems, seeds, results):
+        assert result == design_pso(problem, replace(settings, seed=seed), guesses)
+
+
+class TestSwarmBatch:
+    @pytest.mark.parametrize("bits", (1, 2, 3))
+    def test_batch_equals_lone_swarms(self, monkeypatch, bits):
+        settings = PsoSettings(seed=SWEEP_SEED)
+        batches = _record_batches(monkeypatch)
+        p_es = [p_e for b, p_e in SWEEP_CELLS if b == bits]
+        cells = design.optimized_cells(bits, p_es, 1.0, settings)
+        assert len(batches) == 1
+        problems, _, _, results = batches[0]
+        assert [p.p_e for p in problems] == [p_e for p_e in p_es for _ in range(design._PSO_RESTARTS)]
+        _assert_lone_swarms_agree(batches[0], settings)
+        # The first restart with the best objective wins each cell.
+        for n, cell in enumerate(cells):
+            restarts = results[n * design._PSO_RESTARTS : (n + 1) * design._PSO_RESTARTS]
+            best = next(r for r in restarts if r.objective == max(x.objective for x in restarts))
+            assert cell == _separate_ties(best, problems[n * design._PSO_RESTARTS])
+
+    def test_swarms_leave_the_batch_at_their_own_sweeps(self, monkeypatch):
+        # The 3-bit eps = 0.1 restarts run 1,077, 2,000 and 1,517 sweeps,
+        # beside error-free swarms that stop within a few hundred.
+        settings = PsoSettings(seed=SWEEP_SEED)
+        batches = _record_batches(monkeypatch)
+        design.optimized_cells(3, (0.0, 0.1), 1.0, settings)
+        sweeps = [len(r.trace) - 1 for r in batches[0][3]]
+        assert sweeps[3:] == [1077, settings.max_iters, 1517]
+        assert max(sweeps[:3]) < 1000
+        _assert_lone_swarms_agree(batches[0], settings)
+
+
+class TestTablePath:
+    def test_cold_table_designs_each_depth_once(self, monkeypatch):
+        counts = {"bgda": 0, "batches": 0}
+        bgda, engine = design.design_bgda, design._run_swarms
+
+        def count(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        design._error_free_optimum.cache_clear()
+        monkeypatch.setattr(design, "_DESIGN_CACHE", {})
+        monkeypatch.setattr(design, "design_bgda", count("bgda", bgda))
+        monkeypatch.setattr(design, "_run_swarms", count("batches", engine))
+        hist = ErrorHistogram((0.0, 0.01, 0.1, 0.2), (0.25,) * 4, 4)
+        build_fi_table(hist, 3, 1.0, PsoSettings(seed=SWEEP_SEED))
+        assert counts == {"bgda": 3, "batches": 3}
+
+    def test_sweep_leaves_every_cell_in_the_cache(self, monkeypatch):
+        # perfbench re-reads each table cell after a sweep and counts a
+        # cache miss as a failed check.
+        monkeypatch.setattr(design, "_DESIGN_CACHE", {})
+        scenario = SweepScenario(cases=(SweepCase("even", (0.25,) * 4),), m_values=(20,))
+        run_sweep(scenario)
+        cached = len(design._DESIGN_CACHE)
+        assert cached == len(SWEEP_CELLS)
+        settings = PsoSettings(seed=scenario.seed)
+        for bits, p_e in SWEEP_CELLS:
+            optimized_thresholds(bits, p_e, scenario.sigma_n2, settings)
+        assert len(design._DESIGN_CACHE) == cached
+
+    def test_error_free_optimum_is_read_only(self):
+        tau = design._error_free_optimum(2, 1.0)
+        assert design._error_free_optimum(2, 1.0) is tau
+        with pytest.raises(ValueError):
+            tau[0] = 0.0
 
 
 class TestLandscape:
