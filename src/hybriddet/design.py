@@ -296,7 +296,7 @@ def _run_swarms(
     """
     swarm, dim = settings.swarm_size, problems[0].n_thresholds
     chi, bound, sigma = settings.constriction(), problems[0].tau_max, problems[0].sigma_n
-    kernels = {p: bsc_kernel(p.bits, p.p_e, p.mapping) for p in problems}
+    kernels = {p: bsc_kernel(p.bits, p.p_e, p.mapping) for p in set(problems)}
     rngs = [np.random.default_rng(seed) for seed in seeds]
 
     def evaluate(pos: np.ndarray, live: np.ndarray) -> np.ndarray:
@@ -348,9 +348,8 @@ def _run_swarms(
         gbest_obj[rose] = lead[rose]
         done = np.max(np.abs(vel), axis=(1, 2)) <= settings.v_tol
         for i, k in enumerate(live):
-            trace = traces[k]
-            trace.append(float(gbest_obj[i]))
-            best = trace[-1]
+            trace, best = traces[k], float(gbest_obj[i])
+            trace.append(best)
             if len(trace) > _STALL_ITERS and best - trace[-1 - _STALL_ITERS] <= _STALL_TOL * abs(best):
                 done[i] = True
         if done.any():
