@@ -38,7 +38,6 @@ from .design import (
     design_objective,
     design_pso,
     fi_landscape,
-    find_local_maxima,
     objective_gradient,
     optimized_cells,
     optimized_thresholds,

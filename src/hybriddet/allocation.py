@@ -145,13 +145,13 @@ class FiTable:
 
 
 def build_fi_table(
-    hist: ErrorHistogram,
+    epsilons,
     max_bits: int,
     sigma_n2: float,
     settings: PsoSettings | None = None,
     mapping: str = DEFAULT_MAPPING,
 ) -> FiTable:
-    """Optimize thresholds per (bit depth, category) and tabulate the values.
+    """Optimize thresholds per (bit depth, channel in ``epsilons``) and tabulate the values.
 
     Deterministic given the design seed; cell designs are cached across
     calls.  A full-precision sensor contributes ``1 / sigma_n2``.
@@ -159,9 +159,9 @@ def build_fi_table(
     check_bits("max_bits", max_bits)
     if settings is None:
         settings = PsoSettings()
-    gamma = np.zeros((max_bits, hist.n_categories))
+    gamma = np.zeros((max_bits, len(epsilons)))
     for li in range(max_bits):
-        cells = optimized_cells(li + 1, hist.epsilons, sigma_n2, settings, mapping=mapping)
+        cells = optimized_cells(li + 1, epsilons, sigma_n2, settings, mapping=mapping)
         gamma[li] = [cell.objective for cell in cells]
     return FiTable(gamma=gamma, gamma0=1.0 / sigma_n2)
 

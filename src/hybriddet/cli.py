@@ -2,7 +2,8 @@
 
 Subcommands: ``roc``, ``fi-landscape``, ``design-quantizer``, ``allocate``,
 ``sweep``.  Each takes a named preset and/or a JSON config file; explicit
-flags override both.  Outputs are deterministic for a fixed seed.  On
+flags override both.  Every config value must have the type its scenario
+field declares.  Outputs are deterministic for a fixed seed.  On
 validation errors or infeasible instances a machine-readable JSON object
 is printed to stderr and the exit code is nonzero.
 """
@@ -10,23 +11,24 @@ is printed to stderr and the exit code is nonzero.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import enum
 import json
 import math
+import re
 import sys
 import types
 import typing
 from pathlib import Path
 
-from .allocation import AllocationInfeasibleError, BudgetMode, Sense
+from .allocation import AllocationInfeasibleError
 from .experiments import (
     AllocateScenario,
     DesignScenario,
     LandscapeScenario,
     RocScenario,
-    SweepCase,
     SweepScenario,
-    Table,
     emit,
     run_allocate,
     run_design,
@@ -57,11 +59,21 @@ PRESETS: dict[tuple[str, str], dict] = {
     },
 }
 
+#: Subcommand -> (help text, scenario class, name of its runner here).  The
+#: runner is looked up by name when the command runs.  A runner that returns
+#: two tables writes the second next to ``--out`` with a ``_distribution``
+#: suffix.
+_COMMANDS = {
+    "roc": ("Monte Carlo ROC comparison of the detector roster", RocScenario, "run_roc"),
+    "fi-landscape": ("information surface over a 2-bit threshold grid", LandscapeScenario, "run_landscape"),
+    "design-quantizer": ("optimize one sensor's thresholds", DesignScenario, "run_design"),
+    "allocate": ("solve one bandwidth allocation instance", AllocateScenario, "run_allocate"),
+    "sweep": ("detection probability versus fleet size", SweepScenario, "run_sweep"),
+}
+
 
 class CliError(Exception):
-    def __init__(self, message: str, exit_code: int = _EXIT_VALIDATION):
-        super().__init__(message)
-        self.exit_code = exit_code
+    """A configuration the command line refuses; exit code 2."""
 
 
 def _reject_constant(name: str):
@@ -90,129 +102,82 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _merge(command: str, args) -> dict:
+def _merge(args, cls) -> dict:
+    """Preset, then config file, then flags; ``seed`` only if scenario ``cls`` has one."""
+    fields = {f.name for f in dataclasses.fields(cls)}
     cfg: dict = {}
     if args.preset is not None:
-        key = (command, args.preset)
+        key = (args.command, args.preset)
         if key not in PRESETS:
-            names = sorted(name for cmd, name in PRESETS if cmd == command)
+            names = sorted(name for cmd, name in PRESETS if cmd == args.command)
             raise CliError(f"unknown preset {args.preset!r}; available: {names}")
         cfg.update(PRESETS[key])
     cfg.update(_load_config(args.config))
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "trials", None) is not None:
-        cfg["trials"] = args.trials
-    if getattr(args, "budget_mode", None) is not None:
-        cfg["budget_mode"] = args.budget_mode
+    for key in ("seed", "trials", "budget_mode"):
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
     if getattr(args, "sense", None) is not None:
-        if command == "sweep":
+        if "senses" in fields:
             cfg["senses"] = [args.sense]
         else:
             cfg["sense"] = args.sense
+    if "seed" not in fields:
+        cfg.pop("seed", None)
     return cfg
 
 
-def _listify(cfg: dict, keys: tuple[str, ...]) -> dict:
-    out = dict(cfg)
-    for k in keys:
-        if k in out and out[k] is not None and not isinstance(out[k], (int, float, str)):
-            out[k] = tuple(out[k])
-    return out
+def _coerce(value, hint, key: str):
+    """``value`` as the declared type ``hint`` of config key ``key``.
 
-
-def _fits(value, hint) -> bool:
-    """Whether ``value`` has the declared type ``hint`` of a scenario field.
-
-    An int is accepted where a float is declared; a bool is never taken
-    for a number.
+    A list becomes a tuple, a string an enum member and an object a
+    dataclass, checked field by field.  An int is accepted where a float is
+    declared; a bool is never taken for a number.  Any other mismatch
+    raises ``TypeError``.
     """
     args = typing.get_args(hint)
     if isinstance(hint, types.UnionType):
-        return any(_fits(value, a) for a in args)
-    if typing.get_origin(hint) is tuple:
-        return isinstance(value, tuple) and all(_fits(v, args[0]) for v in value)
-    if isinstance(value, bool):
-        return hint is bool
-    if hint is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, hint)
+        for arg in args:
+            with contextlib.suppress(TypeError):
+                return _coerce(value, arg, key)
+    elif typing.get_origin(hint) is tuple:
+        if isinstance(value, list):
+            item = re.sub(r"(?<=[a-z])(?=[A-Z])", " ", args[0].__name__).lower()  # SweepCase -> sweep case
+            return tuple(_coerce(v, args[0], f"{item} {k}") for k, v in enumerate(value))
+    elif isinstance(hint, enum.EnumMeta):
+        if isinstance(value, str):
+            names = [member.value for member in hint]
+            if value not in names:
+                raise CliError(f"{key} must be one of {names}")
+            return hint(value)
+    elif dataclasses.is_dataclass(hint):
+        if isinstance(value, dict):
+            return _build_scenario(hint, value, where=f"{key}: ")
+    elif isinstance(value, bool):
+        if hint is bool:
+            return value
+    elif isinstance(value, (int, float) if hint is float else hint):
+        return value
+    raise TypeError(hint)
 
 
-def _build_scenario(cls, cfg: dict, tuple_keys: tuple[str, ...] = ()):
-    cfg = _listify(cfg, tuple_keys)
-    valid = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(cfg) - valid
-    if unknown:
-        raise CliError(f"unknown config keys {sorted(unknown)} for {cls.__name__}")
+def _build_scenario(cls, cfg: dict, where: str = ""):
+    """``cls`` built from a config object; ``where`` prefixes every error."""
     hints = typing.get_type_hints(cls)
+    unknown = set(cfg) - set(hints)
+    if unknown:
+        raise CliError(f"{where}unknown config keys {sorted(unknown)} for {cls.__name__}")
+    values = {}
     for name, value in cfg.items():
-        if not _fits(value, hints[name]):
-            hint = hints[name]
-            expected = hint.__name__ if isinstance(hint, type) else str(hint)
-            raise CliError(f"config key {name!r} must be of type {expected}, got {value!r}")
+        hint = hints[name]
+        try:
+            values[name] = _coerce(value, hint, name)
+        except TypeError:
+            expected = hint.__name__ if isinstance(hint, type) else re.sub(r"\b(\w+\.)+", "", str(hint))
+            raise CliError(f"{where}config key {name!r} must be of type {expected}, got {value!r}")
     try:
-        return cls(**cfg)
+        return cls(**values)
     except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid configuration: {exc}")
-
-
-def _parse_budget_mode(cfg: dict) -> dict:
-    out = dict(cfg)
-    if "budget_mode" in out and isinstance(out["budget_mode"], str):
-        try:
-            out["budget_mode"] = BudgetMode(out["budget_mode"])
-        except ValueError:
-            raise CliError(f"budget_mode must be one of {[m.value for m in BudgetMode]}")
-    if "sense" in out and isinstance(out["sense"], str):
-        try:
-            out["sense"] = Sense(out["sense"])
-        except ValueError:
-            raise CliError(f"sense must be one of {[s.value for s in Sense]}")
-    if "senses" in out:
-        out["senses"] = tuple(Sense(s) if isinstance(s, str) else s for s in out["senses"])
-    return out
-
-
-def _write(table: Table, args) -> None:
-    emit(table, args.format, args.out)
-    print(f"wrote {args.out}")
-
-
-def _cmd_roc(args) -> int:
-    cfg = _merge("roc", args)
-    scenario = _build_scenario(
-        RocScenario, cfg,
-        tuple_keys=("pfa_grid", "detectors", "thresholds_hybrid", "thresholds_low"),
-    )
-    _write(run_roc(scenario), args)
-    return 0
-
-
-def _cmd_landscape(args) -> int:
-    cfg = _merge("fi-landscape", args)
-    cfg.pop("seed", None)  # the grid is seed-free
-    scenario = _build_scenario(LandscapeScenario, cfg)
-    _write(run_landscape(scenario), args)
-    return 0
-
-
-def _cmd_design(args) -> int:
-    cfg = _merge("design-quantizer", args)
-    scenario = _build_scenario(DesignScenario, cfg, tuple_keys=("methods", "bgda_init"))
-    _write(run_design(scenario), args)
-    return 0
-
-
-def _cmd_allocate(args) -> int:
-    cfg = _parse_budget_mode(_merge("allocate", args))
-    scenario = _build_scenario(AllocateScenario, cfg, tuple_keys=("epsilons", "freqs"))
-    try:
-        table = run_allocate(scenario)
-    except AllocationInfeasibleError as exc:
-        raise CliError(str(exc), _EXIT_INFEASIBLE)
-    _write(table, args)
-    return 0
+        raise CliError(f"{where}invalid configuration: {exc}")
 
 
 def _distribution_path(out: str) -> str:
@@ -220,46 +185,16 @@ def _distribution_path(out: str) -> str:
     return str(p.with_name(p.stem + "_distribution" + p.suffix))
 
 
-def _sweep_case(index: int, case) -> SweepCase:
-    if not isinstance(case, dict) or set(case) != {"name", "freqs"}:
-        raise CliError(f"sweep case {index} must be an object with the keys 'name' and 'freqs' only")
-    name, freqs = case["name"], case["freqs"]
-    numbers = isinstance(freqs, list) and all(
-        isinstance(f, (int, float)) and not isinstance(f, bool) for f in freqs
-    )
-    if not isinstance(name, str) or not numbers:
-        raise CliError(f"sweep case {index} needs a string 'name' and a list of numbers 'freqs'")
-    return SweepCase(name, tuple(freqs))
-
-
-def _cmd_sweep(args) -> int:
-    cfg = _parse_budget_mode(_merge("sweep", args))
-    if not isinstance(cfg.get("cases"), list):
-        raise CliError("sweep requires a list 'cases' (via preset or config)")
-    cfg["cases"] = tuple(_sweep_case(k, c) for k, c in enumerate(cfg["cases"]))
-    scenario = _build_scenario(
-        SweepScenario, cfg, tuple_keys=("epsilons", "m_values", "senses")
-    )
-    summary, distribution = run_sweep(scenario)
-    _write(summary, args)
-    dist_path = _distribution_path(args.out)
-    emit(distribution, args.format, dist_path)
-    print(f"wrote {dist_path}")
+def _run(args) -> int:
+    _, cls, runner = _COMMANDS[args.command]
+    scenario = _build_scenario(cls, _merge(args, cls))
+    tables = globals()[runner](scenario)
+    if not isinstance(tables, tuple):
+        tables = (tables,)
+    for table, path in zip(tables, (args.out, _distribution_path(args.out))):
+        emit(table, args.format, path)
+        print(f"wrote {path}")
     return 0
-
-
-def _add_common(parser: argparse.ArgumentParser, with_trials: bool = False,
-                with_alloc_flags: bool = False) -> None:
-    parser.add_argument("--preset", help="named built-in configuration")
-    parser.add_argument("--config", help="JSON config file merged over the preset")
-    parser.add_argument("--seed", type=int, help="master random seed")
-    parser.add_argument("--out", required=True, help="output file path")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    if with_trials:
-        parser.add_argument("--trials", type=int, help="Monte Carlo trials per hypothesis")
-    if with_alloc_flags:
-        parser.add_argument("--budget-mode", dest="budget_mode", choices=("exact", "atmost"))
-        parser.add_argument("--sense", choices=("max", "min"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,44 +204,30 @@ def build_parser() -> argparse.ArgumentParser:
         "quantizer design, information landscapes, and bandwidth allocation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("roc", help="Monte Carlo ROC comparison of the detector roster")
-    _add_common(p, with_trials=True)
-    p.set_defaults(func=_cmd_roc)
-
-    p = sub.add_parser("fi-landscape", help="information surface over a 2-bit threshold grid")
-    _add_common(p)
-    p.set_defaults(func=_cmd_landscape)
-
-    p = sub.add_parser("design-quantizer", help="optimize one sensor's thresholds")
-    _add_common(p)
-    p.set_defaults(func=_cmd_design)
-
-    p = sub.add_parser("allocate", help="solve one bandwidth allocation instance")
-    _add_common(p, with_alloc_flags=True)
-    p.set_defaults(func=_cmd_allocate)
-
-    p = sub.add_parser("sweep", help="detection probability versus fleet size")
-    _add_common(p, with_alloc_flags=True)
-    p.set_defaults(func=_cmd_sweep)
-
+    for command, (help_text, cls, _) in _COMMANDS.items():
+        fields = {f.name for f in dataclasses.fields(cls)}
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--preset", help="named built-in configuration")
+        p.add_argument("--config", help="JSON config file merged over the preset")
+        p.add_argument("--seed", type=int, help="master random seed")
+        p.add_argument("--out", required=True, help="output file path")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if "trials" in fields:
+            p.add_argument("--trials", type=int, help="Monte Carlo trials per hypothesis")
+        if "budget_mode" in fields:
+            p.add_argument("--budget-mode", dest="budget_mode", choices=("exact", "atmost"))
+            p.add_argument("--sense", choices=("max", "min"))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CliError as exc:
+        return _run(args)
+    except (CliError, ValueError, AllocationInfeasibleError) as exc:
         json.dump({"error": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
-        return exc.exit_code
-    except (ValueError, AllocationInfeasibleError) as exc:
-        code = _EXIT_INFEASIBLE if isinstance(exc, AllocationInfeasibleError) else _EXIT_VALIDATION
-        json.dump({"error": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return code
+        return _EXIT_INFEASIBLE if isinstance(exc, AllocationInfeasibleError) else _EXIT_VALIDATION
 
 
 if __name__ == "__main__":

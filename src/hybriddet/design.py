@@ -29,7 +29,6 @@ __all__ = [
     "design_bgda",
     "design_pso",
     "fi_landscape",
-    "find_local_maxima",
     "optimized_cells",
     "optimized_thresholds",
 ]
@@ -210,7 +209,7 @@ def _project_strictly_increasing(tau: np.ndarray, gap: float = 1e-9) -> np.ndarr
 
 def design_bgda(
     problem: DesignProblem,
-    init,
+    init=None,
     step: float = 0.5,
     tol: float = 1e-8,
     max_iters: int = 10_000,
@@ -219,12 +218,15 @@ def design_bgda(
 
     Steps along the closed-form gradient with halving when a step would
     not improve; ordering violations are projected back apart.  Stops when
-    the gradient max-norm drops below ``tol``.
+    the gradient max-norm drops below ``tol``.  The default start spreads
+    the thresholds evenly over ``(-sigma_n, sigma_n)``.
     """
     if problem.p_e != 0.0:
         raise ValueError("gradient ascent requires p_e == 0")
     if step <= 0:
         raise ValueError("step must be positive")
+    if init is None:
+        init = np.linspace(-1.0, 1.0, problem.n_thresholds + 2)[1:-1] * problem.sigma_n
     x = _check_monotone(init).copy()
     if x.size != problem.n_thresholds:
         raise ValueError(f"expected {problem.n_thresholds} thresholds, got {x.size}")
@@ -390,37 +392,6 @@ def fi_landscape(
     return out
 
 
-def find_local_maxima(values: np.ndarray) -> list[tuple[int, int]]:
-    """Grid cells strictly greater than every finite 8-neighbor.
-
-    NaN cells are skipped and never count as neighbors; boundary cells
-    compare against their existing neighbors only.
-    """
-    rows, cols = values.shape
-    maxima = []
-    for i in range(rows):
-        for j in range(cols):
-            v = values[i, j]
-            if not np.isfinite(v):
-                continue
-            is_max = True
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    if di == 0 and dj == 0:
-                        continue
-                    ni, nj = i + di, j + dj
-                    if 0 <= ni < rows and 0 <= nj < cols:
-                        nb = values[ni, nj]
-                        if np.isfinite(nb) and nb >= v:
-                            is_max = False
-                            break
-                if not is_max:
-                    break
-            if is_max:
-                maxima.append((i, j))
-    return maxima
-
-
 _DESIGN_CACHE: dict[tuple, DesignResult] = {}
 
 #: Shrink/stretch factors applied to the error-free optimum when seeding
@@ -433,11 +404,7 @@ _PSO_RESTARTS = 3
 def _error_free_optimum(bits: int, sigma_n2: float) -> np.ndarray:
     """The BGDA design over an error-free channel, computed once and read-only."""
     problem = DesignProblem(bits=bits, p_e=0.0, sigma_n2=sigma_n2)
-    n = problem.n_thresholds
-    init = np.linspace(-1.0, 1.0, n + 2)[1:-1] * math.sqrt(sigma_n2)
-    if n == 1:
-        init = np.array([0.0])
-    optimum = np.asarray(design_bgda(problem, init).thresholds)
+    optimum = np.asarray(design_bgda(problem).thresholds)
     optimum.flags.writeable = False
     return optimum
 

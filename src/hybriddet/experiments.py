@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +39,6 @@ from .model import (
 __all__ = [
     "Table",
     "emit",
-    "load_table",
     "RocScenario",
     "run_roc",
     "SweepCase",
@@ -77,9 +76,6 @@ class Table:
                 raise ValueError("row width does not match column count")
 
 
-_INT_RE = re.compile(r"^[+-]?\d+$")
-
-
 def _cell_to_text(value) -> str:
     if value is None:
         return ""
@@ -90,17 +86,6 @@ def _cell_to_text(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
-
-
-def _text_to_cell(text: str):
-    if text == "":
-        return None
-    if _INT_RE.match(text):
-        return int(text)
-    try:
-        return float(text)
-    except ValueError:
-        return text
 
 
 def emit(table: Table, fmt: str, path) -> None:
@@ -130,23 +115,6 @@ def emit(table: Table, fmt: str, path) -> None:
             json.dump(payload, fh, indent=2, allow_nan=False)
             fh.write("\n")
         return
-    raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
-
-
-def load_table(path, fmt: str) -> Table:
-    """Inverse of :func:`emit`."""
-    if fmt == "csv":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = [tuple(_text_to_cell(c) for c in row) for row in reader]
-        return Table(tuple(header), rows)
-    if fmt == "json":
-        with open(path) as fh:
-            payload = json.load(fh)
-        if payload.get("schema_version") != 1:
-            raise ValueError("unsupported schema version")
-        return Table(tuple(payload["columns"]), [tuple(r) for r in payload["rows"]])
     raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
 
 
@@ -375,6 +343,19 @@ class SweepScenario:
         if not 0.0 < self.pfa < 1.0:
             raise ValueError("pfa must lie strictly inside (0, 1)")
         alloc.check_budget(self.budget, self.l0)
+        check_bits("max_bits", self.max_bits)
+        for case in self.cases:
+            for m in self.m_values:
+                alloc.ErrorHistogram(self.epsilons, case.freqs, m)
+
+
+def _assignment_rows(result: alloc.AllocationResult, epsilons) -> Iterator[tuple]:
+    """``(level, epsilon, count)`` per bit depth and category, then ``fp`` per category."""
+    for level, counts in enumerate(result.x_matrix, start=1):
+        for eps, count in zip(epsilons, counts):
+            yield level, eps, int(count)
+    for eps, count in zip(epsilons, result.promotions):
+        yield "fp", eps, int(count)
 
 
 SWEEP_COLUMNS = ("case", "m_total", "sense", "status", "total_fi", "noncentrality", "pd_theory", "bits_used")
@@ -389,13 +370,8 @@ def run_sweep(scenario: SweepScenario) -> tuple[Table, Table]:
     aborting the sweep.
     """
     settings = PsoSettings(seed=scenario.seed)
-    dummy_hist = alloc.ErrorHistogram(
-        scenario.epsilons,
-        tuple(1.0 / len(scenario.epsilons) for _ in scenario.epsilons),
-        len(scenario.epsilons),
-    )
     table = alloc.build_fi_table(
-        dummy_hist, scenario.max_bits, scenario.sigma_n2, settings, scenario.mapping
+        scenario.epsilons, scenario.max_bits, scenario.sigma_n2, settings, scenario.mapping
     )
     eta = threshold_for_pfa(scenario.pfa)
     summary_rows = []
@@ -427,15 +403,10 @@ def run_sweep(scenario: SweepScenario) -> tuple[Table, Table]:
                         result.bits_used,
                     )
                 )
-                for li in range(scenario.max_bits):
-                    for n, eps in enumerate(scenario.epsilons):
-                        dist_rows.append(
-                            (case.name, m, sense.value, li + 1, eps, int(result.x_matrix[li, n]))
-                        )
-                for n, eps in enumerate(scenario.epsilons):
-                    dist_rows.append(
-                        (case.name, m, sense.value, "fp", eps, int(result.promotions[n]))
-                    )
+                dist_rows += [
+                    (case.name, m, sense.value, *row)
+                    for row in _assignment_rows(result, scenario.epsilons)
+                ]
     return Table(SWEEP_COLUMNS, summary_rows), Table(DISTRIBUTION_COLUMNS, dist_rows)
 
 
@@ -509,12 +480,7 @@ def run_design(scenario: DesignScenario) -> Table:
         if method == "bgda":
             if problem.p_e != 0.0:
                 raise ValueError("bgda requires an error-free channel (p_e = 0)")
-            init = scenario.bgda_init
-            if init is None:
-                init = tuple(np.linspace(-1.0, 1.0, n_thr + 2)[1:-1] * problem.sigma_n)
-                if n_thr == 1:
-                    init = (0.0,)
-            result = design_bgda(problem, init, step=scenario.bgda_step)
+            result = design_bgda(problem, scenario.bgda_init, step=scenario.bgda_step)
         elif method == "pso":
             result = design_pso(problem, PsoSettings(seed=scenario.seed))
         else:
@@ -557,15 +523,13 @@ def run_allocate(scenario: AllocateScenario) -> Table:
     hist = alloc.ErrorHistogram(scenario.epsilons, scenario.freqs, scenario.m_total)
     settings = PsoSettings(seed=scenario.seed)
     table = alloc.build_fi_table(
-        hist, scenario.max_bits, scenario.sigma_n2, settings, scenario.mapping
+        hist.epsilons, scenario.max_bits, scenario.sigma_n2, settings, scenario.mapping
     )
     result = alloc.allocate(
         hist, table, scenario.budget, scenario.l0, scenario.budget_mode, scenario.sense
     )
-    rows = []
-    for li in range(scenario.max_bits):
-        for n, eps in enumerate(scenario.epsilons):
-            rows.append((li + 1, eps, int(result.x_matrix[li, n]), result.total_fi, result.bits_used))
-    for n, eps in enumerate(scenario.epsilons):
-        rows.append(("fp", eps, int(result.promotions[n]), result.total_fi, result.bits_used))
+    rows = [
+        (*row, result.total_fi, result.bits_used)
+        for row in _assignment_rows(result, scenario.epsilons)
+    ]
     return Table(ALLOCATE_COLUMNS, rows)

@@ -4,13 +4,20 @@ Everything here deliberately avoids the package's own computational paths:
 tail probabilities and cell centroids come from adaptive quadrature, inverses and slice maxima
 from bisection, information sums from explicit loops with a local
 Hamming-weight kernel, and integer programs from exhaustive enumeration.
+Grid peaks come from an explicit neighbour scan, and emitted tables are
+read back by a parser of their own.
 """
 
+import csv
 import itertools
+import json
 import math
+import re
 
 import numpy as np
 from scipy import integrate
+
+from hybriddet.experiments import Table
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -165,3 +172,65 @@ def central_difference(fun, x, h: float = 1e-6) -> np.ndarray:
         step[i] = h
         grad[i] = (fun(x + step) - fun(x - step)) / (2.0 * h)
     return grad
+
+
+def find_local_maxima(values: np.ndarray) -> list[tuple[int, int]]:
+    """Grid cells strictly greater than every finite 8-neighbor.
+
+    NaN cells are skipped and never count as neighbors; boundary cells
+    compare against their existing neighbors only.
+    """
+    rows, cols = values.shape
+    maxima = []
+    for i in range(rows):
+        for j in range(cols):
+            v = values[i, j]
+            if not np.isfinite(v):
+                continue
+            is_max = True
+            for di in (-1, 0, 1):
+                for dj in (-1, 0, 1):
+                    if di == 0 and dj == 0:
+                        continue
+                    ni, nj = i + di, j + dj
+                    if 0 <= ni < rows and 0 <= nj < cols:
+                        nb = values[ni, nj]
+                        if np.isfinite(nb) and nb >= v:
+                            is_max = False
+                            break
+                if not is_max:
+                    break
+            if is_max:
+                maxima.append((i, j))
+    return maxima
+
+
+_INT_RE = re.compile(r"^[+-]?\d+$")
+
+
+def _text_to_cell(text: str):
+    if text == "":
+        return None
+    if _INT_RE.match(text):
+        return int(text)
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def load_table(path, fmt: str) -> Table:
+    """Inverse of :func:`hybriddet.experiments.emit`."""
+    if fmt == "csv":
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader)
+            rows = [tuple(_text_to_cell(c) for c in row) for row in reader]
+        return Table(tuple(header), rows)
+    if fmt == "json":
+        with open(path) as fh:
+            payload = json.load(fh)
+        if payload.get("schema_version") != 1:
+            raise ValueError("unsupported schema version")
+        return Table(tuple(payload["columns"]), [tuple(r) for r in payload["rows"]])
+    raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")

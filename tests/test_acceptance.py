@@ -42,7 +42,6 @@ from hybriddet.design import (
     design_objective,
     design_pso,
     fi_landscape,
-    find_local_maxima,
     objective_gradient,
     optimized_thresholds,
 )
@@ -60,6 +59,7 @@ from oracles import (
     central_difference,
     diagonal_argmax,
     diagonal_profile,
+    find_local_maxima,
     quantized_fi_oracle,
 )
 from roc_reference import null_scores
@@ -307,10 +307,7 @@ class TestC06IlpCorrectness:
                 assert abs(a_fi - d_fi) <= 1e-9
             agreements += 1
 
-        fi_table = build_fi_table(
-            ErrorHistogram((0.0, 0.01, 0.1, 0.2), (0.25,) * 4, 4),
-            3, 1.0, PsoSettings(seed=SEED),
-        )
+        fi_table = build_fi_table((0.0, 0.01, 0.1, 0.2), 3, 1.0, PsoSettings(seed=SEED))
         paper_points = 0
         for freqs in self.CASES.values():
             for m in range(20, 101, 10):

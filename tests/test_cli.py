@@ -1,5 +1,7 @@
 """Command-line interface tests: flags, config merging, error reporting."""
 
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,10 +12,11 @@ from pathlib import Path
 import pytest
 
 import hybriddet
-from hybriddet import allocation, experiments
+from hybriddet import allocation, cli, experiments
 from hybriddet.cli import PRESETS, main
-from hybriddet.experiments import load_table
 from hybriddet.model import MAX_BITS
+
+from oracles import load_table
 
 
 def test_roc_with_preset_and_trials_override(tmp_path, capsys):
@@ -108,6 +111,19 @@ def test_every_preset_is_registered_for_a_real_command():
     assert {cmd for cmd, _ in PRESETS} <= commands
     for cmd in commands:
         assert any(c == cmd for c, _ in PRESETS)
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(cli._COMMANDS) == commands
+
+
+@pytest.mark.parametrize("command, preset", sorted(PRESETS))
+def test_preset_scenario_survives_a_json_round_trip(command, preset):
+    # Every field written out the way a config file states it (enums as
+    # their values, tuples as lists, nested dataclasses as objects) builds
+    # the same scenario again.
+    _, cls, _ = cli._COMMANDS[command]
+    scenario = cli._build_scenario(cls, PRESETS[command, preset])
+    text = json.dumps(dataclasses.asdict(scenario), default=lambda member: member.value)
+    assert cli._build_scenario(cls, json.loads(text)) == scenario
 
 
 @pytest.mark.parametrize(
@@ -144,6 +160,10 @@ def test_non_finite_json_constants_rejected(tmp_path, capsys, command, text):
         ("fi-landscape", {"points": 10.5}),
         ("design-quantizer", {"bits": 2.5}),
         ("design-quantizer", {"p_e": "0.1"}),
+        # An object where a list is declared is refused, not read as its keys.
+        ("roc", {"detectors": {"fp": 1, "3b-fp": 2}, "trials": 300}),
+        ("roc", {"pfa_grid": {"0.1": 1}, "trials": 300}),
+        ("sweep", {"cases": {"favorable": {"name": "favorable", "freqs": [0.6, 0.2, 0.1, 0.1]}}}),
     ],
 )
 def test_mistyped_config_values_rejected(tmp_path, capsys, command, config):
@@ -212,6 +232,8 @@ def _no_design(*_args, **_kwargs):
         ("sweep", {"l0": 0, "m_values": [20]}, "l0"),
         ("allocate", {"budget": -5}, "budget"),
         ("allocate", {"l0": 0}, "l0"),
+        ("sweep", {"m_values": [25]}, "not integral"),
+        ("sweep", {"cases": [{"name": "a", "freqs": [0.5, 0.5]}], "m_values": [20]}, "freqs"),
     ],
 )
 def test_invalid_fields_rejected_before_any_design(tmp_path, capsys, monkeypatch, command, config, field):

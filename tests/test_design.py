@@ -20,17 +20,16 @@ from hybriddet.design import (
     design_objective,
     design_pso,
     fi_landscape,
-    find_local_maxima,
     objective_gradient,
     optimized_thresholds,
 )
 
-from hybriddet.allocation import ErrorHistogram, build_fi_table
+from hybriddet.allocation import build_fi_table
 from hybriddet.detection import likelihood_kernels
 from hybriddet.experiments import SweepCase, SweepScenario, run_sweep
 from hybriddet.model import GRAY, NATURAL, QuantizerSpec
 
-from oracles import central_difference, quantized_fi_oracle
+from oracles import central_difference, find_local_maxima, quantized_fi_oracle
 
 
 class TestObjective:
@@ -435,8 +434,7 @@ class TestTablePath:
         monkeypatch.setattr(design, "_DESIGN_CACHE", {})
         monkeypatch.setattr(design, "design_bgda", count("bgda", bgda))
         monkeypatch.setattr(design, "_run_swarms", count("batches", engine))
-        hist = ErrorHistogram((0.0, 0.01, 0.1, 0.2), (0.25,) * 4, 4)
-        build_fi_table(hist, 3, 1.0, PsoSettings(seed=SWEEP_SEED))
+        build_fi_table((0.0, 0.01, 0.1, 0.2), 3, 1.0, PsoSettings(seed=SWEEP_SEED))
         assert counts == {"bgda": 3, "batches": 3}
 
     def test_sweep_leaves_every_cell_in_the_cache(self, monkeypatch):

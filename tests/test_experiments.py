@@ -22,7 +22,6 @@ from hybriddet.experiments import (
     SweepScenario,
     Table,
     emit,
-    load_table,
     run_allocate,
     run_design,
     run_landscape,
@@ -32,6 +31,7 @@ from hybriddet.experiments import (
 from hybriddet.detection import NetworkKernels
 from hybriddet.model import QuantizerSpec, gaussian_upper_tail
 
+from oracles import load_table
 from roc_reference import null_scores, per_trial_roc
 
 
