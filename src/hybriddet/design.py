@@ -3,9 +3,13 @@
 A quantized sensor's information contribution is maximized over its
 threshold vector.  Over an error-free channel the objective is unimodal
 and a projected gradient ascent (BGDA) suffices; with channel errors the
-surface grows multiple peaks and a constriction-factor particle swarm is
-used instead.  A grid evaluator reproduces the information landscape for
-2-bit designs.
+surface grows multiple peaks, and its best points leave some levels
+empty.  The cached designs of 2 and 3 bits therefore climb every face of
+the ordered threshold box (every set of used levels) with batched BFGS on
+the closed-form gradient and certify the winner; the constriction-factor
+particle swarm designs the other bit depths and serves
+``design-quantizer``.  A grid evaluator reproduces the information
+landscape for 2-bit designs.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detection import bsc_kernel, received_information
-from .model import DEFAULT_MAPPING, check_bits, gaussian_pdf, gaussian_upper_tail
+from .detection import bsc_kernel, cell_tables, received_information
+from .model import DEFAULT_MAPPING, check_bits, gaussian_pdf
 
 __all__ = [
     "DesignProblem",
@@ -106,34 +110,6 @@ class DesignResult:
     trace: tuple[float, ...]
 
 
-def _swarm_cells(tau: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cell probabilities and score weights for rows of sorted thresholds.
-
-    The last copy of ``detection.cell_tables``, kept on purpose.  Its
-    probabilities subtract adjacent upper tails, ``tails[:, :-1] -
-    tails[:, 1:]``, which cancels to 0 in cells far below zero.  Switching
-    to ``cell_tables`` is a one-line change that waits for a tie-aware
-    roc-mc check and a restated design gate (ROADMAP item 2): any
-    tail-safe form moves the 3-bit designs, ``cell_tables`` itself costs
-    35-45% per call, and the full-speed tail-safe form puts the 1-bit
-    designs exactly on 0, where the ``1b`` detector's null statistic ties
-    with eta = 0 in 8.9% of trials.
-    """
-    n_rows = tau.shape[0]
-    edges = np.concatenate(
-        (
-            np.full((n_rows, 1), -np.inf),
-            tau,
-            np.full((n_rows, 1), np.inf),
-        ),
-        axis=1,
-    )
-    z = edges / sigma
-    tails = gaussian_upper_tail(z)
-    dens = gaussian_pdf(z)
-    return tails[:, :-1] - tails[:, 1:], sigma**2 * (dens[:, :-1] - dens[:, 1:])
-
-
 def _objective_rows(tau: np.ndarray, problem: DesignProblem) -> np.ndarray:
     """Information contribution for each row of sorted thresholds.
 
@@ -142,9 +118,29 @@ def _objective_rows(tau: np.ndarray, problem: DesignProblem) -> np.ndarray:
     """
     tau = np.atleast_2d(np.asarray(tau, dtype=float))
     sigma = problem.sigma_n
-    probs, scores = _swarm_cells(tau, sigma)
+    probs, scores = cell_tables(tau, sigma)
     kernel = bsc_kernel(problem.bits, problem.p_e, problem.mapping)
     return received_information(probs, scores, kernel, sigma)[2]
+
+
+def _information_terms(z: np.ndarray, kernel: np.ndarray) -> tuple:
+    """Unit-noise information of rows of sorted thresholds ``z``, its gradient and the cell masses.
+
+    With received probabilities ``R = K p`` and numerators ``N = K s``,
+    moving ``z_i`` shifts mass and score weight between cells ``i`` and
+    ``i + 1`` only, so the derivative is
+    ``pdf(z_i) * (z_i (u_i - u_{i+1}) - (v_i - v_{i+1}))`` with
+    ``u = K^T (2 N / R)`` and ``v = K^T (N / R)**2``.  ``kernel`` is one
+    channel kernel or one per row.
+    """
+    probs, scores = cell_tables(z, 1.0)
+    received, numerators, info = received_information(probs, scores, kernel, 1.0)
+    live = received > 0.0
+    ratio = np.where(live, numerators / np.where(live, received, 1.0), 0.0)
+    u = np.einsum("...k,...kj->...j", 2.0 * ratio, kernel)
+    v = np.einsum("...k,...kj->...j", ratio * ratio, kernel)
+    grad = gaussian_pdf(z) * (z * (u[..., :-1] - u[..., 1:]) - (v[..., :-1] - v[..., 1:]))
+    return info, grad, probs
 
 
 def _check_monotone(thresholds) -> np.ndarray:
@@ -167,28 +163,23 @@ def design_objective(thresholds, problem: DesignProblem) -> float:
 
 
 def objective_gradient(thresholds, problem: DesignProblem) -> np.ndarray:
-    """Closed-form gradient of the error-free objective.
+    """Closed-form gradient of the objective, for any crossover.
 
-    Component ``i`` couples only cells ``i`` and ``i+1``:
-    ``pdf(t_i/s)/s**6 * (F_i/Q_i - F_{i+1}/Q_{i+1})
-    * (2 t_i - (F_i/Q_i + F_{i+1}/Q_{i+1})/s)``.
-    Only valid for a noiseless reporting channel.
+    With ``z = t / sigma_n``, component ``i`` is
+    ``pdf(z_i) * (z_i (u_i - u_{i+1}) - (v_i - v_{i+1})) / sigma_n**3``,
+    where ``u`` and ``v`` pass ``2 N / R`` and ``(N / R)**2`` back through
+    the channel kernel (see ``_information_terms``).  Over an error-free
+    channel it reduces to
+    ``pdf(z_i) (r_i - r_{i+1}) (2 z_i - r_i - r_{i+1}) / sigma_n**3`` with
+    ``r`` the unit-noise score-to-mass ratio of each cell.
     """
-    if problem.p_e != 0.0:
-        raise ValueError("closed-form gradient requires p_e == 0")
     tau = _check_monotone(thresholds)
     if tau.size != problem.n_thresholds:
         raise ValueError(
             f"expected {problem.n_thresholds} thresholds, got {tau.size}"
         )
-    sigma = problem.sigma_n
-    probs, scores = (table[0] for table in _swarm_cells(tau[None, :], sigma))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(probs > 0.0, scores / np.where(probs > 0.0, probs, 1.0), 0.0)
-    psi = gaussian_pdf(tau / sigma)
-    lead = ratio[:-1] - ratio[1:]
-    bracket = 2.0 * tau - (ratio[:-1] + ratio[1:]) / sigma
-    return psi * lead * bracket / sigma**6
+    kernel = bsc_kernel(problem.bits, problem.p_e, problem.mapping)
+    return _information_terms(tau / problem.sigma_n, kernel)[1] / problem.sigma_n**3
 
 
 def _project_strictly_increasing(tau: np.ndarray, gap: float = 1e-9) -> np.ndarray:
@@ -302,7 +293,7 @@ def _run_swarms(
     rngs = [np.random.default_rng(seed) for seed in seeds]
 
     def evaluate(pos: np.ndarray, live: np.ndarray) -> np.ndarray:
-        probs, scores = _swarm_cells(np.sort(pos, axis=2).reshape(-1, dim), sigma)
+        probs, scores = cell_tables(np.sort(pos, axis=2).reshape(-1, dim), sigma)
         info, start = [], 0
         for problem, run in itertools.groupby(problems[k] for k in live):
             rows = slice(start, start + swarm * len(list(run)))
@@ -392,7 +383,263 @@ def fi_landscape(
     return out
 
 
+@functools.cache
+def _faces(bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The faces of the ordered threshold box that the face design searches.
+
+    A face is the set of levels whose cells keep a positive width; every
+    other level's cell is empty, its threshold repeating a neighbour or
+    sitting on the box bound (the two outer levels then still hold the
+    tails beyond the box).  The faces are every set of used levels, by size
+    and then in lexicographic order of the level tuple.  Of each mirror
+    pair (level ``l`` swapped with level ``2**bits + 1 - l``) only the set
+    whose level tuple is lexicographically the larger is kept: a mirrored
+    design negates and reverses the thresholds and complements every
+    codeword, which keeps every Hamming distance and so the information,
+    though not the reconstruction baseline's decoding.  That leaves 7 faces
+    with a free edge at 2 bits and 131 at 3, besides the vertices (one used
+    level, every threshold on the bound: 2 and 4), which matter only in a
+    box a few hundredths of a deviation wide.
+
+    Returns ``(used, slots)``.  ``used[f]`` marks the used levels of face
+    ``f``.  ``slots[f, j]`` places threshold ``j`` in the vector
+    ``(-tau_max, e_1, ..., e_n, tau_max)``, where ``e_1 < ... < e_{|S|-1}``
+    are the face's free edges and ``e_k`` past those is never read.
+    """
+    levels = 2**bits
+    used, slots = [], []
+    for size in range(1, levels + 1):
+        for face in itertools.combinations(range(1, levels + 1), size):
+            if face < tuple(sorted(levels + 1 - level for level in face)):
+                continue
+            below = np.searchsorted(face, np.arange(1, levels), side="right")
+            slots.append(np.where(below < size, below, levels))
+            used.append(np.isin(np.arange(1, levels + 1), face))
+    return np.array(used), np.array(slots)
+
+
+#: Face design rules, in units of the noise deviation.  Derivatives are
+#: measured against the objective, or against ``_FACE_FLOOR`` if that is
+#: larger (the information of a channel near p_e = 0.5 vanishes, and its
+#: derivatives with it).  A row stops once its largest free-edge derivative
+#: is at most ``_FACE_GTOL`` times that; once a used cell is narrower than
+#: ``_FACE_WIDTH`` or holds less than ``_FACE_MASS`` (the point then lies on
+#: a smaller face, searched on its own row); once an accepted step no
+#: longer raises the objective, which happens within rounding of the
+#: optimum; once its line search has shrunk below ``_FACE_MIN_STEP``; or
+#: after ``_FACE_MAX_ITERS`` trial steps.  No step moves an edge further
+#: than ``_FACE_MAX_MOVE``.  No empty level of the winner may open faster
+#: than ``_KKT_TOL`` times that (``_kkt_opening``).
+_FACE_FLOOR = 1e-5
+_FACE_GTOL = 1e-10
+_FACE_WIDTH = 1e-9
+_FACE_MASS = 1e-15
+_FACE_MIN_STEP = 1e-12
+_FACE_MAX_ITERS = 500
+_FACE_MAX_MOVE = 1.0
+_KKT_TOL = 1e-7
+#: Widths at which a level that fails the check is opened, each on its own row.
+_OPEN_STEPS = (1e-2, 1e-4, 1e-6)
+
+
+def _design_faces(problems: list[DesignProblem]) -> list[DesignResult]:
+    """Best design of each problem over every face of its threshold box, as one batch.
+
+    The problems share bit depth, noise level and box and may differ in
+    channel.  Every face (``_faces``) of every problem is one row, started
+    from evenly spread edges and climbed by ``_climb``, in unit-noise
+    coordinates.  Each problem keeps its best row, which must pass the
+    optimality check of ``_kkt_opening``.  Where opening an empty level
+    still raises the objective (a face can hold more than one peak), that
+    level is opened and the larger face climbed from there; where the best
+    row stopped as a cell closed, cells narrower than ``_FACE_WIDTH`` are
+    closed and the smaller face climbed; until the check passes.  The
+    thresholds are the face point scaled to the noise level, and the trace
+    the winning row's objective before each trial step.
+    """
+    bits, sigma = problems[0].bits, problems[0].sigma_n
+    bound = problems[0].tau_max / sigma
+    used, slots = _faces(bits)
+    lookup = {tuple(np.flatnonzero(row) + 1): f for f, row in enumerate(used)}
+    kernels = np.stack([bsc_kernel(p.bits, p.p_e, p.mapping) for p in problems])
+    n_faces, n = slots.shape
+    spread = min(2.0, bound)
+    starts = np.zeros((n_faces, n))
+    for f, m in enumerate(used.sum(axis=1) - 1):
+        starts[f, :m] = np.linspace(-spread, spread, m + 2)[1:-1]
+    face = np.tile(np.arange(n_faces), len(problems))
+    channel = np.repeat(np.arange(len(problems)), n_faces)
+    x = starts[face]
+    best: list = [None] * len(problems)
+    for _ in range(2**bits):
+        z, f, traces = _climb(used[face], slots[face], kernels[channel], x, bound)
+        for k in np.unique(channel):
+            rows = np.flatnonzero(channel == k)
+            top = rows[np.argmax(f[rows])]
+            if best[k] is None or f[top] > best[k][1]:
+                best[k] = (z[top], f[top], traces[top])
+        face, channel, x = [], [], []
+        for k, (z_k, f_k, _) in enumerate(best):
+            rate, push, room = _kkt_opening(z_k, bound, kernels[k])
+            if rate <= _KKT_TOL * max(f_k, _FACE_FLOOR):
+                continue
+            for step in _OPEN_STEPS:
+                opened = z_k + push * min(step, 0.5 * room)
+                levels = tuple(np.flatnonzero(np.diff(opened, prepend=-bound, append=bound) > _FACE_WIDTH) + 1)
+                if levels not in lookup:
+                    opened, levels = -opened[::-1], tuple(sorted(2**bits + 1 - lv for lv in levels))
+                face.append(lookup[levels])
+                channel.append(k)
+                x.append(np.zeros(n))
+                x[-1][: len(levels) - 1] = opened[np.array(levels[:-1]) - 1]
+        if not face:
+            break
+        face, channel, x = np.array(face), np.array(channel), np.array(x)
+    else:
+        raise RuntimeError(f"face design of {problems} failed its optimality check")
+    results = []
+    for problem, (z_k, _, trace) in zip(problems, best):
+        trace = tuple(float(v) / problem.sigma_n2 for v in trace)
+        results.append(DesignResult(tuple(float(t) for t in z_k * sigma), trace[-1], trace))
+    return results
+
+
+def _place(x: np.ndarray, slots: np.ndarray, bound: float) -> np.ndarray:
+    """Rows of thresholds from rows of free edges (see ``_faces``)."""
+    ends = np.full((len(x), 1), bound)
+    return np.take_along_axis(np.hstack((-ends, x, ends)), slots, axis=1)
+
+
+def _climb(used, slots, kernels, x, bound) -> tuple:
+    """Climb each row's face from its free edges ``x`` by BFGS, as one batch.
+
+    A backtracking line search never lets a used cell close; rows leave
+    the batch by the ``_FACE_*`` rules.  Returns each row's thresholds,
+    objective and objective trace.
+    """
+    x = x.copy()
+    n = x.shape[1]
+    free = np.arange(n) < used.sum(axis=1, keepdims=True) - 1
+    onto = (slots[:, :, None] == np.arange(1, n + 1)).astype(float)
+
+    def evaluate(x: np.ndarray, rows: np.ndarray) -> tuple:
+        z = _place(x, slots[rows], bound)
+        info, grad, probs = _information_terms(z, kernels[rows])
+        widths = np.diff(z, prepend=-bound, append=bound)
+        closing = (np.where(used[rows], widths, np.inf).min(axis=1) <= _FACE_WIDTH) | (
+            np.where(used[rows], probs, np.inf).min(axis=1) <= _FACE_MASS
+        )
+        return info, np.einsum("rj,rjk->rk", grad, onto[rows]), closing
+
+    def first_step(x: np.ndarray, d: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Unit step, shortened so that no used cell closes or edge leaves the box."""
+        widths = np.diff(_place(x, slots[rows], bound), prepend=-bound, append=bound)
+        rates = np.diff(_place(d, slots[rows], 0.0), prepend=0.0, append=0.0)
+        shrinking = used[rows] & (rates < 0.0)
+        limit = np.where(shrinking, widths / np.where(shrinking, -rates, 1.0), np.inf).min(axis=1)
+        return np.minimum(1.0, 0.999 * limit)
+
+    def direction(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+        d = np.einsum("rjk,rk->rj", h, g)
+        return d * np.minimum(1.0, _FACE_MAX_MOVE / np.maximum(np.abs(d).max(axis=1), 1e-300))[:, None]
+
+    everyone = np.arange(len(x))
+    f, g, _ = evaluate(x, everyone)
+    eye = np.eye(n)
+    h = eye * free[:, None, :]
+    fresh = np.ones(len(x), dtype=bool)
+    d = direction(h, g)
+    alpha = first_step(x, d, everyone)
+    live = np.ones(len(x), dtype=bool)
+    history, stop = [f.copy()], np.full(len(x), _FACE_MAX_ITERS)
+    for it in range(1, _FACE_MAX_ITERS + 1):
+        rows = np.flatnonzero(live)
+        trial = x[rows] + alpha[rows, None] * d[rows]
+        f_t, g_t, closing = evaluate(trial, rows)
+        slope = np.einsum("rk,rk->r", g[rows], d[rows])
+        accept = f_t >= f[rows] + 1e-4 * alpha[rows] * slope
+        took = rows[accept]
+        flat = f_t[accept] <= f[took]
+        if took.size:
+            s, y = trial[accept] - x[took], g[took] - g_t[accept]
+            sy = np.einsum("rk,rk->r", s, y)
+            curved = sy > 0.0
+            if curved.any():
+                r, s, y, sy = took[curved], s[curved], y[curved], sy[curved]
+                # The inverse-Hessian update; a row's first one rescales
+                # its identity start by s.y / y.y.
+                h0 = np.where(fresh[r], sy / np.einsum("rk,rk->r", y, y), 1.0)[:, None, None]
+                a = eye - s[:, :, None] * y[:, None, :] / sy[:, None, None]
+                h[r] = a @ (h[r] * h0) @ a.transpose(0, 2, 1) + s[:, :, None] * s[:, None, :] / sy[:, None, None]
+                fresh[r] = False
+            x[took], f[took], g[took] = trial[accept], f_t[accept], g_t[accept]
+            d[took] = direction(h[took], g[took])
+            uphill = np.einsum("rk,rk->r", g[took], d[took]) > 0.0
+            if not uphill.all():
+                reset = took[~uphill]
+                h[reset], fresh[reset] = eye * free[reset, None, :], True
+                d[reset] = direction(h[reset], g[reset])
+            alpha[took] = first_step(x[took], d[took], took)
+        reject = rows[~accept]
+        alpha[reject] *= 0.5
+        done = np.zeros(len(x), dtype=bool)
+        gtol = _FACE_GTOL * np.maximum(f_t[accept], _FACE_FLOOR)
+        done[took] = (np.abs(g_t[accept]).max(axis=1) <= gtol) | closing[accept] | flat
+        done[reject] = alpha[reject] < _FACE_MIN_STEP
+        history.append(f.copy())
+        stop[done] = it
+        live &= ~done
+        if not live.any():
+            break
+    history = np.array(history)
+    traces = [history[: stop[r] + 1, r] for r in everyone]
+    return _place(x, slots, bound), f, traces
+
+
+def _kkt_opening(z: np.ndarray, bound: float, kernel: np.ndarray) -> tuple:
+    """The fastest rise of the unit-noise objective as an empty level opens, and how.
+
+    ``z`` is a face point: an empty level's thresholds repeat a neighbour
+    exactly or sit on the bound ``+/-bound``.  Within a run ``a..b`` of
+    equal thresholds, raising thresholds ``i..b`` opens the level between
+    ``z[i-1]`` and ``z[i]``, at the rate ``sum(grad[i..b])``, and lowering
+    ``a..i`` opens the level above ``z[i]``, at ``-sum(grad[a..i])``.  A
+    run on the lower bound can only rise, one on the upper bound only fall,
+    and a run inside the box must also be stationary as a whole.  Returns
+    the largest rate, the move that gives it (``+1`` or ``-1`` on the
+    thresholds it moves) and the distance to the next distinct threshold
+    or bound that way.  A rate of at most rounding certifies a local
+    maximum on the closed box.
+    """
+    grad = _information_terms(z, kernel)[1]
+    padded = np.concatenate(([-bound], z, [bound]))
+    best, push, room, start = -np.inf, np.zeros_like(z), 0.0, 0
+    for end in range(1, z.size + 1):
+        if end < z.size and z[end] == z[start]:
+            continue
+        run = grad[start:end]
+        moves = []
+        if z[start] < bound:
+            moves += [(rate, start + i, end, 1.0) for i, rate in enumerate(np.cumsum(run[::-1])[::-1])]
+        if z[start] > -bound:
+            moves += [(rate, start, start + i + 1, -1.0) for i, rate in enumerate(-np.cumsum(run))]
+        if -bound < z[start] < bound:
+            moves = [m for m in moves if m[2] - m[1] < end - start] + [(abs(run.sum()), start, end, 0.0)]
+        for rate, lo, hi, sign in moves:
+            if rate > best:
+                best, push = rate, np.zeros_like(z)
+                push[lo:hi] = sign
+                room = padded[end + 1] - z[start] if sign > 0 else z[start] - padded[start]
+        start = end
+    return best, push, room
+
+
 _DESIGN_CACHE: dict[tuple, DesignResult] = {}
+
+#: Bit depths designed on their faces.  The face count grows as
+#: ``2**(2**bits) / 2``: 7 at 2 bits, 131 at 3 and 32,890 at 4, so deeper
+#: cells keep the swarm.  1-bit cells keep it too (see ``optimized_cells``).
+_FACE_BITS = (2, 3)
 
 #: Shrink/stretch factors applied to the error-free optimum when seeding
 #: error-prone swarms; informative thresholds contract as channels worsen.
@@ -417,7 +664,7 @@ def optimized_thresholds(
     tau_max: float = 5.0,
     mapping: str = DEFAULT_MAPPING,
 ) -> DesignResult:
-    """Best swarm design for one (bit depth, channel) cell, cached."""
+    """Best design for one (bit depth, channel) cell, cached."""
     return optimized_cells(bits, (p_e,), sigma_n2, settings, tau_max, mapping)[0]
 
 
@@ -429,13 +676,19 @@ def optimized_cells(
     tau_max: float = 5.0,
     mapping: str = DEFAULT_MAPPING,
 ) -> list[DesignResult]:
-    """Best swarm design for each channel in ``p_es`` at one bit depth, cached.
+    """Best design for each channel in ``p_es`` at one bit depth, cached.
 
-    Each cell runs a few independent swarms whose seeds derive
-    deterministically from the base settings seed and the cell coordinates,
-    each seeded with scaled copies of the error-free optimum, and keeps the
-    first best objective.  The swarms of every uncached cell run as one
-    batch.  Repeated calls (and concurrent table builds) agree exactly.
+    Cells of 2 and 3 bits come from the face design (``_design_faces``),
+    which does not read ``settings``.  Any other cell runs a few independent
+    swarms whose seeds derive deterministically from the base settings seed
+    and the cell coordinates, each seeded with scaled copies of the
+    error-free optimum, and keeps the first best objective.  At 1 bit the
+    face design would put the threshold exactly on 0, where the ``1b``
+    detector's lattice statistic ties with its decision threshold.  The
+    uncached cells of one call run as one batch.  Tied thresholds are moved
+    apart (``_separate_ties``), and every cached objective is
+    ``design_objective`` at the cached thresholds.  Repeated calls (and
+    concurrent table builds) agree exactly.
     """
     keys = {
         p_e: (bits, float(p_e), float(sigma_n2), settings, float(tau_max), mapping)
@@ -443,31 +696,44 @@ def optimized_cells(
     }
     missing = [p_e for p_e, key in keys.items() if key not in _DESIGN_CACHE]
     if missing:
-        base = _error_free_optimum(bits, sigma_n2)
-        guesses = tuple(tuple(base * s) for s in _GUESS_SCALES)
-        problems, seeds = [], []
-        for p_e in missing:
-            cell = np.random.SeedSequence(settings.seed, spawn_key=(bits, int(round(p_e * 10**9))))
-            problem = DesignProblem(
-                bits=bits, p_e=p_e, sigma_n2=sigma_n2, tau_max=tau_max, mapping=mapping
-            )
-            problems += [problem] * _PSO_RESTARTS
-            seeds += [int(seed) for seed in cell.generate_state(_PSO_RESTARTS)]
-        runs = _run_swarms(problems, seeds, settings, guesses)
-        for i, p_e in enumerate(missing):
-            restarts = runs[i * _PSO_RESTARTS : (i + 1) * _PSO_RESTARTS]
-            best = max(restarts, key=lambda result: result.objective)
-            _DESIGN_CACHE[keys[p_e]] = _separate_ties(best, problems[i * _PSO_RESTARTS])
+        problems = [
+            DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2, tau_max=tau_max, mapping=mapping)
+            for p_e in missing
+        ]
+        if bits in _FACE_BITS:
+            designs = _design_faces(problems)
+        else:
+            designs = _swarm_designs(problems, settings)
+        for p_e, problem, design in zip(missing, problems, designs):
+            design = _separate_ties(design, problem)
+            objective = design_objective(design.thresholds, problem)
+            _DESIGN_CACHE[keys[p_e]] = replace(design, objective=objective)
     return [_DESIGN_CACHE[keys[p_e]] for p_e in p_es]
+
+
+def _swarm_designs(problems: list[DesignProblem], settings: PsoSettings) -> list[DesignResult]:
+    """The first best of ``_PSO_RESTARTS`` seeded swarms per problem, as one batch."""
+    problem = problems[0]
+    base = _error_free_optimum(problem.bits, problem.sigma_n2)
+    guesses = tuple(tuple(base * s) for s in _GUESS_SCALES)
+    seeds = []
+    for p in problems:
+        cell = np.random.SeedSequence(settings.seed, spawn_key=(p.bits, int(round(p.p_e * 10**9))))
+        seeds += [int(seed) for seed in cell.generate_state(_PSO_RESTARTS)]
+    runs = _run_swarms([p for p in problems for _ in range(_PSO_RESTARTS)], seeds, settings, guesses)
+    return [
+        max(runs[i : i + _PSO_RESTARTS], key=lambda result: result.objective)
+        for i in range(0, len(runs), _PSO_RESTARTS)
+    ]
 
 
 def _separate_ties(result: DesignResult, problem: DesignProblem) -> DesignResult:
     """Move exactly tied thresholds apart by the fewest ulps.
 
-    The swarm sorts each particle, so its best point can repeat a value,
-    which no quantizer accepts.  Each repeat is raised to the next float
-    above its predecessor and the objective is re-evaluated there; results
-    without ties are returned unchanged.
+    Swarm points and face points can repeat a value, which no quantizer
+    accepts.  Each repeat is raised to the next float above its predecessor
+    and the objective is re-evaluated there; results without ties are
+    returned unchanged.
     """
     tau = list(result.thresholds)
     for i in range(1, len(tau)):

@@ -88,12 +88,16 @@ def received_information(
     """Pass cell tables through the channel: ``(received, numerators, information)``.
 
     ``probs`` and ``scores`` are cell tables (one row or rows) and
-    ``kernel`` the channel's :func:`bsc_kernel`.  The information of a row
-    is ``sum_k numerators[k]**2 / received[k] / sigma_n**6``; received
-    levels of probability 0 contribute nothing.
+    ``kernel`` the channel's :func:`bsc_kernel`, or one kernel per row.  The
+    information of a row is ``sum_k numerators[k]**2 / received[k] /
+    sigma_n**6``; received levels of probability 0 contribute nothing.
+    The channel sums run level by level, so a row's value does not depend
+    on how many rows share the call (a BLAS product rounds one row and a
+    batch differently).
     """
-    received = probs @ kernel.T
-    numerators = scores @ kernel.T
+    levels = range(kernel.shape[-1])
+    received = sum(probs[..., j, None] * kernel[..., j] for j in levels)
+    numerators = sum(scores[..., j, None] * kernel[..., j] for j in levels)
     live = received > 0.0
     terms = np.where(live, numerators**2 / np.where(live, received, 1.0), 0.0)
     return received, numerators, terms.sum(axis=-1) / sigma_n**6

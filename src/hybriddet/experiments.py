@@ -2,7 +2,7 @@
 
 Everything here is deterministic given the master seed: the ROC Monte
 Carlo draws each block of ``ROC_BLOCK`` trials from one stream keyed by
-``(seed, hypothesis, block)``, threshold designs derive their swarm seeds
+``(seed, hypothesis, block)``, swarm threshold designs derive their seeds
 from the same master seed, and emitted files are byte-stable across runs.
 """
 
@@ -129,8 +129,8 @@ class RocScenario:
 
     The fleet has ``m_quantized`` low-rate sensors (observed through
     ``bits_hybrid``- or ``bits_low``-bit quantizers depending on the
-    detector) and ``m_full`` analog sensors.  Thresholds default to
-    swarm-optimized designs for the scenario's channel quality.
+    detector) and ``m_full`` analog sensors.  Thresholds default to the
+    optimized designs for the scenario's channel quality.
     """
 
     theta: float = 0.25
@@ -216,7 +216,7 @@ class RocScenario:
 def _scenario_quantizer(
     scenario: RocScenario, bits: int, thresholds: tuple[float, ...] | None
 ) -> QuantizerSpec:
-    """The given thresholds, or else the swarm design for the scenario's channel."""
+    """The given thresholds, or else the optimized design for the scenario's channel."""
     if thresholds is None:
         thresholds = optimized_thresholds(
             bits, scenario.p_e, scenario.sigma_n2, PsoSettings(seed=scenario.seed),

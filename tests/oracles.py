@@ -121,7 +121,25 @@ def diagonal_profile(t: float, p_e: float) -> float:
 
 
 def diagonal_argmax(lo: float, hi: float, p_e: float) -> float:
-    """Stationary point of ``diagonal_profile`` in ``[lo, hi]``.
+    """Stationary point of ``diagonal_profile`` in ``[lo, hi]``; see ``slope_root``."""
+    return slope_root(lambda t: diagonal_profile(t, p_e), lo, hi)
+
+
+def symmetric_face_profile(t: float, p_e: float) -> float:
+    """Unit-noise 3-bit information on the face of levels {1, 2, 4, 8} at edges ``(-t, 0, t)``.
+
+    Under the natural mapping those levels send 000, 001, 011 and 111.
+    """
+    return quantized_fi_oracle((-t, 0.0, 0.0, t, t, t, t), p_e, 1.0)
+
+
+def symmetric_face_argmax(lo: float, hi: float, p_e: float) -> float:
+    """Stationary point of ``symmetric_face_profile`` in ``[lo, hi]``; see ``slope_root``."""
+    return slope_root(lambda t: symmetric_face_profile(t, p_e), lo, hi)
+
+
+def slope_root(profile, lo: float, hi: float) -> float:
+    """Stationary point of a one-dimensional profile in ``[lo, hi]``.
 
     Bisection on the sign of a central difference; the profile must rise
     at ``lo`` and fall at ``hi``.
@@ -129,7 +147,7 @@ def diagonal_argmax(lo: float, hi: float, p_e: float) -> float:
     h = 1e-5
 
     def slope(t: float) -> float:
-        return (diagonal_profile(t + h, p_e) - diagonal_profile(t - h, p_e)) / (2.0 * h)
+        return (profile(t + h) - profile(t - h)) / (2.0 * h)
 
     if not (slope(lo) > 0.0 > slope(hi)):
         raise ValueError(f"[{lo}, {hi}] does not bracket a maximum")

@@ -76,9 +76,12 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 
 def _hybrid_quantizer(p_e, sigma_n2):
-    """The 3-bit swarm design at unit noise, scaled to ``sigma_n2``."""
-    base = optimized_thresholds(3, p_e, 1.0, PsoSettings(seed=SEED)).thresholds
-    return QuantizerSpec(3, tuple(t * math.sqrt(sigma_n2) for t in base))
+    """The 3-bit table design at ``sigma_n2``.
+
+    Designed at its own noise level: scaling a unit-noise design can merge
+    thresholds that sit one ulp apart.
+    """
+    return QuantizerSpec(3, optimized_thresholds(3, p_e, sigma_n2, PsoSettings(seed=SEED)).thresholds)
 
 
 class TestC01ErrorFreeDesign:

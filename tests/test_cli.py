@@ -280,3 +280,17 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     code = "import hybriddet.cli, sys; print('scipy.optimize' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_errorprone_roc_leaves_scipy_optimize_unloaded(tmp_path):
+    # The designs of the roc path use numpy alone; importing scipy.optimize
+    # costs 0.24-0.33 s, which would land inside every ROC run.
+    env = dict(os.environ, PYTHONPATH=str(Path(hybriddet.__file__).resolve().parents[1]))
+    out_csv = tmp_path / "roc.csv"
+    code = (
+        "import sys; from hybriddet import cli; "
+        f"code = cli.main(['roc', '--preset', 'errorprone', '--trials', '200', '--out', {str(out_csv)!r}]); "
+        "print(code, 'scipy.optimize' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 False"

@@ -1,5 +1,6 @@
 """Quantizer design tests: objective, gradient, ascent, swarm, landscape."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -25,11 +26,17 @@ from hybriddet.design import (
 )
 
 from hybriddet.allocation import build_fi_table
-from hybriddet.detection import likelihood_kernels
-from hybriddet.experiments import SweepCase, SweepScenario, run_sweep
+from hybriddet.detection import bsc_kernel, likelihood_kernels
+from hybriddet.experiments import RocScenario, SweepCase, SweepScenario, run_roc, run_sweep
 from hybriddet.model import GRAY, NATURAL, QuantizerSpec
 
-from oracles import central_difference, find_local_maxima, quantized_fi_oracle
+from oracles import (
+    central_difference,
+    find_local_maxima,
+    quantized_fi_oracle,
+    symmetric_face_argmax,
+    symmetric_face_profile,
+)
 
 
 class TestObjective:
@@ -105,9 +112,10 @@ class TestObjective:
         data=st.data(),
     )
     def test_matches_detection_kernels(self, bits, sigma_n2, p_e, mapping, data):
-        # The swarm's cell form and ``detection.cell_tables`` differ only in
-        # how they round; inside +/-4 sigma no cell is small enough for that
-        # to matter.
+        # The design objective and the detector share ``cell_tables`` and
+        # ``received_information``; the detector's tables go through a
+        # ``QuantizerSpec`` and a different noise scaling, so they may
+        # differ in the last bits.
         problem = DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2, mapping=mapping)
         n = problem.n_thresholds
         z = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n, unique=True))
@@ -135,20 +143,10 @@ class TestFarTailObjective:
         got = likelihood_kernels(QuantizerSpec(1, (-3.0,)), 0.0, self.PROBLEM.sigma_n)
         assert got.fi_contribution == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the swarm's cells subtract upper tails near 1 (design._swarm_cells); "
-        "remove this marker when they come from detection.cell_tables",
-    )
     def test_swarm_objective_matches_mpmath(self):
         want = _one_bit_information_mpmath(-3.0, self.PROBLEM.sigma_n2)
         assert design_objective((-3.0,), self.PROBLEM) == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a cell the swarm's form cancels to 0 keeps its nonzero score, which a "
-        "received probability of order p_e then divides (design._swarm_cells)",
-    )
     def test_cancelled_cell_over_a_subnormal_crossover(self):
         # The middle cell is one ulp wide at -4 sigma; its true probability
         # is 6e-20.  Any objective stays below 1 / sigma_n2.
@@ -169,10 +167,6 @@ class TestGradient:
         assert objective_gradient((-0.5,), problem)[0] > 0
         assert objective_gradient((0.5,), problem)[0] < 0
 
-    def test_requires_error_free(self):
-        with pytest.raises(ValueError):
-            objective_gradient((0.0,), DesignProblem(bits=1, p_e=0.1))
-
     @pytest.mark.parametrize("bits", [2, 3])
     def test_matches_central_differences(self, bits):
         rng = np.random.default_rng(10 + bits)
@@ -189,6 +183,24 @@ class TestGradient:
             scale = max(np.max(np.abs(numeric)), 1e-8)
             assert np.max(np.abs(analytic - numeric)) / scale <= 1e-5
             checked += 1
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        bits=st.integers(1, 3),
+        p_e=st.floats(0.0, 0.45),
+        sigma_n2=st.sampled_from((0.5, 2.0)),
+        mapping=st.sampled_from((NATURAL, GRAY)),
+        data=st.data(),
+    )
+    def test_noisy_gradient_matches_central_differences(self, bits, p_e, sigma_n2, mapping, data):
+        problem = DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2, mapping=mapping)
+        n = problem.n_thresholds
+        z = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n, unique=True))
+        tau = np.sort(z) * problem.sigma_n
+        assume(np.all(np.diff(tau) > 1e-2))
+        analytic = objective_gradient(tau, problem)
+        numeric = central_difference(lambda t: design_objective(t, problem), tau, h=1e-6)
+        np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
 
     def test_nonunit_noise_gradient(self):
         problem = DesignProblem(bits=2, p_e=0.0, sigma_n2=2.0)
@@ -276,7 +288,7 @@ class TestPso:
     def test_tied_swarm_optimum_is_separated(self):
         # With this seed the best 3-bit swarm point at p_e = 0.2 repeats its
         # third threshold exactly; the repeat is moved up by one ulp.
-        result = optimized_thresholds(3, 0.2, 1.0, PsoSettings(seed=2))
+        result = _table_swarms(3, (0.2,), PsoSettings(seed=18))[0]
         tau = np.array(result.thresholds)
         assert np.all(np.diff(tau) > 0)
         assert tau[3] == np.nextafter(tau[2], np.inf)
@@ -344,10 +356,20 @@ def _record_batches(monkeypatch):
     return batches
 
 
+def _table_swarms(bits, p_es, settings):
+    """Each unit-noise cell's swarm design, as the swarm path of the table designs it.
+
+    The cells of 2 and 3 bits are designed on their faces; this runs the
+    swarm on them with the restarts, seeds and guesses of that path.
+    """
+    problems = [DesignProblem(bits=bits, p_e=p_e) for p_e in p_es]
+    return [_separate_ties(r, p) for r, p in zip(design._swarm_designs(problems, settings), problems)]
+
+
 def _cell_swarms(monkeypatch, bits, p_e, settings):
-    """Design one cell with an empty cache; return it and every restart's result."""
+    """Design one cell by swarm with an empty cache; return it and every restart's result."""
     batches = _record_batches(monkeypatch)
-    result = optimized_thresholds(bits, p_e, 1.0, settings)
+    result = _table_swarms(bits, (p_e,), settings)[0]
     return result, [run for *_, results in batches for run in results]
 
 
@@ -396,7 +418,10 @@ class TestSwarmBatch:
         settings = PsoSettings(seed=SWEEP_SEED)
         batches = _record_batches(monkeypatch)
         p_es = [p_e for b, p_e in SWEEP_CELLS if b == bits]
-        cells = design.optimized_cells(bits, p_es, 1.0, settings)
+        if bits in design._FACE_BITS:
+            cells = _table_swarms(bits, p_es, settings)
+        else:
+            cells = design.optimized_cells(bits, p_es, 1.0, settings)
         assert len(batches) == 1
         problems, _, _, results = batches[0]
         assert [p.p_e for p in problems] == [p_e for p_e in p_es for _ in range(design._PSO_RESTARTS)]
@@ -408,21 +433,21 @@ class TestSwarmBatch:
             assert cell == _separate_ties(best, problems[n * design._PSO_RESTARTS])
 
     def test_swarms_leave_the_batch_at_their_own_sweeps(self, monkeypatch):
-        # The 3-bit eps = 0.1 restarts run 1,077, 2,000 and 1,517 sweeps,
+        # The 3-bit eps = 0.1 restarts run 1,026, 2,000 and 1,587 sweeps,
         # beside error-free swarms that stop within a few hundred.
         settings = PsoSettings(seed=SWEEP_SEED)
         batches = _record_batches(monkeypatch)
-        design.optimized_cells(3, (0.0, 0.1), 1.0, settings)
+        _table_swarms(3, (0.0, 0.1), settings)
         sweeps = [len(r.trace) - 1 for r in batches[0][3]]
-        assert sweeps[3:] == [1077, settings.max_iters, 1517]
+        assert sweeps[3:] == [1026, settings.max_iters, 1587]
         assert max(sweeps[:3]) < 1000
         _assert_lone_swarms_agree(batches[0], settings)
 
 
 class TestTablePath:
     def test_cold_table_designs_each_depth_once(self, monkeypatch):
-        counts = {"bgda": 0, "batches": 0}
-        bgda, engine = design.design_bgda, design._run_swarms
+        counts = {"bgda": 0, "batches": 0, "faces": 0}
+        bgda, engine, faces = design.design_bgda, design._run_swarms, design._design_faces
 
         def count(name, fn):
             def counted(*args, **kwargs):
@@ -434,8 +459,11 @@ class TestTablePath:
         monkeypatch.setattr(design, "_DESIGN_CACHE", {})
         monkeypatch.setattr(design, "design_bgda", count("bgda", bgda))
         monkeypatch.setattr(design, "_run_swarms", count("batches", engine))
+        monkeypatch.setattr(design, "_design_faces", count("faces", faces))
         build_fi_table((0.0, 0.01, 0.1, 0.2), 3, 1.0, PsoSettings(seed=SWEEP_SEED))
-        assert counts == {"bgda": 3, "batches": 3}
+        # One swarm batch and its error-free seed for the 1-bit cells, one
+        # face batch for each of 2 and 3 bits.
+        assert counts == {"bgda": 1, "batches": 1, "faces": 2}
 
     def test_sweep_leaves_every_cell_in_the_cache(self, monkeypatch):
         # perfbench re-reads each table cell after a sweep and counts a
@@ -455,6 +483,194 @@ class TestTablePath:
         assert design._error_free_optimum(2, 1.0) is tau
         with pytest.raises(ValueError):
             tau[0] = 0.0
+
+
+#: Best objective of the swarm design of each sweep-table cell over the
+#: preset seed and seeds 1-7, when the swarm designed every cell.  The face
+#: design must reach each to 1e-12.
+SWARM_BEST = {
+    (1, 0.0): 0.6366197723675815,
+    (1, 0.01): 0.6114096293818253,
+    (1, 0.1): 0.4074366543152522,
+    (1, 0.2): 0.22918311805232938,
+    (2, 0.0): 0.8825181521706711,
+    (2, 0.01): 0.8368866096325429,
+    (2, 0.1): 0.5660788982582659,
+    (2, 0.2): 0.35416041653096575,
+    (3, 0.0): 0.965452239211492,
+    (3, 0.01): 0.9118589703536655,
+    (3, 0.1): 0.6585991055882106,
+    (3, 0.2): 0.44624021795530844,
+}
+
+
+def _symmetric_face_information_mpmath(t, p_e):
+    """``oracles.symmetric_face_profile`` in mpmath, at the working precision."""
+    p = mpmath.mpf(p_e)
+    edges = [-mpmath.inf, -t, 0, 0, t, t, t, t, mpmath.inf]
+    probs = [mpmath.ncdf(b) - mpmath.ncdf(a) for a, b in zip(edges, edges[1:])]
+    dens = [mpmath.npdf(e) for e in edges]
+    total = 0
+    for i in range(8):
+        flips = [bin(i ^ j).count("1") for j in range(8)]
+        gain = [p**d * (1 - p) ** (3 - d) for d in flips]
+        received = mpmath.fsum(g * q for g, q in zip(gain, probs))
+        numerator = mpmath.fsum(g * (dens[j] - dens[j + 1]) for j, g in enumerate(gain))
+        total += numerator**2 / received
+    return total
+
+
+def _face_point(result, problem):
+    """A face design's unit-noise thresholds, with its kernel and box bound."""
+    kernel = bsc_kernel(problem.bits, problem.p_e, problem.mapping)
+    return np.array(result.thresholds) / problem.sigma_n, kernel, problem.tau_max / problem.sigma_n
+
+
+class TestFaceDesign:
+    def test_faces_keep_one_of_each_mirror_pair(self):
+        for bits, count, vertices in ((2, 7, 2), (3, 131, 4)):
+            used, slots = design._faces(bits)
+            levels = 2**bits
+            faces = {tuple(np.flatnonzero(row) + 1) for row in used}
+            assert len(used) == len(faces) == count + vertices
+            assert sum(len(face) == 1 for face in faces) == vertices
+            for size in range(1, levels + 1):
+                for face in itertools.combinations(range(1, levels + 1), size):
+                    mirror = tuple(sorted(levels + 1 - level for level in face))
+                    assert (face in faces) == (face >= mirror)
+                    assert (face in faces) or (mirror in faces)
+            # Spread free edges: the cells of exactly the used levels are open.
+            edges = np.linspace(-1.0, 1.0, levels + 1)[1:-1]
+            for row, slot in zip(used, slots):
+                tau = np.concatenate(([-5.0], edges, [5.0]))[slot]
+                widths = np.diff(tau, prepend=-5.0, append=5.0)
+                np.testing.assert_array_equal(widths > 0.0, row)
+
+    @pytest.mark.parametrize("p_e, value", [(0.1, 0.658599217841), (0.2, 0.446241320195)])
+    def test_noisy_three_bit_cells_reach_the_symmetric_face_optimum(self, p_e, value):
+        t_star = symmetric_face_argmax(0.1, 1.5, p_e)
+        with mpmath.workdps(50):
+            profile = lambda t: _symmetric_face_information_mpmath(t, p_e)
+            t_exact = mpmath.findroot(lambda t: mpmath.diff(profile, t), mpmath.mpf(t_star))
+            best = float(profile(t_exact))
+        assert t_star == pytest.approx(float(t_exact), abs=1e-9)
+        assert symmetric_face_profile(t_star, p_e) == pytest.approx(best, abs=1e-13)
+        assert best == pytest.approx(value, abs=5e-13)
+        result = optimized_thresholds(3, p_e, 1.0, PsoSettings(seed=SWEEP_SEED))
+        assert result.objective == pytest.approx(best, abs=1e-12)
+        edges = np.unique(np.round(result.thresholds, 9))
+        np.testing.assert_allclose(edges, (-t_star, 0.0, t_star), atol=1e-6)
+
+    @pytest.mark.parametrize("bits, p_e", SWEEP_CELLS)
+    def test_table_cells_reach_every_swarm_seed(self, monkeypatch, bits, p_e):
+        monkeypatch.setattr(design, "_DESIGN_CACHE", {})
+        result = optimized_thresholds(bits, p_e, 1.0, PsoSettings(seed=SWEEP_SEED))
+        assert result.objective >= SWARM_BEST[bits, p_e] - 1e-12
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        bits=st.integers(2, 3),
+        p_e=st.just(0.0) | st.floats(1e-3, 0.5),
+        sigma_n2=st.sampled_from((0.125, 1.0, 2.0)),
+        tau_max=st.sampled_from((0.05, 1.0, 5.0)),
+        mapping=st.sampled_from((NATURAL, GRAY)),
+    )
+    def test_winners_pass_the_kkt_certificate(self, bits, p_e, sigma_n2, tau_max, mapping):
+        problem = DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2, tau_max=tau_max, mapping=mapping)
+        result = design._design_faces([problem])[0]
+        z, kernel, bound = _face_point(result, problem)
+        unit = result.objective * sigma_n2
+        assert design._kkt_opening(z, bound, kernel)[0] <= design._KKT_TOL * max(unit, design._FACE_FLOOR)
+        assert result.objective == pytest.approx(_objective_rows(z * problem.sigma_n, problem)[0], rel=1e-12)
+
+    def test_kkt_rates_are_one_sided_differences(self):
+        # At the eps = 0.1 winner every level that stays empty must cost
+        # information when it opens: open each by h and compare.
+        problem = DesignProblem(bits=3, p_e=0.1)
+        z, kernel, bound = _face_point(design._design_faces([problem])[0], problem)
+        grad = design._information_terms(z, kernel)[1]
+        base = _objective_rows(z, problem)[0]
+        h = 1e-7
+        opened = 0
+        for i in range(1, z.size):
+            if z[i] == z[i - 1]:
+                raised = z.copy()
+                raised[i:][raised[i:] == z[i]] += h
+                rate = grad[i:][z[i:] == z[i]].sum()
+                assert (_objective_rows(raised, problem)[0] - base) / h == pytest.approx(rate, abs=1e-6)
+                assert rate < 0.0
+                opened += 1
+        assert opened == 4
+
+    def test_kkt_certificate_rejects_a_face_that_should_open(self):
+        # The best error-free point on the face of levels {1, 2, 4, 8} gains
+        # by opening its empty levels; the certificate must say so.
+        problem = DesignProblem(bits=3, p_e=0.0)
+        kernel = bsc_kernel(3, 0.0, NATURAL)
+        t = symmetric_face_argmax(0.1, 1.5, 0.0)
+        z = np.array([-t, 0.0, 0.0, t, t, t, t])
+        rate, push, room = design._kkt_opening(z, problem.tau_max, kernel)
+        assert rate > 1e-3
+        opened = z + push * 0.5 * room
+        assert np.sum(np.diff(opened) > 0.0) == np.sum(np.diff(z) > 0.0) + 1
+        assert _objective_rows(opened, problem)[0] > _objective_rows(z, problem)[0]
+
+    def test_a_face_peak_that_fails_the_check_is_opened(self):
+        # At p_e = 0.49 the best face start ends on {1, 5, 8}, where raising
+        # the last threshold opens level 7 and gains; the design must go on
+        # to a point that passes.
+        problem = DesignProblem(bits=3, p_e=0.49)
+        result = design._design_faces([problem])[0]
+        z, kernel, bound = _face_point(result, problem)
+        assert design._kkt_opening(z, bound, kernel)[0] <= design._KKT_TOL * result.objective
+
+    @pytest.mark.parametrize("p_e", (0.1, 0.2))
+    def test_a_row_that_closes_a_cell_moves_to_the_smaller_face(self, monkeypatch, p_e):
+        # Keep only the row of the full face in the first batch.  It stops
+        # as two cells close, which is not a stationary point of its face;
+        # the design must go on from the smaller face to a certified point.
+        climb = design._climb
+        batches = []
+
+        def full_face_only(used, slots, kernels, x, bound):
+            z, f, traces = climb(used, slots, kernels, x, bound)
+            if not batches:
+                f = np.where(used.all(axis=1), f, -np.inf)
+            batches.append(len(x))
+            return z, f, traces
+
+        monkeypatch.setattr(design, "_climb", full_face_only)
+        problem = DesignProblem(bits=3, p_e=p_e)
+        result = design._design_faces([problem])[0]
+        assert len(batches) > 1
+        z, kernel, bound = _face_point(result, problem)
+        assert design._kkt_opening(z, bound, kernel)[0] <= design._KKT_TOL * result.objective
+        if p_e == 0.2:
+            assert result.objective == pytest.approx(0.446241320195, abs=1e-12)
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        monkeypatch.setattr(design, "_KKT_TOL", -1.0)
+        with pytest.raises(RuntimeError, match="optimality check"):
+            design._design_faces([DesignProblem(bits=2, p_e=0.1)])
+
+    def test_cached_objective_is_design_objective(self, monkeypatch):
+        # Each cached objective must be ``design_objective`` at the cached
+        # thresholds bit for bit: the 12 sweep-table cells, the two
+        # threshold sets of the errorprone ROC preset, and 2- and 3-bit cells
+        # away from unit noise, where the face design's own value is scaled.
+        cells = {}
+        for build in (
+            lambda: build_fi_table((0.0, 0.01, 0.1, 0.2), 3, 1.0, PsoSettings(seed=SWEEP_SEED)),
+            lambda: run_roc(replace(RocScenario(p_e=0.2), trials=50)),
+            lambda: build_fi_table((0.01, 0.1), 3, 2.0, PsoSettings(seed=SWEEP_SEED)),
+        ):
+            monkeypatch.setattr(design, "_DESIGN_CACHE", {})
+            build()
+            cells.update(design._DESIGN_CACHE)
+        assert len(cells) == 12 + 6
+        for (bits, p_e, sigma_n2, _, tau_max, mapping), result in cells.items():
+            problem = DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2, tau_max=tau_max, mapping=mapping)
+            assert result.objective == design_objective(result.thresholds, problem)
 
 
 class TestLandscape:
