@@ -148,7 +148,7 @@ def build_fi_table(
     epsilons,
     max_bits: int,
     sigma_n2: float,
-    settings: PsoSettings | None = None,
+    settings: PsoSettings,
     mapping: str = DEFAULT_MAPPING,
 ) -> FiTable:
     """Optimize thresholds per (bit depth, channel in ``epsilons``) and tabulate the values.
@@ -157,8 +157,6 @@ def build_fi_table(
     calls.  A full-precision sensor contributes ``1 / sigma_n2``.
     """
     check_bits("max_bits", max_bits)
-    if settings is None:
-        settings = PsoSettings()
     gamma = np.zeros((max_bits, len(epsilons)))
     for li in range(max_bits):
         cells = optimized_cells(li + 1, epsilons, sigma_n2, settings, mapping=mapping)

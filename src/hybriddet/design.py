@@ -42,8 +42,8 @@ __all__ = [
 class DesignProblem:
     """One sensor's design instance: bit depth, channel quality, noise level.
 
-    ``tau_max`` bounds the swarm search box; gradient ascent is
-    unconstrained apart from threshold ordering.
+    ``tau_max`` bounds the box that the swarm and the face design search;
+    gradient ascent is unconstrained apart from threshold ordering.
     """
 
     bits: int
@@ -72,35 +72,9 @@ class DesignProblem:
 
 @dataclass(frozen=True)
 class PsoSettings:
-    """Constriction-factor swarm parameters.
+    """The design seed; every other swarm rule is a module constant (``_PSO_*``)."""
 
-    With ``chi`` unset the Clerc-Kennedy factor is derived from
-    ``c1 + c2``, which must then exceed 4.
-    """
-
-    c1: float = 2.05
-    c2: float = 2.05
-    swarm_size: int = 100
-    v_tol: float = 1e-6
-    max_iters: int = 2000
     seed: int = 0
-    chi: float | None = None
-
-    def __post_init__(self):
-        if self.swarm_size < 2:
-            raise ValueError("swarm_size must be >= 2")
-        if self.v_tol <= 0:
-            raise ValueError("v_tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.chi is None and self.c1 + self.c2 <= 4.0:
-            raise ValueError("c1 + c2 must exceed 4 for the constriction factor")
-
-    def constriction(self) -> float:
-        if self.chi is not None:
-            return self.chi
-        phi = self.c1 + self.c2
-        return 2.0 / (phi - 2.0 + math.sqrt(phi * phi - 4.0 * phi))
 
 
 @dataclass(frozen=True)
@@ -143,22 +117,20 @@ def _information_terms(z: np.ndarray, kernel: np.ndarray) -> tuple:
     return info, grad, probs
 
 
-def _check_monotone(thresholds) -> np.ndarray:
+def _check_monotone(thresholds, problem: DesignProblem) -> np.ndarray:
     tau = np.asarray(thresholds, dtype=float)
     if tau.ndim != 1:
         raise ValueError("thresholds must be one-dimensional")
     if tau.size > 1 and not np.all(np.diff(tau) > 0):
         raise ValueError("thresholds must be strictly increasing")
+    if tau.size != problem.n_thresholds:
+        raise ValueError(f"expected {problem.n_thresholds} thresholds, got {tau.size}")
     return tau
 
 
 def design_objective(thresholds, problem: DesignProblem) -> float:
     """Single-sensor information contribution at the given thresholds."""
-    tau = _check_monotone(thresholds)
-    if tau.size != problem.n_thresholds:
-        raise ValueError(
-            f"expected {problem.n_thresholds} thresholds, got {tau.size}"
-        )
+    tau = _check_monotone(thresholds, problem)
     return float(_objective_rows(tau, problem)[0])
 
 
@@ -173,11 +145,7 @@ def objective_gradient(thresholds, problem: DesignProblem) -> np.ndarray:
     ``pdf(z_i) (r_i - r_{i+1}) (2 z_i - r_i - r_{i+1}) / sigma_n**3`` with
     ``r`` the unit-noise score-to-mass ratio of each cell.
     """
-    tau = _check_monotone(thresholds)
-    if tau.size != problem.n_thresholds:
-        raise ValueError(
-            f"expected {problem.n_thresholds} thresholds, got {tau.size}"
-        )
+    tau = _check_monotone(thresholds, problem)
     kernel = bsc_kernel(problem.bits, problem.p_e, problem.mapping)
     return _information_terms(tau / problem.sigma_n, kernel)[1] / problem.sigma_n**3
 
@@ -198,34 +166,33 @@ def _project_strictly_increasing(tau: np.ndarray, gap: float = 1e-9) -> np.ndarr
     return tau
 
 
-def design_bgda(
-    problem: DesignProblem,
-    init=None,
-    step: float = 0.5,
-    tol: float = 1e-8,
-    max_iters: int = 10_000,
-) -> DesignResult:
+#: Gradient ascent stops once the gradient's max-norm is at most
+#: ``_BGDA_TOL``, once no halved step improves, or after ``_BGDA_MAX_ITERS``
+#: steps.
+_BGDA_TOL = 1e-8
+_BGDA_MAX_ITERS = 10_000
+
+
+def design_bgda(problem: DesignProblem, init=None, step: float = 0.5) -> DesignResult:
     """Projected gradient ascent for the error-free, unimodal objective.
 
     Steps along the closed-form gradient with halving when a step would
-    not improve; ordering violations are projected back apart.  Stops when
-    the gradient max-norm drops below ``tol``.  The default start spreads
-    the thresholds evenly over ``(-sigma_n, sigma_n)``.
+    not improve; ordering violations are projected back apart.  Stops by
+    the ``_BGDA_*`` rules.  The default start spreads the thresholds evenly
+    over ``(-sigma_n, sigma_n)``.
     """
     if problem.p_e != 0.0:
-        raise ValueError("gradient ascent requires p_e == 0")
+        raise ValueError("bgda requires an error-free channel (p_e = 0)")
     if step <= 0:
         raise ValueError("step must be positive")
     if init is None:
         init = np.linspace(-1.0, 1.0, problem.n_thresholds + 2)[1:-1] * problem.sigma_n
-    x = _check_monotone(init).copy()
-    if x.size != problem.n_thresholds:
-        raise ValueError(f"expected {problem.n_thresholds} thresholds, got {x.size}")
+    x = _check_monotone(init, problem).copy()
     obj = design_objective(x, problem)
     trace = [obj]
-    for _ in range(max_iters):
+    for _ in range(_BGDA_MAX_ITERS):
         grad = objective_gradient(x, problem)
-        if np.max(np.abs(grad)) <= tol:
+        if np.max(np.abs(grad)) <= _BGDA_TOL:
             break
         s = step
         improved = False
@@ -243,8 +210,19 @@ def design_bgda(
     return DesignResult(tuple(float(t) for t in x), obj, tuple(trace))
 
 
-#: Stall stop of the swarm: it ends once its best objective has risen by at
-#: most ``_STALL_TOL * |best|`` over the last ``_STALL_ITERS`` sweeps.
+#: Swarm rules.  ``_PSO_SIZE`` particles move with the Clerc-Kennedy
+#: accelerations ``_PSO_C1`` and ``_PSO_C2`` and constriction factor
+#: ``_PSO_CHI``, derived from their sum, which must exceed 4.  A swarm stops
+#: once every velocity component is within ``_PSO_V_TOL``; once its best
+#: objective has risen by at most ``_STALL_TOL * |best|`` over the last
+#: ``_STALL_ITERS`` sweeps; or after ``_PSO_MAX_ITERS`` sweeps.
+_PSO_SIZE = 100
+_PSO_C1 = 2.05
+_PSO_C2 = 2.05
+_PHI = _PSO_C1 + _PSO_C2
+_PSO_CHI = 2.0 / (_PHI - 2.0 + math.sqrt(_PHI * _PHI - 4.0 * _PHI))
+_PSO_V_TOL = 1e-6
+_PSO_MAX_ITERS = 2000
 _STALL_ITERS = 150
 _STALL_TOL = 1e-12
 
@@ -259,23 +237,19 @@ def design_pso(
     Particle coordinates are sorted before each objective evaluation, so
     the box search space needs no ordering constraint.  All randomness
     comes from one seeded stream in a fixed order; runs are reproducible.
-    Stops for the first of three reasons: every velocity component is
-    within ``v_tol``; the best objective has stalled, rising by at most
-    ``_STALL_TOL * |best|`` over the last ``_STALL_ITERS`` sweeps; or
-    ``max_iters`` sweeps have run.  The trace holds the initial best and
-    one value per sweep run.
+    Stops by the first of the ``_PSO_*`` and ``_STALL_*`` rules to hold.
+    The trace holds the initial best and one value per sweep run.
 
     ``initial_guesses`` optionally overwrites the first few particles;
     useful to seed the swarm with known-good candidates when the surface
     has large flat regions.
     """
-    return _run_swarms([problem], [settings.seed], settings, initial_guesses)[0]
+    return _run_swarms([problem], [settings.seed], initial_guesses)[0]
 
 
 def _run_swarms(
     problems: list[DesignProblem],
     seeds: list[int],
-    settings: PsoSettings,
     initial_guesses: tuple = (),
 ) -> list[DesignResult]:
     """One :func:`design_pso` swarm per (problem, seed) pair, run as one batch.
@@ -287,8 +261,8 @@ def _run_swarms(
     run of swarms with the same channel; both act row by row, so every
     result equals its lone swarm's.
     """
-    swarm, dim = settings.swarm_size, problems[0].n_thresholds
-    chi, bound, sigma = settings.constriction(), problems[0].tau_max, problems[0].sigma_n
+    swarm, dim = _PSO_SIZE, problems[0].n_thresholds
+    bound, sigma = problems[0].tau_max, problems[0].sigma_n
     kernels = {p: bsc_kernel(p.bits, p.p_e, p.mapping) for p in set(problems)}
     rngs = [np.random.default_rng(seed) for seed in seeds]
 
@@ -318,15 +292,15 @@ def _run_swarms(
             thresholds = tuple(float(t) for t in np.sort(gbest[i]))
             results[k] = DesignResult(thresholds, traces[k][-1], tuple(traces[k]))
 
-    for _ in range(settings.max_iters):
+    for _ in range(_PSO_MAX_ITERS):
         r1, r2 = np.empty_like(pos), np.empty_like(pos)
         for i, k in enumerate(live):
             rngs[k].random(out=r1[i])
             rngs[k].random(out=r2[i])
-        vel = chi * (
+        vel = _PSO_CHI * (
             vel
-            + settings.c1 * r1 * (pbest - pos)
-            + settings.c2 * r2 * (gbest[:, None] - pos)
+            + _PSO_C1 * r1 * (pbest - pos)
+            + _PSO_C2 * r2 * (gbest[:, None] - pos)
         )
         pos = np.clip(pos + vel, -bound, bound)
         obj = evaluate(pos, live)
@@ -339,7 +313,7 @@ def _run_swarms(
         rose = lead > gbest_obj
         gbest[rose] = pbest[rows, g_idx][rose]
         gbest_obj[rose] = lead[rose]
-        done = np.max(np.abs(vel), axis=(1, 2)) <= settings.v_tol
+        done = np.max(np.abs(vel), axis=(1, 2)) <= _PSO_V_TOL
         for i, k in enumerate(live):
             trace, best = traces[k], float(gbest_obj[i])
             trace.append(best)
@@ -661,11 +635,10 @@ def optimized_thresholds(
     p_e: float,
     sigma_n2: float,
     settings: PsoSettings,
-    tau_max: float = 5.0,
     mapping: str = DEFAULT_MAPPING,
 ) -> DesignResult:
     """Best design for one (bit depth, channel) cell, cached."""
-    return optimized_cells(bits, (p_e,), sigma_n2, settings, tau_max, mapping)[0]
+    return optimized_cells(bits, (p_e,), sigma_n2, settings, mapping)[0]
 
 
 def optimized_cells(
@@ -673,15 +646,14 @@ def optimized_cells(
     p_es,
     sigma_n2: float,
     settings: PsoSettings,
-    tau_max: float = 5.0,
     mapping: str = DEFAULT_MAPPING,
 ) -> list[DesignResult]:
     """Best design for each channel in ``p_es`` at one bit depth, cached.
 
     Cells of 2 and 3 bits come from the face design (``_design_faces``),
     which does not read ``settings``.  Any other cell runs a few independent
-    swarms whose seeds derive deterministically from the base settings seed
-    and the cell coordinates, each seeded with scaled copies of the
+    swarms whose seeds derive deterministically from the design seed and
+    the cell coordinates, each seeded with scaled copies of the
     error-free optimum, and keeps the first best objective.  At 1 bit the
     face design would put the threshold exactly on 0, where the ``1b``
     detector's lattice statistic ties with its decision threshold.  The
@@ -690,20 +662,17 @@ def optimized_cells(
     ``design_objective`` at the cached thresholds.  Repeated calls (and
     concurrent table builds) agree exactly.
     """
-    keys = {
-        p_e: (bits, float(p_e), float(sigma_n2), settings, float(tau_max), mapping)
-        for p_e in p_es
-    }
+    keys = {p_e: (bits, float(p_e), float(sigma_n2), settings, mapping) for p_e in p_es}
     missing = [p_e for p_e, key in keys.items() if key not in _DESIGN_CACHE]
     if missing:
         problems = [
-            DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2, tau_max=tau_max, mapping=mapping)
+            DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2, mapping=mapping)
             for p_e in missing
         ]
         if bits in _FACE_BITS:
             designs = _design_faces(problems)
         else:
-            designs = _swarm_designs(problems, settings)
+            designs = _swarm_designs(problems, settings.seed)
         for p_e, problem, design in zip(missing, problems, designs):
             design = _separate_ties(design, problem)
             objective = design_objective(design.thresholds, problem)
@@ -711,16 +680,16 @@ def optimized_cells(
     return [_DESIGN_CACHE[keys[p_e]] for p_e in p_es]
 
 
-def _swarm_designs(problems: list[DesignProblem], settings: PsoSettings) -> list[DesignResult]:
+def _swarm_designs(problems: list[DesignProblem], seed: int) -> list[DesignResult]:
     """The first best of ``_PSO_RESTARTS`` seeded swarms per problem, as one batch."""
     problem = problems[0]
     base = _error_free_optimum(problem.bits, problem.sigma_n2)
     guesses = tuple(tuple(base * s) for s in _GUESS_SCALES)
     seeds = []
     for p in problems:
-        cell = np.random.SeedSequence(settings.seed, spawn_key=(p.bits, int(round(p.p_e * 10**9))))
-        seeds += [int(seed) for seed in cell.generate_state(_PSO_RESTARTS)]
-    runs = _run_swarms([p for p in problems for _ in range(_PSO_RESTARTS)], seeds, settings, guesses)
+        cell = np.random.SeedSequence(seed, spawn_key=(p.bits, int(round(p.p_e * 10**9))))
+        seeds += [int(state) for state in cell.generate_state(_PSO_RESTARTS)]
+    runs = _run_swarms([p for p in problems for _ in range(_PSO_RESTARTS)], seeds, guesses)
     return [
         max(runs[i : i + _PSO_RESTARTS], key=lambda result: result.objective)
         for i in range(0, len(runs), _PSO_RESTARTS)

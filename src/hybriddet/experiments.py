@@ -436,7 +436,6 @@ def run_landscape(scenario: LandscapeScenario) -> Table:
         bits=scenario.bits,
         p_e=scenario.p_e,
         sigma_n2=scenario.sigma_n2,
-        tau_max=max(abs(scenario.tau_lo), abs(scenario.tau_hi)),
         mapping=scenario.mapping,
     )
     axis = np.linspace(scenario.tau_lo, scenario.tau_hi, scenario.points)
@@ -478,8 +477,6 @@ def run_design(scenario: DesignScenario) -> Table:
     rows = []
     for method in scenario.methods:
         if method == "bgda":
-            if problem.p_e != 0.0:
-                raise ValueError("bgda requires an error-free channel (p_e = 0)")
             result = design_bgda(problem, scenario.bgda_init, step=scenario.bgda_step)
         elif method == "pso":
             result = design_pso(problem, PsoSettings(seed=scenario.seed))

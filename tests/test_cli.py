@@ -264,6 +264,18 @@ def test_uninformative_channel_keeps_the_hybrid_detectors(tmp_path):
     assert {row[0] for row in load_table(out, "csv").rows} == {"3b-fp", "fp"}
 
 
+def test_landscape_on_a_zero_width_axis_has_only_invalid_cells(tmp_path):
+    # The grid's axis bounds are not a search box: a zero-width axis gives a
+    # grid of invalid (non-increasing) triples, not a configuration error.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tau_lo": 0.0, "tau_hi": 0.0, "points": 3}))
+    out = tmp_path / "landscape.csv"
+    assert main(["fi-landscape", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = load_table(out, "csv").rows
+    assert len(rows) == 9
+    assert all(row[2] is None for row in rows)
+
+
 def test_sweep_case_without_freqs_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"cases": [{"name": "favorable"}]}))

@@ -96,8 +96,10 @@ class TestObjective:
         size = n_rows * problems[0].n_thresholds
         values = data.draw(st.lists(st.floats(-8.0, 8.0), min_size=size, max_size=size))
         rows = np.reshape(values, (n_rows, problems[0].n_thresholds))
-        settings = PsoSettings(swarm_size=n_rows, max_iters=1)
-        results = design._run_swarms(problems, list(range(len(problems))), settings, tuple(map(tuple, rows)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(design, "_PSO_SIZE", n_rows)
+            patch.setattr(design, "_PSO_MAX_ITERS", 1)
+            results = design._run_swarms(problems, list(range(len(problems))), tuple(map(tuple, rows)))
         for problem, result in zip(problems, results):
             assert result.trace[0] == np.max(_objective_rows(np.sort(rows, axis=1), problem))
 
@@ -316,21 +318,19 @@ class TestPso:
         assert _separate_ties(untied, problem) is untied
 
     def test_settings_validation(self):
-        with pytest.raises(ValueError):
-            PsoSettings(c1=1.0, c2=1.0)
-        with pytest.raises(ValueError):
-            PsoSettings(swarm_size=1)
-        assert PsoSettings().constriction() == pytest.approx(0.7298, abs=1e-4)
+        assert design._PSO_CHI == pytest.approx(0.7298, abs=1e-4)
 
     def test_more_bits_never_hurt(self):
+        # Four bits exercise the swarm branch of the table's cell design.
         settings = PsoSettings(seed=3)
         for p_e in (0.0, 0.2):
             objs = [
                 optimized_thresholds(bits, p_e, 1.0, settings).objective
-                for bits in (1, 2, 3)
+                for bits in (1, 2, 3, 4)
             ]
             assert objs[0] <= objs[1] + 1e-6
             assert objs[1] <= objs[2] + 1e-6
+            assert objs[2] <= objs[3] + 1e-6
 
 
 #: The (bits, p_e) cells of the sweep preset's information table, and its seed.
@@ -346,8 +346,8 @@ def _record_batches(monkeypatch):
     batches = []
     engine = design._run_swarms
 
-    def recorded(problems, seeds, settings, initial_guesses=()):
-        results = engine(problems, seeds, settings, initial_guesses)
+    def recorded(problems, seeds, initial_guesses=()):
+        results = engine(problems, seeds, initial_guesses)
         batches.append((problems, seeds, initial_guesses, results))
         return results
 
@@ -363,7 +363,7 @@ def _table_swarms(bits, p_es, settings):
     swarm on them with the restarts, seeds and guesses of that path.
     """
     problems = [DesignProblem(bits=bits, p_e=p_e) for p_e in p_es]
-    return [_separate_ties(r, p) for r, p in zip(design._swarm_designs(problems, settings), problems)]
+    return [_separate_ties(r, p) for r, p in zip(design._swarm_designs(problems, settings.seed), problems)]
 
 
 def _cell_swarms(monkeypatch, bits, p_e, settings):
@@ -390,7 +390,7 @@ class TestStallStop:
         assert len(runs) == design._PSO_RESTARTS
         for run in runs:
             assert np.all(np.diff(np.array(run.trace)) >= 0)
-        monkeypatch.setattr(design, "_STALL_ITERS", settings.max_iters + 1)
+        monkeypatch.setattr(design, "_STALL_ITERS", design._PSO_MAX_ITERS + 1)
         unstopped, _ = _cell_swarms(monkeypatch, bits, p_e, settings)
         assert stalled.objective >= unstopped.objective - 1e-12
 
@@ -405,11 +405,11 @@ class TestStallStop:
             assert not any(_stalled(run.trace, k) for k in range(sweeps))
 
 
-def _assert_lone_swarms_agree(batch, settings):
+def _assert_lone_swarms_agree(batch):
     """Every swarm of a recorded batch equals the lone swarm of its seed."""
     problems, seeds, guesses, results = batch
     for problem, seed, result in zip(problems, seeds, results):
-        assert result == design_pso(problem, replace(settings, seed=seed), guesses)
+        assert result == design_pso(problem, PsoSettings(seed=seed), guesses)
 
 
 class TestSwarmBatch:
@@ -425,7 +425,7 @@ class TestSwarmBatch:
         assert len(batches) == 1
         problems, _, _, results = batches[0]
         assert [p.p_e for p in problems] == [p_e for p_e in p_es for _ in range(design._PSO_RESTARTS)]
-        _assert_lone_swarms_agree(batches[0], settings)
+        _assert_lone_swarms_agree(batches[0])
         # The first restart with the best objective wins each cell.
         for n, cell in enumerate(cells):
             restarts = results[n * design._PSO_RESTARTS : (n + 1) * design._PSO_RESTARTS]
@@ -439,9 +439,9 @@ class TestSwarmBatch:
         batches = _record_batches(monkeypatch)
         _table_swarms(3, (0.0, 0.1), settings)
         sweeps = [len(r.trace) - 1 for r in batches[0][3]]
-        assert sweeps[3:] == [1026, settings.max_iters, 1587]
+        assert sweeps[3:] == [1026, design._PSO_MAX_ITERS, 1587]
         assert max(sweeps[:3]) < 1000
-        _assert_lone_swarms_agree(batches[0], settings)
+        _assert_lone_swarms_agree(batches[0])
 
 
 class TestTablePath:
@@ -656,20 +656,22 @@ class TestFaceDesign:
     def test_cached_objective_is_design_objective(self, monkeypatch):
         # Each cached objective must be ``design_objective`` at the cached
         # thresholds bit for bit: the 12 sweep-table cells, the two
-        # threshold sets of the errorprone ROC preset, and 2- and 3-bit cells
-        # away from unit noise, where the face design's own value is scaled.
+        # threshold sets of the errorprone ROC preset, 2- and 3-bit cells
+        # away from unit noise, where the face design's own value is scaled,
+        # and a 4-bit cell from the swarm branch.
         cells = {}
         for build in (
             lambda: build_fi_table((0.0, 0.01, 0.1, 0.2), 3, 1.0, PsoSettings(seed=SWEEP_SEED)),
             lambda: run_roc(replace(RocScenario(p_e=0.2), trials=50)),
             lambda: build_fi_table((0.01, 0.1), 3, 2.0, PsoSettings(seed=SWEEP_SEED)),
+            lambda: optimized_thresholds(4, 0.1, 1.0, PsoSettings(seed=SWEEP_SEED)),
         ):
             monkeypatch.setattr(design, "_DESIGN_CACHE", {})
             build()
             cells.update(design._DESIGN_CACHE)
-        assert len(cells) == 12 + 6
-        for (bits, p_e, sigma_n2, _, tau_max, mapping), result in cells.items():
-            problem = DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2, tau_max=tau_max, mapping=mapping)
+        assert len(cells) == 12 + 6 + 1
+        for (bits, p_e, sigma_n2, _, mapping), result in cells.items():
+            problem = DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2, mapping=mapping)
             assert result.objective == design_objective(result.thresholds, problem)
 
 
