@@ -4,6 +4,9 @@ Everything here is deterministic given the master seed: the ROC Monte
 Carlo draws each block of ``ROC_BLOCK`` trials from one stream keyed by
 ``(seed, hypothesis, block)``, swarm threshold designs derive their seeds
 from the same master seed, and emitted files are byte-stable across runs.
+The ROC blocks run concurrently on a few threads, as many as the CPUs
+this process may use (no option sets the count); the output does not
+depend on that count, and memory is bounded by workers times a block.
 """
 
 from __future__ import annotations
@@ -11,7 +14,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,11 +59,25 @@ __all__ = [
 
 ROC_COLUMNS = ("detector", "pfa_target", "eta", "pd_theory", "pfa_mc", "pd_mc", "stderr_mc")
 
-#: Trials simulated together in ``run_roc``; its memory grows with this,
-#: not with the trial count.  Each block draws from its own stream, so this
-#: is part of the output contract: changing it changes the ROC Monte Carlo
-#: columns.
+#: Trials simulated together in ``run_roc``; its memory grows with this
+#: times the worker count, not with the trial count.  Each block draws from
+#: its own stream, so this is part of the output contract: changing it
+#: changes the ROC Monte Carlo columns.  The worker count is not: it comes
+#: from CPU affinity, no option sets it, and the output does not depend on it.
 ROC_BLOCK = 256
+
+#: Most threads ``run_roc`` runs its blocks on; see ``_roc_workers``.
+_MAX_ROC_WORKERS = 8
+
+
+def _roc_workers(jobs: int) -> int:
+    """Worker threads for ``jobs`` ROC blocks: the CPUs this process may
+    run on, capped by the job count and by ``_MAX_ROC_WORKERS``."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, jobs, _MAX_ROC_WORKERS)
 
 
 @dataclass
@@ -156,6 +175,8 @@ class RocScenario:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         grid = tuple(self.pfa_grid)
+        if not grid:
+            raise ValueError("pfa_grid must not be empty")
         if any(not 0.0 < p < 1.0 for p in grid):
             raise ValueError("pfa_grid values must lie in (0, 1)")
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -241,6 +262,13 @@ def run_roc(scenario: RocScenario) -> Table:
     then an ``(n, m_quantized, bits_low)`` mask if the ``bits_low``
     detector is.  No flips are drawn when ``p_e == 0``.  Only exceedance
     counts outlive a block.
+
+    The ``(hypothesis, block)`` jobs run concurrently on a thread pool of
+    ``_roc_workers`` threads, a count taken from CPU affinity that no option
+    sets.  Each thread takes every ``workers``-th job and keeps its own
+    integer counts, which are summed at the end, so the table does not
+    depend on the worker count or the scheduling, and memory is bounded by
+    workers times a block.
     """
     sigma_n = math.sqrt(scenario.sigma_n2)
     params = SignalParams(scenario.theta, scenario.sigma_n2, scenario.sigma_h2)
@@ -282,18 +310,28 @@ def run_roc(scenario: RocScenario) -> Table:
         return bsc_corrupt_levels(sent, spec.bits, scenario.p_e, rng, scenario.mapping)
 
     etas = np.array([threshold_for_pfa(pfa) for pfa in scenario.pfa_grid])
-    exceed = np.zeros((2, len(scenario.detectors), len(etas)), dtype=np.int64)
-    for hyp_idx, hyp in enumerate((Hypothesis.H0, Hypothesis.H1)):
-        for block_idx, start in enumerate(range(0, scenario.trials, ROC_BLOCK)):
-            n = min(ROC_BLOCK, scenario.trials - start)
+    hypotheses = (Hypothesis.H0, Hypothesis.H1)
+
+    def run_blocks(jobs) -> np.ndarray:
+        exceed = np.zeros((2, len(scenario.detectors), len(etas)), dtype=np.int64)
+        for hyp_idx, block_idx in jobs:
+            n = min(ROC_BLOCK, scenario.trials - block_idx * ROC_BLOCK)
             rng = trial_rng(scenario.seed, hyp_idx, block_idx)
-            y = simulate_observations(params, hyp, n * m_total, rng).reshape(n, m_total)
+            y = simulate_observations(params, hypotheses[hyp_idx], n * m_total, rng).reshape(n, m_total)
             # The flips are drawn in this order, after the observations.
             hybrid = received(spec_hybrid, y, rng)
             low = received(spec_low, y, rng)
             for k, det in enumerate(scenario.detectors):
                 stat = detectors[det](y, hybrid, low)
                 exceed[hyp_idx, k] += np.count_nonzero(stat[:, None] > etas, axis=0)
+        return exceed
+
+    blocks = -(-scenario.trials // ROC_BLOCK)
+    jobs = [(h, b) for h in range(len(hypotheses)) for b in range(blocks)]
+    workers = _roc_workers(len(jobs))
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(run_blocks, jobs[w::workers]) for w in range(workers)]
+        exceed = sum(f.result() for f in futures)
 
     rows = []
     for k, det in enumerate(scenario.detectors):

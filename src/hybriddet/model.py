@@ -174,9 +174,22 @@ def distance_matrix(bits: int, mapping: str = DEFAULT_MAPPING) -> np.ndarray:
 def quantize_batch(y, spec: QuantizerSpec) -> np.ndarray:
     """Level ``i`` with ``t[i-1] <= y < t[i]`` for each sample of ``y``.
 
-    Levels run from 1 to ``2**bits``; a sample on a threshold goes up.
+    Levels run from 1 to ``2**bits``; a sample on a threshold goes up, and
+    NaN goes to the top level, as with ``np.searchsorted(side="right")``.
     """
-    return np.searchsorted(spec.thresholds, np.asarray(y), side="right") + 1
+    # Binary search, one level bit per pass from the top: ``prefix`` holds
+    # the bits found so far, and pass ``k`` compares each sample with the
+    # middle threshold of its group, ``t[prefix * 2**(k+1) + 2**k - 1]``.
+    # ``~(y < t)``, not ``y >= t``, so that NaN compares as above.
+    y = np.asarray(y)
+    t = np.asarray(spec.thresholds)
+    top = spec.bits - 1
+    prefix = (~(y < t[(1 << top) - 1])).astype(np.intp)
+    for k in reversed(range(top)):
+        above = ~(y < t[(1 << k) - 1 :: 1 << (k + 1)].take(prefix))
+        prefix += prefix
+        prefix += above
+    return prefix + 1
 
 
 def simulate_observations(
@@ -219,8 +232,11 @@ def bsc_corrupt_levels(
     """
     codes = _level_codes(bits, mapping)[np.asarray(levels) - 1]
     if crossover > 0:
-        flips = np.random.default_rng(rng).random(codes.shape + (bits,)) < crossover
-        codes = codes ^ (flips @ (1 << np.arange(bits))).astype(codes.dtype)
+        flips = (np.random.default_rng(rng).random(codes.shape + (bits,)) < crossover).view(np.uint8)
+        mask = flips[..., 0].copy()
+        for k in range(1, bits):
+            mask |= flips[..., k] << k
+        codes = codes ^ mask
     return _code_levels(bits, mapping)[codes]
 
 

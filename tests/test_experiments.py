@@ -1,7 +1,10 @@
 """Experiment-runner tests: tables, ROC engine, sweep, determinism."""
 
 import collections
+import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 
 from hybriddet import experiments
 from hybriddet.allocation import BudgetMode, Sense
-from hybriddet.cli import PRESETS
+from hybriddet.cli import PRESETS, main
 from hybriddet.experiments import (
     ROC_BLOCK,
     ROC_COLUMNS,
@@ -242,6 +245,54 @@ class TestRocStreams:
             thresholds_hybrid=_NOISY_3BIT if p_e else _CLEAN_3BIT, thresholds_low=(0.0,),
         )
         assert run_roc(scenario).rows == per_trial_roc(scenario).rows
+
+
+class TestRocWorkers:
+    """The blocks run on a thread pool; the table must not depend on its size."""
+
+    @pytest.mark.parametrize("p_e", [0.2, 0.0])
+    def test_table_does_not_depend_on_the_worker_count(self, monkeypatch, p_e):
+        # The ``roc errorprone`` preset, and its error-free twin, with a
+        # short last block: 4 blocks per hypothesis, 8 jobs.
+        scenario = RocScenario(p_e=p_e, trials=3 * ROC_BLOCK + 45)
+        asked = []
+        tables = {}
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # 5 workers is more than most test machines have cores.
+            for workers in (1, 2, 5):
+                monkeypatch.setattr(
+                    experiments, "_roc_workers", lambda jobs, w=workers: asked.append(jobs) or w
+                )
+                tables[workers] = run_roc(scenario)
+        finally:
+            sys.setswitchinterval(interval)
+        assert asked == [8, 8, 8]
+        assert tables[2] == tables[1]
+        assert tables[5] == tables[1]
+        assert threading.active_count() == before
+
+    def test_an_error_in_a_later_worker_reaches_the_cli(self, tmp_path, capsys, monkeypatch):
+        # With 2 workers over 3 blocks per hypothesis, the last H1 block is
+        # the second worker's: its error must surface as the CLI's error.
+        real = experiments.trial_rng
+
+        def failing(seed, *key):
+            if key == (1, 2):
+                raise ValueError("block (1, 2) failed")
+            return real(seed, *key)
+
+        monkeypatch.setattr(experiments, "trial_rng", failing)
+        monkeypatch.setattr(experiments, "_roc_workers", lambda jobs: 2)
+        before = threading.active_count()
+        out = tmp_path / "roc.csv"
+        code = main(["roc", "--preset", "errorprone", "--trials", str(2 * ROC_BLOCK + 1), "--out", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "block (1, 2) failed"}
+        assert not out.exists()
+        assert threading.active_count() == before
 
 
 class TestRocDesigns:

@@ -127,6 +127,34 @@ class TestQuantize:
         levels = quantize_batch(y, self.SPEC)
         assert np.all((levels >= 1) & (levels <= 4))
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        bits=st.integers(1, 8),
+        # -0.36303 is where the ``roc errorprone`` 3-bit design puts four
+        # thresholds within 3 ulps of each other.
+        start=st.one_of(st.just(-0.36303), st.floats(-4.0, 4.0)),
+        data=st.data(),
+    )
+    def test_matches_searchsorted(self, bits, start, data):
+        # Each gap to the next threshold is a few ulps or an ordinary step.
+        gaps = data.draw(st.lists(
+            st.one_of(st.integers(1, 3), st.floats(1e-3, 1.0)),
+            min_size=2**bits - 2, max_size=2**bits - 2,
+        ))
+        t = [start]
+        for gap in gaps:
+            step = gap * abs(float(np.spacing(t[-1]))) if isinstance(gap, int) else gap
+            t.append(t[-1] + step)
+        spec = QuantizerSpec(bits, t)
+        t = np.array(spec.thresholds)
+        y = np.concatenate([
+            t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), [-np.inf, np.inf, np.nan],
+            data.draw(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=20)),
+        ])
+        want = np.searchsorted(t, y, side="right") + 1
+        np.testing.assert_array_equal(quantize_batch(y, spec), want)
+        np.testing.assert_array_equal(quantize_batch(y[::-1].reshape(-1, 1), spec), want[::-1].reshape(-1, 1))
+
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             QuantizerSpec(2, (0.0, 0.0, 1.0))
