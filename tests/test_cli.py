@@ -226,7 +226,6 @@ def _no_design(*_args, **_kwargs):
         ("roc", {"p_e": 0.5, "trials": 2000, "detectors": ["1b"]}, "p_e"),
         ("roc", {"p_e": 0.5, "trials": 2000}, "p_e"),
         ("roc", {"l0": 32}, "l0"),
-        ("roc", {"pfa_grid": []}, "pfa_grid"),
         ("sweep", {"theta": -1, "m_values": [20]}, "theta"),
         ("sweep", {"pfa": 1.5, "m_values": [20]}, "pfa"),
         ("sweep", {"budget": -5, "m_values": [20]}, "budget"),
@@ -235,6 +234,7 @@ def _no_design(*_args, **_kwargs):
         ("allocate", {"l0": 0}, "l0"),
         ("sweep", {"m_values": [25]}, "not integral"),
         ("sweep", {"cases": [{"name": "a", "freqs": [0.5, 0.5]}], "m_values": [20]}, "freqs"),
+        ("roc", {"pfa_grid": []}, "pfa_grid"),
     ],
 )
 def test_invalid_fields_rejected_before_any_design(tmp_path, capsys, monkeypatch, command, config, field):
