@@ -7,7 +7,8 @@ promoted to full-precision (error-free) reporting, subject to a total
 bit budget.  The assignment maximizing (or, for comparison, minimizing)
 total information is found by HiGHS through ``scipy.optimize.milp``;
 an independent dynamic program over (category, bits spent) verifies it
-exactly.
+exactly.  ``experiments.run_sweep`` calls :func:`allocate` from several
+threads of its pool at once, on one shared read-only :class:`FiTable`.
 """
 
 from __future__ import annotations
@@ -310,7 +311,8 @@ def solve_ilp(problem: IlpProblem) -> IlpSolution:
     Raises :class:`AllocationInfeasibleError` when no integer point is
     feasible and ``RuntimeError`` on any other non-optimal outcome.
     """
-    # Deferred: scipy.optimize adds about 0.2 s to every CLI start.
+    # Deferred: scipy.optimize adds about 0.2 s to every CLI start.  The
+    # sweep's pool threads may reach this first import together.
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     res = milp(

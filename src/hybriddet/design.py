@@ -257,23 +257,18 @@ def _run_swarms(
     The problems share bit depth, noise level and box and may differ in
     channel.  Each swarm draws from its own ``default_rng(seed)`` in a lone
     swarm's order, stops by a lone swarm's rules and then leaves the batch.
-    All live rows share one cell-table call and one information call per
-    run of swarms with the same channel; both act row by row, so every
-    result equals its lone swarm's.
+    All live swarms share one cell-table call and one information call,
+    with one channel kernel per swarm; both act row by row, so every result
+    equals its lone swarm's.
     """
     swarm, dim = _PSO_SIZE, problems[0].n_thresholds
     bound, sigma = problems[0].tau_max, problems[0].sigma_n
-    kernels = {p: bsc_kernel(p.bits, p.p_e, p.mapping) for p in set(problems)}
+    kernels = np.stack([bsc_kernel(p.bits, p.p_e, p.mapping) for p in problems])[:, None]
     rngs = [np.random.default_rng(seed) for seed in seeds]
 
     def evaluate(pos: np.ndarray, live: np.ndarray) -> np.ndarray:
-        probs, scores = cell_tables(np.sort(pos, axis=2).reshape(-1, dim), sigma)
-        info, start = [], 0
-        for problem, run in itertools.groupby(problems[k] for k in live):
-            rows = slice(start, start + swarm * len(list(run)))
-            info.append(received_information(probs[rows], scores[rows], kernels[problem], sigma)[2])
-            start = rows.stop
-        return np.concatenate(info).reshape(-1, swarm)
+        probs, scores = cell_tables(np.sort(pos, axis=2), sigma)
+        return received_information(probs, scores, kernels[live], sigma)[2]
 
     live = np.arange(len(problems))
     pos = np.stack([rng.uniform(-bound, bound, size=(swarm, dim)) for rng in rngs])

@@ -4,9 +4,10 @@ Everything here is deterministic given the master seed: the ROC Monte
 Carlo draws each block of ``ROC_BLOCK`` trials from one stream keyed by
 ``(seed, hypothesis, block)``, swarm threshold designs derive their seeds
 from the same master seed, and emitted files are byte-stable across runs.
-The ROC blocks run concurrently on a few threads, as many as the CPUs
-this process may use (no option sets the count); the output does not
-depend on that count, and memory is bounded by workers times a block.
+The ROC blocks and the sweep's allocation points run concurrently on one
+thread pool with as many threads as the CPUs this process may use (no
+option sets the count); the output does not depend on that count, and ROC
+memory is bounded by workers times a block.
 """
 
 from __future__ import annotations
@@ -66,18 +67,36 @@ ROC_COLUMNS = ("detector", "pfa_target", "eta", "pd_theory", "pfa_mc", "pd_mc", 
 #: from CPU affinity, no option sets it, and the output does not depend on it.
 ROC_BLOCK = 256
 
-#: Most threads ``run_roc`` runs its blocks on; see ``_roc_workers``.
-_MAX_ROC_WORKERS = 8
+#: Most threads the pool runs; see ``_workers``.
+_MAX_WORKERS = 8
 
 
-def _roc_workers(jobs: int) -> int:
-    """Worker threads for ``jobs`` ROC blocks: the CPUs this process may
-    run on, capped by the job count and by ``_MAX_ROC_WORKERS``."""
+def _workers(jobs: int) -> int:
+    """Worker threads for ``jobs`` pool jobs: the CPUs this process may run
+    on, capped by the job count and by ``_MAX_WORKERS``."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         cpus = os.cpu_count() or 1
-    return min(cpus, jobs, _MAX_ROC_WORKERS)
+    return min(cpus, jobs, _MAX_WORKERS)
+
+
+def _pool_map(fn, jobs: list) -> list:
+    """One result per job, in job order, computed on ``_workers(len(jobs))`` threads.
+
+    ``fn`` maps a list of jobs to the list of their results.  Thread ``w``
+    calls it once, on the share ``jobs[w::workers]``, so a thread keeps its
+    loop's state from one job to the next.  Results land in job order
+    whatever the scheduling.  A job's exception ends its thread's share and
+    is raised here once every thread has stopped.
+    """
+    workers = _workers(len(jobs))
+    results = [None] * len(jobs)
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(fn, jobs[w::workers]) for w in range(workers)]
+        for w, future in enumerate(futures):
+            results[w::workers] = future.result()
+    return results
 
 
 @dataclass
@@ -263,12 +282,11 @@ def run_roc(scenario: RocScenario) -> Table:
     detector is.  No flips are drawn when ``p_e == 0``.  Only exceedance
     counts outlive a block.
 
-    The ``(hypothesis, block)`` jobs run concurrently on a thread pool of
-    ``_roc_workers`` threads, a count taken from CPU affinity that no option
-    sets.  Each thread takes every ``workers``-th job and keeps its own
-    integer counts, which are summed at the end, so the table does not
-    depend on the worker count or the scheduling, and memory is bounded by
-    workers times a block.
+    The ``(hypothesis, block)`` jobs run concurrently on the thread pool of
+    ``_pool_map``, whose size comes from CPU affinity and no option sets.
+    Each job returns its own integer counts, which are summed at the end,
+    so the table does not depend on the worker count or the scheduling, and
+    memory is bounded by workers times a block.
     """
     sigma_n = math.sqrt(scenario.sigma_n2)
     params = SignalParams(scenario.theta, scenario.sigma_n2, scenario.sigma_h2)
@@ -312,9 +330,13 @@ def run_roc(scenario: RocScenario) -> Table:
     etas = np.array([threshold_for_pfa(pfa) for pfa in scenario.pfa_grid])
     hypotheses = (Hypothesis.H0, Hypothesis.H1)
 
-    def run_blocks(jobs) -> np.ndarray:
-        exceed = np.zeros((2, len(scenario.detectors), len(etas)), dtype=np.int64)
+    def run_blocks(jobs) -> list[np.ndarray]:
+        # One loop per thread: a block's arrays live until the next block
+        # replaces them, so the allocator reuses their memory instead of
+        # returning it to the system and faulting it back in.
+        counts = []
         for hyp_idx, block_idx in jobs:
+            exceed = np.zeros((2, len(scenario.detectors), len(etas)), dtype=np.int64)
             n = min(ROC_BLOCK, scenario.trials - block_idx * ROC_BLOCK)
             rng = trial_rng(scenario.seed, hyp_idx, block_idx)
             y = simulate_observations(params, hypotheses[hyp_idx], n * m_total, rng).reshape(n, m_total)
@@ -323,15 +345,13 @@ def run_roc(scenario: RocScenario) -> Table:
             low = received(spec_low, y, rng)
             for k, det in enumerate(scenario.detectors):
                 stat = detectors[det](y, hybrid, low)
-                exceed[hyp_idx, k] += np.count_nonzero(stat[:, None] > etas, axis=0)
-        return exceed
+                exceed[hyp_idx, k] = np.count_nonzero(stat[:, None] > etas, axis=0)
+            counts.append(exceed)
+        return counts
 
     blocks = -(-scenario.trials // ROC_BLOCK)
     jobs = [(h, b) for h in range(len(hypotheses)) for b in range(blocks)]
-    workers = _roc_workers(len(jobs))
-    with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(run_blocks, jobs[w::workers]) for w in range(workers)]
-        exceed = sum(f.result() for f in futures)
+    exceed = sum(_pool_map(run_blocks, jobs))
 
     rows = []
     for k, det in enumerate(scenario.detectors):
@@ -382,6 +402,16 @@ class SweepScenario:
             raise ValueError("pfa must lie strictly inside (0, 1)")
         alloc.check_budget(self.budget, self.l0)
         check_bits("max_bits", self.max_bits)
+        # Every (case, m_total, sense) point is one row: none may repeat.
+        for name, values in (
+            ("cases", [case.name for case in self.cases]),
+            ("m_values", self.m_values),
+            ("senses", self.senses),
+        ):
+            if not values:
+                raise ValueError(f"{name} must not be empty")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat a value")
         for case in self.cases:
             for m in self.m_values:
                 alloc.ErrorHistogram(self.epsilons, case.freqs, m)
@@ -405,46 +435,36 @@ def run_sweep(scenario: SweepScenario) -> tuple[Table, Table]:
 
     Returns a summary table and the per-level sensor distribution table.
     Infeasible points are reported with status ``infeasible`` rather than
-    aborting the sweep.
+    aborting the sweep.  The information table is built first; the points
+    are then solved concurrently on the thread pool of ``_pool_map``, whose
+    size comes from CPU affinity and no option sets.  Rows come back in
+    point order, so the tables do not depend on the worker count.
     """
     settings = PsoSettings(seed=scenario.seed)
     table = alloc.build_fi_table(
         scenario.epsilons, scenario.max_bits, scenario.sigma_n2, settings, scenario.mapping
     )
     eta = threshold_for_pfa(scenario.pfa)
-    summary_rows = []
-    dist_rows = []
-    for case in scenario.cases:
-        for m in scenario.m_values:
-            hist = alloc.ErrorHistogram(scenario.epsilons, case.freqs, m)
-            for sense in scenario.senses:
-                try:
-                    result = alloc.allocate(
-                        hist, table, scenario.budget, scenario.l0,
-                        scenario.budget_mode, sense,
-                    )
-                except alloc.AllocationInfeasibleError:
-                    summary_rows.append(
-                        (case.name, m, sense.value, "infeasible", None, None, None, None)
-                    )
-                    continue
-                lam = scenario.theta * math.sqrt(result.total_fi)
-                summary_rows.append(
-                    (
-                        case.name,
-                        m,
-                        sense.value,
-                        "optimal",
-                        result.total_fi,
-                        lam,
-                        theoretical_pd(lam, eta),
-                        result.bits_used,
-                    )
-                )
-                dist_rows += [
-                    (case.name, m, sense.value, *row)
-                    for row in _assignment_rows(result, scenario.epsilons)
-                ]
+
+    def solve(point) -> tuple[tuple, list[tuple]]:
+        """The point's summary row and its distribution rows."""
+        case, m, sense = point
+        key = (case.name, m, sense.value)
+        hist = alloc.ErrorHistogram(scenario.epsilons, case.freqs, m)
+        try:
+            result = alloc.allocate(
+                hist, table, scenario.budget, scenario.l0, scenario.budget_mode, sense
+            )
+        except alloc.AllocationInfeasibleError:
+            return (*key, "infeasible", None, None, None, None), []
+        lam = scenario.theta * math.sqrt(result.total_fi)
+        summary = (*key, "optimal", result.total_fi, lam, theoretical_pd(lam, eta), result.bits_used)
+        return summary, [(*key, *row) for row in _assignment_rows(result, scenario.epsilons)]
+
+    points = [(case, m, sense) for case in scenario.cases for m in scenario.m_values for sense in scenario.senses]
+    solved = _pool_map(lambda share: [solve(point) for point in share], points)
+    summary_rows = [summary for summary, _ in solved]
+    dist_rows = [row for _, rows in solved for row in rows]
     return Table(SWEEP_COLUMNS, summary_rows), Table(DISTRIBUTION_COLUMNS, dist_rows)
 
 

@@ -235,6 +235,15 @@ def _no_design(*_args, **_kwargs):
         ("sweep", {"m_values": [25]}, "not integral"),
         ("sweep", {"cases": [{"name": "a", "freqs": [0.5, 0.5]}], "m_values": [20]}, "freqs"),
         ("roc", {"pfa_grid": []}, "pfa_grid"),
+        # An empty grid would write a header-only table, and a repeated
+        # (case, m_total, sense) point a repeated row.
+        ("sweep", {"senses": []}, "senses"),
+        ("sweep", {"m_values": []}, "m_values"),
+        ("sweep", {"cases": []}, "cases"),
+        ("sweep", {"m_values": [20, 20]}, "m_values"),
+        ("sweep", {"cases": [{"name": "a", "freqs": [0.6, 0.2, 0.1, 0.1]},
+                             {"name": "a", "freqs": [0.1, 0.1, 0.2, 0.6]}], "m_values": [20]}, "cases"),
+        ("sweep", {"senses": ["max", "max"], "m_values": [20]}, "senses"),
     ],
 )
 def test_invalid_fields_rejected_before_any_design(tmp_path, capsys, monkeypatch, command, config, field):
@@ -307,3 +316,38 @@ def test_errorprone_roc_leaves_scipy_optimize_unloaded(tmp_path):
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("command, preset", [("fi-landscape", "errorprone"), ("design-quantizer", "ideal")])
+def test_design_commands_leave_scipy_optimize_unloaded(tmp_path, command, preset):
+    # The thread pool's code lives beside the sweep; it must not pull the
+    # solver into commands that never allocate.
+    env = dict(os.environ, PYTHONPATH=str(Path(hybriddet.__file__).resolve().parents[1]))
+    out_csv = tmp_path / "out.csv"
+    code = (
+        "import sys; from hybriddet import cli; "
+        f"code = cli.main([{command!r}, '--preset', {preset!r}, '--out', {str(out_csv)!r}]); "
+        "print(code, 'scipy.optimize' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 False"
+
+
+def test_sweep_workers_meet_the_first_solver_import_together():
+    # ``solve_ilp`` imports scipy.optimize on first use, so in a fresh
+    # interpreter the pool's threads may all reach that import at once.
+    env = dict(os.environ, PYTHONPATH=str(Path(hybriddet.__file__).resolve().parents[1]))
+    code = """
+import sys
+from hybriddet import experiments
+from hybriddet.experiments import SweepCase, SweepScenario, run_sweep
+assert "scipy.optimize" not in sys.modules
+scenario = SweepScenario(
+    cases=(SweepCase("even", (0.5, 0.5)),), epsilons=(0.0, 0.2), m_values=(20, 40), budget=30, max_bits=1)
+experiments._workers = lambda jobs: 5
+pooled = run_sweep(scenario)
+experiments._workers = lambda jobs: 1
+print(pooled == run_sweep(scenario), [row[3] for row in pooled[0].rows])
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "True ['optimal', 'optimal', 'infeasible', 'infeasible']"

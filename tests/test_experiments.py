@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hybriddet import experiments
+from hybriddet import allocation, experiments
 from hybriddet.allocation import BudgetMode, Sense
 from hybriddet.cli import PRESETS, main
 from hybriddet.experiments import (
@@ -264,7 +264,7 @@ class TestRocWorkers:
             # 5 workers is more than most test machines have cores.
             for workers in (1, 2, 5):
                 monkeypatch.setattr(
-                    experiments, "_roc_workers", lambda jobs, w=workers: asked.append(jobs) or w
+                    experiments, "_workers", lambda jobs, w=workers: asked.append(jobs) or w
                 )
                 tables[workers] = run_roc(scenario)
         finally:
@@ -275,8 +275,9 @@ class TestRocWorkers:
         assert threading.active_count() == before
 
     def test_an_error_in_a_later_worker_reaches_the_cli(self, tmp_path, capsys, monkeypatch):
-        # With 2 workers over 3 blocks per hypothesis, the last H1 block is
-        # the second worker's: its error must surface as the CLI's error.
+        # With 2 workers over 3 blocks per hypothesis, the last H1 block
+        # runs after both threads have started: its error must surface as
+        # the CLI's error.
         real = experiments.trial_rng
 
         def failing(seed, *key):
@@ -285,12 +286,71 @@ class TestRocWorkers:
             return real(seed, *key)
 
         monkeypatch.setattr(experiments, "trial_rng", failing)
-        monkeypatch.setattr(experiments, "_roc_workers", lambda jobs: 2)
+        monkeypatch.setattr(experiments, "_workers", lambda jobs: 2)
         before = threading.active_count()
         out = tmp_path / "roc.csv"
         code = main(["roc", "--preset", "errorprone", "--trials", str(2 * ROC_BLOCK + 1), "--out", str(out)])
         assert code == 2
         assert json.loads(capsys.readouterr().err) == {"error": "block (1, 2) failed"}
+        assert not out.exists()
+        assert threading.active_count() == before
+
+
+class TestSweepWorkers:
+    """The sweep points run on the same pool; the tables must not depend on its size."""
+
+    @pytest.mark.parametrize("budget_mode", list(BudgetMode))
+    def test_tables_do_not_depend_on_the_worker_count(self, monkeypatch, budget_mode):
+        # A 30-bit budget fits 20 sensors (exactly, too: 10 at 1 bit and 10
+        # at 2) but not 40, so the pool returns both kinds of rows.
+        scenario = SweepScenario(
+            cases=(SweepCase("even", (0.5, 0.5)), SweepCase("skewed", (0.1, 0.9))),
+            epsilons=(0.0, 0.2),
+            m_values=(20, 40, 30),
+            budget=30,
+            max_bits=2,
+            budget_mode=budget_mode,
+        )
+        asked = []
+        tables = {}
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 5):
+                monkeypatch.setattr(
+                    experiments, "_workers", lambda jobs, w=workers: asked.append(jobs) or w
+                )
+                tables[workers] = run_sweep(scenario)
+        finally:
+            sys.setswitchinterval(interval)
+        assert asked == [12, 12, 12]
+        assert tables[2] == tables[1]
+        assert tables[5] == tables[1]
+        summary = tables[1][0]
+        assert [row[:3] for row in summary.rows] == [
+            (case, m, sense) for case in ("even", "skewed") for m in (20, 40, 30) for sense in ("max", "min")
+        ]
+        assert {row[1]: row[3] for row in summary.rows} == {20: "optimal", 40: "infeasible", 30: "optimal"}
+        assert threading.active_count() == before
+
+    def test_an_error_at_a_later_point_reaches_the_cli(self, tmp_path, capsys, monkeypatch):
+        real = allocation.allocate
+
+        def failing(hist, *args):
+            if hist.m_total == 30 and args[-1] is Sense.MINIMIZE_FI:
+                raise ValueError("point (30, min) failed")
+            return real(hist, *args)
+
+        monkeypatch.setattr(allocation, "allocate", failing)
+        monkeypatch.setattr(experiments, "_workers", lambda jobs: 2)
+        before = threading.active_count()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m_values": [20, 30]}))
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--preset", "two-mixes", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "point (30, min) failed"}
         assert not out.exists()
         assert threading.active_count() == before
 
