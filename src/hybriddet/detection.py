@@ -159,25 +159,38 @@ class NetworkKernels:
         mapping: str = DEFAULT_MAPPING,
     ):
         kernels = likelihood_kernels(quantizer, p_e, math.sqrt(sigma_n2), mapping)
-        self.score_table = kernels.score_table
+        # The score table indexed by received level itself; entry 0 is never read.
+        self._level_scores = np.concatenate(([0.0], kernels.score_table))
         self.sigma_n2 = sigma_n2
         self.fisher_info = kernels.fi_contribution * m_q + m_u / sigma_n2
 
-    def unnormalized_scores(self, levels, analog) -> np.ndarray | float:
-        """Zero-amplitude score; ``levels``/``analog`` may carry a batch axis."""
+    def score_sums(self, levels) -> np.ndarray | float:
+        """Sum of the quantized sensors' scores over the last axis of ``levels``."""
         # Indexing gathers the scores into a new contiguous sensor axis, so
         # each trial of a batch is summed in the same order as a single trial.
-        total = self.score_table[np.asarray(levels, dtype=np.intp) - 1].sum(axis=-1)
+        return self._level_scores[np.asarray(levels, dtype=np.intp)].sum(axis=-1)
+
+    def unnormalized_scores(self, levels, analog) -> np.ndarray | float:
+        """Zero-amplitude score; ``levels``/``analog`` may carry a batch axis."""
+        total = self.score_sums(levels)
         analog = np.asarray(analog, dtype=float)
         if analog.size:
             total = total + analog.sum(axis=-1) / self.sigma_n2
         return total
 
-    def statistic(self, levels, analog) -> np.ndarray | float:
-        """Normalized statistic; asymptotically standard normal under the null."""
+    def statistic(self, levels, analog, *, unnormalized=None) -> np.ndarray | float:
+        """Normalized statistic; asymptotically standard normal under the null.
+
+        ``unnormalized`` may carry the scores of ``levels`` and ``analog``
+        when the caller has formed them already, as ``run_roc`` does to
+        share one score sum between two detectors; only the normalization
+        is then done here.
+        """
         if self.fisher_info <= 0.0:
             raise ValueError("Fisher information is zero; statistic undefined")
-        return self.unnormalized_scores(levels, analog) / math.sqrt(self.fisher_info)
+        if unnormalized is None:
+            unnormalized = self.unnormalized_scores(levels, analog)
+        return unnormalized / math.sqrt(self.fisher_info)
 
 
 def threshold_for_pfa(p_fa: float) -> float:

@@ -161,6 +161,14 @@ def emit(table: Table, fmt: str, path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _check_thresholds(name: str, bits: int, thresholds) -> None:
+    """Reject a threshold set that ``QuantizerSpec`` refuses, naming its field."""
+    try:
+        QuantizerSpec(bits, thresholds)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class RocScenario:
     """One ROC comparison run over a fixed sensor fleet.
@@ -221,6 +229,10 @@ class RocScenario:
         blind = {self.label_low, self.label_hybrid_q} & set(self.detectors)
         if self.p_e == 0.5 and blind:
             raise ValueError(f"p_e = 0.5 erases every level: detectors {sorted(blind)} carry no information")
+        if self.thresholds_hybrid is not None:
+            _check_thresholds("thresholds_hybrid", self.bits_hybrid, self.thresholds_hybrid)
+        if self.thresholds_low is not None:
+            _check_thresholds("thresholds_low", self.bits_low, self.thresholds_low)
 
     @property
     def label_low(self) -> str:
@@ -279,7 +291,10 @@ def run_roc(scenario: RocScenario) -> Table:
     per trial; then, through ``bsc_corrupt_levels``, an ``(n, m_quantized,
     bits_hybrid)`` flip mask if a ``bits_hybrid`` detector is requested;
     then an ``(n, m_quantized, bits_low)`` mask if the ``bits_low``
-    detector is.  No flips are drawn when ``p_e == 0``.  Only exceedance
+    detector is.  No flips are drawn when ``p_e == 0``.  These streams,
+    this draw order and ``ROC_BLOCK`` are the block kernel's whole output
+    contract: the passes after the draws (quantizing, flipping, scoring)
+    may change only so that every count stays the same.  Only exceedance
     counts outlive a block.
 
     The ``(hypothesis, block)`` jobs run concurrently on the thread pool of
@@ -294,12 +309,15 @@ def run_roc(scenario: RocScenario) -> Table:
     want = set(scenario.detectors)
     norm = sigma_n * math.sqrt(m_total)
 
-    # Each detector maps a block (observations, received hybrid levels,
-    # received low-rate levels) to one statistic per trial.
-    detectors = {"clairvoyant": lambda y, hybrid, low: y.sum(axis=1) / norm}
+    # Each detector maps a block's parts to one statistic per trial.  The
+    # parts are the observations, one row per trial; the received hybrid
+    # and low-rate levels; the per-trial sum of the analog observations;
+    # and the per-trial sum of the hybrid levels' scores.  The two sums are
+    # shared by several detectors and computed once per block.
+    detectors = {"clairvoyant": lambda y, hybrid, low, analog, scores: y.sum(axis=1) / norm}
     lam = {"clairvoyant": params.theta * math.sqrt(m_total / scenario.sigma_n2)}
     if m_u:
-        detectors["fp"] = lambda y, hybrid, low: y[:, m_q:].sum(axis=1) / (sigma_n * math.sqrt(m_u))
+        detectors["fp"] = lambda y, hybrid, low, analog, scores: analog / (sigma_n * math.sqrt(m_u))
         lam["fp"] = params.theta * math.sqrt(m_u / scenario.sigma_n2)
 
     spec_hybrid = spec_low = None
@@ -307,19 +325,26 @@ def run_roc(scenario: RocScenario) -> Table:
         spec_hybrid = _scenario_quantizer(scenario, scenario.bits_hybrid, scenario.thresholds_hybrid)
         full = NetworkKernels(spec_hybrid, scenario.p_e, m_q, m_u, scenario.sigma_n2, scenario.mapping)
         quantized = NetworkKernels(spec_hybrid, scenario.p_e, m_q, 0, scenario.sigma_n2, scenario.mapping)
-        recon = reconstruction_table(spec_hybrid, sigma_n)
-        detectors[scenario.label_hybrid_q] = lambda y, hybrid, low: quantized.statistic(hybrid, ())
-        detectors[scenario.label_hybrid] = lambda y, hybrid, low: full.statistic(hybrid, y[:, m_q:])
+        # Indexed by received level itself; entry 0 is never read.
+        recon = np.concatenate(([0.0], reconstruction_table(spec_hybrid, sigma_n)))
+        detectors[scenario.label_hybrid_q] = (
+            lambda y, hybrid, low, analog, scores: quantized.statistic(hybrid, (), unnormalized=scores)
+        )
+        detectors[scenario.label_hybrid] = lambda y, hybrid, low, analog, scores: full.statistic(
+            hybrid, y[:, m_q:], unnormalized=scores + analog / scenario.sigma_n2
+        )
         detectors[scenario.label_reconstruction] = (
-            lambda y, hybrid, low: (recon[hybrid - 1].sum(axis=1) + y[:, m_q:].sum(axis=1)) / norm
+            lambda y, hybrid, low, analog, scores: (recon[hybrid].sum(axis=1) + analog) / norm
         )
         lam[scenario.label_hybrid] = params.theta * math.sqrt(full.fisher_info)
         lam[scenario.label_hybrid_q] = params.theta * math.sqrt(quantized.fisher_info)
     if scenario.label_low in want:
         spec_low = _scenario_quantizer(scenario, scenario.bits_low, scenario.thresholds_low)
         low_kernels = NetworkKernels(spec_low, scenario.p_e, m_q, 0, scenario.sigma_n2, scenario.mapping)
-        detectors[scenario.label_low] = lambda y, hybrid, low: low_kernels.statistic(low, ())
+        detectors[scenario.label_low] = lambda y, hybrid, low, analog, scores: low_kernels.statistic(low, ())
         lam[scenario.label_low] = params.theta * math.sqrt(low_kernels.fisher_info)
+    need_analog = m_u and {"fp", scenario.label_hybrid, scenario.label_reconstruction} & want
+    need_scores = {scenario.label_hybrid_q, scenario.label_hybrid} & want
 
     def received(spec, y, rng):
         if spec is None:
@@ -327,7 +352,8 @@ def run_roc(scenario: RocScenario) -> Table:
         sent = quantize_batch(y[:, :m_q], spec)
         return bsc_corrupt_levels(sent, spec.bits, scenario.p_e, rng, scenario.mapping)
 
-    etas = np.array([threshold_for_pfa(pfa) for pfa in scenario.pfa_grid])
+    # Thresholds down a column, so each comparison runs along a contiguous row.
+    etas = np.array([threshold_for_pfa(pfa) for pfa in scenario.pfa_grid])[:, None]
     hypotheses = (Hypothesis.H0, Hypothesis.H1)
 
     def run_blocks(jobs) -> list[np.ndarray]:
@@ -336,16 +362,17 @@ def run_roc(scenario: RocScenario) -> Table:
         # returning it to the system and faulting it back in.
         counts = []
         for hyp_idx, block_idx in jobs:
-            exceed = np.zeros((2, len(scenario.detectors), len(etas)), dtype=np.int64)
             n = min(ROC_BLOCK, scenario.trials - block_idx * ROC_BLOCK)
             rng = trial_rng(scenario.seed, hyp_idx, block_idx)
             y = simulate_observations(params, hypotheses[hyp_idx], n * m_total, rng).reshape(n, m_total)
             # The flips are drawn in this order, after the observations.
             hybrid = received(spec_hybrid, y, rng)
             low = received(spec_low, y, rng)
-            for k, det in enumerate(scenario.detectors):
-                stat = detectors[det](y, hybrid, low)
-                exceed[hyp_idx, k] = np.count_nonzero(stat[:, None] > etas, axis=0)
+            analog = y[:, m_q:].sum(axis=1) if need_analog else None
+            scores = quantized.score_sums(hybrid) if need_scores else None
+            stats = np.stack([detectors[det](y, hybrid, low, analog, scores) for det in scenario.detectors])
+            exceed = np.zeros((2, len(scenario.detectors), len(etas)), dtype=np.int64)
+            exceed[hyp_idx] = (stats[:, None, :] > etas).sum(axis=2)
             counts.append(exceed)
         return counts
 
@@ -357,7 +384,7 @@ def run_roc(scenario: RocScenario) -> Table:
     for k, det in enumerate(scenario.detectors):
         lam_det = lam.get(det)
         for j, pfa in enumerate(scenario.pfa_grid):
-            eta = float(etas[j])
+            eta = float(etas[j, 0])
             pfa_mc = int(exceed[0, k, j]) / scenario.trials
             pd_mc = int(exceed[1, k, j]) / scenario.trials
             stderr = math.sqrt(max(pd_mc * (1.0 - pd_mc), 0.0) / scenario.trials)
@@ -484,6 +511,13 @@ class LandscapeScenario:
     tau2: float = 0.0
     mapping: str = DEFAULT_MAPPING
 
+    def __post_init__(self):
+        if self.bits != 2:
+            raise ValueError("bits must be 2: landscape grids are defined for 2-bit designs")
+        DesignProblem(self.bits, self.p_e, self.sigma_n2)  # checks p_e and sigma_n2
+        if self.points < 1:
+            raise ValueError("points must be >= 1")
+
 
 LANDSCAPE_COLUMNS = ("tau1", "tau3", "objective")
 
@@ -518,6 +552,22 @@ class DesignScenario:
     seed: int = 20260810
     mapping: str = DEFAULT_MAPPING
 
+    def __post_init__(self):
+        DesignProblem(self.bits, self.p_e, self.sigma_n2, self.tau_max)  # checks the four fields
+        if not self.methods:
+            raise ValueError("methods must not be empty")
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError("methods must not repeat a name")
+        unknown = set(self.methods) - {"bgda", "pso"}
+        if unknown:
+            raise ValueError(f"unknown methods {sorted(unknown)}; expected 'bgda' or 'pso'")
+        if self.bgda_step <= 0:
+            raise ValueError("bgda_step must be positive")
+        if "bgda" in self.methods and self.p_e != 0.0:
+            raise ValueError("methods: bgda requires an error-free channel (p_e = 0)")
+        if self.bgda_init is not None:
+            _check_thresholds("bgda_init", self.bits, self.bgda_init)
+
 
 def run_design(scenario: DesignScenario) -> Table:
     """Run the requested designers and tabulate thresholds and objectives."""
@@ -536,10 +586,8 @@ def run_design(scenario: DesignScenario) -> Table:
     for method in scenario.methods:
         if method == "bgda":
             result = design_bgda(problem, scenario.bgda_init, step=scenario.bgda_step)
-        elif method == "pso":
-            result = design_pso(problem, PsoSettings(seed=scenario.seed))
         else:
-            raise ValueError(f"unknown design method {method!r}")
+            result = design_pso(problem, PsoSettings(seed=scenario.seed))
         rows.append(
             (method, scenario.bits, scenario.p_e, scenario.sigma_n2,
              result.objective, len(result.trace) - 1) + tuple(result.thresholds)

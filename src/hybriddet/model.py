@@ -144,7 +144,9 @@ class QuantizerSpec:
 def _level_codes(bits: int, mapping: str) -> np.ndarray:
     """Integer codeword per level, indexed by ``level - 1``.
 
-    Bit ``k`` of the integer is the codeword bit of weight ``2**k``.
+    Bit ``k`` of the integer is the codeword bit of weight ``2**k``.  Both
+    mappings are linear over GF(2): the codeword of ``i ^ j`` is the XOR of
+    the codewords of ``i`` and ``j``.
     """
     v = np.arange(2**bits)
     if mapping == GRAY:
@@ -155,11 +157,12 @@ def _level_codes(bits: int, mapping: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _code_levels(bits: int, mapping: str) -> np.ndarray:
-    """Level per integer codeword; inverse permutation of ``_level_codes``."""
+def _code_indices(bits: int, mapping: str) -> np.ndarray:
+    """Level index (``level - 1``) per integer codeword; inverse permutation
+    of ``_level_codes``."""
     codes = _level_codes(bits, mapping)
     inv = np.empty_like(codes)
-    inv[codes] = np.arange(1, 2**bits + 1)
+    inv[codes] = np.arange(2**bits)
     return inv
 
 
@@ -208,11 +211,20 @@ def simulate_observations(
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(rng)
+    # ``rng.normal(loc, scale)`` computes ``loc + scale * z`` from a standard
+    # normal ``z``; scaling standard normals in place gives the same numbers
+    # without a call per sample.  Under the null ``loc`` is 0.
+    y = rng.standard_normal(count)
     if hypothesis is Hypothesis.H0:
-        return rng.normal(0.0, params.sigma_n, count)
-    gain = rng.normal(1.0, math.sqrt(params.sigma_h2), count)
-    noise = rng.normal(0.0, params.sigma_n, count)
-    return gain * params.theta + noise
+        y *= params.sigma_n
+        return y
+    y *= math.sqrt(params.sigma_h2)
+    y += 1.0
+    y *= params.theta
+    noise = rng.standard_normal(count)
+    noise *= params.sigma_n
+    y += noise
+    return y
 
 
 def bsc_corrupt_levels(
@@ -230,14 +242,21 @@ def bsc_corrupt_levels(
     the crossover probability, and decodes.  With ``crossover == 0`` no
     randomness is consumed.
     """
-    codes = _level_codes(bits, mapping)[np.asarray(levels) - 1]
+    code_index = _code_indices(bits, mapping)
+    index = np.asarray(levels, dtype=np.intp) - 1
     if crossover > 0:
-        flips = (np.random.default_rng(rng).random(codes.shape + (bits,)) < crossover).view(np.uint8)
-        mask = flips[..., 0].copy()
-        for k in range(1, bits):
-            mask |= flips[..., k] << k
-        codes = codes ^ mask
-    return _code_levels(bits, mapping)[codes]
+        flips = (np.random.default_rng(rng).random(index.shape + (bits,)) < crossover).view(np.uint8)
+        mask = flips[..., bits - 1]
+        for k in reversed(range(bits - 1)):  # mask = 2 * mask + flips[..., k]
+            mask = mask + mask
+            mask += flips[..., k]
+        # Both mappings are linear over GF(2) (see ``_level_codes``): flipping
+        # the bits ``mask`` of the codeword of level index ``i`` gives the
+        # codeword of index ``i ^ code_index[mask]``.  Natural binary is the
+        # identity, so its levels are flipped without decoding.
+        index ^= mask if mapping == NATURAL else code_index[mask]
+    index += 1
+    return index
 
 
 def trial_rng(seed: int, *key: int) -> np.random.Generator:

@@ -244,6 +244,21 @@ def _no_design(*_args, **_kwargs):
         ("sweep", {"cases": [{"name": "a", "freqs": [0.6, 0.2, 0.1, 0.1]},
                              {"name": "a", "freqs": [0.1, 0.1, 0.2, 0.6]}], "m_values": [20]}, "cases"),
         ("sweep", {"senses": ["max", "max"], "m_values": [20]}, "senses"),
+        # A given threshold set is checked before the other set is designed.
+        ("roc", {"thresholds_low": [0.1, 0.2]}, "thresholds_low"),
+        ("roc", {"bits_low": 2, "thresholds_low": [0.5, 0.0, 1.0]}, "thresholds_low"),
+        ("roc", {"thresholds_hybrid": [0.0, 1.0]}, "thresholds_hybrid"),
+        ("roc", {"thresholds_hybrid": [1.5, 1.0, 0.5, 0.0, -0.5, -1.0, -1.5]}, "thresholds_hybrid"),
+        # The design commands check their fields before they design.
+        ("fi-landscape", {"points": 0}, "points"),
+        ("fi-landscape", {"points": -1}, "points"),
+        ("fi-landscape", {"bits": 3}, "bits"),
+        ("design-quantizer", {"methods": []}, "methods"),
+        ("design-quantizer", {"methods": ["pso", "pso"]}, "methods"),
+        ("design-quantizer", {"methods": ["pso", "nope"]}, "methods"),
+        ("design-quantizer", {"bgda_step": 0}, "bgda_step"),
+        ("design-quantizer", {"p_e": 0.2, "methods": ["pso", "bgda"]}, "bgda"),
+        ("design-quantizer", {"methods": ["pso", "bgda"], "bgda_init": [0.0, 1.0]}, "bgda_init"),
     ],
 )
 def test_invalid_fields_rejected_before_any_design(tmp_path, capsys, monkeypatch, command, config, field):
@@ -251,6 +266,8 @@ def test_invalid_fields_rejected_before_any_design(tmp_path, capsys, monkeypatch
     # statistics are rounding noise divided by rounding noise.
     monkeypatch.setattr(experiments, "optimized_thresholds", _no_design)
     monkeypatch.setattr(allocation, "build_fi_table", _no_design)
+    for name in ("design_pso", "design_bgda", "fi_landscape"):
+        monkeypatch.setattr(experiments, name, _no_design)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "x.csv"

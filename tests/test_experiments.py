@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,9 +157,10 @@ _NOISY_3BIT = (
 )
 
 
-def _roc_case(p_e, trials, detectors=(), mapping="natural"):
+def _roc_case(p_e, trials, detectors=(), mapping="natural", sigma_n2=1.0, sigma_h2=0.5):
     return RocScenario(
         p_e=p_e, trials=trials, seed=11, detectors=detectors, mapping=mapping,
+        sigma_n2=sigma_n2, sigma_h2=sigma_h2,
         thresholds_hybrid=_NOISY_3BIT if p_e else _CLEAN_3BIT, thresholds_low=(0.0,),
     )
 
@@ -169,10 +171,19 @@ class TestRocBlocksMatchPerTrialLoop:
     which draws from the same per-block streams and then handles one trial
     at a time with the scalar quantizer and codeword code."""
 
-    @pytest.mark.parametrize("trials", [1, ROC_BLOCK - 1, ROC_BLOCK, ROC_BLOCK + 1])
-    @pytest.mark.parametrize("p_e", [0.0, 0.2])
-    def test_all_detectors(self, p_e, trials):
-        scenario = _roc_case(p_e, trials)
+    @pytest.mark.parametrize(
+        "p_e, trials, noise",
+        [
+            pytest.param(p_e, trials, {}, id=f"{p_e}-{trials}")
+            for trials in (1, ROC_BLOCK - 1, ROC_BLOCK, ROC_BLOCK + 1)
+            for p_e in (0.0, 0.2)
+        ]
+        # No fading and a noise variance other than 1: every scale factor
+        # of the observations is live, and the gain's normal has scale 0.
+        + [pytest.param(0.2, ROC_BLOCK + 1, {"sigma_n2": 2.0, "sigma_h2": 0.0}, id="0.2-257-unfaded")],
+    )
+    def test_all_detectors(self, p_e, trials, noise):
+        scenario = _roc_case(p_e, trials, **noise)
         assert run_roc(scenario).rows == per_trial_roc(scenario).rows
 
     def test_gray_mapping(self):
@@ -294,6 +305,32 @@ class TestRocWorkers:
         assert json.loads(capsys.readouterr().err) == {"error": "block (1, 2) failed"}
         assert not out.exists()
         assert threading.active_count() == before
+
+
+class TestRocMemory:
+    """Only exceedance counts outlive a block, so memory is bounded by the
+    worker count times a block, not by the trial count."""
+
+    def test_peak_does_not_grow_with_the_trial_count(self, monkeypatch):
+        # One worker, so that the peak does not depend on how the threads'
+        # blocks overlap.
+        monkeypatch.setattr(experiments, "_workers", lambda jobs: 1)
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                run_roc(_roc_case(0.2, trials))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        scenario = _roc_case(0.2, ROC_BLOCK)
+        # The float64 draws of one H1 block: gains and noise, then one
+        # uniform per codeword bit of either quantizer.
+        block = 8 * ROC_BLOCK * (
+            2 * scenario.m_total + scenario.m_quantized * (scenario.bits_hybrid + scenario.bits_low)
+        )
+        assert peak(20 * ROC_BLOCK) - peak(2 * ROC_BLOCK) <= block
 
 
 class TestSweepWorkers:

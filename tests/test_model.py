@@ -227,6 +227,51 @@ class TestBsc:
             bsc_kernel(1, 0.6)
 
 
+class TestDrawContract:
+    """What one ROC block draws, pinned to explicit formulas on a twin generator.
+
+    ``roc_reference.per_trial_roc`` draws its observations through
+    ``simulate_observations``, as ``run_roc`` does, so it cannot see a
+    change in what these functions draw; these tests can.
+    """
+
+    @pytest.mark.parametrize("sigma_n2, sigma_h2", [(1.0, 0.5), (2.0, 0.0), (0.3, 1.7)])
+    @pytest.mark.parametrize("hypothesis", [Hypothesis.H0, Hypothesis.H1])
+    def test_observations(self, hypothesis, sigma_n2, sigma_h2):
+        params = SignalParams(0.37, sigma_n2, sigma_h2)
+        rng, twin = np.random.default_rng(31), np.random.default_rng(31)
+        y = simulate_observations(params, hypothesis, 5000, rng)
+        if hypothesis is Hypothesis.H0:
+            want = twin.normal(0.0, math.sqrt(sigma_n2), 5000)
+        else:
+            gain = twin.normal(1.0, math.sqrt(sigma_h2), 5000)
+            noise = twin.normal(0.0, math.sqrt(sigma_n2), 5000)
+            want = 0.37 * gain + noise
+        np.testing.assert_array_equal(y, want)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("mapping", ["natural", "gray"])
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4])
+    def test_flips(self, bits, mapping):
+        # Levels shaped as a block: one row of sensors per trial.
+        levels = np.random.default_rng(bits).integers(1, 2**bits + 1, (37, 11))
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        received = bsc_corrupt_levels(levels, bits, 0.2, rng, mapping)
+        # One uniform per codeword bit; entry ``k`` flips the bit of weight ``2**k``.
+        flips = twin.random(levels.shape + (bits,)) < 0.2
+        code = levels - 1
+        if mapping == "gray":
+            code = code ^ (code >> 1)
+        for k in range(bits):
+            code = code ^ (flips[..., k].astype(int) << k)
+        index = code.copy()
+        if mapping == "gray":  # the prefix XOR of the Gray code's bits
+            for k in range(1, bits):
+                index ^= code >> k
+        np.testing.assert_array_equal(received, index + 1)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
 class TestTrialRng:
     def test_reproducible_and_distinct(self):
         a = trial_rng(9, 0, 5).normal(size=4)
