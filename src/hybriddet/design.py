@@ -398,7 +398,8 @@ def _faces(bits: int) -> tuple[np.ndarray, np.ndarray]:
 #: optimum; once its line search has shrunk below ``_FACE_MIN_STEP``; or
 #: after ``_FACE_MAX_ITERS`` trial steps.  No step moves an edge further
 #: than ``_FACE_MAX_MOVE``.  No empty level of the winner may open faster
-#: than ``_KKT_TOL`` times that (``_kkt_opening``).
+#: than ``_KKT_TOL`` times that (``_kkt_opening``).  Rows within
+#: ``_FACE_TIE`` of the best objective, relative to it, tie (``_first_best``).
 _FACE_FLOOR = 1e-5
 _FACE_GTOL = 1e-10
 _FACE_WIDTH = 1e-9
@@ -407,6 +408,7 @@ _FACE_MIN_STEP = 1e-12
 _FACE_MAX_ITERS = 500
 _FACE_MAX_MOVE = 1.0
 _KKT_TOL = 1e-7
+_FACE_TIE = 1e-13
 #: Widths at which a level that fails the check is opened, each on its own row.
 _OPEN_STEPS = (1e-2, 1e-4, 1e-6)
 
@@ -417,8 +419,9 @@ def _design_faces(problems: list[DesignProblem]) -> list[DesignResult]:
     The problems share bit depth, noise level and box and may differ in
     channel.  Every face (``_faces``) of every problem is one row, started
     from evenly spread edges and climbed by ``_climb``, in unit-noise
-    coordinates.  Each problem keeps its best row, which must pass the
-    optimality check of ``_kkt_opening``.  Where opening an empty level
+    coordinates.  Each problem keeps its best row (of rows that tie, the
+    first face: ``_first_best``), which must pass the optimality check of
+    ``_kkt_opening``.  Where opening an empty level
     still raises the objective (a face can hold more than one peak), that
     level is opened and the larger face climbed from there; where the best
     row stopped as a cell closed, cells narrower than ``_FACE_WIDTH`` are
@@ -443,12 +446,10 @@ def _design_faces(problems: list[DesignProblem]) -> list[DesignResult]:
     for _ in range(2**bits):
         z, f, traces = _climb(used[face], slots[face], kernels[channel], x, bound)
         for k in np.unique(channel):
-            rows = np.flatnonzero(channel == k)
-            top = rows[np.argmax(f[rows])]
-            if best[k] is None or f[top] > best[k][1]:
-                best[k] = (z[top], f[top], traces[top])
+            rows = [(z[r], f[r], traces[r], face[r]) for r in np.flatnonzero(channel == k)]
+            best[k] = _first_best(([best[k]] if best[k] else []) + rows)
         face, channel, x = [], [], []
-        for k, (z_k, f_k, _) in enumerate(best):
+        for k, (z_k, f_k, _, _) in enumerate(best):
             rate, push, room = _kkt_opening(z_k, bound, kernels[k])
             if rate <= _KKT_TOL * max(f_k, _FACE_FLOOR):
                 continue
@@ -467,10 +468,23 @@ def _design_faces(problems: list[DesignProblem]) -> list[DesignResult]:
     else:
         raise RuntimeError(f"face design of {problems} failed its optimality check")
     results = []
-    for problem, (z_k, _, trace) in zip(problems, best):
+    for problem, (z_k, _, trace, _) in zip(problems, best):
         trace = tuple(float(v) / problem.sigma_n2 for v in trace)
         results.append(DesignResult(tuple(float(t) for t in z_k * sigma), trace[-1], trace))
     return results
+
+
+def _first_best(rows: list) -> tuple:
+    """The ``(z, objective, trace, face)`` row kept among rows that tie.
+
+    Faces can climb to the same optimum (at 3 bits and p_e = 0.1 or 0.2
+    several do, within a few ulps), and which of them rounding puts on top
+    would decide the design.  Of the rows within ``_FACE_TIE`` (relative)
+    of the best objective, the first in ``_faces`` order is kept, and of
+    equal faces the first listed.
+    """
+    top = max(row[1] for row in rows)
+    return min((row for row in rows if row[1] >= top - _FACE_TIE * abs(top)), key=lambda row: row[3])
 
 
 def _place(x: np.ndarray, slots: np.ndarray, bound: float) -> np.ndarray:

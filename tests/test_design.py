@@ -561,6 +561,30 @@ class TestFaceDesign:
         edges = np.unique(np.round(result.thresholds, 9))
         np.testing.assert_allclose(edges, (-t_star, 0.0, t_star), atol=1e-6)
 
+    @pytest.mark.parametrize("p_e", (0.1, 0.2))
+    def test_kept_face_survives_one_ulp_on_every_row(self, monkeypatch, p_e):
+        # Faces {1, 3, 7, 8}, {1, 5, 6, 8} and {1, 5, 7, 8} climb to within
+        # a few ulps of each other here; the first in ``_faces`` order is
+        # kept however rounding moves each row.
+        problem = DesignProblem(bits=3, p_e=p_e)
+        climb, nudges, rows = design._climb, [], []
+
+        def nudged(*args):
+            z, f, traces = climb(*args)
+            rows.append(f)
+            return z, np.nextafter(f, np.inf * nudges[-1][: len(f)]), traces
+
+        monkeypatch.setattr(design, "_climb", nudged)
+        rng = np.random.default_rng(7)
+        n_faces = len(design._faces(3)[0])
+        for nudge in [np.ones(n_faces), -np.ones(n_faces)] + [rng.choice((-1.0, 1.0), n_faces) for _ in range(4)]:
+            nudges.append(nudge)
+            z, _, bound = _face_point(design._design_faces([problem])[0], problem)
+            widths = np.diff(z, prepend=-bound, append=bound)
+            assert tuple(np.flatnonzero(widths > design._FACE_WIDTH) + 1) == (1, 3, 7, 8)
+        best = rows[0].max()
+        assert np.count_nonzero(rows[0] >= best - design._FACE_TIE * best) >= 2
+
     @pytest.mark.parametrize("bits, p_e", SWEEP_CELLS)
     def test_table_cells_reach_every_swarm_seed(self, monkeypatch, bits, p_e):
         monkeypatch.setattr(design, "_DESIGN_CACHE", {})
