@@ -311,8 +311,9 @@ def solve_ilp(problem: IlpProblem) -> IlpSolution:
     Raises :class:`AllocationInfeasibleError` when no integer point is
     feasible and ``RuntimeError`` on any other non-optimal outcome.
     """
-    # Deferred: scipy.optimize adds about 0.2 s to every CLI start.  The
-    # sweep's pool threads may reach this first import together.
+    # Deferred: this is the package's only scipy import, and it costs about
+    # 0.35 s (scipy.special comes with it), which no other command should
+    # pay at start.  The sweep's pool threads may reach it together.
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     res = milp(

@@ -41,13 +41,30 @@ def random_instance(rng, max_count=16, max_budget=200):
     return hist, table, budget, l0, mode, sense
 
 
+def design_table(epsilons, designs):
+    """Information of the thresholds ``designs[bits - 1]`` on each channel."""
+    gamma = [
+        [design_objective(tau, DesignProblem(bits=bits, p_e=e)) for e in epsilons]
+        for bits, tau in enumerate(designs, start=1)
+    ]
+    return FiTable(gamma=np.array(gamma), gamma0=1.0)
+
+
 def error_free_design_table(epsilons, max_bits):
     """Information of the error-free optimal thresholds on each channel."""
-    gamma = []
-    for bits in range(1, max_bits + 1):
-        tau = _error_free_optimum(bits, 1.0)
-        gamma.append([design_objective(tau, DesignProblem(bits=bits, p_e=e)) for e in epsilons])
-    return FiTable(gamma=np.array(gamma), gamma0=1.0)
+    return design_table(epsilons, [_error_free_optimum(bits, 1.0) for bits in range(1, max_bits + 1)])
+
+
+#: Error-free gradient-ascent designs of 1 to 3 bits at unit noise, as data,
+#: so that a pinned optimum does not move with where the ascent stops.
+BGDA_DESIGNS = (
+    (0.0,),
+    (-0.9815987637252704, 0.0, 0.9815987637252704),
+    (
+        -1.7479268535104084, -1.0499568414210412, -0.5005495093437964, 0.0,
+        0.5005495093437964, 1.0499568414210412, 1.7479268535104084,
+    ),
+)
 
 
 class TestCategorize:
@@ -277,7 +294,7 @@ class TestAllocate:
         counts = np.array((9, 7, 9, 13, 12, 8, 10, 8))
         m = int(counts.sum())
         hist = ErrorHistogram(eps, tuple(counts / m), m)
-        table = error_free_design_table(eps, 3)
+        table = design_table(eps, BGDA_DESIGNS)
         result = allocate(hist, table, 218, 32, BudgetMode.AT_MOST, Sense.MAXIMIZE_FI)
         oracle = allocate_dp_oracle(hist, table, 218, 32, BudgetMode.AT_MOST, Sense.MAXIMIZE_FI)
         assert oracle.total_fi == pytest.approx(18.4367306, abs=1e-7)

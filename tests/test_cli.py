@@ -312,42 +312,60 @@ def test_sweep_case_without_freqs_rejected(tmp_path, capsys):
     assert "sweep case 0" in json.loads(capsys.readouterr().err)["error"]
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # Only allocation needs scipy.optimize; importing it at CLI start would
-    # cost every command about 0.2 s.
+#: Run in a fresh interpreter with the command and presets as ``sys.argv``.
+#: Every module of scipy that loads must load inside ``allocation.solve_ilp``
+#: (its deferred ``milp`` import).  Prints whether the CLI import loaded any,
+#: then, on the last line, the presets' exit codes, any scipy module loaded
+#: elsewhere and whether scipy was loaded at the end.
+_SCIPY_GUARD = """
+import sys
+
+def solving():
+    frame = sys._getframe()
+    while frame is not None:
+        if frame.f_code.co_name == "solve_ilp":
+            return True
+        frame = frame.f_back
+    return False
+
+class Guard:
+    stray = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy" and not solving():
+            self.stray.append(name)
+        return None
+
+sys.meta_path.insert(0, Guard())
+import hybriddet.cli
+print(any(name.partition(".")[0] == "scipy" for name in sys.modules))
+command, out = sys.argv[1], sys.argv[2]
+extra = ["--trials", "200"] if command == "roc" else []
+codes = [hybriddet.cli.main([command, "--preset", preset, "--out", out] + extra) for preset in sys.argv[3:]]
+print(codes, Guard.stray, "scipy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "command, presets, solver",
+    [
+        pytest.param("roc", ("ideal", "errorprone"), False, id="roc"),
+        pytest.param("fi-landscape", ("ideal", "errorprone"), False, id="fi-landscape"),
+        pytest.param("design-quantizer", ("ideal", "errorprone"), False, id="design-quantizer"),
+        pytest.param("allocate", ("mixed",), True, id="allocate"),
+        pytest.param("sweep", ("two-mixes",), True, id="sweep"),
+    ],
+)
+def test_commands_load_scipy_only_through_the_solver(tmp_path, command, presets, solver):
+    # Importing scipy costs every command about 0.3 s at start.  The Gaussian
+    # tail and its inverse come from the standard library, so only the
+    # allocation solver, which needs ``milp``, may import scipy, and only
+    # when it runs.
     env = dict(os.environ, PYTHONPATH=str(Path(hybriddet.__file__).resolve().parents[1]))
-    code = "import hybriddet.cli, sys; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
-
-
-def test_errorprone_roc_leaves_scipy_optimize_unloaded(tmp_path):
-    # The designs of the roc path use numpy alone; importing scipy.optimize
-    # costs 0.24-0.33 s, which would land inside every ROC run.
-    env = dict(os.environ, PYTHONPATH=str(Path(hybriddet.__file__).resolve().parents[1]))
-    out_csv = tmp_path / "roc.csv"
-    code = (
-        "import sys; from hybriddet import cli; "
-        f"code = cli.main(['roc', '--preset', 'errorprone', '--trials', '200', '--out', {str(out_csv)!r}]); "
-        "print(code, 'scipy.optimize' in sys.modules)"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "0 False"
-
-
-@pytest.mark.parametrize("command, preset", [("fi-landscape", "errorprone"), ("design-quantizer", "ideal")])
-def test_design_commands_leave_scipy_optimize_unloaded(tmp_path, command, preset):
-    # The thread pool's code lives beside the sweep; it must not pull the
-    # solver into commands that never allocate.
-    env = dict(os.environ, PYTHONPATH=str(Path(hybriddet.__file__).resolve().parents[1]))
-    out_csv = tmp_path / "out.csv"
-    code = (
-        "import sys; from hybriddet import cli; "
-        f"code = cli.main([{command!r}, '--preset', {preset!r}, '--out', {str(out_csv)!r}]); "
-        "print(code, 'scipy.optimize' in sys.modules)"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "0 False"
+    argv = [sys.executable, "-c", _SCIPY_GUARD, command, str(tmp_path / "out.csv"), *presets]
+    lines = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout.splitlines()
+    assert lines[0] == "False"
+    assert lines[-1] == f"{[0] * len(presets)} [] {solver}"
 
 
 def test_sweep_workers_meet_the_first_solver_import_together():

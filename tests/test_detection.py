@@ -25,7 +25,7 @@ from hybriddet.model import (
     simulate_observations,
     trial_rng,
 )
-from hybriddet.experiments import RocScenario, run_roc
+from hybriddet.experiments import RocScenario, SweepScenario, run_roc
 
 from oracles import cell_centroid_quad, quantized_fi_oracle, upper_tail_inverse_bisect, upper_tail_quad
 from roc_reference import null_scores
@@ -248,6 +248,17 @@ class TestRocTheory:
         expected = upper_tail_inverse_bisect(0.1)
         assert threshold_for_pfa(0.1) == pytest.approx(expected, abs=1e-9)
         assert threshold_for_pfa(0.9) == pytest.approx(-threshold_for_pfa(0.1), abs=1e-12)
+
+    def test_threshold_within_two_ulp_of_mpmath(self):
+        grid = RocScenario.pfa_grid + (SweepScenario.pfa, 0.9, 0.99)
+        with mpmath.workdps(50):
+            for p_fa in grid:
+                want = -mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p_fa) - 1)
+                got = threshold_for_pfa(p_fa)
+                if want == 0:
+                    assert got == 0.0
+                else:
+                    assert float(abs(got - want)) <= 2 * math.ulp(float(want))
 
     def test_threshold_domain(self):
         for bad in (0.0, 1.0, -0.2, 1.7):
