@@ -421,11 +421,11 @@ def _design_faces(problems: list[DesignProblem]) -> list[DesignResult]:
     from evenly spread edges and climbed by ``_climb``, in unit-noise
     coordinates.  Each problem keeps its best row (of rows that tie, the
     first face: ``_first_best``), which must pass the optimality check of
-    ``_kkt_opening``.  Where opening an empty level
-    still raises the objective (a face can hold more than one peak), that
-    level is opened and the larger face climbed from there; where the best
-    row stopped as a cell closed, cells narrower than ``_FACE_WIDTH`` are
-    closed and the smaller face climbed; until the check passes.  The
+    ``_kkt_opening``.  Where opening an empty level still raises the
+    objective (a face can hold more than one peak), that level is opened
+    and the larger face climbed from there; where the best row stopped as
+    a cell closed, cells narrower than ``_FACE_WIDTH`` are closed and the
+    smaller face climbed; until the check passes.  The
     thresholds are the face point scaled to the noise level, and the trace
     the winning row's objective before each trial step.
     """
@@ -447,7 +447,7 @@ def _design_faces(problems: list[DesignProblem]) -> list[DesignResult]:
         z, f, traces = _climb(used[face], slots[face], kernels[channel], x, bound)
         for k in np.unique(channel):
             rows = [(z[r], f[r], traces[r], face[r]) for r in np.flatnonzero(channel == k)]
-            best[k] = _first_best(([best[k]] if best[k] else []) + rows)
+            best[k] = _first_best(rows if best[k] is None else [best[k], *rows])
         face, channel, x = [], [], []
         for k, (z_k, f_k, _, _) in enumerate(best):
             rate, push, room = _kkt_opening(z_k, bound, kernels[k])

@@ -57,18 +57,22 @@ def cell_tables(thresholds, sigma_n: float) -> tuple[np.ndarray, np.ndarray]:
     probability at zero.
     """
     tau = np.asarray(thresholds, dtype=float)
-    pad = np.full(tau.shape[:-1] + (1,), np.inf)
-    z = np.concatenate((-pad, tau, pad), axis=-1) / sigma_n
+    # Edges run along the first axis here, so that each neighbour slice is
+    # one contiguous block: numpy loops over a last axis of a few entries
+    # element group by element group.  The tables go back to the caller's
+    # layout at the end; every element is computed as in that layout.
+    z = np.empty((tau.shape[-1] + 2,) + tau.shape[:-1])
+    z[0], z[-1] = -np.inf, np.inf
+    np.divide(np.moveaxis(tau, -1, 0), sigma_n, out=z[1:-1])
     # The tails at the infinite edges are exactly 0; only the interior
     # thresholds need a tail evaluation.
-    edge = np.zeros_like(pad)
-    tail = np.concatenate((edge, gaussian_upper_tail(np.abs(z[..., 1:-1])), edge), axis=-1)
-    lo, hi = tail[..., :-1], tail[..., 1:]
-    probs = np.where(
-        z[..., :-1] >= 0.0, lo - hi, np.where(z[..., 1:] <= 0.0, hi - lo, 1.0 - lo - hi)
-    )
+    tail = np.zeros_like(z)
+    tail[1:-1] = gaussian_upper_tail(np.abs(z[1:-1]))
+    lo, hi = tail[:-1], tail[1:]
+    probs = np.where(z[:-1] >= 0.0, lo - hi, np.where(z[1:] <= 0.0, hi - lo, 1.0 - lo - hi))
     dens = gaussian_pdf(z)
-    return probs, sigma_n**2 * (dens[..., :-1] - dens[..., 1:])
+    scores = sigma_n**2 * (dens[:-1] - dens[1:])
+    return np.moveaxis(probs, 0, -1).copy(), np.moveaxis(scores, 0, -1).copy()
 
 
 def bsc_kernel(bits: int, p_e: float, mapping: str = DEFAULT_MAPPING) -> np.ndarray:

@@ -66,8 +66,9 @@ def gaussian_upper_tail(x):
     Strictly decreasing, exactly 1 at ``-inf`` and 0 at ``+inf``; NaN stays
     NaN.  Accepts floats (giving a scalar) or arrays (an array of the same
     shape).  All tail probabilities in this package use this convention,
-    not the CDF.  Each element is libm's ``erfc``, which stays within 2 ulp
-    of the exact tail over the normal range, one call per element.
+    not the CDF.  Each element is one call of libm's ``erfc`` at
+    ``x / sqrt(2)``; glibc's stays within about 2 ulp of the exact value
+    over the normal range.
     """
     x = np.asarray(x, dtype=float) / _SQRT2
     tail = np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)

@@ -21,6 +21,8 @@ from hybriddet.model import (
     Hypothesis,
     QuantizerSpec,
     SignalParams,
+    gaussian_pdf,
+    gaussian_upper_tail,
     quantize_batch,
     simulate_observations,
     trial_rng,
@@ -94,6 +96,26 @@ class TestCellTables:
             want_p, want_s = cell_tables(tuple(row), 1.7)
             np.testing.assert_array_equal(p, want_p)
             np.testing.assert_array_equal(s, want_s)
+
+    @pytest.mark.parametrize("shape", [(7,), (40, 1), (3, 5, 3), (2, 4, 7)])
+    def test_batches_match_cell_by_cell_reference(self, shape):
+        # Each cell from its own two edges, one scalar at a time, with the
+        # side-of-zero rule of the docstring: the batched tables must agree
+        # bit for bit whatever the batch shape.
+        rng = np.random.default_rng(len(shape) * 10 + shape[-1])
+        rows = np.sort(rng.normal(0.0, 3.0, shape), axis=-1)
+        if shape[-1] > 1:
+            rows[..., -1] = rows[..., -2]  # an empty top-but-one cell
+        sigma_n = 1.3
+        probs, scores = cell_tables(rows, sigma_n)
+        assert probs.shape == scores.shape == shape[:-1] + (shape[-1] + 1,)
+        for index in np.ndindex(shape[:-1]):
+            z = [-math.inf] + [t / sigma_n for t in rows[index]] + [math.inf]
+            for j, (a, b) in enumerate(zip(z[:-1], z[1:])):
+                lo, hi = gaussian_upper_tail(abs(a)), gaussian_upper_tail(abs(b))
+                want = lo - hi if a >= 0.0 else hi - lo if b <= 0.0 else 1.0 - lo - hi
+                assert probs[index + (j,)] == want
+                assert scores[index + (j,)] == sigma_n**2 * (gaussian_pdf(a) - gaussian_pdf(b))
 
 
 class TestBscKernel:
