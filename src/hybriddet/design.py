@@ -215,7 +215,10 @@ def design_bgda(problem: DesignProblem, init=None, step: float = 0.5) -> DesignR
 #: ``_PSO_CHI``, derived from their sum, which must exceed 4.  A swarm stops
 #: once every velocity component is within ``_PSO_V_TOL``; once its best
 #: objective has risen by at most ``_STALL_TOL * |best|`` over the last
-#: ``_STALL_ITERS`` sweeps; or after ``_PSO_MAX_ITERS`` sweeps.
+#: ``_STALL_ITERS`` sweeps while at least half of its particles' own bests
+#: lie within that tolerance of the best; or after ``_PSO_MAX_ITERS`` sweeps.
+#: A swarm whose best stalls while most particles still hold far worse
+#: bests is still exploring, and can climb again after a long plateau.
 _PSO_SIZE = 100
 _PSO_C1 = 2.05
 _PSO_C2 = 2.05
@@ -312,7 +315,12 @@ def _run_swarms(
         for i, k in enumerate(live):
             trace, best = traces[k], float(gbest_obj[i])
             trace.append(best)
-            if len(trace) > _STALL_ITERS and best - trace[-1 - _STALL_ITERS] <= _STALL_TOL * abs(best):
+            tol = _STALL_TOL * abs(best)
+            if (
+                len(trace) > _STALL_ITERS
+                and best - trace[-1 - _STALL_ITERS] <= tol
+                and best - np.median(pbest_obj[i]) <= tol
+            ):
                 done[i] = True
         if done.any():
             finish(done)

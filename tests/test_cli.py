@@ -314,9 +314,8 @@ def test_sweep_case_without_freqs_rejected(tmp_path, capsys):
 
 #: Run in a fresh interpreter with the command and presets as ``sys.argv``.
 #: Every module of scipy that loads must load inside ``allocation.solve_ilp``
-#: (its deferred ``milp`` import).  Prints whether the CLI import loaded any,
-#: then, on the last line, the presets' exit codes, any scipy module loaded
-#: elsewhere and whether scipy was loaded at the end.
+#: (its deferred ``milp`` import).  Prints the presets' exit codes, any scipy
+#: module loaded elsewhere and whether scipy was loaded at the end.
 _SCIPY_GUARD = """
 import sys
 
@@ -338,7 +337,6 @@ class Guard:
 
 sys.meta_path.insert(0, Guard())
 import hybriddet.cli
-print(any(name.partition(".")[0] == "scipy" for name in sys.modules))
 command, out = sys.argv[1], sys.argv[2]
 extra = ["--trials", "200"] if command == "roc" else []
 codes = [hybriddet.cli.main([command, "--preset", preset, "--out", out] + extra) for preset in sys.argv[3:]]
@@ -346,10 +344,30 @@ print(codes, Guard.stray, "scipy" in sys.modules)
 """
 
 
+def _run_python(*argv):
+    """Stdout lines of a fresh interpreter run on this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hybriddet.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, check=True).stdout.splitlines()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # Importing scipy costs every command about 0.3 s at start.  The Gaussian
+    # tail and its inverse come from the standard library, so importing the
+    # CLI loads no scipy module at all.
+    code = "import hybriddet.cli, sys; print(any(name.partition('.')[0] == 'scipy' for name in sys.modules))"
+    assert _run_python("-c", code) == ["False"]
+
+
+def test_errorprone_roc_leaves_scipy_optimize_unloaded(tmp_path):
+    # Both roc presets, the error-prone one with its bit flips included, run
+    # without importing any scipy module.
+    lines = _run_python("-c", _SCIPY_GUARD, "roc", str(tmp_path / "out.csv"), "ideal", "errorprone")
+    assert lines[-1] == "[0, 0] [] False"
+
+
 @pytest.mark.parametrize(
     "command, presets, solver",
     [
-        pytest.param("roc", ("ideal", "errorprone"), False, id="roc"),
         pytest.param("fi-landscape", ("ideal", "errorprone"), False, id="fi-landscape"),
         pytest.param("design-quantizer", ("ideal", "errorprone"), False, id="design-quantizer"),
         pytest.param("allocate", ("mixed",), True, id="allocate"),
@@ -357,21 +375,15 @@ print(codes, Guard.stray, "scipy" in sys.modules)
     ],
 )
 def test_commands_load_scipy_only_through_the_solver(tmp_path, command, presets, solver):
-    # Importing scipy costs every command about 0.3 s at start.  The Gaussian
-    # tail and its inverse come from the standard library, so only the
-    # allocation solver, which needs ``milp``, may import scipy, and only
-    # when it runs.
-    env = dict(os.environ, PYTHONPATH=str(Path(hybriddet.__file__).resolve().parents[1]))
-    argv = [sys.executable, "-c", _SCIPY_GUARD, command, str(tmp_path / "out.csv"), *presets]
-    lines = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout.splitlines()
-    assert lines[0] == "False"
+    # Only the allocation solver, which needs ``milp``, may import scipy, and
+    # only when it runs.
+    lines = _run_python("-c", _SCIPY_GUARD, command, str(tmp_path / "out.csv"), *presets)
     assert lines[-1] == f"{[0] * len(presets)} [] {solver}"
 
 
 def test_sweep_workers_meet_the_first_solver_import_together():
     # ``solve_ilp`` imports scipy.optimize on first use, so in a fresh
     # interpreter the pool's threads may all reach that import at once.
-    env = dict(os.environ, PYTHONPATH=str(Path(hybriddet.__file__).resolve().parents[1]))
     code = """
 import sys
 from hybriddet import experiments
@@ -384,5 +396,4 @@ pooled = run_sweep(scenario)
 experiments._workers = lambda jobs: 1
 print(pooled == run_sweep(scenario), [row[3] for row in pooled[0].rows])
 """
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "True ['optimal', 'optimal', 'infeasible', 'infeasible']"
+    assert _run_python("-c", code)[-1] == "True ['optimal', 'optimal', 'infeasible', 'infeasible']"
