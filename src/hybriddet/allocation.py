@@ -341,21 +341,31 @@ def allocate(
 ) -> AllocationResult:
     """Globally optimal assignment via :func:`solve_ilp`.
 
+    An at-most budget above ``m_total * max(l0, max_bits)``, which no
+    assignment can spend, is solved at that cap.  HiGHS's tolerances are
+    absolute, so it solves with the costs scaled exactly, by the power of
+    two that puts the largest in [1, 2), whatever ``sigma_n2`` is.
+
     Raises :class:`AllocationInfeasibleError` when no assignment fits,
     e.g. an exact budget that no combination of bit widths reaches, or an
     at-most budget below one bit per sensor.
     """
-    problem = build_ilp(hist, table, budget, l0, budget_mode)
+    cap = hist.m_total * max(l0, table.max_bits)
+    if budget_mode is BudgetMode.EXACT and budget > cap:
+        raise AllocationInfeasibleError(f"no assignment consumes exactly {budget} bits; none spends over {cap}")
+    problem = build_ilp(hist, table, min(budget, cap), l0, budget_mode)
     if sense is Sense.MINIMIZE_FI:
         problem = replace(problem, cost=-problem.cost)
-    solution = solve_ilp(problem)
+    largest = float(np.abs(problem.cost).max())
+    shift = 1 - math.frexp(largest)[1] if largest > 0.0 else 0
+    solution = solve_ilp(replace(problem, cost=np.ldexp(problem.cost, shift)))
     L, N = table.max_bits, hist.n_categories
     x = solution.x
     x_matrix = x[: L * N].reshape((L, N), order="F")
     promotions = x[L * N : L * N + N]
     result = _assemble(x_matrix, promotions, table, l0)
     solver_fi = -solution.objective if sense is Sense.MAXIMIZE_FI else solution.objective
-    if abs(solver_fi - result.total_fi) > 1e-9:
+    if abs(solver_fi - np.ldexp(result.total_fi, shift)) > 1e-9:
         raise RuntimeError("solver objective disagrees with recomputed information")
     validate_allocation(result, hist, budget, l0, budget_mode)
     return result

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .detection import bsc_kernel, cell_tables, received_information
-from .model import DEFAULT_MAPPING, check_bits, gaussian_pdf
+from .model import DEFAULT_MAPPING, check_bits, check_sigma_n2, gaussian_pdf
 
 __all__ = [
     "DesignProblem",
@@ -56,8 +56,7 @@ class DesignProblem:
         check_bits("bits", self.bits)
         if not 0.0 <= self.p_e <= 0.5:
             raise ValueError("p_e must lie in [0, 0.5]")
-        if self.sigma_n2 <= 0:
-            raise ValueError("sigma_n2 must be positive")
+        check_sigma_n2(self.sigma_n2)
         if self.tau_max <= 0:
             raise ValueError("tau_max must be positive")
 
@@ -84,17 +83,23 @@ class DesignResult:
     trace: tuple[float, ...]
 
 
+def _leave_unit_noise(z, trace, problem: DesignProblem) -> DesignResult:
+    """A unit-noise design and its objective trace, scaled to the problem's noise level."""
+    trace = tuple(float(value) / problem.sigma_n2 for value in trace)
+    return DesignResult(tuple(float(t) for t in np.multiply(z, problem.sigma_n)), trace[-1], trace)
+
+
 def _objective_rows(tau: np.ndarray, problem: DesignProblem) -> np.ndarray:
     """Information contribution for each row of sorted thresholds.
 
     Rows may contain repeated values (e.g. after clipping); the resulting
-    zero-probability cells contribute nothing.
+    zero-probability cells contribute nothing.  The unit-noise information
+    of the thresholds over ``sigma_n`` is divided by ``sigma_n2``.
     """
     tau = np.atleast_2d(np.asarray(tau, dtype=float))
-    sigma = problem.sigma_n
-    probs, scores = cell_tables(tau, sigma)
+    probs, scores = cell_tables(tau / problem.sigma_n)
     kernel = bsc_kernel(problem.bits, problem.p_e, problem.mapping)
-    return received_information(probs, scores, kernel, sigma)[2]
+    return received_information(probs, scores, kernel)[2] / problem.sigma_n2
 
 
 def _information_terms(z: np.ndarray, kernel: np.ndarray) -> tuple:
@@ -107,8 +112,8 @@ def _information_terms(z: np.ndarray, kernel: np.ndarray) -> tuple:
     ``u = K^T (2 N / R)`` and ``v = K^T (N / R)**2``.  ``kernel`` is one
     channel kernel or one per row.
     """
-    probs, scores = cell_tables(z, 1.0)
-    received, numerators, info = received_information(probs, scores, kernel, 1.0)
+    probs, scores = cell_tables(z)
+    received, numerators, info = received_information(probs, scores, kernel)
     live = received > 0.0
     ratio = np.where(live, numerators / np.where(live, received, 1.0), 0.0)
     u = np.einsum("...k,...kj->...j", 2.0 * ratio, kernel)
@@ -137,17 +142,18 @@ def design_objective(thresholds, problem: DesignProblem) -> float:
 def objective_gradient(thresholds, problem: DesignProblem) -> np.ndarray:
     """Closed-form gradient of the objective, for any crossover.
 
-    With ``z = t / sigma_n``, component ``i`` is
-    ``pdf(z_i) * (z_i (u_i - u_{i+1}) - (v_i - v_{i+1})) / sigma_n**3``,
-    where ``u`` and ``v`` pass ``2 N / R`` and ``(N / R)**2`` back through
-    the channel kernel (see ``_information_terms``).  Over an error-free
-    channel it reduces to
-    ``pdf(z_i) (r_i - r_{i+1}) (2 z_i - r_i - r_{i+1}) / sigma_n**3`` with
+    It is the unit-noise gradient at ``z = t / sigma_n``, divided by
+    ``sigma_n2`` (the information's scale) and then by ``sigma_n`` (the
+    thresholds').  Unit-noise component ``i`` is
+    ``pdf(z_i) * (z_i (u_i - u_{i+1}) - (v_i - v_{i+1}))``, where ``u`` and
+    ``v`` pass ``2 N / R`` and ``(N / R)**2`` back through the channel
+    kernel (see ``_information_terms``).  Over an error-free channel it
+    reduces to ``pdf(z_i) (r_i - r_{i+1}) (2 z_i - r_i - r_{i+1})`` with
     ``r`` the unit-noise score-to-mass ratio of each cell.
     """
     tau = _check_monotone(thresholds, problem)
     kernel = bsc_kernel(problem.bits, problem.p_e, problem.mapping)
-    return _information_terms(tau / problem.sigma_n, kernel)[1] / problem.sigma_n**3
+    return _information_terms(tau / problem.sigma_n, kernel)[1] / problem.sigma_n2 / problem.sigma_n
 
 
 def _project_strictly_increasing(tau: np.ndarray, gap: float = 1e-9) -> np.ndarray:
@@ -166,7 +172,7 @@ def _project_strictly_increasing(tau: np.ndarray, gap: float = 1e-9) -> np.ndarr
     return tau
 
 
-#: Gradient ascent stops once the gradient's max-norm is at most
+#: Gradient ascent stops once the unit-noise gradient's max-norm is at most
 #: ``_BGDA_TOL``, once no halved step improves, or after ``_BGDA_MAX_ITERS``
 #: steps.
 _BGDA_TOL = 1e-8
@@ -178,27 +184,30 @@ def design_bgda(problem: DesignProblem, init=None, step: float = 0.5) -> DesignR
 
     Steps along the closed-form gradient with halving when a step would
     not improve; ordering violations are projected back apart.  Stops by
-    the ``_BGDA_*`` rules.  The default start spreads the thresholds evenly
-    over ``(-sigma_n, sigma_n)``.
+    the ``_BGDA_*`` rules.  The ascent runs for unit noise, from ``init``
+    over ``sigma_n``; the default start spreads the thresholds evenly over
+    ``(-sigma_n, sigma_n)``.
     """
     if problem.p_e != 0.0:
         raise ValueError("bgda requires an error-free channel (p_e = 0)")
     if step <= 0:
         raise ValueError("step must be positive")
+    unit = replace(problem, sigma_n2=1.0)
     if init is None:
-        init = np.linspace(-1.0, 1.0, problem.n_thresholds + 2)[1:-1] * problem.sigma_n
-    x = _check_monotone(init, problem).copy()
-    obj = design_objective(x, problem)
+        x = np.linspace(-1.0, 1.0, problem.n_thresholds + 2)[1:-1]
+    else:
+        x = _check_monotone(init, problem) / problem.sigma_n
+    obj = design_objective(x, unit)
     trace = [obj]
     for _ in range(_BGDA_MAX_ITERS):
-        grad = objective_gradient(x, problem)
+        grad = objective_gradient(x, unit)
         if np.max(np.abs(grad)) <= _BGDA_TOL:
             break
         s = step
         improved = False
         while s > 1e-14:
             cand = _project_strictly_increasing(x + s * grad)
-            cand_obj = float(_objective_rows(cand, problem)[0])
+            cand_obj = float(_objective_rows(cand, unit)[0])
             if cand_obj > obj:
                 x, obj = cand, cand_obj
                 trace.append(obj)
@@ -207,7 +216,7 @@ def design_bgda(problem: DesignProblem, init=None, step: float = 0.5) -> DesignR
             s *= 0.5
         if not improved:
             break
-    return DesignResult(tuple(float(t) for t in x), obj, tuple(trace))
+    return _leave_unit_noise(x, trace, problem)
 
 
 #: Swarm rules.  ``_PSO_SIZE`` particles move with the Clerc-Kennedy
@@ -247,7 +256,8 @@ def design_pso(
     useful to seed the swarm with known-good candidates when the surface
     has large flat regions.
     """
-    return _run_swarms([problem], [settings.seed], initial_guesses)[0]
+    guesses = tuple(np.divide(guess, problem.sigma_n) for guess in initial_guesses)
+    return _run_swarms([problem], [settings.seed], guesses)[0]
 
 
 def _run_swarms(
@@ -258,20 +268,21 @@ def _run_swarms(
     """One :func:`design_pso` swarm per (problem, seed) pair, run as one batch.
 
     The problems share bit depth, noise level and box and may differ in
-    channel.  Each swarm draws from its own ``default_rng(seed)`` in a lone
-    swarm's order, stops by a lone swarm's rules and then leaves the batch.
-    All live swarms share one cell-table call and one information call,
-    with one channel kernel per swarm; both act row by row, so every result
-    equals its lone swarm's.
+    channel.  The swarms fly for unit noise, in the box ``tau_max /
+    sigma_n``, from unit-noise ``initial_guesses``.  Each swarm draws from
+    its own ``default_rng(seed)`` in a lone swarm's order, stops by a lone
+    swarm's rules and then leaves the batch.  All live swarms share one
+    cell-table call and one information call, with one channel kernel per
+    swarm; both act row by row, so every result equals its lone swarm's.
     """
     swarm, dim = _PSO_SIZE, problems[0].n_thresholds
-    bound, sigma = problems[0].tau_max, problems[0].sigma_n
+    bound = problems[0].tau_max / problems[0].sigma_n
     kernels = np.stack([bsc_kernel(p.bits, p.p_e, p.mapping) for p in problems])[:, None]
     rngs = [np.random.default_rng(seed) for seed in seeds]
 
     def evaluate(pos: np.ndarray, live: np.ndarray) -> np.ndarray:
-        probs, scores = cell_tables(np.sort(pos, axis=2), sigma)
-        return received_information(probs, scores, kernels[live], sigma)[2]
+        probs, scores = cell_tables(np.sort(pos, axis=2))
+        return received_information(probs, scores, kernels[live])[2]
 
     live = np.arange(len(problems))
     pos = np.stack([rng.uniform(-bound, bound, size=(swarm, dim)) for rng in rngs])
@@ -287,8 +298,7 @@ def _run_swarms(
     def finish(done: np.ndarray) -> None:
         for i in np.flatnonzero(done):
             k = live[i]
-            thresholds = tuple(float(t) for t in np.sort(gbest[i]))
-            results[k] = DesignResult(thresholds, traces[k][-1], tuple(traces[k]))
+            results[k] = _leave_unit_noise(np.sort(gbest[i]), traces[k], problems[k])
 
     for _ in range(_PSO_MAX_ITERS):
         r1, r2 = np.empty_like(pos), np.empty_like(pos)
@@ -437,8 +447,7 @@ def _design_faces(problems: list[DesignProblem]) -> list[DesignResult]:
     thresholds are the face point scaled to the noise level, and the trace
     the winning row's objective before each trial step.
     """
-    bits, sigma = problems[0].bits, problems[0].sigma_n
-    bound = problems[0].tau_max / sigma
+    bits, bound = problems[0].bits, problems[0].tau_max / problems[0].sigma_n
     used, slots = _faces(bits)
     lookup = {tuple(np.flatnonzero(row) + 1): f for f, row in enumerate(used)}
     kernels = np.stack([bsc_kernel(p.bits, p.p_e, p.mapping) for p in problems])
@@ -475,11 +484,7 @@ def _design_faces(problems: list[DesignProblem]) -> list[DesignResult]:
         face, channel, x = np.array(face), np.array(channel), np.array(x)
     else:
         raise RuntimeError(f"face design of {problems} failed its optimality check")
-    results = []
-    for problem, (z_k, _, trace, _) in zip(problems, best):
-        trace = tuple(float(v) / problem.sigma_n2 for v in trace)
-        results.append(DesignResult(tuple(float(t) for t in z_k * sigma), trace[-1], trace))
-    return results
+    return [_leave_unit_noise(z_k, trace, problem) for problem, (z_k, _, trace, _) in zip(problems, best)]
 
 
 def _first_best(rows: list) -> tuple:
@@ -639,10 +644,13 @@ _PSO_RESTARTS = 3
 
 
 @functools.cache
-def _error_free_optimum(bits: int, sigma_n2: float) -> np.ndarray:
-    """The BGDA design over an error-free channel, computed once and read-only."""
-    problem = DesignProblem(bits=bits, p_e=0.0, sigma_n2=sigma_n2)
-    optimum = np.asarray(design_bgda(problem).thresholds)
+def _error_free_optimum(bits: int) -> np.ndarray:
+    """The unit-noise error-free design, read-only: the objective is unimodal
+    there, so ``_climb`` on the face of every level finds it."""
+    levels = 2**bits
+    start = np.linspace(-2.0, 2.0, levels + 1)[None, 1:-1]
+    used, slots = np.ones((1, levels), dtype=bool), np.arange(1, levels)[None]
+    optimum = _climb(used, slots, bsc_kernel(bits, 0.0)[None], start, DesignProblem.tau_max)[0][0]
     optimum.flags.writeable = False
     return optimum
 
@@ -699,8 +707,7 @@ def optimized_cells(
 
 def _swarm_designs(problems: list[DesignProblem], seed: int) -> list[DesignResult]:
     """The first best of ``_PSO_RESTARTS`` seeded swarms per problem, as one batch."""
-    problem = problems[0]
-    base = _error_free_optimum(problem.bits, problem.sigma_n2)
+    base = _error_free_optimum(problems[0].bits)
     guesses = tuple(tuple(base * s) for s in _GUESS_SCALES)
     seeds = []
     for p in problems:

@@ -6,10 +6,12 @@ The detectors themselves are assembled from these tables, one block of
 trials at a time, by ``experiments.run_roc``.
 
 All kernels are evaluated at amplitude zero, where the locally optimal
-statistic lives.  The quantized-sensor score divides by ``sigma_n**3`` (and
-the information sum by ``sigma_n**6``) so that the unnormalized score has
-variance exactly equal to the Fisher information for any noise level; see
-the variance-identity tests.
+statistic lives.  Thresholds scale with the noise deviation ``sigma_n``,
+scores with ``1 / sigma_n`` and information with ``1 / sigma_n2``, so the
+cell tables and the information sum work for unit noise only, and the
+quantized-sensor score is divided by ``sigma_n`` once (its information by
+``sigma_n2``): the unnormalized score has variance exactly equal to the
+Fisher information at any noise level; see the variance-identity tests.
 """
 
 from __future__ import annotations
@@ -44,26 +46,26 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-def cell_tables(thresholds, sigma_n: float) -> tuple[np.ndarray, np.ndarray]:
-    """Noise-only cell probabilities and score weights, indexed by ``level - 1``.
+def cell_tables(z) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-noise cell probabilities and score weights, indexed by ``level - 1``.
 
-    ``thresholds`` is one sorted threshold vector or rows of them; the
-    tables run along the last axis.  Each probability comes from the upper
-    tails on its cell's own side of zero, one tail per edge, so no two
-    numbers close to 1 are subtracted and cells far in the lower tail keep
-    their relative precision.  The score weights
-    ``sigma_n**2 * (pdf(z[j-1]) - pdf(z[j]))`` telescope to zero; divided
-    by ``sigma_n**3`` they are the amplitude-derivative of the log cell
-    probability at zero.
+    ``z`` is one sorted vector of thresholds in units of the noise
+    deviation, or rows of them; the tables run along the last axis.  Each
+    probability comes from the upper tails on its cell's own side of zero,
+    one tail per edge, so no two numbers close to 1 are subtracted and
+    cells far in the lower tail keep their relative precision.  The score
+    weights ``pdf(z[j-1]) - pdf(z[j])`` telescope to zero; divided by the
+    cell probability they are the amplitude-derivative of the log cell
+    probability at zero, for unit noise.
     """
-    tau = np.asarray(thresholds, dtype=float)
+    rows = np.asarray(z, dtype=float)
     # Edges run along the first axis here, so that each neighbour slice is
     # one contiguous block: numpy loops over a last axis of a few entries
     # element group by element group.  The tables go back to the caller's
     # layout at the end; every element is computed as in that layout.
-    z = np.empty((tau.shape[-1] + 2,) + tau.shape[:-1])
+    z = np.empty((rows.shape[-1] + 2,) + rows.shape[:-1])
     z[0], z[-1] = -np.inf, np.inf
-    np.divide(np.moveaxis(tau, -1, 0), sigma_n, out=z[1:-1])
+    z[1:-1] = np.moveaxis(rows, -1, 0)
     # The tails at the infinite edges are exactly 0; only the interior
     # thresholds need a tail evaluation.
     tail = np.zeros_like(z)
@@ -71,7 +73,7 @@ def cell_tables(thresholds, sigma_n: float) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = tail[:-1], tail[1:]
     probs = np.where(z[:-1] >= 0.0, lo - hi, np.where(z[1:] <= 0.0, hi - lo, 1.0 - lo - hi))
     dens = gaussian_pdf(z)
-    scores = sigma_n**2 * (dens[:-1] - dens[1:])
+    scores = dens[:-1] - dens[1:]
     return np.moveaxis(probs, 0, -1).copy(), np.moveaxis(scores, 0, -1).copy()
 
 
@@ -89,15 +91,13 @@ def bsc_kernel(bits: int, p_e: float, mapping: str = DEFAULT_MAPPING) -> np.ndar
     return np.power(p_e, dist) * np.power(1.0 - p_e, bits - dist)
 
 
-def received_information(
-    probs: np.ndarray, scores: np.ndarray, kernel: np.ndarray, sigma_n: float
-) -> tuple:
+def received_information(probs: np.ndarray, scores: np.ndarray, kernel: np.ndarray) -> tuple:
     """Pass cell tables through the channel: ``(received, numerators, information)``.
 
-    ``probs`` and ``scores`` are cell tables (one row or rows) and
-    ``kernel`` the channel's :func:`bsc_kernel`, or one kernel per row.  The
-    information of a row is ``sum_k numerators[k]**2 / received[k] /
-    sigma_n**6``; received levels of probability 0 contribute nothing.
+    ``probs`` and ``scores`` are unit-noise cell tables (one row or rows)
+    and ``kernel`` the channel's :func:`bsc_kernel`, or one kernel per row.
+    The unit-noise information of a row is ``sum_k numerators[k]**2 /
+    received[k]``; received levels of probability 0 contribute nothing.
     The channel sums run level by level, so a row's value does not depend
     on how many rows share the call (a BLAS product rounds one row and a
     batch differently).
@@ -107,7 +107,7 @@ def received_information(
     numerators = sum(scores[..., j, None] * kernel[..., j] for j in levels)
     live = received > 0.0
     terms = np.where(live, numerators**2 / np.where(live, received, 1.0), 0.0)
-    return received, numerators, terms.sum(axis=-1) / sigma_n**6
+    return received, numerators, terms.sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -132,10 +132,10 @@ def likelihood_kernels(
     mapping: str = DEFAULT_MAPPING,
 ) -> LikelihoodKernels:
     """Build all zero-amplitude tables for one quantized sensor over a
-    binary symmetric channel with crossover ``p_e``."""
-    probs, scores = cell_tables(quantizer.thresholds, sigma_n)
+    binary symmetric channel with crossover ``p_e``, from its unit-noise tables."""
+    probs, scores = cell_tables(np.divide(quantizer.thresholds, sigma_n))
     kernel = bsc_kernel(quantizer.bits, p_e, mapping)
-    received, numerators, fi = received_information(probs, scores, kernel, sigma_n)
+    received, numerators, fi = received_information(probs, scores, kernel)
     live = received > 0.0
     if not np.all(live):
         logger.warning(
@@ -144,7 +144,7 @@ def likelihood_kernels(
             int(np.count_nonzero(~live)),
         )
     score_table = np.where(live, numerators / np.where(live, received, 1.0), 0.0)
-    return LikelihoodKernels(received, score_table / sigma_n**3, float(fi))
+    return LikelihoodKernels(received, score_table / sigma_n, float(fi / sigma_n / sigma_n))
 
 
 class NetworkKernels:
@@ -235,16 +235,15 @@ def reconstruction_table(quantizer: QuantizerSpec, sigma_n: float) -> np.ndarray
     """Noise-only conditional cell centroids, indexed by level.
 
     ``E[y | level, noise only] = sigma_n * (pdf(z[j-1]) - pdf(z[j])) / P(cell)``,
-    with ``P(cell)`` from :func:`cell_tables`; near-empty cells use their
-    midpoint (see ``_CENTROID_MIN_WIDTH``).  Every centroid lies in its
-    cell.  Used by the reconstruction baseline, which decodes each received
-    level to its centroid without attempting any channel correction.
+    with ``z`` the edges over ``sigma_n`` and ``P(cell)`` from :func:`cell_tables`;
+    near-empty cells use their midpoint (see ``_CENTROID_MIN_WIDTH``).  Every
+    centroid lies in its cell.  Used by the reconstruction baseline, which
+    decodes each received level to its centroid without attempting any
+    channel correction.
     """
-    edges = quantizer.edges()
-    lo, hi = edges[:-1], edges[1:]
-    z_lo, z_hi = lo / sigma_n, hi / sigma_n
-    mass, _ = cell_tables(quantizer.thresholds, sigma_n)
-    narrow = hi - lo < _CENTROID_MIN_WIDTH * sigma_n
+    z = quantizer.edges() / sigma_n
+    lo, hi = z[:-1], z[1:]
+    mass, scores = cell_tables(z[1:-1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        centroid = sigma_n * (gaussian_pdf(z_lo) - gaussian_pdf(z_hi)) / mass
-    return np.where(narrow, 0.5 * (lo + hi), centroid)
+        centroid = scores / mass
+    return np.where(hi - lo < _CENTROID_MIN_WIDTH, 0.5 * (lo + hi), centroid) * sigma_n

@@ -37,6 +37,7 @@ from .model import (
     SignalParams,
     bsc_corrupt_levels,
     check_bits,
+    check_sigma_n2,
     quantize_batch,
     simulate_observations,
     trial_rng,
@@ -217,6 +218,7 @@ class RocScenario:
             raise ValueError(f"unknown detectors {sorted(unknown)}")
         if self.m_quantized < 0 or self.m_full < 0 or self.m_quantized + self.m_full < 1:
             raise ValueError("the fleet must contain at least one sensor")
+        check_sigma_n2(self.sigma_n2, self.m_total)
         if self.bits_low == self.bits_hybrid:
             raise ValueError("bits_low and bits_hybrid must differ (labels collide)")
         needs_q = {self.label_low, self.label_hybrid_q, self.label_hybrid, self.label_reconstruction}
@@ -429,6 +431,7 @@ class SweepScenario:
             raise ValueError("pfa must lie strictly inside (0, 1)")
         alloc.check_budget(self.budget, self.l0)
         check_bits("max_bits", self.max_bits)
+        check_sigma_n2(self.sigma_n2, max(self.m_values, default=1))
         # Every (case, m_total, sense) point is one row: none may repeat.
         for name, values in (
             ("cases", [case.name for case in self.cases]),
@@ -616,6 +619,7 @@ class AllocateScenario:
 
     def __post_init__(self):
         alloc.check_budget(self.budget, self.l0)
+        check_sigma_n2(self.sigma_n2, max(self.m_total, 1))
 
 
 ALLOCATE_COLUMNS = ("level", "epsilon", "count", "total_fi", "bits_used")

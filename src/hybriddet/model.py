@@ -60,6 +60,19 @@ def check_bits(name: str, bits: int) -> None:
         raise ValueError(f"{name} must lie in [1, {MAX_BITS}], got {bits}")
 
 
+def check_sigma_n2(sigma_n2: float, sensors: int = 1) -> None:
+    """Reject a noise variance that is not positive, or so small that the
+    information of ``sensors`` full-precision sensors, ``sensors / sigma_n2``,
+    overflows."""
+    if not sigma_n2 > 0:
+        raise ValueError("sigma_n2 must be positive")
+    if not math.isfinite(sensors / sigma_n2):
+        raise ValueError(
+            f"sigma_n2 = {sigma_n2!r} is too small: {sensors} / sigma_n2, the information "
+            f"of {sensors} full-precision sensor{'s' * (sensors != 1)}, overflows"
+        )
+
+
 def gaussian_upper_tail(x):
     """Upper-tail probability ``P(X > x)`` of a standard normal variable.
 
@@ -102,8 +115,7 @@ class SignalParams:
     sigma_h2: float
 
     def __post_init__(self):
-        if not self.sigma_n2 > 0:
-            raise ValueError("sigma_n2 must be positive")
+        check_sigma_n2(self.sigma_n2)
         if self.sigma_h2 < 0:
             raise ValueError("sigma_h2 must be nonnegative")
         if self.theta < 0:

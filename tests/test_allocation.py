@@ -52,7 +52,7 @@ def design_table(epsilons, designs):
 
 def error_free_design_table(epsilons, max_bits):
     """Information of the error-free optimal thresholds on each channel."""
-    return design_table(epsilons, [_error_free_optimum(bits, 1.0) for bits in range(1, max_bits + 1)])
+    return design_table(epsilons, [_error_free_optimum(bits) for bits in range(1, max_bits + 1)])
 
 
 #: Error-free gradient-ascent designs of 1 to 3 bits at unit noise, as data,
@@ -318,6 +318,37 @@ class TestAllocate:
         result = allocate(hist, table, 4 * 32, 32, BudgetMode.AT_MOST, Sense.MAXIMIZE_FI)
         assert np.array_equal(result.promotions, [2, 2])
         assert result.total_fi == pytest.approx(4.0, abs=1e-12)
+
+    def test_budget_beyond_every_assignment(self):
+        # No assignment of 4 sensors spends more than 4 * 32 bits.  An
+        # at-most budget above that is solved at that cap; an exact one
+        # has no assignment.
+        hist = ErrorHistogram((0.0, 0.2), (0.5, 0.5), 4)
+        table = FiTable(gamma=np.array([[0.6, 0.2], [0.85, 0.3], [0.95, 0.4]]), gamma0=1.0)
+        for sense in (Sense.MAXIMIZE_FI, Sense.MINIMIZE_FI):
+            capped = allocate(hist, table, 4 * 32, 32, BudgetMode.AT_MOST, sense)
+            for budget in (4 * 32 + 1, 10**19, 10**20):
+                result = allocate(hist, table, budget, 32, BudgetMode.AT_MOST, sense)
+                assert np.array_equal(result.x_matrix, capped.x_matrix)
+                assert np.array_equal(result.promotions, capped.promotions)
+            with pytest.raises(AllocationInfeasibleError):
+                allocate(hist, table, 4 * 32 + 1, 32, BudgetMode.EXACT, sense)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-6, 3.0, 1e6, 1e300])
+    def test_assignment_does_not_depend_on_the_information_scale(self, scale):
+        # Information scales with 1 / sigma_n2; the solver's tolerances do not.
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            hist, table, budget, l0, mode, sense = random_instance(rng)
+            scaled = FiTable(gamma=table.gamma * scale, gamma0=table.gamma0 * scale)
+            try:
+                want = allocate(hist, table, budget, l0, mode, sense)
+            except AllocationInfeasibleError:
+                with pytest.raises(AllocationInfeasibleError):
+                    allocate(hist, scaled, budget, l0, mode, sense)
+                continue
+            got = allocate(hist, scaled, budget, l0, mode, sense)
+            assert got.total_fi == pytest.approx(want.total_fi * scale, rel=1e-12)
 
 
 class TestDpOracle:

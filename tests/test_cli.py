@@ -3,10 +3,12 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -72,6 +74,48 @@ def test_infeasible_allocation_exit_code(tmp_path, capsys):
     code = main(["allocate", "--config", str(cfg), "--out", str(out)])
     assert code == 3
     assert "error" in json.loads(capsys.readouterr().err)
+
+
+#: Small configs of the commands whose noise level once overflowed a power of sigma_n.
+EXTREME_NOISE_CONFIGS = [
+    ("roc", {"trials": 10}),
+    ("design-quantizer", {"methods": ["bgda", "pso"]}),
+    ("allocate", {}),
+    ("sweep", {"cases": [{"name": "a", "freqs": [1.0]}], "epsilons": [0.1], "m_values": [20]}),
+]
+
+
+@pytest.mark.parametrize("sigma_n2", [1e300, 1e-300, 5e-324])
+@pytest.mark.parametrize("command, config", EXTREME_NOISE_CONFIGS)
+def test_extreme_noise_levels_give_finite_cells_or_name_the_field(tmp_path, capsys, command, config, sigma_n2):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, "sigma_n2": sigma_n2}))
+    out = tmp_path / "out.csv"
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    if sigma_n2 == 5e-324:
+        # One sensor's information, 1 / sigma_n2, overflows.
+        assert code == 2
+        assert "sigma_n2" in json.loads(capsys.readouterr().err)["error"]
+        return
+    assert code == 0
+    table = load_table(out, "csv")
+    numbers = [v for row in table.rows for v in row if isinstance(v, float)]
+    assert numbers and all(math.isfinite(v) for v in numbers)
+
+
+def test_huge_at_most_budget_is_the_budget_that_promotes_everyone(tmp_path):
+    # No assignment of the mixed preset's 60 sensors spends more than
+    # 60 * 32 bits; a budget of 1e20 is solved at that cap.
+    tables = []
+    for budget in (1920, 10**20):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"budget": budget}))
+        out = tmp_path / f"{budget}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["allocate", "--preset", "mixed", "--config", str(cfg), "--out", str(out)]) == 0
+        tables.append(load_table(out, "csv").rows)
+    assert tables[0] == tables[1]
 
 
 def test_sweep_writes_companion_distribution(tmp_path):

@@ -1,0 +1,144 @@
+"""Config fuzzing: every config either runs to finite cells or is refused cleanly.
+
+Configs are drawn from the field types of each command's scenario
+dataclass, the types the CLI's coercion reads, with extreme finite floats
+among the draws.  Each config sets the required fields, the fields that
+size the work and at most two others, so that many get past validation and
+run.  Counts, fleet sizes and
+bit depths stay small, so that no draw allocates or designs much.
+"""
+
+import contextlib
+import csv
+import dataclasses
+import enum
+import io
+import json
+import math
+import sys
+import types
+import typing
+import warnings
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hybriddet import cli
+
+#: Finite floats of every size, with the unit interval and a few extremes
+#: drawn often enough that configs get past validation.
+FLOATS = st.one_of(
+    st.floats(0.0, 0.5),
+    st.floats(-2.0, 2.0),
+    st.sampled_from((1e-300, 1e300, 5e-324, 2.2250738585072014e-308, sys.float_info.max, 1e-6, 1e6)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+#: Small draws for the integer fields that size the work, each with one
+#: value out of range (last: hypothesis draws the first values most); the
+#: fields of ``SIZES`` are set in every config, so that no default sizes it
+#: either.
+BITS = st.sampled_from((2, 1, 3, 0))
+INTS = {
+    "trials": st.sampled_from((10, 1, 20, 0)),
+    "points": st.sampled_from((2, 1, 5, 0)),
+    "m_quantized": st.sampled_from((3, 1, 6, 0, -1)),
+    "m_full": st.sampled_from((3, 1, 6, 0, -1)),
+    "m_total": st.sampled_from((10, 20, 7, 0)),
+    "m_values": st.sampled_from((10, 20, 7, 0)),
+    "bits": BITS,
+    "bits_hybrid": BITS,
+    "bits_low": BITS,
+    "max_bits": BITS,
+    "budget": st.one_of(st.integers(-1, 300), st.sampled_from((10**19, 10**20, 10**30))),
+    "l0": st.integers(-1, 40),
+}
+SIZES = {"trials", "points", "m_quantized", "m_full", "m_total", "m_values"}
+NAMES = ("clairvoyant", "1b", "2b", "3b", "fp", "3b-fp", "r-3b-fp", "2b-fp", "bgda", "pso", "x")
+#: Frequencies of the default four error categories, or any short list.
+FREQS = st.one_of(st.sampled_from(([0.4, 0.3, 0.2, 0.1], [0.6, 0.2, 0.1, 0.1], [0.1, 0.1, 0.2, 0.6])), st.lists(FLOATS, max_size=4))
+
+
+def _strategy(name: str, hint):
+    """Config values of the declared type ``hint`` of field ``name``, as JSON values."""
+    if isinstance(hint, types.UnionType):
+        return st.one_of(*(_strategy(name, arg) for arg in typing.get_args(hint)))
+    if hint is type(None):
+        return st.none()
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        if name == "freqs":
+            return FREQS
+        if name == "m_values":
+            return st.lists(_strategy(name, item), min_size=1, max_size=2, unique=True)
+        if name == "cases":
+            return st.lists(_strategy(name, item), min_size=1, max_size=2, unique_by=lambda case: case.get("name"))
+        return st.lists(_strategy(name, item), max_size=4)
+    if isinstance(hint, enum.EnumMeta):
+        return st.sampled_from([member.value for member in hint] * 3 + ["x"])
+    if dataclasses.is_dataclass(hint):
+        return _configs(hint)
+    if hint is float:
+        return FLOATS
+    if hint is int:
+        return INTS.get(name, st.integers(0, 2**32))
+    if hint is str:
+        return st.sampled_from(NAMES if name in ("detectors", "methods", "name") else ("natural", "gray") * 3 + ("x",))
+    raise TypeError(f"no strategy for {name}: {hint}")
+
+
+@st.composite
+def _configs(draw, cls):
+    """A config object for dataclass ``cls``: its required and size fields and up to two others."""
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    required = [f.name for f in fields if f.default is dataclasses.MISSING or f.name in SIZES]
+    optional = [f.name for f in fields if f.name not in required]
+    names = required + (draw(st.lists(st.sampled_from(optional), max_size=2, unique=True)) if optional else [])
+    return {name: draw(_strategy(name, hints[name])) for name in names}
+
+
+def _cells(path: Path):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    return [cell for row in rows[1:] for cell in row]
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_config_runs_or_is_refused_cleanly(tmp_path_factory, command):
+    cls = cli._COMMANDS[command][1]
+    out_dir = tmp_path_factory.mktemp(command)
+
+    @settings(
+        max_examples=40, deadline=None, derandomize=True, database=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(config=_configs(cls))
+    def check(config):
+        path = out_dir / "config.json"
+        path.write_text(json.dumps(config))
+        out = out_dir / "out.csv"
+        tables = (out, Path(cli._distribution_path(str(out))))
+        for table in tables:
+            table.unlink(missing_ok=True)
+        err = io.StringIO()
+        # Warnings are recorded here, where the command line would print them.
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings(
+            record=True
+        ) as printed:
+            warnings.simplefilter("always")
+            code = cli.main([command, "--config", str(path), "--out", str(out)])
+        assert code in (0, 2, 3), config
+        if code:
+            assert not printed and "Traceback" not in err.getvalue(), config
+            assert isinstance(json.loads(err.getvalue()), dict), config
+            return
+        for table in tables:
+            if table.exists():
+                for cell in _cells(table):
+                    with contextlib.suppress(ValueError):
+                        assert math.isfinite(float(cell)), (config, cell)
+
+    check()

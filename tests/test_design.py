@@ -26,7 +26,7 @@ from hybriddet.design import (
 )
 
 from hybriddet.allocation import build_fi_table
-from hybriddet.detection import bsc_kernel, likelihood_kernels
+from hybriddet.detection import bsc_kernel, likelihood_kernels, reconstruction_table
 from hybriddet.experiments import RocScenario, SweepCase, SweepScenario, run_roc, run_sweep
 from hybriddet.model import GRAY, NATURAL, QuantizerSpec
 
@@ -99,7 +99,8 @@ class TestObjective:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(design, "_PSO_SIZE", n_rows)
             patch.setattr(design, "_PSO_MAX_ITERS", 1)
-            results = design._run_swarms(problems, list(range(len(problems))), tuple(map(tuple, rows)))
+            guesses = tuple(map(tuple, rows / problems[0].sigma_n))
+            results = design._run_swarms(problems, list(range(len(problems))), guesses)
         for problem, result in zip(problems, results):
             assert result.trace[0] == np.max(_objective_rows(np.sort(rows, axis=1), problem))
 
@@ -476,9 +477,9 @@ class TestTablePath:
         monkeypatch.setattr(design, "_run_swarms", count("batches", engine))
         monkeypatch.setattr(design, "_design_faces", count("faces", faces))
         build_fi_table((0.0, 0.01, 0.1, 0.2), 3, 1.0, PsoSettings(seed=SWEEP_SEED))
-        # One swarm batch and its error-free seed for the 1-bit cells, one
-        # face batch for each of 2 and 3 bits.
-        assert counts == {"bgda": 1, "batches": 1, "faces": 2}
+        # One swarm batch for the 1-bit cells, seeded by a face climb, not
+        # by gradient ascent; one face batch for each of 2 and 3 bits.
+        assert counts == {"bgda": 0, "batches": 1, "faces": 2}
 
     def test_sweep_leaves_every_cell_in_the_cache(self, monkeypatch):
         # perfbench re-reads each table cell after a sweep and counts a
@@ -494,8 +495,8 @@ class TestTablePath:
         assert len(design._DESIGN_CACHE) == cached
 
     def test_error_free_optimum_is_read_only(self):
-        tau = design._error_free_optimum(2, 1.0)
-        assert design._error_free_optimum(2, 1.0) is tau
+        tau = design._error_free_optimum(2)
+        assert design._error_free_optimum(2) is tau
         with pytest.raises(ValueError):
             tau[0] = 0.0
 
@@ -712,6 +713,54 @@ class TestFaceDesign:
         for (bits, p_e, sigma_n2, _, mapping), result in cells.items():
             problem = DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2, mapping=mapping)
             assert result.objective == design_objective(result.thresholds, problem)
+
+
+class TestScaleInvariance:
+    """Thresholds scale with sigma_n, scores with 1 / sigma_n, information with 1 / sigma_n2."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        bits=st.integers(1, 3),
+        p_e=st.just(0.0) | st.floats(1e-3, 0.45),
+        sigma_n2=st.floats(1e-6, 1e6),
+        mapping=st.sampled_from((NATURAL, GRAY)),
+        data=st.data(),
+    )
+    def test_kernels_are_the_unit_kernels_scaled(self, bits, p_e, sigma_n2, mapping, data):
+        n = 2**bits - 1
+        z = np.sort(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n, unique=True)))
+        assume(np.all(np.diff(z) > 1e-2))
+        problem = DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2, mapping=mapping)
+        unit = replace(problem, sigma_n2=1.0)
+        sigma = problem.sigma_n
+        tau = z * sigma
+        assert design_objective(tau, problem) == pytest.approx(design_objective(z, unit) / sigma_n2, rel=1e-14)
+        np.testing.assert_allclose(
+            objective_gradient(tau, problem), objective_gradient(z, unit) / sigma_n2 / sigma, rtol=1e-14
+        )
+        got = likelihood_kernels(QuantizerSpec(bits, tuple(tau)), p_e, sigma, mapping)
+        want = likelihood_kernels(QuantizerSpec(bits, tuple(z)), p_e, 1.0, mapping)
+        np.testing.assert_allclose(got.received_probs, want.received_probs, rtol=1e-14)
+        np.testing.assert_allclose(got.score_table, want.score_table / sigma, rtol=1e-14)
+        assert got.fi_contribution == pytest.approx(want.fi_contribution / sigma_n2, rel=1e-14)
+        np.testing.assert_allclose(
+            reconstruction_table(QuantizerSpec(bits, tuple(tau)), sigma),
+            reconstruction_table(QuantizerSpec(bits, tuple(z)), 1.0) * sigma,
+            rtol=1e-14,
+        )
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(
+        bits=st.integers(2, 3),
+        p_e=st.just(0.0) | st.floats(1e-3, 0.45),
+        sigma_n2=st.floats(1e-6, 1e6),
+    )
+    def test_face_design_is_the_unit_design_scaled(self, bits, p_e, sigma_n2):
+        problem = DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2)
+        unit = DesignProblem(bits=bits, p_e=p_e, tau_max=problem.tau_max / problem.sigma_n)
+        got, want = design._design_faces([problem])[0], design._design_faces([unit])[0]
+        np.testing.assert_allclose(got.thresholds, np.multiply(want.thresholds, problem.sigma_n), rtol=1e-14)
+        assert got.objective == pytest.approx(want.objective / sigma_n2, rel=1e-14)
 
 
 class TestLandscape:

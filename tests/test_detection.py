@@ -41,17 +41,17 @@ def _kernels(n_quantized, bits, thresholds, p_e, n_full, sigma_n2=PARAMS.sigma_n
 
 class TestCellTables:
     def test_one_bit_prob(self):
-        assert cell_tables((0.0,), 1.0)[0][0] == pytest.approx(0.5, abs=1e-12)
+        assert cell_tables((0.0,))[0][0] == pytest.approx(0.5, abs=1e-12)
 
     def test_two_bit_prob_against_quadrature(self):
         spec = QuantizerSpec(2, (-1.0, 0.0, 1.0))
         expected = upper_tail_quad(-1.0) - upper_tail_quad(0.0)
-        assert cell_tables(spec.thresholds, 1.0)[0][1] == pytest.approx(expected, abs=1e-9)
-        assert cell_tables(spec.thresholds, 1.0)[0][1] == pytest.approx(0.341345, abs=1e-6)
+        assert cell_tables(spec.thresholds)[0][1] == pytest.approx(expected, abs=1e-9)
+        assert cell_tables(spec.thresholds)[0][1] == pytest.approx(0.341345, abs=1e-6)
 
     def test_probs_partition(self):
         for spec in (QuantizerSpec(1, (0.3,)), QuantizerSpec(3, tuple(np.linspace(-2, 2, 7)))):
-            probs = cell_tables(spec.thresholds, 1.3)[0]
+            probs = cell_tables(np.divide(spec.thresholds, 1.3))[0]
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(probs >= 0)
 
@@ -64,36 +64,36 @@ class TestCellTables:
             z = [mpmath.mpf(-math.inf)] + [mpmath.mpf(t) / mpmath.mpf(sigma_n) for t in spec.thresholds]
             z.append(mpmath.mpf(math.inf))
             want = [float(mpmath.ncdf(b) - mpmath.ncdf(a)) for a, b in zip(z[:-1], z[1:])]
-        probs = cell_tables(spec.thresholds, sigma_n)[0]
+        probs = cell_tables(np.divide(spec.thresholds, sigma_n))[0]
         np.testing.assert_allclose(probs, want, rtol=1e-12, atol=0.0)
 
     def test_one_bit_scores(self):
         spec = QuantizerSpec(1, (0.0,))
         psi0 = 0.3989422804014327
-        assert cell_tables(spec.thresholds, 1.0)[1][0] == pytest.approx(-psi0, abs=1e-12)
-        assert cell_tables(spec.thresholds, 1.0)[1][1] == pytest.approx(psi0, abs=1e-12)
+        assert cell_tables(spec.thresholds)[1][0] == pytest.approx(-psi0, abs=1e-12)
+        assert cell_tables(spec.thresholds)[1][1] == pytest.approx(psi0, abs=1e-12)
 
     def test_two_bit_score(self):
         spec = QuantizerSpec(2, (-1.0, 0.0, 1.0))
-        assert cell_tables(spec.thresholds, 1.0)[1][1] == pytest.approx(-0.15697155588228936, abs=1e-12)
+        assert cell_tables(spec.thresholds)[1][1] == pytest.approx(-0.15697155588228936, abs=1e-12)
 
     def test_scores_telescope_to_zero(self):
         spec = QuantizerSpec(3, (-2.1, -1.4, -0.3, 0.2, 0.9, 1.7, 2.5))
-        assert abs(cell_tables(spec.thresholds, 0.8)[1].sum()) <= 1e-12
+        assert abs(cell_tables(np.divide(spec.thresholds, 0.8))[1].sum()) <= 1e-12
 
     def test_level_bounds(self):
         # One entry per level 1..2**bits, indexed by ``level - 1``.
         for bits in (1, 2, 3):
             spec = QuantizerSpec(bits, tuple(np.linspace(-1, 1, 2**bits - 1)))
-            probs, scores = cell_tables(spec.thresholds, 1.0)
+            probs, scores = cell_tables(spec.thresholds)
             assert probs.shape == scores.shape == (2**bits,)
 
     def test_rows_match_single_vectors(self):
         rng = np.random.default_rng(11)
         rows = np.sort(rng.uniform(-9.0, 9.0, (20, 7)), axis=1)
-        probs, scores = cell_tables(rows, 1.7)
+        probs, scores = cell_tables(np.divide(rows, 1.7))
         for row, p, s in zip(rows, probs, scores):
-            want_p, want_s = cell_tables(tuple(row), 1.7)
+            want_p, want_s = cell_tables(np.divide(tuple(row), 1.7))
             np.testing.assert_array_equal(p, want_p)
             np.testing.assert_array_equal(s, want_s)
 
@@ -107,7 +107,7 @@ class TestCellTables:
         if shape[-1] > 1:
             rows[..., -1] = rows[..., -2]  # an empty top-but-one cell
         sigma_n = 1.3
-        probs, scores = cell_tables(rows, sigma_n)
+        probs, scores = cell_tables(np.divide(rows, sigma_n))
         assert probs.shape == scores.shape == shape[:-1] + (shape[-1] + 1,)
         for index in np.ndindex(shape[:-1]):
             z = [-math.inf] + [t / sigma_n for t in rows[index]] + [math.inf]
@@ -115,7 +115,7 @@ class TestCellTables:
                 lo, hi = gaussian_upper_tail(abs(a)), gaussian_upper_tail(abs(b))
                 want = lo - hi if a >= 0.0 else hi - lo if b <= 0.0 else 1.0 - lo - hi
                 assert probs[index + (j,)] == want
-                assert scores[index + (j,)] == sigma_n**2 * (gaussian_pdf(a) - gaussian_pdf(b))
+                assert scores[index + (j,)] == gaussian_pdf(a) - gaussian_pdf(b)
 
 
 class TestBscKernel:
