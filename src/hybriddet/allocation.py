@@ -4,17 +4,19 @@ Sensors are grouped into categories by their channel error probability.
 Each category's head count is fixed; the optimizer chooses how many
 sensors in each category report at each low-bit depth and how many are
 promoted to full-precision (error-free) reporting, subject to a total
-bit budget.  The assignment maximizing (or, for comparison, minimizing)
-total information is found by HiGHS through ``scipy.optimize.milp``;
-an independent dynamic program over (category, bits spent) verifies it
-exactly.  ``experiments.run_sweep`` calls :func:`allocate` from several
-threads of its pool at once, on one shared read-only :class:`FiTable`.
+bit budget.  Each sensor picks one of 1..L bits or full precision, so
+the problem is a multiple-choice knapsack, and :func:`allocate` solves it
+exactly by a numpy dynamic program over sensors and bits spent.  An
+independent dynamic program over (category, bits spent),
+:func:`allocate_dp_oracle`, verifies it, and the integer program of
+:func:`build_ilp`, solved by HiGHS in :func:`solve_ilp`, is kept as a
+second test oracle; no command calls either.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -312,8 +314,8 @@ def solve_ilp(problem: IlpProblem) -> IlpSolution:
     feasible and ``RuntimeError`` on any other non-optimal outcome.
     """
     # Deferred: this is the package's only scipy import, and it costs about
-    # 0.35 s (scipy.special comes with it), which no other command should
-    # pay at start.  The sweep's pool threads may reach it together.
+    # 0.35 s (scipy.special comes with it).  Only the tests call this
+    # oracle, so no command pays for it.
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     res = milp(
@@ -339,36 +341,103 @@ def allocate(
     budget_mode: BudgetMode = BudgetMode.AT_MOST,
     sense: Sense = Sense.MAXIMIZE_FI,
 ) -> AllocationResult:
-    """Globally optimal assignment via :func:`solve_ilp`.
+    """Globally optimal assignment, by an exact dynamic program over sensors.
+
+    The sensors are taken category by category, one at a time, and each
+    picks one of the options 1..L bits, then full precision.  The program
+    keeps the best information (negated for ``MINIMIZE_FI``) for every
+    exact number of bits spent, and one choice per (sensor, bits); it
+    backtracks from the budget itself in exact mode, and from the best bit
+    count in at-most mode.  It costs about ``m_total * (L + 1) * budget``
+    operations, vectorized over the budget.
+
+    Ties among assignments of equal information follow one canonical rule:
+    a sensor's choice is the first best option in the order 1..L, full
+    precision, and the at-most bit count the lowest best one.  Read as a
+    whole, the kept assignment spends the fewest bits among the optimal
+    ones, and among those it puts, category by category from the last,
+    the most sensors at 1 bit, then at 2 bits, and so on.
 
     An at-most budget above ``m_total * max(l0, max_bits)``, which no
-    assignment can spend, is solved at that cap.  HiGHS's tolerances are
-    absolute, so it solves with the costs scaled exactly, by the power of
-    two that puts the largest in [1, 2), whatever ``sigma_n2`` is.
-
-    Raises :class:`AllocationInfeasibleError` when no assignment fits,
-    e.g. an exact budget that no combination of bit widths reaches, or an
-    at-most budget below one bit per sensor.
+    assignment can spend, is solved at that cap.  Raises
+    :class:`AllocationInfeasibleError`, before any step of the program,
+    for a budget below one bit per sensor or an exact budget above that
+    cap, and after it for an exact budget that no combination of bit
+    widths reaches.
     """
-    cap = hist.m_total * max(l0, table.max_bits)
+    check_budget(budget, l0)
+    if table.n_categories != hist.n_categories:
+        raise ValueError("information table does not match the histogram")
+    L, m_total = table.max_bits, hist.m_total
+    cap = m_total * max(l0, L)
+    if budget < m_total:
+        raise AllocationInfeasibleError(f"{budget} bits cannot give each of {m_total} sensors one bit")
     if budget_mode is BudgetMode.EXACT and budget > cap:
         raise AllocationInfeasibleError(f"no assignment consumes exactly {budget} bits; none spends over {cap}")
-    problem = build_ilp(hist, table, min(budget, cap), l0, budget_mode)
+    values = np.vstack([table.gamma, np.full(hist.n_categories, table.gamma0)])
     if sense is Sense.MINIMIZE_FI:
-        problem = replace(problem, cost=-problem.cost)
-    largest = float(np.abs(problem.cost).max())
-    shift = 1 - math.frexp(largest)[1] if largest > 0.0 else 0
-    solution = solve_ilp(replace(problem, cost=np.ldexp(problem.cost, shift)))
-    L, N = table.max_bits, hist.n_categories
-    x = solution.x
-    x_matrix = x[: L * N].reshape((L, N), order="F")
-    promotions = x[L * N : L * N + N]
-    result = _assemble(x_matrix, promotions, table, l0)
-    solver_fi = -solution.objective if sense is Sense.MAXIMIZE_FI else solution.objective
-    if abs(solver_fi - np.ldexp(result.total_fi, shift)) > 1e-9:
-        raise RuntimeError("solver objective disagrees with recomputed information")
+        values = -values
+    # Every sensor spends at least one bit, so the program counts the bits
+    # each option spends beyond that one, up to the budget's spare bits.
+    extra = [*range(L), l0 - 1]
+    spare = min(budget, cap) - m_total
+    best, choices = _sensor_program(values, extra, hist.counts, spare)
+    spent = spare if budget_mode is BudgetMode.EXACT else int(np.argmax(best))
+    value = float(best[spent])
+    if value == -math.inf:
+        raise AllocationInfeasibleError(f"no assignment consumes exactly {budget} bits")
+    picked = np.zeros((L + 1, hist.n_categories), dtype=np.int64)
+    category = np.repeat(np.arange(hist.n_categories), hist.counts)
+    for k in range(m_total - 1, -1, -1):
+        option = choices[k, spent]
+        picked[option, category[k]] += 1
+        spent -= extra[option]
+    if spent != 0:
+        raise RuntimeError("dynamic program backtrack failed")
+    result = _assemble(picked[:L], picked[L], table, l0)
+    if sense is Sense.MINIMIZE_FI:
+        value = -value
+    # Relative, so that it holds at every noise level.
+    if not math.isclose(value, result.total_fi, rel_tol=1e-9):
+        raise RuntimeError("dynamic program value disagrees with recomputed information")
     validate_allocation(result, hist, budget, l0, budget_mode)
     return result
+
+
+def _sensor_program(values, extra, counts, spare):
+    """Forward pass of :func:`allocate`'s dynamic program.
+
+    ``values[j, n]`` is what option ``j`` is worth to a sensor of category
+    ``n`` and ``extra[j]`` the bits it spends beyond one.  Returns the best
+    total for each number of spare bits spent, ``-inf`` where none is
+    reached, and the int8 choice ``choices[k, e]`` of sensor ``k`` on the
+    way to ``e``: the first option, in order, that attains the best.
+    """
+    best = np.full(spare + 1, -math.inf)
+    best[0] = 0.0
+    new = np.empty_like(best)
+    cand = np.empty_like(best)
+    better = np.empty(spare + 1, dtype=bool)
+    choices = np.empty((sum(counts), spare + 1), dtype=np.int8)
+    k = 0
+    for n, count in enumerate(counts):
+        column = values[:, n]
+        for _ in range(count):
+            row = choices[k]
+            k += 1
+            np.add(best, column[0], out=new)
+            row.fill(0)
+            for j in range(1, len(extra)):
+                e = extra[j]
+                if e > spare:
+                    continue
+                width = spare + 1 - e
+                np.add(best[:width], column[j], out=cand[:width])
+                np.greater(cand[:width], new[e:], out=better[:width])
+                np.copyto(new[e:], cand[:width], where=better[:width])
+                np.copyto(row[e:], j, where=better[:width])
+            best, new = new, best
+    return best, choices
 
 
 def _category_options(count, L, l0, gamma_col, gamma0, cap, maximize):

@@ -4,10 +4,10 @@ Everything here is deterministic given the master seed: the ROC Monte
 Carlo draws each block of ``ROC_BLOCK`` trials from one stream keyed by
 ``(seed, hypothesis, block)``, swarm threshold designs derive their seeds
 from the same master seed, and emitted files are byte-stable across runs.
-The ROC blocks and the sweep's allocation points run concurrently on one
-thread pool with as many threads as the CPUs this process may use (no
-option sets the count); the output does not depend on that count, and ROC
-memory is bounded by workers times a block.
+The ROC blocks run concurrently on a thread pool with as many threads as
+the CPUs this process may use (no option sets the count); the output does
+not depend on that count, and ROC memory is bounded by workers times a
+block.  The sweep's allocation points run one after another.
 """
 
 from __future__ import annotations
@@ -466,9 +466,9 @@ def run_sweep(scenario: SweepScenario) -> tuple[Table, Table]:
     Returns a summary table and the per-level sensor distribution table.
     Infeasible points are reported with status ``infeasible`` rather than
     aborting the sweep.  The information table is built first; the points
-    are then solved concurrently on the thread pool of ``_pool_map``, whose
-    size comes from CPU affinity and no option sets.  Rows come back in
-    point order, so the tables do not depend on the worker count.
+    are then solved one after another, in point order.  Each solve is a
+    numpy loop that holds the interpreter lock, so a thread pool would not
+    run them any faster.
     """
     settings = PsoSettings(seed=scenario.seed)
     table = alloc.build_fi_table(
@@ -492,7 +492,7 @@ def run_sweep(scenario: SweepScenario) -> tuple[Table, Table]:
         return summary, [(*key, *row) for row in _assignment_rows(result, scenario.epsilons)]
 
     points = [(case, m, sense) for case in scenario.cases for m in scenario.m_values for sense in scenario.senses]
-    solved = _pool_map(lambda share: [solve(point) for point in share], points)
+    solved = [solve(point) for point in points]
     summary_rows = [summary for summary, _ in solved]
     dist_rows = [row for _, rows in solved for row in rows]
     return Table(SWEEP_COLUMNS, summary_rows), Table(DISTRIBUTION_COLUMNS, dist_rows)

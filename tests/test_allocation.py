@@ -1,5 +1,7 @@
 """Bandwidth allocation tests: histogram, tables, program assembly, solvers."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -39,6 +41,52 @@ def random_instance(rng, max_count=16, max_budget=200):
     mode = BudgetMode.AT_MOST if rng.random() < 0.5 else BudgetMode.EXACT
     sense = Sense.MAXIMIZE_FI if rng.random() < 0.5 else Sense.MINIMIZE_FI
     return hist, table, budget, l0, mode, sense
+
+
+def tiny_instance(rng):
+    """One or two categories of one or two sensors: small enough to enumerate."""
+    n, levels = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+    counts = rng.integers(1, 3, n)
+    m = int(counts.sum())
+    hist = ErrorHistogram(tuple(0.1 * np.arange(n)), tuple(counts / m), m)
+    table = FiTable(gamma=rng.uniform(0.0, 0.95, (levels, n)), gamma0=1.0)
+    l0 = int(rng.integers(2, 6))
+    budget = int(rng.integers(0, m * l0 + 2))
+    return hist, table, budget, l0
+
+
+def highs_information(hist, table, budget, l0, mode, sense):
+    """Information of the HiGHS optimum of :func:`build_ilp`'s program, or
+    ``None`` where it has no integer point."""
+    prob = build_ilp(hist, table, budget, l0, mode)
+    if sense is Sense.MINIMIZE_FI:
+        prob = dataclasses.replace(prob, cost=-prob.cost)
+    try:
+        sol = solve_ilp(prob)
+    except AllocationInfeasibleError:
+        return None
+    return -sol.objective if sense is Sense.MAXIMIZE_FI else sol.objective
+
+
+def assert_solvers_agree(hist, table, budget, l0):
+    """``allocate``, HiGHS and the DP oracle give the same verdict and, where
+    feasible, the same information within 1e-9, in both budget modes and
+    both senses."""
+    for mode in BudgetMode:
+        for sense in Sense:
+            found = []
+            for solve in (allocate, allocate_dp_oracle):
+                try:
+                    result = solve(hist, table, budget, l0, mode, sense)
+                except AllocationInfeasibleError:
+                    found.append(None)
+                    continue
+                validate_allocation(result, hist, budget, l0, mode)
+                found.append(result.total_fi)
+            found.append(highs_information(hist, table, budget, l0, mode, sense))
+            assert [v is None for v in found] in ([True] * 3, [False] * 3), (mode, sense, found)
+            if found[0] is not None:
+                assert max(found) - min(found) <= 1e-9, (mode, sense, found)
 
 
 def design_table(epsilons, designs):
@@ -175,27 +223,12 @@ class TestAllocate:
             allocate(hist, table, 2, 32, BudgetMode.AT_MOST)
 
     def test_matches_dp_oracle_randomized(self):
+        # Each instance in both budget modes and both senses, against HiGHS
+        # too.
         rng = np.random.default_rng(3)
-        agreements = 0
         for _ in range(40):
-            hist, table, budget, l0, mode, sense = random_instance(rng)
-            try:
-                a = allocate(hist, table, budget, l0, mode, sense)
-                a_fi = a.total_fi
-                validate_allocation(a, hist, budget, l0, mode)
-            except AllocationInfeasibleError:
-                a_fi = None
-            try:
-                d = allocate_dp_oracle(hist, table, budget, l0, mode, sense)
-                d_fi = d.total_fi
-                validate_allocation(d, hist, budget, l0, mode)
-            except AllocationInfeasibleError:
-                d_fi = None
-            assert (a_fi is None) == (d_fi is None)
-            if a_fi is not None:
-                assert a_fi == pytest.approx(d_fi, abs=1e-9)
-            agreements += 1
-        assert agreements == 40
+            hist, table, budget, l0, _, _ = random_instance(rng)
+            assert_solvers_agree(hist, table, budget, l0)
 
     def test_budget_monotonicity(self):
         hist = ErrorHistogram((0.0, 0.2), (0.5, 0.5), 8)
@@ -243,13 +276,8 @@ class TestAllocate:
         for trial in range(48):
             mode = (BudgetMode.AT_MOST, BudgetMode.EXACT)[trial % 2]
             sense = (Sense.MAXIMIZE_FI, Sense.MINIMIZE_FI)[trial // 2 % 2]
-            n, levels = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-            counts = rng.integers(1, 3, n)
-            m = int(counts.sum())
-            hist = ErrorHistogram(tuple(0.1 * np.arange(n)), tuple(counts / m), m)
-            table = FiTable(gamma=rng.uniform(0.0, 0.95, (levels, n)), gamma0=1.0)
-            l0 = int(rng.integers(2, 6))
-            budget = int(rng.integers(0, m * l0 + 2))
+            hist, table, budget, l0 = tiny_instance(rng)
+            counts, levels = np.array(hist.counts), table.max_bits
             prob = build_ilp(hist, table, budget, l0, mode)
             # Head counts bound every column; the slack is bounded by the budget.
             box = np.concatenate([np.repeat(counts, levels), counts, [budget]])
@@ -311,6 +339,7 @@ class TestAllocate:
                 result = allocate(hist, table, budget, 32, mode, sense)
                 oracle = allocate_dp_oracle(hist, table, budget, 32, mode, sense)
                 assert abs(result.total_fi - oracle.total_fi) <= 1e-9
+            assert_solvers_agree(hist, table, budget, 32)
 
     def test_nonbinding_budget_promotes_everything(self):
         hist = ErrorHistogram((0.0, 0.2), (0.5, 0.5), 4)
@@ -349,6 +378,82 @@ class TestAllocate:
                 continue
             got = allocate(hist, scaled, budget, l0, mode, sense)
             assert got.total_fi == pytest.approx(want.total_fi * scale, rel=1e-12)
+
+
+class TestSolverAgreement:
+    """``allocate`` against HiGHS (``solve_ilp``) and the DP oracle."""
+
+    @pytest.mark.parametrize("seed", [9, 23])
+    def test_randomized_instances(self, seed):
+        # The instances of ``test_sense_ordering`` and, at unit scale, of
+        # ``test_assignment_does_not_depend_on_the_information_scale``.
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            hist, table, budget, l0, _, _ = random_instance(rng)
+            assert_solvers_agree(hist, table, budget, l0)
+
+    def test_enumerated_instances(self):
+        # The instances of ``test_matches_enumeration_tiny``.
+        rng = np.random.default_rng(33)
+        for _ in range(48):
+            assert_solvers_agree(*tiny_instance(rng))
+
+    def test_program_assembly_instance(self):
+        assert_solvers_agree(TestBuildIlp.HIST, TestBuildIlp.TABLE, 500, 32)
+        assert_solvers_agree(TestBuildIlp.HIST, TestBuildIlp.TABLE, 60, 32)
+
+
+def canonical_assignment(hist, table, budget, l0, mode, sense):
+    """The assignment ``allocate`` documents, by brute force: the best
+    information, then the fewest bits, then, category by category from the
+    last, the most sensors at 1 bit, then at 2 bits, ..., then at full
+    precision.  Returns ``None`` where no assignment fits."""
+    options = table.max_bits + 1
+    widths = np.append(np.arange(1, options), l0)
+    values = np.vstack([table.gamma, np.full(hist.n_categories, table.gamma0)])
+    per_category = [
+        [c for c in itertools.product(range(count + 1), repeat=options) if sum(c) == count]
+        for count in hist.counts
+    ]
+    best = None
+    for columns in itertools.product(*per_category):
+        picked = np.array(columns).T
+        bits = int(widths @ picked.sum(axis=1))
+        if bits > budget or (mode is BudgetMode.EXACT and bits != budget):
+            continue
+        info = float((values * picked).sum())
+        signed = info if sense is Sense.MAXIMIZE_FI else -info
+        key = (signed, -bits, tuple(c for column in reversed(columns) for c in column))
+        if best is None or key > best[0]:
+            best = (key, picked)
+    return None if best is None else best[1]
+
+
+class TestTies:
+    """Equal information columns make many assignments optimal; ``allocate``
+    keeps the one its documented rule names."""
+
+    # Dyadic values, so that equal assignments tie exactly; 2 and 3 bits are
+    # worth the same, and every category the same.
+    TABLE = FiTable(gamma=np.repeat([[0.5], [0.75], [0.75]], 3, axis=1), gamma0=1.0)
+    HIST = ErrorHistogram((0.0, 0.1, 0.2), (0.25, 0.25, 0.5), 8)
+
+    @pytest.mark.parametrize("sense", list(Sense))
+    @pytest.mark.parametrize("mode", list(BudgetMode))
+    def test_kept_assignment_follows_the_rule(self, mode, sense):
+        l0 = 4
+        ties = 0
+        for budget in range(self.HIST.m_total, self.HIST.m_total * l0 + 2):
+            want = canonical_assignment(self.HIST, self.TABLE, budget, l0, mode, sense)
+            if want is None:
+                with pytest.raises(AllocationInfeasibleError):
+                    allocate(self.HIST, self.TABLE, budget, l0, mode, sense)
+                continue
+            got = allocate(self.HIST, self.TABLE, budget, l0, mode, sense)
+            assert np.array_equal(got.x_matrix, want[:-1]), budget
+            assert np.array_equal(got.promotions, want[-1]), budget
+            ties += 1
+        assert ties >= 20
 
 
 class TestDpOracle:

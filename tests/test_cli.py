@@ -76,6 +76,30 @@ def test_infeasible_allocation_exit_code(tmp_path, capsys):
     assert "error" in json.loads(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param({"m_total": 1_000_000}, id="budget-below-one-bit-each"),
+        pytest.param({"m_total": 100, "budget": 3201, "budget_mode": "exact"}, id="exact-above-every-assignment"),
+    ],
+)
+def test_infeasible_budget_exits_before_the_dynamic_program(tmp_path, capsys, monkeypatch, config):
+    # 500 bits cannot give a million sensors one bit each, and no assignment
+    # of 100 sensors spends more than 100 * 32 bits: both are settled before
+    # the dynamic program takes its first step.
+    def unexpected(*args):
+        raise AssertionError("the dynamic program ran")
+
+    monkeypatch.setattr(allocation, "_sensor_program", unexpected)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "x.csv"
+    code = main(["allocate", "--preset", "mixed", "--config", str(cfg), "--out", str(out)])
+    assert code == 3
+    assert "bits" in json.loads(capsys.readouterr().err)["error"]
+    assert not out.exists()
+
+
 #: Small configs of the commands whose noise level once overflowed a power of sigma_n.
 EXTREME_NOISE_CONFIGS = [
     ("roc", {"trials": 10}),
@@ -357,25 +381,16 @@ def test_sweep_case_without_freqs_rejected(tmp_path, capsys):
 
 
 #: Run in a fresh interpreter with the command and presets as ``sys.argv``.
-#: Every module of scipy that loads must load inside ``allocation.solve_ilp``
-#: (its deferred ``milp`` import).  Prints the presets' exit codes, any scipy
-#: module loaded elsewhere and whether scipy was loaded at the end.
+#: Records every scipy module looked up.  Prints the presets' exit codes, the
+#: scipy modules looked up and whether scipy was loaded at the end.
 _SCIPY_GUARD = """
 import sys
-
-def solving():
-    frame = sys._getframe()
-    while frame is not None:
-        if frame.f_code.co_name == "solve_ilp":
-            return True
-        frame = frame.f_back
-    return False
 
 class Guard:
     stray = []
 
     def find_spec(self, name, path=None, target=None):
-        if name.partition(".")[0] == "scipy" and not solving():
+        if name.partition(".")[0] == "scipy":
             self.stray.append(name)
         return None
 
@@ -410,34 +425,17 @@ def test_errorprone_roc_leaves_scipy_optimize_unloaded(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, presets, solver",
+    "command, presets",
     [
-        pytest.param("fi-landscape", ("ideal", "errorprone"), False, id="fi-landscape"),
-        pytest.param("design-quantizer", ("ideal", "errorprone"), False, id="design-quantizer"),
-        pytest.param("allocate", ("mixed",), True, id="allocate"),
-        pytest.param("sweep", ("two-mixes",), True, id="sweep"),
+        pytest.param("fi-landscape", ("ideal", "errorprone"), id="fi-landscape"),
+        pytest.param("design-quantizer", ("ideal", "errorprone"), id="design-quantizer"),
+        pytest.param("allocate", ("mixed",), id="allocate"),
+        pytest.param("sweep", ("two-mixes",), id="sweep"),
     ],
 )
-def test_commands_load_scipy_only_through_the_solver(tmp_path, command, presets, solver):
-    # Only the allocation solver, which needs ``milp``, may import scipy, and
-    # only when it runs.
+def test_commands_load_scipy_only_through_the_solver(tmp_path, command, presets):
+    # The allocation is solved by a numpy dynamic program, and HiGHS
+    # (``allocation.solve_ilp``) is only a test oracle, so no command loads
+    # any scipy module, the allocation commands included.
     lines = _run_python("-c", _SCIPY_GUARD, command, str(tmp_path / "out.csv"), *presets)
-    assert lines[-1] == f"{[0] * len(presets)} [] {solver}"
-
-
-def test_sweep_workers_meet_the_first_solver_import_together():
-    # ``solve_ilp`` imports scipy.optimize on first use, so in a fresh
-    # interpreter the pool's threads may all reach that import at once.
-    code = """
-import sys
-from hybriddet import experiments
-from hybriddet.experiments import SweepCase, SweepScenario, run_sweep
-assert "scipy.optimize" not in sys.modules
-scenario = SweepScenario(
-    cases=(SweepCase("even", (0.5, 0.5)),), epsilons=(0.0, 0.2), m_values=(20, 40), budget=30, max_bits=1)
-experiments._workers = lambda jobs: 5
-pooled = run_sweep(scenario)
-experiments._workers = lambda jobs: 1
-print(pooled == run_sweep(scenario), [row[3] for row in pooled[0].rows])
-"""
-    assert _run_python("-c", code)[-1] == "True ['optimal', 'optimal', 'infeasible', 'infeasible']"
+    assert lines[-1] == f"{[0] * len(presets)} [] False"
