@@ -381,13 +381,13 @@ def allocate(
     # each option spends beyond that one, up to the budget's spare bits.
     extra = [*range(L), l0 - 1]
     spare = min(budget, cap) - m_total
-    best, choices = _sensor_program(values, extra, hist.counts, spare)
+    category = np.repeat(np.arange(hist.n_categories), hist.counts)
+    best, choices = _sensor_program(values, extra, category, spare)
     spent = spare if budget_mode is BudgetMode.EXACT else int(np.argmax(best))
     value = float(best[spent])
     if value == -math.inf:
         raise AllocationInfeasibleError(f"no assignment consumes exactly {budget} bits")
     picked = np.zeros((L + 1, hist.n_categories), dtype=np.int64)
-    category = np.repeat(np.arange(hist.n_categories), hist.counts)
     for k in range(m_total - 1, -1, -1):
         option = choices[k, spent]
         picked[option, category[k]] += 1
@@ -404,39 +404,37 @@ def allocate(
     return result
 
 
-def _sensor_program(values, extra, counts, spare):
+def _sensor_program(values, extra, category, spare):
     """Forward pass of :func:`allocate`'s dynamic program.
 
-    ``values[j, n]`` is what option ``j`` is worth to a sensor of category
-    ``n`` and ``extra[j]`` the bits it spends beyond one.  Returns the best
-    total for each number of spare bits spent, ``-inf`` where none is
-    reached, and the int8 choice ``choices[k, e]`` of sensor ``k`` on the
-    way to ``e``: the first option, in order, that attains the best.
+    Sensor ``k`` belongs to category ``category[k]``.  ``values[j, n]`` is
+    what option ``j`` is worth to a sensor of category ``n`` and
+    ``extra[j]`` the bits it spends beyond one.  Returns the best total for
+    each number of spare bits spent, ``-inf`` where none is reached, and
+    the int8 choice ``choices[k, e]`` of sensor ``k`` on the way to ``e``:
+    the first option, in order, that attains the best.
     """
     best = np.full(spare + 1, -math.inf)
     best[0] = 0.0
     new = np.empty_like(best)
     cand = np.empty_like(best)
     better = np.empty(spare + 1, dtype=bool)
-    choices = np.empty((sum(counts), spare + 1), dtype=np.int8)
-    k = 0
-    for n, count in enumerate(counts):
-        column = values[:, n]
-        for _ in range(count):
-            row = choices[k]
-            k += 1
-            np.add(best, column[0], out=new)
-            row.fill(0)
-            for j in range(1, len(extra)):
-                e = extra[j]
-                if e > spare:
-                    continue
-                width = spare + 1 - e
-                np.add(best[:width], column[j], out=cand[:width])
-                np.greater(cand[:width], new[e:], out=better[:width])
-                np.copyto(new[e:], cand[:width], where=better[:width])
-                np.copyto(row[e:], j, where=better[:width])
-            best, new = new, best
+    choices = np.empty((len(category), spare + 1), dtype=np.int8)
+    columns = values.T.tolist()
+    for row, n in zip(choices, category):
+        column = columns[n]
+        np.add(best, column[0], out=new)
+        row.fill(0)
+        for j in range(1, len(extra)):
+            e = extra[j]
+            if e > spare:
+                continue
+            width = spare + 1 - e
+            np.add(best[:width], column[j], out=cand[:width])
+            np.greater(cand[:width], new[e:], out=better[:width])
+            np.copyto(new[e:], cand[:width], where=better[:width])
+            np.copyto(row[e:], j, where=better[:width])
+        best, new = new, best
     return best, choices
 
 
