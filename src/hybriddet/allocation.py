@@ -6,15 +6,19 @@ sensors in each category report at each low-bit depth and how many are
 promoted to full-precision (error-free) reporting, subject to a total
 bit budget.  Each sensor picks one of 1..L bits or full precision, so
 the problem is a multiple-choice knapsack, and :func:`allocate` solves it
-exactly by a numpy dynamic program over sensors and bits spent.  An
-independent dynamic program over (category, bits spent),
-:func:`allocate_dp_oracle`, verifies it, and the integer program of
-:func:`build_ilp`, solved by HiGHS in :func:`solve_ilp`, is kept as a
-second test oracle; no command calls either.
+exactly by a numpy dynamic program over sensors and bits spent.  A sweep's
+fleets nest, so :func:`allocate_sweep` solves every (case, fleet size,
+sense) point from one pass of that program over the largest fleet, and
+:func:`allocate` is its one-point case.  An independent dynamic program
+over (category, bits spent), :func:`allocate_dp_oracle`, verifies it, and
+the integer program of :func:`build_ilp`, solved by HiGHS in
+:func:`solve_ilp`, is kept as a second test oracle; no command calls
+either.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -41,6 +45,7 @@ __all__ = [
     "build_ilp",
     "solve_ilp",
     "allocate",
+    "allocate_sweep",
     "allocate_dp_oracle",
     "validate_allocation",
 ]
@@ -343,20 +348,24 @@ def allocate(
 ) -> AllocationResult:
     """Globally optimal assignment, by an exact dynamic program over sensors.
 
-    The sensors are taken category by category, one at a time, and each
-    picks one of the options 1..L bits, then full precision.  The program
-    keeps the best information (negated for ``MINIMIZE_FI``) for every
-    exact number of bits spent, and one choice per (sensor, bits); it
-    backtracks from the budget itself in exact mode, and from the best bit
-    count in at-most mode.  It costs about ``m_total * (L + 1) * budget``
-    operations, vectorized over the budget.
+    This is the one-fleet, one-sense case of :func:`allocate_sweep`.  The
+    sensors are taken category by category, one at a time, and each picks
+    one of the options 1..L bits, then full precision.  The program keeps
+    the best information (negated for ``MINIMIZE_FI``) for every exact
+    number of bits spent, and one choice per (sensor, bits); it backtracks
+    from the budget itself in exact mode, and from the best bit count in
+    at-most mode.  It costs about ``m_total * (L + 1) * budget`` operations,
+    vectorized over the budget.
 
     Ties among assignments of equal information follow one canonical rule:
     a sensor's choice is the first best option in the order 1..L, full
     precision, and the at-most bit count the lowest best one.  Read as a
     whole, the kept assignment spends the fewest bits among the optimal
     ones, and among those it puts, category by category from the last,
-    the most sensors at 1 bit, then at 2 bits, and so on.
+    the most sensors at 1 bit, then at 2 bits, and so on.  A sweep takes
+    its sensors in another order (see :func:`allocate_sweep`), so at exact
+    ties a sweep point may keep another optimal assignment than this
+    function gives on that fleet alone.
 
     An at-most budget above ``m_total * max(l0, max_bits)``, which no
     assignment can spend, is solved at that cap.  Raises
@@ -365,77 +374,148 @@ def allocate(
     cap, and after it for an exact budget that no combination of bit
     widths reaches.
     """
+    (outcome,) = allocate_sweep(
+        hist.epsilons, (hist.freqs,), (hist.m_total,), table, budget, l0, budget_mode, (sense,)
+    )
+    if isinstance(outcome, AllocationInfeasibleError):
+        raise outcome
+    return outcome
+
+
+def allocate_sweep(
+    epsilons,
+    cases,
+    m_values,
+    table: FiTable,
+    budget: int,
+    l0: int,
+    budget_mode: BudgetMode = BudgetMode.AT_MOST,
+    senses=(Sense.MAXIMIZE_FI,),
+) -> list[AllocationResult | AllocationInfeasibleError]:
+    """Optimal assignment at every (case, fleet size, sense) point, from one program.
+
+    Case ``c`` at fleet size ``m`` is ``ErrorHistogram(epsilons, cases[c],
+    m)``.  Returns one outcome per point, cases outermost, then ``m_values``
+    as given, then ``senses``: the :class:`AllocationResult`, or the
+    :class:`AllocationInfeasibleError` that :func:`allocate` raises there
+    (its budget clamp and early refusals apply point by point).
+
+    A case's head counts grow with the fleet in every category.  With its
+    sensors ordered fleet by fleet in increasing size, each fleet's added
+    sensors category by category, every smaller fleet is a prefix of the
+    largest.  One pass of :func:`_sensor_program` runs over the sensors of
+    the largest fleet solved, one state row per (case, sense), and keeps
+    the states after each fleet; each point backtracks from its own copy.
+    The states are as wide as the largest spare, ``min(budget, m * max(l0,
+    max_bits)) - m``; no entry feeds one of fewer spare bits, so each point
+    reads what a program of its own width would give.  Each sensor keeps
+    its first best option, so at exact ties the nested order can keep
+    another optimal assignment than :func:`allocate` on one fleet.
+    """
     check_budget(budget, l0)
-    if table.n_categories != hist.n_categories:
+    if table.n_categories != len(epsilons):
         raise ValueError("information table does not match the histogram")
-    L, m_total = table.max_bits, hist.m_total
-    cap = m_total * max(l0, L)
-    if budget < m_total:
-        raise AllocationInfeasibleError(f"{budget} bits cannot give each of {m_total} sensors one bit")
-    if budget_mode is BudgetMode.EXACT and budget > cap:
-        raise AllocationInfeasibleError(f"no assignment consumes exactly {budget} bits; none spends over {cap}")
-    values = np.vstack([table.gamma, np.full(hist.n_categories, table.gamma0)])
-    if sense is Sense.MINIMIZE_FI:
-        values = -values
+    L, N = table.max_bits, table.n_categories
+    hists = [[ErrorHistogram(epsilons, freqs, m) for m in m_values] for freqs in cases]
+    refused, spare = {}, {}
+    for m in m_values:
+        cap = m * max(l0, L)
+        if budget < m:
+            refused[m] = f"{budget} bits cannot give each of {m} sensors one bit"
+        elif budget_mode is BudgetMode.EXACT and budget > cap:
+            refused[m] = f"no assignment consumes exactly {budget} bits; none spends over {cap}"
+        else:
+            spare[m] = min(budget, cap) - m
+    # The sensors of every fleet up to the largest solved, in the nested order.
+    fleets = sorted(m for m in set(m_values) if m <= max(spare, default=0))
     # Every sensor spends at least one bit, so the program counts the bits
-    # each option spends beyond that one, up to the budget's spare bits.
+    # each option spends beyond that one.
     extra = [*range(L), l0 - 1]
-    spare = min(budget, cap) - m_total
-    category = np.repeat(np.arange(hist.n_categories), hist.counts)
-    best, choices = _sensor_program(values, extra, category, spare)
-    spent = spare if budget_mode is BudgetMode.EXACT else int(np.argmax(best))
-    value = float(best[spent])
-    if value == -math.inf:
-        raise AllocationInfeasibleError(f"no assignment consumes exactly {budget} bits")
-    picked = np.zeros((L + 1, hist.n_categories), dtype=np.int64)
-    for k in range(m_total - 1, -1, -1):
-        option = choices[k, spent]
-        picked[option, category[k]] += 1
-        spent -= extra[option]
-    if spent != 0:
-        raise RuntimeError("dynamic program backtrack failed")
-    result = _assemble(picked[:L], picked[L], table, l0)
-    if sense is Sense.MINIMIZE_FI:
-        value = -value
-    # Relative, so that it holds at every noise level.
-    if not math.isclose(value, result.total_fi, rel_tol=1e-9):
-        raise RuntimeError("dynamic program value disagrees with recomputed information")
-    validate_allocation(result, hist, budget, l0, budget_mode)
-    return result
+    categories = []
+    for row in hists:
+        by_fleet = {hist.m_total: hist.counts for hist in row}
+        grown = np.diff([[0] * N] + [by_fleet[m] for m in fleets], axis=0)
+        categories.append(np.repeat(np.tile(np.arange(N), len(fleets)), grown.ravel()))
+    if fleets:
+        values = np.vstack([table.gamma, np.full(N, table.gamma0)])
+        signed = [values if sense is Sense.MAXIMIZE_FI else -values for sense in senses]
+        gains = np.stack([v[:, category].T for category in categories for v in signed], axis=1)
+        states, choices = _sensor_program(gains, extra, max(spare.values()), fleets)
+
+    outcomes: list[AllocationResult | AllocationInfeasibleError] = []
+    for c, i, s in itertools.product(range(len(cases)), range(len(m_values)), range(len(senses))):
+        hist, sense = hists[c][i], senses[s]
+        m = hist.m_total
+        if m in refused:
+            outcomes.append(AllocationInfeasibleError(refused[m]))
+            continue
+        r = c * len(senses) + s
+        best = states[m][r, : spare[m] + 1]
+        spent = spare[m] if budget_mode is BudgetMode.EXACT else int(np.argmax(best))
+        value = float(best[spent])
+        if value == -math.inf:
+            outcomes.append(AllocationInfeasibleError(f"no assignment consumes exactly {budget} bits"))
+            continue
+        picked = np.zeros((L + 1, N), dtype=np.int64)
+        category, row = categories[c], choices[:, r]
+        for k in range(m - 1, -1, -1):
+            option = row[k, spent]
+            picked[option, category[k]] += 1
+            spent -= extra[option]
+        if spent != 0:
+            raise RuntimeError("dynamic program backtrack failed")
+        result = _assemble(picked[:L], picked[L], table, l0)
+        if sense is Sense.MINIMIZE_FI:
+            value = -value
+        # Relative, so that it holds at every noise level.
+        if not math.isclose(value, result.total_fi, rel_tol=1e-9):
+            raise RuntimeError("dynamic program value disagrees with recomputed information")
+        validate_allocation(result, hist, budget, l0, budget_mode)
+        outcomes.append(result)
+    return outcomes
 
 
-def _sensor_program(values, extra, category, spare):
-    """Forward pass of :func:`allocate`'s dynamic program.
+def _sensor_program(gains, extra, spare, stops):
+    """Forward pass of the allocation program, over rows of sensors at once.
 
-    Sensor ``k`` belongs to category ``category[k]``.  ``values[j, n]`` is
-    what option ``j`` is worth to a sensor of category ``n`` and
-    ``extra[j]`` the bits it spends beyond one.  Returns the best total for
-    each number of spare bits spent, ``-inf`` where none is reached, and
-    the int8 choice ``choices[k, e]`` of sensor ``k`` on the way to ``e``:
+    Step ``k`` takes sensor ``k`` of every row: ``gains[k, r, j]`` is what
+    option ``j`` is worth to that sensor of row ``r``, and ``extra[j]`` the
+    bits it spends beyond one.  Each row's state holds the best total for
+    each number of spare bits spent, from 0 to ``spare``, and ``-inf``
+    where none is reached.  Returns a copy of the states after each step
+    count in ``stops``, keyed by that count, and the int8 choice
+    ``choices[k, r, e]`` of sensor ``k`` of row ``r`` on the way to ``e``:
     the first option, in order, that attains the best.
     """
-    best = np.full(spare + 1, -math.inf)
-    best[0] = 0.0
-    new = np.empty_like(best)
-    cand = np.empty_like(best)
-    better = np.empty(spare + 1, dtype=bool)
-    choices = np.empty((len(category), spare + 1), dtype=np.int8)
-    columns = values.T.tolist()
-    for row, n in zip(choices, category):
-        column = columns[n]
-        np.add(best, column[0], out=new)
-        row.fill(0)
-        for j in range(1, len(extra)):
-            e = extra[j]
-            if e > spare:
-                continue
-            width = spare + 1 - e
-            np.add(best[:width], column[j], out=cand[:width])
-            np.greater(cand[:width], new[e:], out=better[:width])
-            np.copyto(new[e:], cand[:width], where=better[:width])
-            np.copyto(row[e:], j, where=better[:width])
-        best, new = new, best
-    return best, choices
+    steps, rows, _ = gains.shape
+    # The states before and after a step alternate between two buffers.
+    buffers = (np.full((rows, spare + 1), -math.inf), np.empty((rows, spare + 1)))
+    buffers[0][:, 0] = 0.0
+    cand = np.empty_like(buffers[0])
+    better = np.empty(cand.shape, dtype=bool)
+    choices = np.empty((steps, rows, spare + 1), dtype=np.int8)
+    # Option j moves the total at e - extra[j] to e.  The views it reads and
+    # writes, for each direction between the buffers, are made once.
+    moves = [(j, e, spare + 1 - e) for j, e in enumerate(extra) if j and e <= spare]
+    shifts = [
+        [(j, old[:, :w], new[:, e:], cand[:, :w], better[:, :w], choices[:, :, e:]) for j, e, w in moves]
+        for old, new in (buffers, buffers[::-1])
+    ]
+    # columns[k, j] is option j's gain to sensor k of each row, as a column.
+    columns = gains.transpose(0, 2, 1)[..., None]
+    states = {}
+    for k, column in enumerate(columns):
+        old, new = buffers[k % 2], buffers[1 - k % 2]
+        np.add(old, column[0], out=new)
+        choices[k].fill(0)
+        for j, source, target, shifted, gained, chosen in shifts[k % 2]:
+            np.add(source, column[j], out=shifted)
+            np.greater(shifted, target, out=gained)
+            np.copyto(target, shifted, where=gained)
+            np.copyto(chosen[k], j, where=gained)
+        if k + 1 in stops:
+            states[k + 1] = new.copy()
+    return states, choices
 
 
 def _category_options(count, L, l0, gamma_col, gamma0, cap, maximize):

@@ -42,8 +42,10 @@ __all__ = [
 class DesignProblem:
     """One sensor's design instance: bit depth, channel quality, noise level.
 
-    ``tau_max`` bounds the box that the swarm and the face design search;
-    gradient ascent is unconstrained apart from threshold ordering.
+    ``tau_max`` bounds the box that the swarm and the face design search,
+    in noise deviations: their thresholds lie within ``+/-tau_max *
+    sigma_n``.  Gradient ascent is unconstrained apart from threshold
+    ordering.
     """
 
     bits: int
@@ -257,7 +259,8 @@ def design_pso(
     has large flat regions.
     """
     guesses = tuple(np.divide(guess, problem.sigma_n) for guess in initial_guesses)
-    return _run_swarms([problem], [settings.seed], guesses)[0]
+    unit = _run_swarms([problem], [settings.seed], guesses)[0]
+    return _leave_unit_noise(unit.thresholds, unit.trace, problem)
 
 
 def _run_swarms(
@@ -268,15 +271,16 @@ def _run_swarms(
     """One :func:`design_pso` swarm per (problem, seed) pair, run as one batch.
 
     The problems share bit depth, noise level and box and may differ in
-    channel.  The swarms fly for unit noise, in the box ``tau_max /
-    sigma_n``, from unit-noise ``initial_guesses``.  Each swarm draws from
+    channel.  The swarms fly for unit noise, in the box ``+/-tau_max``,
+    from unit-noise ``initial_guesses``, and return unit-noise designs and
+    traces, which the callers scale.  Each swarm draws from
     its own ``default_rng(seed)`` in a lone swarm's order, stops by a lone
     swarm's rules and then leaves the batch.  All live swarms share one
     cell-table call and one information call, with one channel kernel per
     swarm; both act row by row, so every result equals its lone swarm's.
     """
     swarm, dim = _PSO_SIZE, problems[0].n_thresholds
-    bound = problems[0].tau_max / problems[0].sigma_n
+    bound = problems[0].tau_max
     kernels = np.stack([bsc_kernel(p.bits, p.p_e, p.mapping) for p in problems])[:, None]
     rngs = [np.random.default_rng(seed) for seed in seeds]
 
@@ -298,7 +302,7 @@ def _run_swarms(
     def finish(done: np.ndarray) -> None:
         for i in np.flatnonzero(done):
             k = live[i]
-            results[k] = _leave_unit_noise(np.sort(gbest[i]), traces[k], problems[k])
+            results[k] = DesignResult(tuple(float(t) for t in np.sort(gbest[i])), traces[k][-1], tuple(traces[k]))
 
     for _ in range(_PSO_MAX_ITERS):
         r1, r2 = np.empty_like(pos), np.empty_like(pos)
@@ -394,15 +398,18 @@ def _faces(bits: int) -> tuple[np.ndarray, np.ndarray]:
     are the face's free edges and ``e_k`` past those is never read.
     """
     levels = 2**bits
-    used, slots = [], []
-    for size in range(1, levels + 1):
-        for face in itertools.combinations(range(1, levels + 1), size):
-            if face < tuple(sorted(levels + 1 - level for level in face)):
-                continue
-            below = np.searchsorted(face, np.arange(1, levels), side="right")
-            slots.append(np.where(below < size, below, levels))
-            used.append(np.isin(np.arange(1, levels + 1), face))
-    return np.array(used), np.array(slots)
+    faces = [
+        face
+        for size in range(1, levels + 1)
+        for face in itertools.combinations(range(1, levels + 1), size)
+        if face >= tuple(sorted(levels + 1 - level for level in face))
+    ]
+    used = np.zeros((len(faces), levels), dtype=bool)
+    used[np.repeat(np.arange(len(faces)), [len(face) for face in faces]), np.concatenate(faces) - 1] = True
+    # Threshold j (between levels j and j + 1) sits after the face's used
+    # levels up to j, or on the upper bound once they are all of them.
+    below = np.cumsum(used, axis=1)[:, :-1]
+    return used, np.where(below < used.sum(axis=1, keepdims=True), below, levels)
 
 
 #: Face design rules, in units of the noise deviation.  Derivatives are
@@ -447,7 +454,7 @@ def _design_faces(problems: list[DesignProblem]) -> list[DesignResult]:
     thresholds are the face point scaled to the noise level, and the trace
     the winning row's objective before each trial step.
     """
-    bits, bound = problems[0].bits, problems[0].tau_max / problems[0].sigma_n
+    bits, bound = problems[0].bits, problems[0].tau_max
     used, slots = _faces(bits)
     lookup = {tuple(np.flatnonzero(row) + 1): f for f, row in enumerate(used)}
     kernels = np.stack([bsc_kernel(p.bits, p.p_e, p.mapping) for p in problems])
@@ -714,10 +721,13 @@ def _swarm_designs(problems: list[DesignProblem], seed: int) -> list[DesignResul
         cell = np.random.SeedSequence(seed, spawn_key=(p.bits, int(round(p.p_e * 10**9))))
         seeds += [int(state) for state in cell.generate_state(_PSO_RESTARTS)]
     runs = _run_swarms([p for p in problems for _ in range(_PSO_RESTARTS)], seeds, guesses)
-    return [
-        max(runs[i : i + _PSO_RESTARTS], key=lambda result: result.objective)
-        for i in range(0, len(runs), _PSO_RESTARTS)
-    ]
+    # Restarts are compared at unit noise: scaled, values one ulp apart can
+    # round to a tie.
+    designs = []
+    for i, problem in enumerate(problems):
+        best = max(runs[i * _PSO_RESTARTS : (i + 1) * _PSO_RESTARTS], key=lambda result: result.objective)
+        designs.append(_leave_unit_noise(best.thresholds, best.trace, problem))
+    return designs
 
 
 def _separate_ties(result: DesignResult, problem: DesignProblem) -> DesignResult:

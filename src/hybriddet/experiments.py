@@ -7,7 +7,8 @@ from the same master seed, and emitted files are byte-stable across runs.
 The ROC blocks run concurrently on a thread pool with as many threads as
 the CPUs this process may use (no option sets the count); the output does
 not depend on that count, and ROC memory is bounded by workers times a
-block.  The sweep's allocation points run one after another.
+block.  The sweep solves all its allocation points from one dynamic
+program (``allocation.allocate_sweep``).
 """
 
 from __future__ import annotations
@@ -465,36 +466,30 @@ def run_sweep(scenario: SweepScenario) -> tuple[Table, Table]:
 
     Returns a summary table and the per-level sensor distribution table.
     Infeasible points are reported with status ``infeasible`` rather than
-    aborting the sweep.  The information table is built first; the points
-    are then solved one after another, in point order.  Each solve is a
-    numpy loop that holds the interpreter lock, so a thread pool would not
-    run them any faster.
+    aborting the sweep.  The information table is built first; then one
+    call of ``allocation.allocate_sweep`` solves every point from one
+    dynamic program over the sensors of the largest fleet, the smaller
+    fleets being prefixes of it, and the rows come out in point order.
     """
     settings = PsoSettings(seed=scenario.seed)
     table = alloc.build_fi_table(
         scenario.epsilons, scenario.max_bits, scenario.sigma_n2, settings, scenario.mapping
     )
     eta = threshold_for_pfa(scenario.pfa)
-
-    def solve(point) -> tuple[tuple, list[tuple]]:
-        """The point's summary row and its distribution rows."""
-        case, m, sense = point
-        key = (case.name, m, sense.value)
-        hist = alloc.ErrorHistogram(scenario.epsilons, case.freqs, m)
-        try:
-            result = alloc.allocate(
-                hist, table, scenario.budget, scenario.l0, scenario.budget_mode, sense
-            )
-        except alloc.AllocationInfeasibleError:
-            return (*key, "infeasible", None, None, None, None), []
-        lam = scenario.theta * math.sqrt(result.total_fi)
-        summary = (*key, "optimal", result.total_fi, lam, theoretical_pd(lam, eta), result.bits_used)
-        return summary, [(*key, *row) for row in _assignment_rows(result, scenario.epsilons)]
-
+    outcomes = alloc.allocate_sweep(
+        scenario.epsilons, [case.freqs for case in scenario.cases], scenario.m_values, table,
+        scenario.budget, scenario.l0, scenario.budget_mode, scenario.senses,
+    )
     points = [(case, m, sense) for case in scenario.cases for m in scenario.m_values for sense in scenario.senses]
-    solved = [solve(point) for point in points]
-    summary_rows = [summary for summary, _ in solved]
-    dist_rows = [row for _, rows in solved for row in rows]
+    summary_rows, dist_rows = [], []
+    for (case, m, sense), result in zip(points, outcomes):
+        key = (case.name, m, sense.value)
+        if isinstance(result, alloc.AllocationInfeasibleError):
+            summary_rows.append((*key, "infeasible", None, None, None, None))
+            continue
+        lam = scenario.theta * math.sqrt(result.total_fi)
+        summary_rows.append((*key, "optimal", result.total_fi, lam, theoretical_pd(lam, eta), result.bits_used))
+        dist_rows += [(*key, *row) for row in _assignment_rows(result, scenario.epsilons)]
     return Table(SWEEP_COLUMNS, summary_rows), Table(DISTRIBUTION_COLUMNS, dist_rows)
 
 

@@ -252,3 +252,19 @@ def load_table(path, fmt: str) -> Table:
             raise ValueError("unsupported schema version")
         return Table(tuple(payload["columns"]), [tuple(r) for r in payload["rows"]])
     raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
+
+
+def faces_loop(bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The face design's ``(used, slots)`` by one search per face: every set
+    of used levels, by size and then in lexicographic order, keeping of each
+    mirror pair the lexicographically larger level tuple."""
+    levels = 2**bits
+    used, slots = [], []
+    for size in range(1, levels + 1):
+        for face in itertools.combinations(range(1, levels + 1), size):
+            if face < tuple(sorted(levels + 1 - level for level in face)):
+                continue
+            below = np.searchsorted(face, np.arange(1, levels), side="right")
+            slots.append(np.where(below < size, below, levels))
+            used.append(np.isin(np.arange(1, levels + 1), face))
+    return np.array(used), np.array(slots)

@@ -15,6 +15,7 @@ from hybriddet.allocation import (
     Sense,
     allocate,
     allocate_dp_oracle,
+    allocate_sweep,
     build_fi_table,
     build_ilp,
     categorize_errors,
@@ -403,30 +404,68 @@ class TestSolverAgreement:
         assert_solvers_agree(TestBuildIlp.HIST, TestBuildIlp.TABLE, 60, 32)
 
 
-def canonical_assignment(hist, table, budget, l0, mode, sense):
+def canonical_assignment(hist, table, budget, l0, mode, sense, order=None):
     """The assignment ``allocate`` documents, by brute force: the best
-    information, then the fewest bits, then, category by category from the
-    last, the most sensors at 1 bit, then at 2 bits, ..., then at full
-    precision.  Returns ``None`` where no assignment fits."""
+    information, then the fewest bits, then the cheapest options for the
+    sensors taken last.  ``order`` lists the sensors in the order the
+    program takes them, as blocks ``(category, head count)`` of
+    interchangeable sensors; the default, one block per category in
+    category order, is ``allocate``'s.  The last rule then reads: block by
+    block from the last, the most sensors at 1 bit, then at 2 bits, ...,
+    then at full precision.  Returns ``None`` where no assignment fits."""
+    if order is None:
+        order = list(enumerate(hist.counts))
     options = table.max_bits + 1
     widths = np.append(np.arange(1, options), l0)
     values = np.vstack([table.gamma, np.full(hist.n_categories, table.gamma0)])
-    per_category = [
-        [c for c in itertools.product(range(count + 1), repeat=options) if sum(c) == count]
-        for count in hist.counts
+    per_block = [
+        np.array([c for c in itertools.product(range(size + 1), repeat=options) if sum(c) == size])
+        for _, size in order
     ]
-    best = None
-    for columns in itertools.product(*per_category):
-        picked = np.array(columns).T
-        bits = int(widths @ picked.sum(axis=1))
-        if bits > budget or (mode is BudgetMode.EXACT and bits != budget):
-            continue
-        info = float((values * picked).sum())
-        signed = info if sense is Sense.MAXIMIZE_FI else -info
-        key = (signed, -bits, tuple(c for column in reversed(columns) for c in column))
-        if best is None or key > best[0]:
-            best = (key, picked)
-    return None if best is None else best[1]
+    # One row per assignment: the option counts of every block.
+    index = np.stack(np.meshgrid(*(np.arange(len(b)) for b in per_block), indexing="ij"), -1).reshape(-1, len(order))
+    columns = np.stack([b[index[:, i]] for i, b in enumerate(per_block)], axis=1)
+    picked = np.zeros((len(index), options, hist.n_categories), dtype=np.int64)
+    for i, (category, _) in enumerate(order):
+        picked[:, :, category] += columns[:, i]
+    bits = picked.sum(axis=2) @ widths
+    fits = np.flatnonzero(bits <= budget if mode is BudgetMode.AT_MOST else bits == budget)
+    if fits.size == 0:
+        return None
+    info = (picked[fits] * values).sum(axis=(1, 2))
+    signed = info if sense is Sense.MAXIMIZE_FI else -info
+    # lexsort sorts by its last key first: the information, the bits, then
+    # the counts of the last block, from its first option on.
+    keys = [-columns[fits, i, j] for i in range(len(order)) for j in reversed(range(options))]
+    return picked[fits[np.lexsort(keys + [bits[fits], -signed])[0]]]
+
+
+def sweep_order(hist_at, m_values, m):
+    """The blocks in which ``allocate_sweep`` takes the sensors of fleet
+    ``m``: fleet by fleet in increasing size, each fleet's added sensors
+    category by category.  ``hist_at(size)`` is the case at that size."""
+    blocks, before = [], np.zeros(len(hist_at(m).counts), dtype=np.int64)
+    for size in sorted(size for size in m_values if size <= m):
+        counts = np.array(hist_at(size).counts)
+        blocks += [(n, int(added)) for n, added in enumerate(counts - before) if added]
+        before = counts
+    return blocks
+
+
+def random_sweep(rng):
+    """Cases whose head counts are whole at every fleet size, the sizes in
+    random order, and a budget that some fleets cannot meet."""
+    n = int(rng.integers(1, 4))
+    unit = int(rng.integers(n, 6))
+    cases = []
+    for _ in range(int(rng.integers(1, 3))):
+        cuts = np.sort(rng.choice(np.arange(1, unit), n - 1, replace=False))
+        cases.append(tuple(np.diff(np.concatenate(([0], cuts, [unit]))) / unit))
+    m_values = tuple(int(unit * k) for k in rng.permutation(np.arange(1, 5))[: int(rng.integers(2, 5))])
+    table = FiTable(gamma=rng.uniform(0.0, 0.95, (int(rng.integers(1, 4)), n)), gamma0=1.0)
+    l0 = int(rng.integers(2, 12))
+    budget = int(rng.integers(min(m_values), 3 * max(m_values)))
+    return tuple(0.1 * np.arange(n)), cases, m_values, table, budget, l0
 
 
 class TestTies:
@@ -454,6 +493,63 @@ class TestTies:
             assert np.array_equal(got.promotions, want[-1]), budget
             ties += 1
         assert ties >= 20
+
+
+class TestAllocateSweep:
+    """One program for every point of a sweep; its smaller fleets are
+    prefixes of the largest."""
+
+    def test_randomized_sweeps_match_allocate_and_the_dp_oracle(self):
+        rng = np.random.default_rng(41)
+        seen = {"feasible": 0, "infeasible": 0}
+        for _ in range(25):
+            eps, cases, m_values, table, budget, l0 = random_sweep(rng)
+            for mode in BudgetMode:
+                outcomes = iter(allocate_sweep(eps, cases, m_values, table, budget, l0, mode, tuple(Sense)))
+                for freqs, m, sense in itertools.product(cases, m_values, Sense):
+                    got = next(outcomes)
+                    hist = ErrorHistogram(eps, freqs, m)
+                    try:
+                        want = allocate(hist, table, budget, l0, mode, sense)
+                    except AllocationInfeasibleError as exc:
+                        assert isinstance(got, AllocationInfeasibleError) and str(got) == str(exc)
+                        with pytest.raises(AllocationInfeasibleError):
+                            allocate_dp_oracle(hist, table, budget, l0, mode, sense)
+                        seen["infeasible"] += 1
+                        continue
+                    assert np.array_equal(got.x_matrix, want.x_matrix), (m, mode, sense)
+                    assert np.array_equal(got.promotions, want.promotions), (m, mode, sense)
+                    oracle = allocate_dp_oracle(hist, table, budget, l0, mode, sense)
+                    assert abs(got.total_fi - oracle.total_fi) <= 1e-9
+                    seen["feasible"] += 1
+                assert next(outcomes, None) is None
+        assert min(seen.values()) >= 50
+
+    @pytest.mark.parametrize("sense", list(Sense))
+    @pytest.mark.parametrize("mode", list(BudgetMode))
+    def test_ties_follow_the_nested_order(self, mode, sense):
+        # TestTies' dyadic table at fleets of 8 and 4 sensors, given in that
+        # order: the 8-sensor fleet takes the 4-sensor fleet's sensors first.
+        table, eps, freqs, m_values, l0 = TestTies.TABLE, TestTies.HIST.epsilons, TestTies.HIST.freqs, (8, 4), 4
+        hist_at = lambda m: ErrorHistogram(eps, freqs, m)
+        reordered = 0
+        for budget in range(4, 8 * l0 + 2):
+            outcomes = allocate_sweep(eps, (freqs,), m_values, table, budget, l0, mode, (sense,))
+            for m, got in zip(m_values, outcomes):
+                hist = hist_at(m)
+                want = canonical_assignment(hist, table, budget, l0, mode, sense, sweep_order(hist_at, m_values, m))
+                if want is None:
+                    assert isinstance(got, AllocationInfeasibleError), (m, budget)
+                    continue
+                assert np.array_equal(got.x_matrix, want[:-1]), (m, budget)
+                assert np.array_equal(got.promotions, want[-1]), (m, budget)
+                alone = canonical_assignment(hist, table, budget, l0, mode, sense)
+                reordered += not np.array_equal(alone, want)
+        # The order decides the kept tie at some budgets, except where the
+        # optimum is one assignment at every budget: the least information
+        # under an at-most budget, every sensor at 1 bit.
+        single = (mode, sense) == (BudgetMode.AT_MOST, Sense.MINIMIZE_FI)
+        assert reordered == 0 if single else reordered >= 3, reordered
 
 
 class TestDpOracle:

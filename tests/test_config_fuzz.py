@@ -5,7 +5,10 @@ dataclass, the types the CLI's coercion reads, with extreme finite floats
 among the draws.  Each config sets the required fields, the fields that
 size the work and at most two others, so that many get past validation and
 run.  Counts, fleet sizes and
-bit depths stay small, so that no draw allocates or designs much.
+bit depths stay small, so that no draw allocates or designs much.  Only
+``allocate`` may exit 3, and only where counting the bits that some
+assignment can spend finds that none fits the budget; a ``sweep`` row says
+``infeasible`` exactly there too.
 """
 
 import contextlib
@@ -106,6 +109,60 @@ def _cells(path: Path):
     return [cell for row in rows[1:] for cell in row]
 
 
+def _fits(m: int, config: dict) -> bool:
+    """Whether any assignment of ``m`` sensors meets the config's budget, by
+    counting alone: with ``k`` sensors at full precision and the rest at 1 to
+    ``max_bits`` bits each, an assignment spends every whole number of bits
+    from ``(m - k) + k * l0`` to ``(m - k) * max_bits + k * l0``."""
+    budget, l0, max_bits, mode = (config[key] for key in ("budget", "l0", "max_bits", "budget_mode"))
+    if getattr(mode, "value", mode) == "atmost":
+        return m <= budget
+    return any((m - k) + k * l0 <= budget <= (m - k) * max_bits + k * l0 for k in range(m + 1))
+
+
+def _run(command: str, config: dict, out_dir: Path) -> tuple:
+    """Run ``command`` on ``config`` in process: its exit code, its stderr,
+    the warnings it printed and its summary rows (``None`` on failure)."""
+    path = out_dir / "config.json"
+    path.write_text(json.dumps(config))
+    out = out_dir / "out.csv"
+    tables = (out, Path(cli._distribution_path(str(out))))
+    for table in tables:
+        table.unlink(missing_ok=True)
+    err = io.StringIO()
+    # Warnings are recorded here, where the command line would print them.
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings(
+        record=True
+    ) as printed:
+        warnings.simplefilter("always")
+        code = cli.main([command, "--config", str(path), "--out", str(out)])
+    if code:
+        return code, err.getvalue(), printed, None
+    for table in tables:
+        if table.exists():
+            for cell in _cells(table):
+                with contextlib.suppress(ValueError):
+                    assert math.isfinite(float(cell)), (config, cell)
+    with open(out, newline="") as fh:
+        return code, err.getvalue(), printed, list(csv.DictReader(fh))
+
+
+def _check_verdicts(command: str, config: dict, code: int, rows) -> list:
+    """Assert that ``allocate`` exits 3, and that a ``sweep`` row says
+    ``infeasible``, exactly where ``_fits`` finds no assignment; no other
+    command exits 3.  Returns the verdicts checked."""
+    assert code in ((0, 2, 3) if command == "allocate" else (0, 2)), config
+    resolved = {field.name: field.default for field in dataclasses.fields(cli._COMMANDS[command][1])} | config
+    if command == "allocate" and code != 2:
+        assert (code == 3) == (not _fits(resolved["m_total"], resolved)), config
+        return [code == 3]
+    if command == "sweep" and code == 0:
+        verdicts = [row["status"] == "infeasible" for row in rows]
+        assert verdicts == [not _fits(int(row["m_total"]), resolved) for row in rows], config
+        return verdicts
+    return []
+
+
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_every_config_runs_or_is_refused_cleanly(tmp_path_factory, command):
     cls = cli._COMMANDS[command][1]
@@ -117,28 +174,49 @@ def test_every_config_runs_or_is_refused_cleanly(tmp_path_factory, command):
     )
     @given(config=_configs(cls))
     def check(config):
-        path = out_dir / "config.json"
-        path.write_text(json.dumps(config))
-        out = out_dir / "out.csv"
-        tables = (out, Path(cli._distribution_path(str(out))))
-        for table in tables:
-            table.unlink(missing_ok=True)
-        err = io.StringIO()
-        # Warnings are recorded here, where the command line would print them.
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings(
-            record=True
-        ) as printed:
-            warnings.simplefilter("always")
-            code = cli.main([command, "--config", str(path), "--out", str(out)])
-        assert code in (0, 2, 3), config
+        code, err, printed, rows = _run(command, config, out_dir)
+        _check_verdicts(command, config, code, rows)
         if code:
-            assert not printed and "Traceback" not in err.getvalue(), config
-            assert isinstance(json.loads(err.getvalue()), dict), config
-            return
-        for table in tables:
-            if table.exists():
-                for cell in _cells(table):
-                    with contextlib.suppress(ValueError):
-                        assert math.isfinite(float(cell)), (config, cell)
+            assert not printed and "Traceback" not in err, config
+            assert isinstance(json.loads(err), dict), config
 
     check()
+
+
+@pytest.mark.parametrize("command", ["allocate", "sweep"])
+def test_exit_3_exactly_where_counting_finds_no_assignment(tmp_path_factory, command):
+    # Valid budgets only, often one bit either side of the least or the
+    # most that some split of a fleet spends, where the verdict turns.
+    out_dir = tmp_path_factory.mktemp(command)
+    seen = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        quarters=st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True),
+        l0=st.integers(1, 12),
+        max_bits=st.integers(1, 3),
+        budget_mode=st.sampled_from(("atmost", "exact")),
+        data=st.data(),
+    )
+    def check(quarters, l0, max_bits, budget_mode, data):
+        m_values = [4 * q for q in quarters]
+        edges = {
+            spend + step
+            for m in m_values
+            for k in range(m + 1)
+            for spend in ((m - k) + k * l0, (m - k) * max_bits + k * l0)
+            for step in (-1, 0, 1)
+        }
+        budget = data.draw(st.sampled_from(sorted(edges)) | st.integers(0, max(m_values) * max(l0, max_bits) + 2))
+        config = {"epsilons": [0.0, 0.2], "budget": budget, "l0": l0, "max_bits": max_bits, "budget_mode": budget_mode}
+        if command == "allocate":
+            config |= {"freqs": [0.25, 0.75], "m_total": m_values[0]}
+        else:
+            cases = [{"name": "even", "freqs": [0.5, 0.5]}, {"name": "skewed", "freqs": [0.25, 0.75]}]
+            config |= {"cases": cases, "m_values": m_values}
+        code, err, _, rows = _run(command, config, out_dir)
+        assert code in (0, 3), err
+        seen.update(_check_verdicts(command, config, code, rows))
+
+    check()
+    assert seen == {True, False}

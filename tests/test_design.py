@@ -22,6 +22,7 @@ from hybriddet.design import (
     design_pso,
     fi_landscape,
     objective_gradient,
+    optimized_cells,
     optimized_thresholds,
 )
 
@@ -32,6 +33,7 @@ from hybriddet.model import GRAY, NATURAL, QuantizerSpec
 
 from oracles import (
     central_difference,
+    faces_loop,
     find_local_maxima,
     quantized_fi_oracle,
     symmetric_face_argmax,
@@ -87,7 +89,7 @@ class TestObjective:
                 bits=bits,
                 p_e=data.draw(st.floats(0.0, 0.5)),
                 sigma_n2=sigma_n2,
-                tau_max=8.0,
+                tau_max=16.0,
                 mapping=data.draw(st.sampled_from((NATURAL, GRAY))),
             )
             for _ in range(data.draw(st.integers(1, 4)))
@@ -102,7 +104,8 @@ class TestObjective:
             guesses = tuple(map(tuple, rows / problems[0].sigma_n))
             results = design._run_swarms(problems, list(range(len(problems))), guesses)
         for problem, result in zip(problems, results):
-            assert result.trace[0] == np.max(_objective_rows(np.sort(rows, axis=1), problem))
+            unit = replace(problem, sigma_n2=1.0)
+            assert result.trace[0] == np.max(_objective_rows(np.sort(rows, axis=1) / problem.sigma_n, unit))
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
@@ -539,7 +542,7 @@ def _symmetric_face_information_mpmath(t, p_e):
 def _face_point(result, problem):
     """A face design's unit-noise thresholds, with its kernel and box bound."""
     kernel = bsc_kernel(problem.bits, problem.p_e, problem.mapping)
-    return np.array(result.thresholds) / problem.sigma_n, kernel, problem.tau_max / problem.sigma_n
+    return np.array(result.thresholds) / problem.sigma_n, kernel, problem.tau_max
 
 
 class TestFaceDesign:
@@ -561,6 +564,14 @@ class TestFaceDesign:
                 tau = np.concatenate(([-5.0], edges, [5.0]))[slot]
                 widths = np.diff(tau, prepend=-5.0, append=5.0)
                 np.testing.assert_array_equal(widths > 0.0, row)
+
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_faces_match_the_per_face_search(self, bits):
+        used, slots = design._faces(bits)
+        want_used, want_slots = faces_loop(bits)
+        for got, want in ((used, want_used), (slots, want_slots)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("p_e, value", [(0.1, 0.658599217841), (0.2, 0.446241320195)])
     def test_noisy_three_bit_cells_reach_the_symmetric_face_optimum(self, p_e, value):
@@ -757,10 +768,33 @@ class TestScaleInvariance:
     )
     def test_face_design_is_the_unit_design_scaled(self, bits, p_e, sigma_n2):
         problem = DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2)
-        unit = DesignProblem(bits=bits, p_e=p_e, tau_max=problem.tau_max / problem.sigma_n)
+        unit = replace(problem, sigma_n2=1.0)
         got, want = design._design_faces([problem])[0], design._design_faces([unit])[0]
         np.testing.assert_allclose(got.thresholds, np.multiply(want.thresholds, problem.sigma_n), rtol=1e-14)
         assert got.objective == pytest.approx(want.objective / sigma_n2, rel=1e-14)
+
+    @pytest.mark.parametrize("sigma_n2", [1e-300, 1e-6, 1e6, 1e300])
+    def test_designs_at_extreme_noise_are_the_unit_designs_scaled(self, monkeypatch, sigma_n2):
+        # The box is tau_max noise deviations wide at every noise level, so
+        # the swarm of 1 bit, the face design of 2 and 3 bits and a lone
+        # unseeded swarm all make the unit design, scaled.  Thresholds are
+        # compared in deviations, where a tie moved apart at 0 is one ulp
+        # of 0 at every scale.
+        monkeypatch.setattr(design, "_DESIGN_CACHE", {})
+        sigma_n, settings = math.sqrt(sigma_n2), PsoSettings(seed=SWEEP_SEED)
+        pairs = [
+            (got, want)
+            for bits in (1, 2, 3)
+            for got, want in zip(
+                optimized_cells(bits, (0.0, 0.2), sigma_n2, settings), optimized_cells(bits, (0.0, 0.2), 1.0, settings)
+            )
+        ]
+        problem = DesignProblem(bits=2, p_e=0.2, sigma_n2=sigma_n2)
+        pairs.append((design_pso(problem, settings), design_pso(replace(problem, sigma_n2=1.0), settings)))
+        for got, want in pairs:
+            np.testing.assert_allclose(np.divide(got.thresholds, sigma_n), want.thresholds, rtol=1e-12, atol=1e-300)
+            assert got.objective == pytest.approx(want.objective / sigma_n2, rel=1e-12)
+            assert want.objective > 0.2
 
 
 class TestLandscape:

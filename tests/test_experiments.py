@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -373,14 +374,18 @@ class TestSweepWorkers:
         assert threading.active_count() == before
 
     def test_an_error_at_a_later_point_reaches_the_cli(self, tmp_path, capsys, monkeypatch):
-        real = allocation.allocate
+        # The points are checked in point order, so the second check of a
+        # 30-sensor fleet is the first case's (30, min) point.
+        real = allocation.validate_allocation
+        checked = []
 
-        def failing(hist, *args):
-            if hist.m_total == 30 and args[-1] is Sense.MINIMIZE_FI:
+        def failing(result, hist, *args):
+            checked.append(hist.m_total)
+            if checked.count(30) == 2:
                 raise ValueError("point (30, min) failed")
-            return real(hist, *args)
+            return real(result, hist, *args)
 
-        monkeypatch.setattr(allocation, "allocate", failing)
+        monkeypatch.setattr(allocation, "validate_allocation", failing)
         monkeypatch.setattr(experiments, "_workers", lambda jobs: 2)
         before = threading.active_count()
         cfg = tmp_path / "cfg.json"
@@ -474,6 +479,22 @@ class TestSweep:
             counts[(rec["case"], rec["m_total"], rec["sense"])] += rec["count"]
         for key, total in counts.items():
             assert total == key[1]
+
+    def test_one_forward_pass_over_the_largest_fleet(self, monkeypatch):
+        # Every point of the sweep, both senses included, reads its states
+        # from one pass of the program over the sensors of the largest fleet.
+        program, passes = allocation._sensor_program, []
+
+        def counted(gains, *args):
+            passes.append(gains.shape[:2])
+            return program(gains, *args)
+
+        monkeypatch.setattr(allocation, "_sensor_program", counted)
+        scenario = replace(self.SCENARIO, cases=(*self.SCENARIO.cases, SweepCase("adverse", (0.1, 0.1, 0.2, 0.6))),
+                           m_values=(40, 20, 30))
+        summary, _ = run_sweep(scenario)
+        assert passes == [(40, 4)]
+        assert [row[3] for row in summary.rows] == ["optimal"] * 12
 
     def test_infeasible_points_reported_not_fatal(self):
         scenario = SweepScenario(
