@@ -4,8 +4,8 @@ full-precision sensor reporting.
 Subpackages cover the data plane (:mod:`hybriddet.model`), fusion-center
 detection kernels (:mod:`hybriddet.detection`), per-sensor quantizer
 design (:mod:`hybriddet.design`), network bandwidth allocation solved
-with HiGHS and checked by a dynamic program (:mod:`hybriddet.allocation`),
-and reproducible experiment runners with a CLI
+exactly by a dynamic program over sensors and bits spent
+(:mod:`hybriddet.allocation`), and reproducible experiment runners with a CLI
 (:mod:`hybriddet.experiments`, :mod:`hybriddet.cli`).
 """
 
@@ -48,15 +48,10 @@ from .allocation import (
     BudgetMode,
     ErrorHistogram,
     FiTable,
-    IlpProblem,
-    IlpSolution,
     Sense,
     allocate,
-    allocate_dp_oracle,
     build_fi_table,
-    build_ilp,
     categorize_errors,
-    solve_ilp,
     validate_allocation,
 )
 

@@ -8,12 +8,15 @@ The ROC blocks run concurrently on a thread pool with as many threads as
 the CPUs this process may use (no option sets the count); the output does
 not depend on that count, and ROC memory is bounded by workers times a
 block.  The sweep solves all its allocation points from one dynamic
-program (``allocation.allocate_sweep``).
+program (``allocation.allocate_sweep``).  Every runner returns ``Table``s of
+plain ``None``, ``str``, ``int`` and ``float`` cells, which ``emit`` hands to
+the csv and json modules unconverted.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -101,9 +104,14 @@ def _pool_map(fn, jobs: list) -> list:
     return results
 
 
+#: The exact types of a table cell: the ones csv and json write alike.
+_CELL_TYPES = frozenset({type(None), str, int, float})
+
+
 @dataclass
 class Table:
-    """Ordered columns plus rows of plain Python scalars (or ``None``)."""
+    """Ordered columns plus rows of cells, each ``None`` or exactly a
+    ``str``, ``int`` or ``float``: no ``bool``, numpy scalar or enum."""
 
     columns: tuple[str, ...]
     rows: list[tuple]
@@ -114,42 +122,31 @@ class Table:
         for r in self.rows:
             if len(r) != len(self.columns):
                 raise ValueError("row width does not match column count")
-
-
-def _cell_to_text(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        raise TypeError("boolean cells are not supported")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+        bad = set(map(type, itertools.chain.from_iterable(self.rows))) - _CELL_TYPES
+        if bad:
+            names = ", ".join(sorted(t.__name__ for t in bad))
+            raise TypeError(f"table cells must be None, str, int or float, not {names}")
 
 
 def emit(table: Table, fmt: str, path) -> None:
     """Write a table as CSV (header row) or JSON (versioned envelope).
 
-    Output bytes are a pure function of the table contents; floats use
-    shortest round-trip formatting and ``None`` becomes an empty cell or
-    ``null``.
+    Output bytes are a pure function of the table contents.  The csv and
+    json modules convert the cells themselves: floats use shortest
+    round-trip formatting, and ``None`` becomes an empty cell or ``null``.
+    JSON refuses a non-finite float; CSV writes ``inf`` or ``nan``.
     """
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(table.columns)
-            for row in table.rows:
-                writer.writerow([_cell_to_text(v) for v in row])
+            writer.writerows(table.rows)
         return
     if fmt == "json":
         payload = {
             "schema_version": 1,
             "columns": list(table.columns),
-            "rows": [
-                [None if v is None else (int(v) if isinstance(v, (int, np.integer)) else (float(v) if isinstance(v, (float, np.floating)) else str(v))) for v in row]
-                for row in table.rows
-            ],
+            "rows": [list(r) for r in table.rows],
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, allow_nan=False)
@@ -530,12 +527,11 @@ def run_landscape(scenario: LandscapeScenario) -> Table:
     )
     axis = np.linspace(scenario.tau_lo, scenario.tau_hi, scenario.points)
     grid = fi_landscape(problem, axis, axis, scenario.tau2)
-    rows = []
-    for i, t1 in enumerate(axis):
-        for j, t3 in enumerate(axis):
-            v = grid[i, j]
-            rows.append((float(t1), float(t3), float(v) if np.isfinite(v) else None))
-    return Table(LANDSCAPE_COLUMNS, rows)
+    n = scenario.points
+    tau1 = np.repeat(axis, n).tolist()
+    tau3 = np.tile(axis, n).tolist()
+    objective = np.where(np.isfinite(grid), grid, None).ravel().tolist()
+    return Table(LANDSCAPE_COLUMNS, zip(tau1, tau3, objective))
 
 
 @dataclass(frozen=True)

@@ -91,7 +91,8 @@ def gaussian_upper_tail(x):
 
 def gaussian_pdf(x):
     """Standard normal density; even, and 0 at ``+/-inf``."""
-    return _INV_SQRT_2PI * np.exp(-0.5 * np.square(x))
+    with np.errstate(over="ignore"):  # a square beyond the float range: exp(-inf) is the exact 0
+        return _INV_SQRT_2PI * np.exp(-0.5 * np.square(x))
 
 
 class Hypothesis(Enum):

@@ -5,7 +5,7 @@ tail probabilities and cell centroids come from adaptive quadrature, inverses an
 from bisection, information sums from explicit loops with a local
 Hamming-weight kernel, and integer programs from exhaustive enumeration.
 Grid peaks come from an explicit neighbour scan, and emitted tables are
-read back by a parser of their own.
+read back by a parser of their own and written by a per-cell formatter.
 """
 
 import csv
@@ -251,6 +251,50 @@ def load_table(path, fmt: str) -> Table:
         if payload.get("schema_version") != 1:
             raise ValueError("unsupported schema version")
         return Table(tuple(payload["columns"]), [tuple(r) for r in payload["rows"]])
+    raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
+
+
+def _cell_to_text(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        raise TypeError("boolean cells are not supported")
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def emit_per_cell(table: Table, fmt: str, path) -> None:
+    """:func:`hybriddet.experiments.emit` with every cell converted by hand:
+    ``None`` to "" or ``null``, an int by ``str``, a float by ``repr``."""
+    if fmt == "csv":
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(table.columns)
+            for row in table.rows:
+                writer.writerow([_cell_to_text(v) for v in row])
+        return
+    if fmt == "json":
+        def cell(v):
+            if v is None:
+                return None
+            if isinstance(v, (int, np.integer)):
+                return int(v)
+            if isinstance(v, (float, np.floating)):
+                return float(v)
+            return str(v)
+
+        payload = {
+            "schema_version": 1,
+            "columns": list(table.columns),
+            "rows": [[cell(v) for v in row] for row in table.rows],
+        }
+        with open(path, "w") as fh:
+            json.dump(payload, fh, indent=2, allow_nan=False)
+            fh.write("\n")
+        return
     raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
 
 

@@ -127,6 +127,24 @@ def test_extreme_noise_levels_give_finite_cells_or_name_the_field(tmp_path, caps
     assert numbers and all(math.isfinite(v) for v in numbers)
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("fi-landscape", {"tau_lo": -1e200, "tau_hi": 1e200, "points": 5}),
+        ("design-quantizer", {"tau_max": 1e200, "methods": ["pso"]}),
+    ],
+)
+def test_thresholds_whose_square_overflows_run_without_a_warning(tmp_path, command, config):
+    # A RuntimeWarning fails this test (pyproject's filterwarnings): the
+    # Gaussian density at such a threshold is an exact 0, not an overflow.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    numbers = [v for row in load_table(out, "csv").rows for v in row if isinstance(v, float)]
+    assert numbers and all(math.isfinite(v) for v in numbers)
+
+
 def test_huge_at_most_budget_is_the_budget_that_promotes_everyone(tmp_path):
     # No assignment of the mixed preset's 60 sensors spends more than
     # 60 * 32 bits; a budget of 1e20 is solved at that cap.

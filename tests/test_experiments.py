@@ -33,10 +33,11 @@ from hybriddet.experiments import (
     run_roc,
     run_sweep,
 )
+from hybriddet.design import DesignProblem, fi_landscape
 from hybriddet.detection import NetworkKernels
 from hybriddet.model import QuantizerSpec, gaussian_upper_tail
 
-from oracles import load_table
+from oracles import emit_per_cell, load_table
 from roc_reference import null_scores, per_trial_roc
 
 
@@ -77,6 +78,34 @@ class TestEmit:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             emit(self.SAMPLE, "yaml", tmp_path / "t")
+
+    #: Cells whose text the csv and json modules must write as the per-cell
+    #: formatter does: an int past int64, floats that need 17 digits or are
+    #: subnormal, and strings that need quoting or escaping.
+    MIXED = [None, 0, -1, 2**63, 0.1, 0.1234567890123456789, 5e-324, -0.0, "", "x,y", 'say "hi"', "a\nb"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_match_the_per_cell_writer(self, tmp_path, fmt):
+        cells = self.MIXED + ([math.inf, -math.inf, math.nan] if fmt == "csv" else [])
+        # Every cell in every column, and a row of a lone empty cell.
+        rows = [tuple(cells[(i + k) % len(cells)] for k in range(3)) for i in range(len(cells))]
+        for table in (Table(("a", "b", "c"), rows), Table(("a",), [(None,), ("",), (1.5,)])):
+            emit(table, fmt, tmp_path / "got")
+            emit_per_cell(table, fmt, tmp_path / "want")
+            assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_json_refuses_non_finite_floats(self, tmp_path, value):
+        with pytest.raises(ValueError):
+            emit(Table(("a",), [(value,)]), "json", tmp_path / "t.json")
+
+    @pytest.mark.parametrize(
+        "value, name",
+        [(True, "bool"), (np.float64(0.5), "float64"), (np.int64(1), "int64"), (Sense.MAXIMIZE_FI, "Sense")],
+    )
+    def test_cells_of_other_types_are_refused(self, value, name):
+        with pytest.raises(TypeError, match=name):
+            Table(("a", "b"), [(1, 2.0), (None, value)])
 
     def test_roc_columns_contract(self):
         assert ROC_COLUMNS == (
@@ -515,6 +544,18 @@ class TestLandscapeRunner:
         rec = {(r[0], r[1]): r[2] for r in table.rows}
         assert rec[(1.0, -1.0)] is None
         assert rec[(-1.0, 1.0)] is not None
+
+    def test_rows_are_the_grid_cell_by_cell(self):
+        scenario = LandscapeScenario(points=7, tau_lo=-2.0, tau_hi=3.0, tau2=0.5)
+        axis = np.linspace(scenario.tau_lo, scenario.tau_hi, scenario.points)
+        grid = fi_landscape(DesignProblem(scenario.bits, scenario.p_e, scenario.sigma_n2), axis, axis, scenario.tau2)
+        want = [
+            (float(t1), float(t3), float(grid[i, j]) if np.isfinite(grid[i, j]) else None)
+            for i, t1 in enumerate(axis)
+            for j, t3 in enumerate(axis)
+        ]
+        assert {v is None for *_, v in want} == {True, False}
+        assert run_landscape(scenario).rows == want
 
 
 class TestDesignRunner:

@@ -1,6 +1,7 @@
 """Data-plane unit tests: tail functions, codewords, quantization, channels."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -83,6 +84,13 @@ class TestGaussianPdf:
         assert gaussian_pdf(math.inf) == 0.0
         assert gaussian_pdf(-math.inf) == 0.0
         assert gaussian_pdf(1.0) == pytest.approx(0.24197072451914337, abs=1e-12)
+
+    def test_zero_beyond_the_float_range_of_the_square_without_a_warning(self):
+        x = [1e200, -1e200, math.inf, -math.inf]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all(gaussian_pdf(v) == 0.0 for v in x)
+            assert gaussian_pdf(np.array(x)).tolist() == [0.0] * 4
 
     def test_even(self):
         x = np.linspace(0, 6, 100)
