@@ -24,9 +24,8 @@ from .model import (
     trial_rng,
 )
 from .detection import (
-    LikelihoodKernels,
+    NetworkKernels,
     bsc_kernel,
-    likelihood_kernels,
     theoretical_pd,
     threshold_for_pfa,
 )

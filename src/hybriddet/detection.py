@@ -1,16 +1,20 @@
-"""Fusion-center side: likelihood kernels, Fisher information, the hybrid
-weak-signal test statistic, its asymptotic ROC theory, and the cell
-centroids of the reconstruction baseline.
+"""Fusion-center side: the cell and channel tables, Fisher information,
+the hybrid weak-signal test statistic, its asymptotic ROC theory, and the
+cell centroids of the reconstruction baseline.
 
-The detectors themselves are assembled from these tables, one block of
-trials at a time, by ``experiments.run_roc``.
+``NetworkKernels`` is the locally most powerful test (LMPT) of one fleet:
+it sums the received-level scores of the quantized sensors and
+``y / sigma_n2`` over the analog sensors, and divides by the square root
+of the fleet's Fisher information.  ``experiments.run_roc`` gathers the
+score sums of each block of trials and hands them, with its analog sums,
+to ``NetworkKernels.statistic``.
 
 All kernels are evaluated at amplitude zero, where the locally optimal
 statistic lives.  Thresholds scale with the noise deviation ``sigma_n``,
 scores with ``1 / sigma_n`` and information with ``1 / sigma_n2``, so the
 cell tables and the information sum work for unit noise only, and the
 quantized-sensor score is divided by ``sigma_n`` once (its information by
-``sigma_n2``): the unnormalized score has variance exactly equal to the
+``sigma_n2``): the summed score has variance exactly equal to the
 Fisher information at any noise level; see the variance-identity tests.
 """
 
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -32,12 +35,10 @@ from .model import (
 )
 
 __all__ = [
-    "LikelihoodKernels",
     "NetworkKernels",
     "bsc_kernel",
     "cell_tables",
     "received_information",
-    "likelihood_kernels",
     "threshold_for_pfa",
     "theoretical_pd",
     "reconstruction_table",
@@ -110,50 +111,14 @@ def received_information(probs: np.ndarray, scores: np.ndarray, kernel: np.ndarr
     return received, numerators, terms.sum(axis=-1)
 
 
-@dataclass(frozen=True)
-class LikelihoodKernels:
-    """Precomputed per-sensor tables for one quantizer/channel pair.
-
-    ``received_probs`` and ``score_table`` are indexed by received level;
-    ``score_table`` is the per-received-level contribution to the
-    unnormalized statistic and ``fi_contribution`` the sensor's share of
-    the Fisher information.
-    """
-
-    received_probs: np.ndarray
-    score_table: np.ndarray
-    fi_contribution: float
-
-
-def likelihood_kernels(
-    quantizer: QuantizerSpec,
-    p_e: float,
-    sigma_n: float,
-    mapping: str = DEFAULT_MAPPING,
-) -> LikelihoodKernels:
-    """Build all zero-amplitude tables for one quantized sensor over a
-    binary symmetric channel with crossover ``p_e``, from its unit-noise tables."""
-    probs, scores = cell_tables(np.divide(quantizer.thresholds, sigma_n))
-    kernel = bsc_kernel(quantizer.bits, p_e, mapping)
-    received, numerators, fi = received_information(probs, scores, kernel)
-    live = received > 0.0
-    if not np.all(live):
-        logger.warning(
-            "quantizer has %d received levels with zero probability; "
-            "their score contribution is defined as 0",
-            int(np.count_nonzero(~live)),
-        )
-    score_table = np.where(live, numerators / np.where(live, received, 1.0), 0.0)
-    return LikelihoodKernels(received, score_table / sigma_n, float(fi / sigma_n / sigma_n))
-
-
 class NetworkKernels:
-    """The locally optimal detector of one fleet, read-only across trials.
+    """The locally most powerful detector of one fleet, read-only across trials.
 
     The fleet has ``m_q`` sensors that share ``quantizer`` and a channel of
-    crossover ``p_e``, and ``m_u`` analog sensors; its Fisher information
-    adds over the sensors.  ``unnormalized_scores`` accepts either a single
-    trial (1-D levels) or a batch (levels with a leading trial axis).
+    crossover ``p_e``, and ``m_u`` analog sensors; its ``fisher_info`` adds
+    over the sensors.  ``level_scores`` holds one sensor's score for each
+    received level, indexed by the level itself (entry 0 is never read), and
+    ``received_probs`` the noise-only probability of each received level.
     """
 
     def __init__(
@@ -165,39 +130,41 @@ class NetworkKernels:
         sigma_n2: float,
         mapping: str = DEFAULT_MAPPING,
     ):
-        kernels = likelihood_kernels(quantizer, p_e, math.sqrt(sigma_n2), mapping)
-        # The score table indexed by received level itself; entry 0 is never read.
-        self._level_scores = np.concatenate(([0.0], kernels.score_table))
+        sigma_n = math.sqrt(sigma_n2)
+        probs, scores = cell_tables(np.divide(quantizer.thresholds, sigma_n))
+        kernel = bsc_kernel(quantizer.bits, p_e, mapping)
+        received, numerators, fi = received_information(probs, scores, kernel)
+        live = received > 0.0
+        if not np.all(live):
+            logger.warning(
+                "quantizer has %d received levels with zero probability; "
+                "their score contribution is defined as 0",
+                int(np.count_nonzero(~live)),
+            )
+        score_table = np.where(live, numerators / np.where(live, received, 1.0), 0.0)
+        self.level_scores = np.concatenate(([0.0], score_table / sigma_n))
+        self.received_probs = received
         self.sigma_n2 = sigma_n2
-        self.fisher_info = kernels.fi_contribution * m_q + m_u / sigma_n2
+        self.fisher_info = float(fi / sigma_n / sigma_n) * m_q + m_u / sigma_n2
 
     def score_sums(self, levels) -> np.ndarray | float:
         """Sum of the quantized sensors' scores over the last axis of ``levels``."""
         # Indexing gathers the scores into a new contiguous sensor axis, so
         # each trial of a batch is summed in the same order as a single trial.
-        return self._level_scores[np.asarray(levels, dtype=np.intp)].sum(axis=-1)
+        return self.level_scores[np.asarray(levels, dtype=np.intp)].sum(axis=-1)
 
-    def unnormalized_scores(self, levels, analog) -> np.ndarray | float:
-        """Zero-amplitude score; ``levels``/``analog`` may carry a batch axis."""
-        total = self.score_sums(levels)
-        analog = np.asarray(analog, dtype=float)
-        if analog.size:
-            total = total + analog.sum(axis=-1) / self.sigma_n2
-        return total
-
-    def statistic(self, levels, analog, *, unnormalized=None) -> np.ndarray | float:
+    def statistic(self, score_sums, analog_sums=None) -> np.ndarray | float:
         """Normalized statistic; asymptotically standard normal under the null.
 
-        ``unnormalized`` may carry the scores of ``levels`` and ``analog``
-        when the caller has formed them already, as ``run_roc`` does to
-        share one score sum between two detectors; only the normalization
-        is then done here.
+        ``score_sums`` are the quantized sensors' :meth:`score_sums` and
+        ``analog_sums`` the sums of the analog observations, one per trial;
+        without analog sums only the quantized scores are normalized.
         """
         if self.fisher_info <= 0.0:
             raise ValueError("Fisher information is zero; statistic undefined")
-        if unnormalized is None:
-            unnormalized = self.unnormalized_scores(levels, analog)
-        return unnormalized / math.sqrt(self.fisher_info)
+        if analog_sums is not None:
+            score_sums = score_sums + analog_sums / self.sigma_n2
+        return score_sums / math.sqrt(self.fisher_info)
 
 
 _STANDARD_NORMAL = NormalDist()

@@ -314,10 +314,10 @@ def run_roc(scenario: RocScenario) -> Table:
     # and low-rate levels; the per-trial sum of the analog observations;
     # and the per-trial sum of the hybrid levels' scores.  The two sums are
     # shared by several detectors and computed once per block.
-    detectors = {"clairvoyant": lambda y, hybrid, low, analog, scores: y.sum(axis=1) / norm}
+    detectors = {"clairvoyant": lambda y, hybrid, low_levels, analog, scores: y.sum(axis=1) / norm}
     lam = {"clairvoyant": params.theta * math.sqrt(m_total / scenario.sigma_n2)}
     if m_u:
-        detectors["fp"] = lambda y, hybrid, low, analog, scores: analog / (sigma_n * math.sqrt(m_u))
+        detectors["fp"] = lambda y, hybrid, low_levels, analog, scores: analog / (sigma_n * math.sqrt(m_u))
         lam["fp"] = params.theta * math.sqrt(m_u / scenario.sigma_n2)
 
     spec_hybrid = spec_low = None
@@ -328,21 +328,23 @@ def run_roc(scenario: RocScenario) -> Table:
         # Indexed by received level itself; entry 0 is never read.
         recon = np.concatenate(([0.0], reconstruction_table(spec_hybrid, sigma_n)))
         detectors[scenario.label_hybrid_q] = (
-            lambda y, hybrid, low, analog, scores: quantized.statistic(hybrid, (), unnormalized=scores)
+            lambda y, hybrid, low_levels, analog, scores: quantized.statistic(scores)
         )
-        detectors[scenario.label_hybrid] = lambda y, hybrid, low, analog, scores: full.statistic(
-            hybrid, y[:, m_q:], unnormalized=scores + analog / scenario.sigma_n2
+        detectors[scenario.label_hybrid] = (
+            lambda y, hybrid, low_levels, analog, scores: full.statistic(scores, analog)
         )
         detectors[scenario.label_reconstruction] = (
-            lambda y, hybrid, low, analog, scores: (recon[hybrid].sum(axis=1) + analog) / norm
+            lambda y, hybrid, low_levels, analog, scores: (recon[hybrid].sum(axis=1) + analog) / norm
         )
         lam[scenario.label_hybrid] = params.theta * math.sqrt(full.fisher_info)
         lam[scenario.label_hybrid_q] = params.theta * math.sqrt(quantized.fisher_info)
     if scenario.label_low in want:
         spec_low = _scenario_quantizer(scenario, scenario.bits_low, scenario.thresholds_low)
-        low_kernels = NetworkKernels(spec_low, scenario.p_e, m_q, 0, scenario.sigma_n2, scenario.mapping)
-        detectors[scenario.label_low] = lambda y, hybrid, low, analog, scores: low_kernels.statistic(low, ())
-        lam[scenario.label_low] = params.theta * math.sqrt(low_kernels.fisher_info)
+        low = NetworkKernels(spec_low, scenario.p_e, m_q, 0, scenario.sigma_n2, scenario.mapping)
+        detectors[scenario.label_low] = (
+            lambda y, hybrid, low_levels, analog, scores: low.statistic(low.score_sums(low_levels))
+        )
+        lam[scenario.label_low] = params.theta * math.sqrt(low.fisher_info)
     need_analog = m_u and {"fp", scenario.label_hybrid, scenario.label_reconstruction} & want
     need_scores = {scenario.label_hybrid_q, scenario.label_hybrid} & want
 
@@ -367,10 +369,10 @@ def run_roc(scenario: RocScenario) -> Table:
             y = simulate_observations(params, hypotheses[hyp_idx], n * m_total, rng).reshape(n, m_total)
             # The flips are drawn in this order, after the observations.
             hybrid = received(spec_hybrid, y, rng)
-            low = received(spec_low, y, rng)
+            low_levels = received(spec_low, y, rng)
             analog = y[:, m_q:].sum(axis=1) if need_analog else None
             scores = quantized.score_sums(hybrid) if need_scores else None
-            stats = np.stack([detectors[det](y, hybrid, low, analog, scores) for det in scenario.detectors])
+            stats = np.stack([detectors[det](y, hybrid, low_levels, analog, scores) for det in scenario.detectors])
             exceed = np.zeros((2, len(scenario.detectors), len(etas)), dtype=np.int64)
             exceed[hyp_idx] = (stats[:, None, :] > etas).sum(axis=2)
             counts.append(exceed)

@@ -11,8 +11,8 @@ most-significant-first bit list with its own Gray code.  It shares neither
 engine must reproduce its rows exactly.
 
 ``null_scores`` is not an oracle: it replays the engine's own calls to
-give the hybrid detector's unnormalized noise-only scores, which the
-acceptance suite's variance identity is checked on.
+give the hybrid detector's noise-only score sums, which the acceptance
+suite's variance identity is checked on.
 """
 
 import math
@@ -121,7 +121,6 @@ def per_trial_roc(scenario: RocScenario) -> Table:
         hyp: {d: np.empty(scenario.trials) for d in scenario.detectors}
         for hyp in (Hypothesis.H0, Hypothesis.H1)
     }
-    empty = np.zeros(0)
     draw_hybrid = "hybrid_full" in kernels or recon is not None
     draw_low = "low" in kernels
 
@@ -154,11 +153,14 @@ def per_trial_roc(scenario: RocScenario) -> Table:
                     elif det == "fp":
                         row[det][t] = float(y_u.sum() / (sigma_n * math.sqrt(y_u.size)))
                     elif det == scenario.label_low:
-                        row[det][t] = float(kernels["low"].statistic(levels_low, empty))
+                        low = kernels["low"]
+                        row[det][t] = float(low.statistic(low.score_sums(levels_low)))
                     elif det == scenario.label_hybrid_q:
-                        row[det][t] = float(kernels["hybrid_q"].statistic(levels_hybrid, empty))
+                        hybrid_q = kernels["hybrid_q"]
+                        row[det][t] = float(hybrid_q.statistic(hybrid_q.score_sums(levels_hybrid)))
                     elif det == scenario.label_hybrid:
-                        row[det][t] = float(kernels["hybrid_full"].statistic(levels_hybrid, y_u))
+                        full = kernels["hybrid_full"]
+                        row[det][t] = float(full.statistic(full.score_sums(levels_hybrid), y_u.sum()))
                     elif det == scenario.label_reconstruction:
                         restored = recon[levels_hybrid - 1].sum() + y_u.sum()
                         row[det][t] = restored / (sigma_n * math.sqrt(scenario.m_total))
@@ -179,14 +181,14 @@ def per_trial_roc(scenario: RocScenario) -> Table:
 def null_scores(
     quantizer: QuantizerSpec, p_e: float, m_q: int, m_u: int, sigma_n2: float, trials: int, seed: int
 ) -> np.ndarray:
-    """Unnormalized hybrid scores of ``trials`` noise-only trials.
+    """Hybrid score sums of ``trials`` noise-only trials.
 
     The fleet is ``m_q`` sensors sharing ``quantizer`` over a channel of
     crossover ``p_e``, then ``m_u`` analog sensors, as in ``run_roc``.
     Block ``b`` of ``ROC_BLOCK`` trials draws from ``trial_rng(seed, 0, b)``
     and makes the calls, in the order, that ``run_roc`` makes for its
-    hybrid detector under H0, so dividing by the square root of the Fisher
-    information gives that detector's statistics.
+    hybrid detector under H0, and scales that detector's statistics back by
+    the square root of the Fisher information.
     """
     params = SignalParams(0.0, sigma_n2, 0.0)
     kernels = NetworkKernels(quantizer, p_e, m_q, m_u, sigma_n2)
@@ -198,5 +200,6 @@ def null_scores(
         y = simulate_observations(params, Hypothesis.H0, n * m_total, rng).reshape(n, m_total)
         sent = quantize_batch(y[:, :m_q], quantizer)
         levels = bsc_corrupt_levels(sent, quantizer.bits, p_e, rng)
-        out[start : start + n] = kernels.unnormalized_scores(levels, y[:, m_q:])
+        stats = kernels.statistic(kernels.score_sums(levels), y[:, m_q:].sum(axis=1))
+        out[start : start + n] = stats * math.sqrt(kernels.fisher_info)
     return out

@@ -27,7 +27,7 @@ from hybriddet.design import (
 )
 
 from hybriddet.allocation import build_fi_table
-from hybriddet.detection import bsc_kernel, likelihood_kernels, reconstruction_table
+from hybriddet.detection import NetworkKernels, bsc_kernel, reconstruction_table
 from hybriddet.experiments import RocScenario, SweepCase, SweepScenario, run_roc, run_sweep
 from hybriddet.model import GRAY, NATURAL, QuantizerSpec
 
@@ -127,8 +127,8 @@ class TestObjective:
         z = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n, unique=True))
         tau = np.sort(z) * problem.sigma_n
         assume(np.all(np.diff(tau) > 0))
-        kernels = likelihood_kernels(QuantizerSpec(bits, tuple(tau)), p_e, problem.sigma_n, mapping)
-        assert _objective_rows(tau, problem)[0] == pytest.approx(kernels.fi_contribution, rel=1e-10, abs=0.0)
+        kernels = NetworkKernels(QuantizerSpec(bits, tuple(tau)), p_e, 1, 0, sigma_n2, mapping)
+        assert _objective_rows(tau, problem)[0] == pytest.approx(kernels.fisher_info, rel=1e-10, abs=0.0)
 
 
 def _one_bit_information_mpmath(threshold: float, sigma_n2: float) -> float:
@@ -146,8 +146,8 @@ class TestFarTailObjective:
 
     def test_detection_kernels_match_mpmath(self):
         want = _one_bit_information_mpmath(-3.0, self.PROBLEM.sigma_n2)
-        got = likelihood_kernels(QuantizerSpec(1, (-3.0,)), 0.0, self.PROBLEM.sigma_n)
-        assert got.fi_contribution == pytest.approx(want, rel=1e-12, abs=0.0)
+        got = NetworkKernels(QuantizerSpec(1, (-3.0,)), 0.0, 1, 0, self.PROBLEM.sigma_n2)
+        assert got.fisher_info == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_swarm_objective_matches_mpmath(self):
         want = _one_bit_information_mpmath(-3.0, self.PROBLEM.sigma_n2)
@@ -158,9 +158,9 @@ class TestFarTailObjective:
         # is 6e-20.  Any objective stays below 1 / sigma_n2.
         tau = (-4.0, -3.9999999999999996, 0.0)
         problem = DesignProblem(bits=2, p_e=2.225073858507203e-309)
-        kernels = likelihood_kernels(QuantizerSpec(2, tau), problem.p_e, 1.0)
-        assert kernels.fi_contribution <= 1.0
-        assert design_objective(tau, problem) == pytest.approx(kernels.fi_contribution, rel=1e-10, abs=0.0)
+        kernels = NetworkKernels(QuantizerSpec(2, tau), problem.p_e, 1, 0, 1.0)
+        assert kernels.fisher_info <= 1.0
+        assert design_objective(tau, problem) == pytest.approx(kernels.fisher_info, rel=1e-10, abs=0.0)
 
 
 class TestGradient:
@@ -745,15 +745,19 @@ class TestScaleInvariance:
         unit = replace(problem, sigma_n2=1.0)
         sigma = problem.sigma_n
         tau = z * sigma
+        # The unit point is the scaled one brought back, so both sides
+        # evaluate the same thresholds: ``z * sigma / sigma`` may differ
+        # from ``z`` by one ulp, which a cancelling gradient term magnifies.
+        z = tau / sigma
         assert design_objective(tau, problem) == pytest.approx(design_objective(z, unit) / sigma_n2, rel=1e-14)
         np.testing.assert_allclose(
             objective_gradient(tau, problem), objective_gradient(z, unit) / sigma_n2 / sigma, rtol=1e-14
         )
-        got = likelihood_kernels(QuantizerSpec(bits, tuple(tau)), p_e, sigma, mapping)
-        want = likelihood_kernels(QuantizerSpec(bits, tuple(z)), p_e, 1.0, mapping)
+        got = NetworkKernels(QuantizerSpec(bits, tuple(tau)), p_e, 1, 0, sigma_n2, mapping)
+        want = NetworkKernels(QuantizerSpec(bits, tuple(z)), p_e, 1, 0, 1.0, mapping)
         np.testing.assert_allclose(got.received_probs, want.received_probs, rtol=1e-14)
-        np.testing.assert_allclose(got.score_table, want.score_table / sigma, rtol=1e-14)
-        assert got.fi_contribution == pytest.approx(want.fi_contribution / sigma_n2, rel=1e-14)
+        np.testing.assert_allclose(got.level_scores[1:], want.level_scores[1:] / sigma, rtol=1e-14)
+        assert got.fisher_info == pytest.approx(want.fisher_info / sigma_n2, rel=1e-14)
         np.testing.assert_allclose(
             reconstruction_table(QuantizerSpec(bits, tuple(tau)), sigma),
             reconstruction_table(QuantizerSpec(bits, tuple(z)), 1.0) * sigma,

@@ -12,7 +12,6 @@ from hybriddet.detection import (
     NetworkKernels,
     bsc_kernel,
     cell_tables,
-    likelihood_kernels,
     reconstruction_table,
     theoretical_pd,
     threshold_for_pfa,
@@ -210,11 +209,11 @@ class TestKernelProperties:
         p_worse = data.draw(st.floats(p_e, 0.5, exclude_max=True))
         spec = QuantizerSpec(bits, tuple(sorted(tau)))
         sigma_n = math.sqrt(sigma_n2)
-        k = likelihood_kernels(spec, p_e, sigma_n, mapping)
-        worse = likelihood_kernels(spec, p_worse, sigma_n, mapping)
-        assert abs(k.received_probs @ k.score_table) <= 1e-12 / sigma_n
-        assert k.fi_contribution <= 1.0 / sigma_n2
-        assert worse.fi_contribution <= k.fi_contribution * (1.0 + 1e-12)
+        k = NetworkKernels(spec, p_e, 1, 0, sigma_n2, mapping)
+        worse = NetworkKernels(spec, p_worse, 1, 0, sigma_n2, mapping)
+        assert abs(k.received_probs @ k.level_scores[1:]) <= 1e-12 / sigma_n
+        assert k.fisher_info <= 1.0 / sigma_n2
+        assert worse.fisher_info <= k.fisher_info * (1.0 + 1e-12)
 
 
 class TestLmptStatistic:
@@ -222,19 +221,20 @@ class TestLmptStatistic:
 
     def test_single_analog(self):
         kernels = _kernels(0, 1, (0.0,), 0.0, 1)
-        assert kernels.statistic((), (0.7,)) == pytest.approx(0.7, abs=1e-12)
+        assert kernels.statistic(kernels.score_sums(()), 0.7) == pytest.approx(0.7, abs=1e-12)
         assert kernels.fisher_info == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetric_cancellation(self):
         kernels = _kernels(0, 1, (0.0,), 0.0, 4)
-        assert kernels.statistic((), (1.0, -1.0, 1.0, -1.0)) == pytest.approx(0.0, abs=1e-12)
+        analog = np.sum((1.0, -1.0, 1.0, -1.0))
+        assert kernels.statistic(kernels.score_sums(()), analog) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_one_bit_sensor(self):
         # score = pdf(0)/0.5 and sqrt(FI) = sqrt(2/pi) coincide, so the
         # normalized statistic is exactly +/-1 for the two received levels.
         kernels = _kernels(1, 1, (0.0,), 0.0, 0)
-        assert kernels.statistic((2,), ()) == pytest.approx(1.0, abs=1e-12)
-        assert kernels.statistic((1,), ()) == pytest.approx(-1.0, abs=1e-12)
+        assert kernels.statistic(kernels.score_sums((2,))) == pytest.approx(1.0, abs=1e-12)
+        assert kernels.statistic(kernels.score_sums((1,))) == pytest.approx(-1.0, abs=1e-12)
 
     def test_noncentrality(self):
         # ``run_roc``'s theory column uses theta * sqrt(FI) of the hybrid fleet.
@@ -251,7 +251,7 @@ class TestLmptStatistic:
     def test_zero_information_raises(self):
         kernels = _kernels(1, 1, (0.0,), 0.5, 0)
         with pytest.raises(ValueError):
-            kernels.statistic((1,), ())
+            kernels.statistic(kernels.score_sums((1,)))
 
 
 class TestScoreMoments:
@@ -322,8 +322,9 @@ class TestBaselines:
         full = _kernels(3, 1, (0.0,), 0.0, 2)
         sub = _kernels(3, 1, (0.0,), 0.0, 0)
         levels, analog = (1, 2, 2), (0.4, -0.1)
-        assert full.unnormalized_scores(levels, analog) == pytest.approx(
-            sub.unnormalized_scores(levels, ()) + sum(analog) / PARAMS.sigma_n2)
+        hybrid = full.statistic(full.score_sums(levels), sum(analog)) * math.sqrt(full.fisher_info)
+        quantized = sub.statistic(sub.score_sums(levels)) * math.sqrt(sub.fisher_info)
+        assert hybrid == pytest.approx(quantized + sum(analog) / PARAMS.sigma_n2)
         assert full.fisher_info == pytest.approx(sub.fisher_info + 2 / PARAMS.sigma_n2)
 
     def test_empty_subset_raises(self):
@@ -378,10 +379,10 @@ class TestDegenerateCells:
         # A threshold far in the tail underflows one cell's probability to 0
         # over a noiseless channel; its score table entry must be 0, not inf.
         spec = QuantizerSpec(2, (-40.0, 0.0, 40.0))
-        kernels = likelihood_kernels(spec, 0.0, 1.0)
-        assert np.all(np.isfinite(kernels.score_table))
-        assert kernels.score_table[0] == 0.0
-        assert kernels.score_table[-1] == 0.0
+        score_table = NetworkKernels(spec, 0.0, 1, 0, 1.0).level_scores[1:]
+        assert np.all(np.isfinite(score_table))
+        assert score_table[0] == 0.0
+        assert score_table[-1] == 0.0
 
 
 class TestNullDistribution:
@@ -394,6 +395,6 @@ class TestNullDistribution:
             rng = trial_rng(123, t)
             y = simulate_observations(PARAMS, Hypothesis.H0, 100, rng)
             levels = quantize_batch(y[:80], spec)
-            stats[t] = kernels.statistic(levels, y[80:])
+            stats[t] = kernels.statistic(kernels.score_sums(levels), y[80:].sum())
         for eta, tail in ((0.0, 0.5), (1.2816, 0.09997), (2.3263, 0.01)):
             assert np.mean(stats > eta) == pytest.approx(tail, abs=0.015)
