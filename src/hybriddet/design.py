@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .detection import bsc_kernel, cell_tables, received_information
-from .model import DEFAULT_MAPPING, check_bits, check_sigma_n2, gaussian_pdf
+from .model import DEFAULT_MAPPING, GAUSSIAN_REACH, check_bits, check_sigma_n2, gaussian_pdf
 
 __all__ = [
     "DesignProblem",
@@ -44,8 +44,9 @@ class DesignProblem:
 
     ``tau_max`` bounds the box that the swarm and the face design search,
     in noise deviations: their thresholds lie within ``+/-tau_max *
-    sigma_n``.  Gradient ascent is unconstrained apart from threshold
-    ordering.
+    sigma_n``.  It may not exceed ``GAUSSIAN_REACH``: beyond it every tail
+    underflows, so a swarm started there scores every particle exactly 0.
+    Gradient ascent is unconstrained apart from threshold ordering.
     """
 
     bits: int
@@ -59,8 +60,8 @@ class DesignProblem:
         if not 0.0 <= self.p_e <= 0.5:
             raise ValueError("p_e must lie in [0, 0.5]")
         check_sigma_n2(self.sigma_n2)
-        if self.tau_max <= 0:
-            raise ValueError("tau_max must be positive")
+        if not 0 < self.tau_max <= GAUSSIAN_REACH:
+            raise ValueError(f"tau_max must lie in (0, {GAUSSIAN_REACH}] noise deviations, got {self.tau_max!r}")
 
     @property
     def n_thresholds(self) -> int:

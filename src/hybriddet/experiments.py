@@ -36,6 +36,7 @@ from .detection import (
 )
 from .model import (
     DEFAULT_MAPPING,
+    GAUSSIAN_REACH,
     Hypothesis,
     QuantizerSpec,
     SignalParams,
@@ -176,6 +177,15 @@ class RocScenario:
     ``bits_hybrid``- or ``bits_low``-bit quantizers depending on the
     detector) and ``m_full`` analog sensors.  Thresholds default to the
     optimized designs for the scenario's channel quality.
+
+    ``theta`` is refused where an observation or a per-trial sum could
+    overflow.  Under the alternative ``y = theta * (1 + sigma_h * g) +
+    sigma_n * w`` with standard normal ``g`` and ``w``, which pass ``R =
+    GAUSSIAN_REACH`` with probability below 1e-307, so ``|y| <= theta * (1
+    + sigma_h * R) + sigma_n * R``.  The largest sums are the clairvoyant
+    one over ``m_total`` observations and the hybrid detector's ``m_full``
+    analog ones over ``sigma_n2``: ``max(m_total, m_full / sigma_n2)`` times
+    that bound must be finite (the noncentralities are smaller).
     """
 
     theta: float = 0.25
@@ -217,6 +227,10 @@ class RocScenario:
         if self.m_quantized < 0 or self.m_full < 0 or self.m_quantized + self.m_full < 1:
             raise ValueError("the fleet must contain at least one sensor")
         check_sigma_n2(self.sigma_n2, self.m_total)
+        peak = (self.theta * (1.0 + math.sqrt(self.sigma_h2) * GAUSSIAN_REACH)
+                + math.sqrt(self.sigma_n2) * GAUSSIAN_REACH)
+        if not math.isfinite(max(self.m_total, self.m_full / self.sigma_n2) * peak):
+            raise ValueError(f"theta = {self.theta!r} is too large: the per-trial sums of observations overflow")
         if self.bits_low == self.bits_hybrid:
             raise ValueError("bits_low and bits_hybrid must differ (labels collide)")
         needs_q = {self.label_low, self.label_hybrid_q, self.label_hybrid, self.label_reconstruction}
@@ -432,6 +446,9 @@ class SweepScenario:
         alloc.check_budget(self.budget, self.l0)
         check_bits("max_bits", self.max_bits)
         check_sigma_n2(self.sigma_n2, max(self.m_values, default=1))
+        # Each sensor adds at most 1 / sigma_n2 to a point's information.
+        if not math.isfinite(self.theta * math.sqrt(max(self.m_values, default=1) / self.sigma_n2)):
+            raise ValueError(f"theta = {self.theta!r} is too large: the noncentrality theta * sqrt(FI) overflows")
         # Every (case, m_total, sense) point is one row: none may repeat.
         for name, values in (
             ("cases", [case.name for case in self.cases]),

@@ -23,6 +23,7 @@ __all__ = [
     "GRAY",
     "DEFAULT_MAPPING",
     "MAX_BITS",
+    "GAUSSIAN_REACH",
     "Hypothesis",
     "SignalParams",
     "QuantizerSpec",
@@ -52,6 +53,12 @@ DEFAULT_MAPPING = NATURAL
 #: channel kernel as ``4**bits``), so a deeper request is refused where it
 #: enters instead of exhausting memory.
 MAX_BITS = 8
+
+#: Noise deviations at which the Gaussian upper tail leaves the normal
+#: doubles: tail(37.5) = 4.6e-308, tail(38) = 2.9e-316 is subnormal and
+#: tail(38.5) is 0.  A standard normal draw lies beyond it with probability
+#: below 1e-307, and a threshold beyond it cuts off no representable mass.
+GAUSSIAN_REACH = 37.5
 
 
 def check_bits(name: str, bits: int) -> None:

@@ -16,7 +16,7 @@ import pytest
 import hybriddet
 from hybriddet import allocation, cli, experiments
 from hybriddet.cli import PRESETS, main
-from hybriddet.model import MAX_BITS
+from hybriddet.model import GAUSSIAN_REACH, MAX_BITS
 
 from oracles import load_table
 
@@ -131,7 +131,6 @@ def test_extreme_noise_levels_give_finite_cells_or_name_the_field(tmp_path, caps
     "command, config",
     [
         ("fi-landscape", {"tau_lo": -1e200, "tau_hi": 1e200, "points": 5}),
-        ("design-quantizer", {"tau_max": 1e200, "methods": ["pso"]}),
     ],
 )
 def test_thresholds_whose_square_overflows_run_without_a_warning(tmp_path, command, config):
@@ -141,6 +140,40 @@ def test_thresholds_whose_square_overflows_run_without_a_warning(tmp_path, comma
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out.csv"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    numbers = [v for row in load_table(out, "csv").rows for v in row if isinstance(v, float)]
+    assert numbers and all(math.isfinite(v) for v in numbers)
+
+
+def test_swarm_box_beyond_the_gaussian_reach_is_refused(tmp_path, capsys):
+    # Beyond GAUSSIAN_REACH every tail underflows: a swarm started in a box
+    # of 1e200 deviations scores every particle exactly 0.  At the reach
+    # itself it still finds the design.
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps({"tau_max": 1e200, "methods": ["pso"]}))
+    assert main(["design-quantizer", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "tau_max" in json.loads(capsys.readouterr().err)["error"]
+    cfg.write_text(json.dumps({"tau_max": GAUSSIAN_REACH, "methods": ["pso"]}))
+    assert main(["design-quantizer", "--config", str(cfg), "--out", str(out)]) == 0
+    (row,) = load_table(out, "csv").rows
+    assert row[4] > 0.0
+
+
+@pytest.mark.parametrize("command, preset", [("roc", "errorprone"), ("sweep", "two-mixes")])
+def test_theta_whose_sums_overflow_is_refused(tmp_path, capsys, command, preset):
+    # Without the bound, roc printed two overflow warnings and exited 0,
+    # and sweep wrote an infinite noncentrality.
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps({"theta": 1e308, "trials": 10} if command == "roc" else {"theta": 1e308}))
+    assert main([command, "--preset", preset, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "theta" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_theta_below_the_bound_runs_clean(tmp_path):
+    # The preset fleet accepts theta up to about 6.5e304; there every
+    # observation and sum is finite, and no RuntimeWarning is printed.
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps({"theta": 1e304, "trials": 50}))
+    assert main(["roc", "--preset", "errorprone", "--config", str(cfg), "--out", str(out)]) == 0
     numbers = [v for row in load_table(out, "csv").rows for v in row if isinstance(v, float)]
     assert numbers and all(math.isfinite(v) for v in numbers)
 

@@ -4,7 +4,10 @@ Configs are drawn from the field types of each command's scenario
 dataclass, the types the CLI's coercion reads, with extreme finite floats
 among the draws.  Each config sets the required fields, the fields that
 size the work and at most two others, so that many get past validation and
-run.  Counts, fleet sizes and
+run.  ``theta`` is set in every config that has it, near the float
+maximum half the time, where the observations and sums of ``roc`` and the
+noncentralities of ``sweep`` overflow unless the config is refused.  No
+run may print a warning.  Counts, fleet sizes and
 bit depths stay small, so that no draw allocates or designs much.  Only
 ``allocate`` may exit 3, and only where counting the bits that some
 assignment can spend finds that none fits the budget; a ``sweep`` row says
@@ -59,6 +62,7 @@ INTS = {
     "l0": st.integers(-1, 40),
 }
 SIZES = {"trials", "points", "m_quantized", "m_full", "m_total", "m_values"}
+THETA = st.one_of(st.floats(1e300, sys.float_info.max), FLOATS)
 NAMES = ("clairvoyant", "1b", "2b", "3b", "fp", "3b-fp", "r-3b-fp", "2b-fp", "bgda", "pso", "x")
 #: Frequencies of the default four error categories, or any short list.
 FREQS = st.one_of(st.sampled_from(([0.4, 0.3, 0.2, 0.1], [0.6, 0.2, 0.1, 0.1], [0.1, 0.1, 0.2, 0.6])), st.lists(FLOATS, max_size=4))
@@ -84,7 +88,7 @@ def _strategy(name: str, hint):
     if dataclasses.is_dataclass(hint):
         return _configs(hint)
     if hint is float:
-        return FLOATS
+        return THETA if name == "theta" else FLOATS
     if hint is int:
         return INTS.get(name, st.integers(0, 2**32))
     if hint is str:
@@ -97,7 +101,7 @@ def _configs(draw, cls):
     """A config object for dataclass ``cls``: its required and size fields and up to two others."""
     hints = typing.get_type_hints(cls)
     fields = dataclasses.fields(cls)
-    required = [f.name for f in fields if f.default is dataclasses.MISSING or f.name in SIZES]
+    required = [f.name for f in fields if f.default is dataclasses.MISSING or f.name in SIZES | {"theta"}]
     optional = [f.name for f in fields if f.name not in required]
     names = required + (draw(st.lists(st.sampled_from(optional), max_size=2, unique=True)) if optional else [])
     return {name: draw(_strategy(name, hints[name])) for name in names}
@@ -176,8 +180,9 @@ def test_every_config_runs_or_is_refused_cleanly(tmp_path_factory, command):
     def check(config):
         code, err, printed, rows = _run(command, config, out_dir)
         _check_verdicts(command, config, code, rows)
+        assert not printed, config
         if code:
-            assert not printed and "Traceback" not in err, config
+            assert "Traceback" not in err, config
             assert isinstance(json.loads(err), dict), config
 
     check()
