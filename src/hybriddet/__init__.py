@@ -10,9 +10,6 @@ exactly by a dynamic program over sensors and bits spent
 """
 
 from .model import (
-    DEFAULT_MAPPING,
-    GRAY,
-    NATURAL,
     Hypothesis,
     QuantizerSpec,
     SignalParams,

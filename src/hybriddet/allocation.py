@@ -28,7 +28,7 @@ import numpy as np
 # ``optimized_thresholds`` is not called here; perfbench's tracer wraps it by
 # name on this module.
 from .design import PsoSettings, optimized_cells, optimized_thresholds  # noqa: F401
-from .model import DEFAULT_MAPPING, check_bits
+from .model import check_bits
 
 __all__ = [
     "BudgetMode",
@@ -157,7 +157,6 @@ def build_fi_table(
     max_bits: int,
     sigma_n2: float,
     settings: PsoSettings,
-    mapping: str = DEFAULT_MAPPING,
 ) -> FiTable:
     """Optimize thresholds per (bit depth, channel in ``epsilons``) and tabulate the values.
 
@@ -167,7 +166,7 @@ def build_fi_table(
     check_bits("max_bits", max_bits)
     gamma = np.zeros((max_bits, len(epsilons)))
     for li in range(max_bits):
-        cells = optimized_cells(li + 1, epsilons, sigma_n2, settings, mapping=mapping)
+        cells = optimized_cells(li + 1, epsilons, sigma_n2, settings)
         gamma[li] = [cell.objective for cell in cells]
     return FiTable(gamma=gamma, gamma0=1.0 / sigma_n2)
 

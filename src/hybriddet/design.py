@@ -17,12 +17,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import statistics
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .detection import bsc_kernel, cell_tables, received_information
-from .model import DEFAULT_MAPPING, GAUSSIAN_REACH, check_bits, check_sigma_n2, gaussian_pdf
+from .model import GAUSSIAN_REACH, check_bits, check_sigma_n2, gaussian_pdf
 
 __all__ = [
     "DesignProblem",
@@ -53,7 +54,6 @@ class DesignProblem:
     p_e: float
     sigma_n2: float = 1.0
     tau_max: float = 5.0
-    mapping: str = DEFAULT_MAPPING
 
     def __post_init__(self):
         check_bits("bits", self.bits)
@@ -101,7 +101,7 @@ def _objective_rows(tau: np.ndarray, problem: DesignProblem) -> np.ndarray:
     """
     tau = np.atleast_2d(np.asarray(tau, dtype=float))
     probs, scores = cell_tables(tau / problem.sigma_n)
-    kernel = bsc_kernel(problem.bits, problem.p_e, problem.mapping)
+    kernel = bsc_kernel(problem.bits, problem.p_e)
     return received_information(probs, scores, kernel)[2] / problem.sigma_n2
 
 
@@ -155,7 +155,7 @@ def objective_gradient(thresholds, problem: DesignProblem) -> np.ndarray:
     ``r`` the unit-noise score-to-mass ratio of each cell.
     """
     tau = _check_monotone(thresholds, problem)
-    kernel = bsc_kernel(problem.bits, problem.p_e, problem.mapping)
+    kernel = bsc_kernel(problem.bits, problem.p_e)
     return _information_terms(tau / problem.sigma_n, kernel)[1] / problem.sigma_n2 / problem.sigma_n
 
 
@@ -282,7 +282,7 @@ def _run_swarms(
     """
     swarm, dim = _PSO_SIZE, problems[0].n_thresholds
     bound = problems[0].tau_max
-    kernels = np.stack([bsc_kernel(p.bits, p.p_e, p.mapping) for p in problems])[:, None]
+    kernels = np.stack([bsc_kernel(p.bits, p.p_e) for p in problems])[:, None]
     rngs = [np.random.default_rng(seed) for seed in seeds]
 
     def evaluate(pos: np.ndarray, live: np.ndarray) -> np.ndarray:
@@ -334,7 +334,7 @@ def _run_swarms(
             if (
                 len(trace) > _STALL_ITERS
                 and best - trace[-1 - _STALL_ITERS] <= tol
-                and best - np.median(pbest_obj[i]) <= tol
+                and best - statistics.median(pbest_obj[i].tolist()) <= tol
             ):
                 done[i] = True
         if done.any():
@@ -385,10 +385,12 @@ def _faces(bits: int) -> tuple[np.ndarray, np.ndarray]:
     tails beyond the box).  The faces are every set of used levels, by size
     and then in lexicographic order of the level tuple.  Of each mirror
     pair (level ``l`` swapped with level ``2**bits + 1 - l``) only the set
-    whose level tuple is lexicographically the larger is kept: a mirrored
-    design negates and reverses the thresholds and complements every
-    codeword, which keeps every Hamming distance and so the information,
-    though not the reconstruction baseline's decoding.  That leaves 7 faces
+    whose level tuple is lexicographically the larger is kept.  This holds
+    by construction: the natural binary codeword of level ``2**bits + 1 -
+    l`` is the complement of that of level ``l``, so a mirrored design,
+    which negates and reverses the thresholds, complements every codeword.
+    That keeps every Hamming distance and so the information, though not
+    the reconstruction baseline's decoding.  That leaves 7 faces
     with a free edge at 2 bits and 131 at 3, besides the vertices (one used
     level, every threshold on the bound: 2 and 4), which matter only in a
     box a few hundredths of a deviation wide.
@@ -458,7 +460,7 @@ def _design_faces(problems: list[DesignProblem]) -> list[DesignResult]:
     bits, bound = problems[0].bits, problems[0].tau_max
     used, slots = _faces(bits)
     lookup = {tuple(np.flatnonzero(row) + 1): f for f, row in enumerate(used)}
-    kernels = np.stack([bsc_kernel(p.bits, p.p_e, p.mapping) for p in problems])
+    kernels = np.stack([bsc_kernel(p.bits, p.p_e) for p in problems])
     n_faces, n = slots.shape
     spread = min(2.0, bound)
     starts = np.zeros((n_faces, n))
@@ -470,7 +472,7 @@ def _design_faces(problems: list[DesignProblem]) -> list[DesignResult]:
     best: list = [None] * len(problems)
     for _ in range(2**bits):
         z, f, traces = _climb(used[face], slots[face], kernels[channel], x, bound)
-        for k in np.unique(channel):
+        for k in sorted(set(channel.tolist())):
             rows = [(z[r], f[r], traces[r], face[r]) for r in np.flatnonzero(channel == k)]
             best[k] = _first_best(rows if best[k] is None else [best[k], *rows])
         face, channel, x = [], [], []
@@ -480,7 +482,7 @@ def _design_faces(problems: list[DesignProblem]) -> list[DesignResult]:
                 continue
             for step in _OPEN_STEPS:
                 opened = z_k + push * min(step, 0.5 * room)
-                levels = tuple(np.flatnonzero(np.diff(opened, prepend=-bound, append=bound) > _FACE_WIDTH) + 1)
+                levels = tuple(np.flatnonzero(np.diff((-bound, *opened, bound)) > _FACE_WIDTH) + 1)
                 if levels not in lookup:
                     opened, levels = -opened[::-1], tuple(sorted(2**bits + 1 - lv for lv in levels))
                 face.append(lookup[levels])
@@ -508,10 +510,15 @@ def _first_best(rows: list) -> tuple:
     return min((row for row in rows if row[1] >= top - _FACE_TIE * abs(top)), key=lambda row: row[3])
 
 
-def _place(x: np.ndarray, slots: np.ndarray, bound: float) -> np.ndarray:
-    """Rows of thresholds from rows of free edges (see ``_faces``)."""
-    ends = np.full((len(x), 1), bound)
-    return np.take_along_axis(np.hstack((-ends, x, ends)), slots, axis=1)
+def _place(x: np.ndarray, ends: np.ndarray, bound: float) -> np.ndarray:
+    """Rows ``(-bound, thresholds, bound)`` from rows of free edges.
+
+    ``ends`` is ``_faces``' slots with a first column of 0 and a last of
+    ``x.shape[1] + 1``, which place the two bounds.
+    """
+    bounded = np.empty((len(x), x.shape[1] + 2))
+    bounded[:, 0], bounded[:, 1:-1], bounded[:, -1] = -bound, x, bound
+    return bounded[np.arange(len(x))[:, None], ends]
 
 
 def _climb(used, slots, kernels, x, bound) -> tuple:
@@ -525,20 +532,22 @@ def _climb(used, slots, kernels, x, bound) -> tuple:
     n = x.shape[1]
     free = np.arange(n) < used.sum(axis=1, keepdims=True) - 1
     onto = (slots[:, :, None] == np.arange(1, n + 1)).astype(float)
+    ends = np.pad(slots, ((0, 0), (1, 1)), constant_values=(0, n + 1))
 
     def evaluate(x: np.ndarray, rows: np.ndarray) -> tuple:
-        z = _place(x, slots[rows], bound)
-        info, grad, probs = _information_terms(z, kernels[rows])
-        widths = np.diff(z, prepend=-bound, append=bound)
+        """Objective, free-edge gradient, whether a used cell closes, and the cell widths."""
+        bounded = _place(x, ends[rows], bound)
+        info, grad, probs = _information_terms(bounded[:, 1:-1], kernels[rows])
+        widths = np.diff(bounded, axis=1)
         closing = (np.where(used[rows], widths, np.inf).min(axis=1) <= _FACE_WIDTH) | (
             np.where(used[rows], probs, np.inf).min(axis=1) <= _FACE_MASS
         )
-        return info, np.einsum("rj,rjk->rk", grad, onto[rows]), closing
+        return info, np.einsum("rj,rjk->rk", grad, onto[rows]), closing, widths
 
-    def first_step(x: np.ndarray, d: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Unit step, shortened so that no used cell closes or edge leaves the box."""
-        widths = np.diff(_place(x, slots[rows], bound), prepend=-bound, append=bound)
-        rates = np.diff(_place(d, slots[rows], 0.0), prepend=0.0, append=0.0)
+    def first_step(widths: np.ndarray, d: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Unit step from points with cell ``widths``, shortened so that no used
+        cell closes or edge leaves the box."""
+        rates = np.diff(_place(d, ends[rows], 0.0), axis=1)
         shrinking = used[rows] & (rates < 0.0)
         limit = np.where(shrinking, widths / np.where(shrinking, -rates, 1.0), np.inf).min(axis=1)
         return np.minimum(1.0, 0.999 * limit)
@@ -548,18 +557,18 @@ def _climb(used, slots, kernels, x, bound) -> tuple:
         return d * np.minimum(1.0, _FACE_MAX_MOVE / np.maximum(np.abs(d).max(axis=1), 1e-300))[:, None]
 
     everyone = np.arange(len(x))
-    f, g, _ = evaluate(x, everyone)
+    f, g, _, widths = evaluate(x, everyone)
     eye = np.eye(n)
     h = eye * free[:, None, :]
     fresh = np.ones(len(x), dtype=bool)
     d = direction(h, g)
-    alpha = first_step(x, d, everyone)
+    alpha = first_step(widths, d, everyone)
     live = np.ones(len(x), dtype=bool)
     history, stop = [f.copy()], np.full(len(x), _FACE_MAX_ITERS)
     for it in range(1, _FACE_MAX_ITERS + 1):
         rows = np.flatnonzero(live)
         trial = x[rows] + alpha[rows, None] * d[rows]
-        f_t, g_t, closing = evaluate(trial, rows)
+        f_t, g_t, closing, widths_t = evaluate(trial, rows)
         slope = np.einsum("rk,rk->r", g[rows], d[rows])
         accept = f_t >= f[rows] + 1e-4 * alpha[rows] * slope
         took = rows[accept]
@@ -576,14 +585,14 @@ def _climb(used, slots, kernels, x, bound) -> tuple:
                 a = eye - s[:, :, None] * y[:, None, :] / sy[:, None, None]
                 h[r] = a @ (h[r] * h0) @ a.transpose(0, 2, 1) + s[:, :, None] * s[:, None, :] / sy[:, None, None]
                 fresh[r] = False
-            x[took], f[took], g[took] = trial[accept], f_t[accept], g_t[accept]
+            x[took], f[took], g[took], widths[took] = trial[accept], f_t[accept], g_t[accept], widths_t[accept]
             d[took] = direction(h[took], g[took])
             uphill = np.einsum("rk,rk->r", g[took], d[took]) > 0.0
             if not uphill.all():
                 reset = took[~uphill]
                 h[reset], fresh[reset] = eye * free[reset, None, :], True
                 d[reset] = direction(h[reset], g[reset])
-            alpha[took] = first_step(x[took], d[took], took)
+            alpha[took] = first_step(widths[took], d[took], took)
         reject = rows[~accept]
         alpha[reject] *= 0.5
         done = np.zeros(len(x), dtype=bool)
@@ -597,7 +606,7 @@ def _climb(used, slots, kernels, x, bound) -> tuple:
             break
     history = np.array(history)
     traces = [history[: stop[r] + 1, r] for r in everyone]
-    return _place(x, slots, bound), f, traces
+    return _place(x, ends, bound)[:, 1:-1], f, traces
 
 
 def _kkt_opening(z: np.ndarray, bound: float, kernel: np.ndarray) -> tuple:
@@ -668,10 +677,9 @@ def optimized_thresholds(
     p_e: float,
     sigma_n2: float,
     settings: PsoSettings,
-    mapping: str = DEFAULT_MAPPING,
 ) -> DesignResult:
     """Best design for one (bit depth, channel) cell, cached."""
-    return optimized_cells(bits, (p_e,), sigma_n2, settings, mapping)[0]
+    return optimized_cells(bits, (p_e,), sigma_n2, settings)[0]
 
 
 def optimized_cells(
@@ -679,7 +687,6 @@ def optimized_cells(
     p_es,
     sigma_n2: float,
     settings: PsoSettings,
-    mapping: str = DEFAULT_MAPPING,
 ) -> list[DesignResult]:
     """Best design for each channel in ``p_es`` at one bit depth, cached.
 
@@ -695,13 +702,10 @@ def optimized_cells(
     ``design_objective`` at the cached thresholds.  Repeated calls (and
     concurrent table builds) agree exactly.
     """
-    keys = {p_e: (bits, float(p_e), float(sigma_n2), settings, mapping) for p_e in p_es}
+    keys = {p_e: (bits, float(p_e), float(sigma_n2), settings) for p_e in p_es}
     missing = [p_e for p_e, key in keys.items() if key not in _DESIGN_CACHE]
     if missing:
-        problems = [
-            DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2, mapping=mapping)
-            for p_e in missing
-        ]
+        problems = [DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2) for p_e in missing]
         if bits in _FACE_BITS:
             designs = _design_faces(problems)
         else:

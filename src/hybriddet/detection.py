@@ -26,13 +26,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .model import (
-    DEFAULT_MAPPING,
-    QuantizerSpec,
-    distance_matrix,
-    gaussian_pdf,
-    gaussian_upper_tail,
-)
+from .model import QuantizerSpec, distance_matrix, gaussian_pdf, gaussian_upper_tail
 
 __all__ = [
     "NetworkKernels",
@@ -78,17 +72,17 @@ def cell_tables(z) -> tuple[np.ndarray, np.ndarray]:
     return np.moveaxis(probs, 0, -1).copy(), np.moveaxis(scores, 0, -1).copy()
 
 
-def bsc_kernel(bits: int, p_e: float, mapping: str = DEFAULT_MAPPING) -> np.ndarray:
+def bsc_kernel(bits: int, p_e: float) -> np.ndarray:
     """Level transition matrix of the binary symmetric channel.
 
     Entry ``(i, j)`` is the probability of receiving the codeword of level
     ``i`` when level ``j`` was sent: ``p_e**D * (1 - p_e)**(bits - D)`` with
     ``D`` the Hamming distance between the two codewords.  Doubly
-    stochastic for any bijective mapping.
+    stochastic.
     """
     if not 0.0 <= p_e <= 0.5:
         raise ValueError("p_e must lie in [0, 0.5]")
-    dist = distance_matrix(bits, mapping)
+    dist = distance_matrix(bits)
     return np.power(p_e, dist) * np.power(1.0 - p_e, bits - dist)
 
 
@@ -103,9 +97,11 @@ def received_information(probs: np.ndarray, scores: np.ndarray, kernel: np.ndarr
     on how many rows share the call (a BLAS product rounds one row and a
     batch differently).
     """
-    levels = range(kernel.shape[-1])
-    received = sum(probs[..., j, None] * kernel[..., j] for j in levels)
-    numerators = sum(scores[..., j, None] * kernel[..., j] for j in levels)
+    received = probs[..., 0, None] * kernel[..., 0]
+    numerators = scores[..., 0, None] * kernel[..., 0]
+    for j in range(1, kernel.shape[-1]):
+        received += probs[..., j, None] * kernel[..., j]
+        numerators += scores[..., j, None] * kernel[..., j]
     live = received > 0.0
     terms = np.where(live, numerators**2 / np.where(live, received, 1.0), 0.0)
     return received, numerators, terms.sum(axis=-1)
@@ -128,11 +124,10 @@ class NetworkKernels:
         m_q: int,
         m_u: int,
         sigma_n2: float,
-        mapping: str = DEFAULT_MAPPING,
     ):
         sigma_n = math.sqrt(sigma_n2)
         probs, scores = cell_tables(np.divide(quantizer.thresholds, sigma_n))
-        kernel = bsc_kernel(quantizer.bits, p_e, mapping)
+        kernel = bsc_kernel(quantizer.bits, p_e)
         received, numerators, fi = received_information(probs, scores, kernel)
         live = received > 0.0
         if not np.all(live):

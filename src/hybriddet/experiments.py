@@ -35,7 +35,6 @@ from .detection import (
     threshold_for_pfa,
 )
 from .model import (
-    DEFAULT_MAPPING,
     GAUSSIAN_REACH,
     Hypothesis,
     QuantizerSpec,
@@ -119,6 +118,8 @@ class Table:
 
     def __post_init__(self):
         self.columns = tuple(self.columns)
+        if not self.columns:
+            raise ValueError("a table needs at least one column")
         self.rows = [tuple(r) for r in self.rows]
         for r in self.rows:
             if len(r) != len(self.columns):
@@ -127,6 +128,11 @@ class Table:
         if bad:
             names = ", ".join(sorted(t.__name__ for t in bad))
             raise TypeError(f"table cells must be None, str, int or float, not {names}")
+
+
+#: The json module's C encoder, writing each cell of a row list on its own
+#: line at the depth that ``indent=2`` gives it inside the envelope.
+_ROW_ENCODER = json.JSONEncoder(allow_nan=False, separators=(",\n      ", ": "))
 
 
 def emit(table: Table, fmt: str, path) -> None:
@@ -144,14 +150,16 @@ def emit(table: Table, fmt: str, path) -> None:
             writer.writerows(table.rows)
         return
     if fmt == "json":
-        payload = {
-            "schema_version": 1,
-            "columns": list(table.columns),
-            "rows": [list(r) for r in table.rows],
-        }
+        envelope = json.dumps({"schema_version": 1, "columns": list(table.columns), "rows": []}, indent=2)
+        rows = "[]"
+        if table.rows:
+            # Only the row breaks still lack the indentation of ``indent=2``.
+            # A literal newline never occurs inside an encoded string, so
+            # the pattern marks row breaks only.
+            text = _ROW_ENCODER.encode(table.rows)
+            rows = "[\n    [\n      " + text[2:-2].replace("],\n      [", "\n    ],\n    [\n      ") + "\n    ]\n  ]"
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, allow_nan=False)
-            fh.write("\n")
+            fh.write(envelope[: -len("[]\n}")] + rows + "\n}\n")
         return
     raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
 
@@ -202,7 +210,6 @@ class RocScenario:
     detectors: tuple[str, ...] = ()
     thresholds_hybrid: tuple[float, ...] | None = None
     thresholds_low: tuple[float, ...] | None = None
-    mapping: str = DEFAULT_MAPPING
 
     def __post_init__(self):
         SignalParams(self.theta, self.sigma_n2, self.sigma_h2)  # checks the three fields
@@ -285,8 +292,7 @@ def _scenario_quantizer(
     """The given thresholds, or else the optimized design for the scenario's channel."""
     if thresholds is None:
         thresholds = optimized_thresholds(
-            bits, scenario.p_e, scenario.sigma_n2, PsoSettings(seed=scenario.seed),
-            mapping=scenario.mapping,
+            bits, scenario.p_e, scenario.sigma_n2, PsoSettings(seed=scenario.seed)
         ).thresholds
     return QuantizerSpec(bits, thresholds)
 
@@ -337,8 +343,8 @@ def run_roc(scenario: RocScenario) -> Table:
     spec_hybrid = spec_low = None
     if {scenario.label_hybrid_q, scenario.label_hybrid, scenario.label_reconstruction} & want:
         spec_hybrid = _scenario_quantizer(scenario, scenario.bits_hybrid, scenario.thresholds_hybrid)
-        full = NetworkKernels(spec_hybrid, scenario.p_e, m_q, m_u, scenario.sigma_n2, scenario.mapping)
-        quantized = NetworkKernels(spec_hybrid, scenario.p_e, m_q, 0, scenario.sigma_n2, scenario.mapping)
+        full = NetworkKernels(spec_hybrid, scenario.p_e, m_q, m_u, scenario.sigma_n2)
+        quantized = NetworkKernels(spec_hybrid, scenario.p_e, m_q, 0, scenario.sigma_n2)
         # Indexed by received level itself; entry 0 is never read.
         recon = np.concatenate(([0.0], reconstruction_table(spec_hybrid, sigma_n)))
         detectors[scenario.label_hybrid_q] = (
@@ -354,7 +360,7 @@ def run_roc(scenario: RocScenario) -> Table:
         lam[scenario.label_hybrid_q] = params.theta * math.sqrt(quantized.fisher_info)
     if scenario.label_low in want:
         spec_low = _scenario_quantizer(scenario, scenario.bits_low, scenario.thresholds_low)
-        low = NetworkKernels(spec_low, scenario.p_e, m_q, 0, scenario.sigma_n2, scenario.mapping)
+        low = NetworkKernels(spec_low, scenario.p_e, m_q, 0, scenario.sigma_n2)
         detectors[scenario.label_low] = (
             lambda y, hybrid, low_levels, analog, scores: low.statistic(low.score_sums(low_levels))
         )
@@ -366,7 +372,7 @@ def run_roc(scenario: RocScenario) -> Table:
         if spec is None:
             return None
         sent = quantize_batch(y[:, :m_q], spec)
-        return bsc_corrupt_levels(sent, spec.bits, scenario.p_e, rng, scenario.mapping)
+        return bsc_corrupt_levels(sent, spec.bits, scenario.p_e, rng)
 
     # Thresholds down a column, so each comparison runs along a contiguous row.
     etas = np.array([threshold_for_pfa(pfa) for pfa in scenario.pfa_grid])[:, None]
@@ -436,7 +442,6 @@ class SweepScenario:
     budget_mode: alloc.BudgetMode = alloc.BudgetMode.AT_MOST
     senses: tuple[alloc.Sense, ...] = (alloc.Sense.MAXIMIZE_FI, alloc.Sense.MINIMIZE_FI)
     seed: int = 20260810
-    mapping: str = DEFAULT_MAPPING
 
     def __post_init__(self):
         if self.theta < 0:
@@ -488,9 +493,7 @@ def run_sweep(scenario: SweepScenario) -> tuple[Table, Table]:
     fleets being prefixes of it, and the rows come out in point order.
     """
     settings = PsoSettings(seed=scenario.seed)
-    table = alloc.build_fi_table(
-        scenario.epsilons, scenario.max_bits, scenario.sigma_n2, settings, scenario.mapping
-    )
+    table = alloc.build_fi_table(scenario.epsilons, scenario.max_bits, scenario.sigma_n2, settings)
     eta = threshold_for_pfa(scenario.pfa)
     outcomes = alloc.allocate_sweep(
         scenario.epsilons, [case.freqs for case in scenario.cases], scenario.m_values, table,
@@ -514,23 +517,37 @@ def run_sweep(scenario: SweepScenario) -> tuple[Table, Table]:
 # ---------------------------------------------------------------------------
 
 
+#: Most bytes a command's estimate of its largest arrays and tables may
+#: reach; above it the configuration is refused before anything is allocated.
+_MEMORY_CAP = 2**30
+
+#: Bytes per grid cell at the peak of ``run_landscape`` followed by ``emit``:
+#: the grid's float arrays, the table's Python rows and, for JSON, their
+#: encoded text, which peaks near 440 bytes a cell.
+_LANDSCAPE_CELL_BYTES = 600
+
+
 @dataclass(frozen=True)
 class LandscapeScenario:
-    bits: int = 2
+    """A 2-bit information surface over a ``points`` by ``points`` grid."""
+
     p_e: float = 0.2
     sigma_n2: float = 1.0
     tau_lo: float = -5.0
     tau_hi: float = 5.0
     points: int = 201
     tau2: float = 0.0
-    mapping: str = DEFAULT_MAPPING
 
     def __post_init__(self):
-        if self.bits != 2:
-            raise ValueError("bits must be 2: landscape grids are defined for 2-bit designs")
-        DesignProblem(self.bits, self.p_e, self.sigma_n2)  # checks p_e and sigma_n2
+        DesignProblem(2, self.p_e, self.sigma_n2)  # checks p_e and sigma_n2
         if self.points < 1:
             raise ValueError("points must be >= 1")
+        estimate = self.points**2 * _LANDSCAPE_CELL_BYTES
+        if estimate > _MEMORY_CAP:
+            raise ValueError(
+                f"points = {self.points} is too many: the grid would take about {estimate / 2**30:.3g} GiB, "
+                f"above the {_MEMORY_CAP / 2**30:g} GiB cap"
+            )
 
 
 LANDSCAPE_COLUMNS = ("tau1", "tau3", "objective")
@@ -538,12 +555,7 @@ LANDSCAPE_COLUMNS = ("tau1", "tau3", "objective")
 
 def run_landscape(scenario: LandscapeScenario) -> Table:
     """Tidy (tau1, tau3, objective) table; invalid cells carry ``None``."""
-    problem = DesignProblem(
-        bits=scenario.bits,
-        p_e=scenario.p_e,
-        sigma_n2=scenario.sigma_n2,
-        mapping=scenario.mapping,
-    )
+    problem = DesignProblem(bits=2, p_e=scenario.p_e, sigma_n2=scenario.sigma_n2)
     axis = np.linspace(scenario.tau_lo, scenario.tau_hi, scenario.points)
     grid = fi_landscape(problem, axis, axis, scenario.tau2)
     n = scenario.points
@@ -563,7 +575,6 @@ class DesignScenario:
     bgda_init: tuple[float, ...] | None = None
     bgda_step: float = 0.5
     seed: int = 20260810
-    mapping: str = DEFAULT_MAPPING
 
     def __post_init__(self):
         DesignProblem(self.bits, self.p_e, self.sigma_n2, self.tau_max)  # checks the four fields
@@ -589,7 +600,6 @@ def run_design(scenario: DesignScenario) -> Table:
         p_e=scenario.p_e,
         sigma_n2=scenario.sigma_n2,
         tau_max=scenario.tau_max,
-        mapping=scenario.mapping,
     )
     n_thr = problem.n_thresholds
     columns = ("method", "bits", "p_e", "sigma_n2", "objective", "iterations") + tuple(
@@ -625,7 +635,6 @@ class AllocateScenario:
     budget_mode: alloc.BudgetMode = alloc.BudgetMode.AT_MOST
     sense: alloc.Sense = alloc.Sense.MAXIMIZE_FI
     seed: int = 20260810
-    mapping: str = DEFAULT_MAPPING
 
     def __post_init__(self):
         alloc.check_budget(self.budget, self.l0)
@@ -639,9 +648,7 @@ def run_allocate(scenario: AllocateScenario) -> Table:
     """Solve one allocation instance and emit the assignment tidily."""
     hist = alloc.ErrorHistogram(scenario.epsilons, scenario.freqs, scenario.m_total)
     settings = PsoSettings(seed=scenario.seed)
-    table = alloc.build_fi_table(
-        hist.epsilons, scenario.max_bits, scenario.sigma_n2, settings, scenario.mapping
-    )
+    table = alloc.build_fi_table(hist.epsilons, scenario.max_bits, scenario.sigma_n2, settings)
     result = alloc.allocate(
         hist, table, scenario.budget, scenario.l0, scenario.budget_mode, scenario.sense
     )

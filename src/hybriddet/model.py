@@ -1,11 +1,11 @@
 """Sensor-side data plane: observation synthesis, multi-bit quantization,
-level-to-codeword mapping, and binary-symmetric-channel transport.
+and binary-symmetric-channel transport of natural-binary codewords.
 
 The network watches for a weak nonnegative amplitude that arrives through a
 unit-mean Gaussian multiplicative gain on top of additive Gaussian noise.
 Low-rate sensors quantize each sample into one of ``2**q`` levels, encode
-the level as a ``q``-bit codeword, and report it over an error-prone binary
-symmetric channel.  Full-precision sensors report the raw sample over a
+level ``i`` as the ``q``-bit natural binary codeword of ``i - 1``, and
+report it over an error-prone binary symmetric channel.  Full-precision sensors report the raw sample over a
 reliable link.
 """
 
@@ -19,9 +19,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "NATURAL",
-    "GRAY",
-    "DEFAULT_MAPPING",
     "MAX_BITS",
     "GAUSSIAN_REACH",
     "Hypothesis",
@@ -38,16 +35,6 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-#: Level-to-codeword assignments.  ``natural`` encodes level ``i`` as the
-#: plain binary representation of ``i - 1``; ``gray`` reflects it so that
-#: adjacent levels differ in a single bit.
-NATURAL = "natural"
-GRAY = "gray"
-
-#: Assignment used when callers do not pick one explicitly.  Natural binary
-#: is the default; the reflected code is kept as a selectable alternative.
-DEFAULT_MAPPING = NATURAL
 
 #: Deepest quantizer the package builds.  Tables grow as ``2**bits`` (the
 #: channel kernel as ``4**bits``), so a deeper request is refused where it
@@ -166,37 +153,14 @@ class QuantizerSpec:
 
 
 @lru_cache(maxsize=None)
-def _level_codes(bits: int, mapping: str) -> np.ndarray:
-    """Integer codeword per level, indexed by ``level - 1``.
+def distance_matrix(bits: int) -> np.ndarray:
+    """Pairwise Hamming distances between the codewords of all levels.
 
-    Bit ``k`` of the integer is the codeword bit of weight ``2**k``.  Both
-    mappings are linear over GF(2): the codeword of ``i ^ j`` is the XOR of
-    the codewords of ``i`` and ``j``.
+    Level ``i`` sends the natural binary codeword of ``i - 1``, so entry
+    ``(i - 1, j - 1)`` is the popcount of ``(i - 1) ^ (j - 1)``.
     """
-    v = np.arange(2**bits)
-    if mapping == GRAY:
-        return v ^ (v >> 1)
-    if mapping == NATURAL:
-        return v
-    raise ValueError(f"unknown codeword mapping {mapping!r}")
-
-
-@lru_cache(maxsize=None)
-def _code_indices(bits: int, mapping: str) -> np.ndarray:
-    """Level index (``level - 1``) per integer codeword; inverse permutation
-    of ``_level_codes``."""
-    codes = _level_codes(bits, mapping)
-    inv = np.empty_like(codes)
-    inv[codes] = np.arange(2**bits)
-    return inv
-
-
-@lru_cache(maxsize=None)
-def distance_matrix(bits: int, mapping: str = DEFAULT_MAPPING) -> np.ndarray:
-    """Pairwise Hamming distances between the codewords of all levels."""
-    codes = _level_codes(bits, mapping)
-    xor = codes[:, None] ^ codes[None, :]
-    return np.vectorize(lambda v: bin(v).count("1"))(xor)
+    index = np.arange(2**bits)
+    return np.bitwise_count(index[:, None] ^ index)
 
 
 def quantize_batch(y, spec: QuantizerSpec) -> np.ndarray:
@@ -252,13 +216,7 @@ def simulate_observations(
     return y
 
 
-def bsc_corrupt_levels(
-    levels,
-    bits: int,
-    crossover: float,
-    rng,
-    mapping: str = DEFAULT_MAPPING,
-) -> np.ndarray:
+def bsc_corrupt_levels(levels, bits: int, crossover: float, rng) -> np.ndarray:
     """Send an array of levels through the channel; returns received levels.
 
     Encodes each level as its ``bits``-bit codeword, draws one uniform per
@@ -267,7 +225,6 @@ def bsc_corrupt_levels(
     the crossover probability, and decodes.  With ``crossover == 0`` no
     randomness is consumed.
     """
-    code_index = _code_indices(bits, mapping)
     index = np.asarray(levels, dtype=np.intp) - 1
     if crossover > 0:
         flips = (np.random.default_rng(rng).random(index.shape + (bits,)) < crossover).view(np.uint8)
@@ -275,11 +232,9 @@ def bsc_corrupt_levels(
         for k in reversed(range(bits - 1)):  # mask = 2 * mask + flips[..., k]
             mask = mask + mask
             mask += flips[..., k]
-        # Both mappings are linear over GF(2) (see ``_level_codes``): flipping
-        # the bits ``mask`` of the codeword of level index ``i`` gives the
-        # codeword of index ``i ^ code_index[mask]``.  Natural binary is the
-        # identity, so its levels are flipped without decoding.
-        index ^= mask if mapping == NATURAL else code_index[mask]
+        # The codeword of level index ``i`` is ``i`` itself, so flipping its
+        # bits ``mask`` gives level index ``i ^ mask`` without decoding.
+        index ^= mask
     index += 1
     return index
 

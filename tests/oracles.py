@@ -76,18 +76,13 @@ def cell_centroid_quad(lo: float, hi: float) -> float:
     return mid - half * moment / mass
 
 
-def codes_for(bits: int, mapping: str) -> list[int]:
-    vals = list(range(2**bits))
-    if mapping == "gray":
-        return [v ^ (v >> 1) for v in vals]
-    if mapping == "natural":
-        return vals
-    raise ValueError(mapping)
+def codes_for(bits: int) -> list[int]:
+    """Codeword of each level, indexed by ``level - 1``: natural binary, so
+    level ``i`` sends the binary digits of ``i - 1``."""
+    return list(range(2**bits))
 
 
-def quantized_fi_oracle(
-    thresholds, p_e: float, sigma_n2: float, mapping: str = "natural"
-) -> float:
+def quantized_fi_oracle(thresholds, p_e: float, sigma_n2: float) -> float:
     """Single-sensor information sum via explicit loops and quadrature tails."""
     sigma = math.sqrt(sigma_n2)
     edges = [-math.inf] + [float(t) for t in thresholds] + [math.inf]
@@ -100,7 +95,7 @@ def quantized_fi_oracle(
     ]
     dens = [0.0 if abs(e) == math.inf else normal_pdf(e / sigma) for e in edges]
     scores = [sigma_n2 * (dens[j] - dens[j + 1]) for j in range(k)]
-    codes = codes_for(bits, mapping)
+    codes = codes_for(bits)
     total = 0.0
     for i in range(k):
         num = 0.0
@@ -113,6 +108,17 @@ def quantized_fi_oracle(
         if den > 0.0:
             total += num * num / den
     return total / sigma**6
+
+
+def received_information_sum(probs, scores, kernel) -> tuple:
+    """``detection.received_information`` with its channel sums written as
+    Python ``sum``s of one product per sent level, starting from 0."""
+    levels = range(kernel.shape[-1])
+    received = sum(probs[..., j, None] * kernel[..., j] for j in levels)
+    numerators = sum(scores[..., j, None] * kernel[..., j] for j in levels)
+    live = received > 0.0
+    terms = np.where(live, numerators**2 / np.where(live, received, 1.0), 0.0)
+    return received, numerators, terms.sum(axis=-1)
 
 
 def diagonal_profile(t: float, p_e: float) -> float:
@@ -128,7 +134,7 @@ def diagonal_argmax(lo: float, hi: float, p_e: float) -> float:
 def symmetric_face_profile(t: float, p_e: float) -> float:
     """Unit-noise 3-bit information on the face of levels {1, 2, 4, 8} at edges ``(-t, 0, t)``.
 
-    Under the natural mapping those levels send 000, 001, 011 and 111.
+    Those levels send 000, 001, 011 and 111.
     """
     return quantized_fi_oracle((-t, 0.0, 0.0, t, t, t, t), p_e, 1.0)
 

@@ -6,7 +6,7 @@ hypothesis ``h`` uses ``trial_rng(seed, h, b)`` for its observations, then
 its hybrid flip mask, then its low-rate flip mask.  Everything after the
 draws is done one trial at a time with the scalar code below: a bisecting
 ``quantize``, and ``send_level``, which flips bits of an explicit
-most-significant-first bit list with its own Gray code.  It shares neither
+most-significant-first bit list of the natural binary codeword.  It shares neither
 ``quantize_batch`` nor ``bsc_corrupt_levels`` with the engine, and the
 engine must reproduce its rows exactly.
 
@@ -43,41 +43,34 @@ def quantize(y: float, spec: QuantizerSpec) -> int:
     return bisect_right(spec.thresholds, y) + 1
 
 
-def _to_bits(level, bits, mapping):
-    """Codeword of ``level`` as a list of bits, most significant first."""
+def _to_bits(level, bits):
+    """Natural binary codeword of ``level - 1`` as a list of bits, most significant first."""
     v = level - 1
-    if mapping == "gray":
-        v ^= v >> 1
     return [(v >> k) & 1 for k in range(bits - 1, -1, -1)]
 
 
-def _from_bits(code, mapping):
+def _from_bits(code):
     """Level of a most-significant-first codeword; inverse of ``_to_bits``."""
     v = 0
     for b in code:
         v = (v << 1) | b
-    if mapping == "gray":
-        g, v = v, 0
-        while g:
-            v ^= g
-            g >>= 1
     return v + 1
 
 
-def send_level(level, bits, flips, mapping):
+def send_level(level, bits, flips):
     """Level received when ``level`` is sent and the bits marked in ``flips`` flip.
 
     ``flips[k]`` flips the codeword bit of weight ``2**k``, so the mask is
     reversed against the most-significant-first bit list.
     """
-    code = _to_bits(level, bits, mapping)
-    return _from_bits([b ^ int(f) for b, f in zip(code, flips[::-1])], mapping)
+    code = _to_bits(level, bits)
+    return _from_bits([b ^ int(f) for b, f in zip(code, flips[::-1])])
 
 
-def _received(y_q, spec, flips, mapping):
+def _received(y_q, spec, flips):
     """Levels at the fusion center for one trial's quantized samples."""
     levels = [
-        send_level(quantize(float(y), spec), spec.bits, flips[i], mapping)
+        send_level(quantize(float(y), spec), spec.bits, flips[i])
         for i, y in enumerate(y_q)
     ]
     return np.array(levels, dtype=np.int64)
@@ -98,13 +91,10 @@ def per_trial_roc(scenario: RocScenario) -> Table:
     kernels = {}
     lam = {}
     if spec_hybrid is not None and m_q:
-        kernels["hybrid_full"] = NetworkKernels(
-            spec_hybrid, scenario.p_e, m_q, m_u, scenario.sigma_n2, scenario.mapping)
-        kernels["hybrid_q"] = NetworkKernels(
-            spec_hybrid, scenario.p_e, m_q, 0, scenario.sigma_n2, scenario.mapping)
+        kernels["hybrid_full"] = NetworkKernels(spec_hybrid, scenario.p_e, m_q, m_u, scenario.sigma_n2)
+        kernels["hybrid_q"] = NetworkKernels(spec_hybrid, scenario.p_e, m_q, 0, scenario.sigma_n2)
     if spec_low is not None and m_q:
-        kernels["low"] = NetworkKernels(
-            spec_low, scenario.p_e, m_q, 0, scenario.sigma_n2, scenario.mapping)
+        kernels["low"] = NetworkKernels(spec_low, scenario.p_e, m_q, 0, scenario.sigma_n2)
     lam["clairvoyant"] = params.theta * math.sqrt(scenario.m_total / scenario.sigma_n2)
     lam["fp"] = params.theta * math.sqrt(m_u / scenario.sigma_n2) if m_u else None
     if "hybrid_full" in kernels:
@@ -143,9 +133,9 @@ def per_trial_roc(scenario: RocScenario) -> Table:
                 y_q, y_u = y[:m_q], y[m_q:]
                 levels_hybrid = levels_low = None
                 if draw_hybrid:
-                    levels_hybrid = _received(y_q, spec_hybrid, flips_hybrid[i], scenario.mapping)
+                    levels_hybrid = _received(y_q, spec_hybrid, flips_hybrid[i])
                 if draw_low:
-                    levels_low = _received(y_q, spec_low, flips_low[i], scenario.mapping)
+                    levels_low = _received(y_q, spec_low, flips_low[i])
                 row = stats[hyp]
                 for det in scenario.detectors:
                     if det == "clairvoyant":

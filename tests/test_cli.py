@@ -378,6 +378,12 @@ def _no_design(*_args, **_kwargs):
         ("design-quantizer", {"bgda_step": 0}, "bgda_step"),
         ("design-quantizer", {"p_e": 0.2, "methods": ["pso", "bgda"]}, "bgda"),
         ("design-quantizer", {"methods": ["pso", "bgda"], "bgda_init": [0.0, 1.0]}, "bgda_init"),
+        # Landscape grids are 2-bit only, and every codeword is natural
+        # binary: neither is a config key.
+        ("fi-landscape", {"bits": 2}, "bits"),
+        *[(command, {"mapping": "natural"}, "mapping") for command in ("roc", "sweep", "fi-landscape", "design-quantizer", "allocate")],
+        # Refused by its estimated size, before the grid is allocated.
+        ("fi-landscape", {"points": 20_000}, "points"),
     ],
 )
 def test_invalid_fields_rejected_before_any_design(tmp_path, capsys, monkeypatch, command, config, field):
@@ -466,6 +472,20 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     # CLI loads no scipy module at all.
     code = "import hybriddet.cli, sys; print(any(name.partition('.')[0] == 'scipy' for name in sys.modules))"
     assert _run_python("-c", code) == ["False"]
+
+
+def test_no_preset_loads_numpy_ma(tmp_path):
+    # ``numpy.ma`` costs a fresh interpreter 8-10 ms and 0.7 MB; ``np.median``
+    # and ``np.unique`` import it.
+    script = """
+import sys
+import hybriddet.cli
+for command, preset in sorted(hybriddet.cli.PRESETS):
+    extra = ["--trials", "200"] if command == "roc" else []
+    assert hybriddet.cli.main([command, "--preset", preset, "--out", sys.argv[1]] + extra) == 0
+print("numpy.ma" in sys.modules)
+"""
+    assert _run_python("-c", script, str(tmp_path / "out.csv"))[-1] == "False"
 
 
 def test_errorprone_roc_leaves_scipy_optimize_unloaded(tmp_path):

@@ -29,7 +29,7 @@ from hybriddet.design import (
 from hybriddet.allocation import build_fi_table
 from hybriddet.detection import NetworkKernels, bsc_kernel, reconstruction_table
 from hybriddet.experiments import RocScenario, SweepCase, SweepScenario, run_roc, run_sweep
-from hybriddet.model import GRAY, NATURAL, QuantizerSpec
+from hybriddet.model import QuantizerSpec
 
 from oracles import (
     central_difference,
@@ -90,7 +90,6 @@ class TestObjective:
                 p_e=data.draw(st.floats(0.0, 0.5)),
                 sigma_n2=sigma_n2,
                 tau_max=16.0,
-                mapping=data.draw(st.sampled_from((NATURAL, GRAY))),
             )
             for _ in range(data.draw(st.integers(1, 4)))
         ]
@@ -114,20 +113,19 @@ class TestObjective:
         # Crossovers in (0, 1e-3) are left to
         # ``TestFarTailObjective.test_cancelled_cell_over_a_subnormal_crossover``.
         p_e=st.just(0.0) | st.floats(1e-3, 0.5),
-        mapping=st.sampled_from((NATURAL, GRAY)),
         data=st.data(),
     )
-    def test_matches_detection_kernels(self, bits, sigma_n2, p_e, mapping, data):
+    def test_matches_detection_kernels(self, bits, sigma_n2, p_e, data):
         # The design objective and the detector share ``cell_tables`` and
         # ``received_information``; the detector's tables go through a
         # ``QuantizerSpec`` and a different noise scaling, so they may
         # differ in the last bits.
-        problem = DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2, mapping=mapping)
+        problem = DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2)
         n = problem.n_thresholds
         z = data.draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n, unique=True))
         tau = np.sort(z) * problem.sigma_n
         assume(np.all(np.diff(tau) > 0))
-        kernels = NetworkKernels(QuantizerSpec(bits, tuple(tau)), p_e, 1, 0, sigma_n2, mapping)
+        kernels = NetworkKernels(QuantizerSpec(bits, tuple(tau)), p_e, 1, 0, sigma_n2)
         assert _objective_rows(tau, problem)[0] == pytest.approx(kernels.fisher_info, rel=1e-10, abs=0.0)
 
 
@@ -195,11 +193,10 @@ class TestGradient:
         bits=st.integers(1, 3),
         p_e=st.floats(0.0, 0.45),
         sigma_n2=st.sampled_from((0.5, 2.0)),
-        mapping=st.sampled_from((NATURAL, GRAY)),
         data=st.data(),
     )
-    def test_noisy_gradient_matches_central_differences(self, bits, p_e, sigma_n2, mapping, data):
-        problem = DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2, mapping=mapping)
+    def test_noisy_gradient_matches_central_differences(self, bits, p_e, sigma_n2, data):
+        problem = DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2)
         n = problem.n_thresholds
         z = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n, unique=True))
         tau = np.sort(z) * problem.sigma_n
@@ -541,7 +538,7 @@ def _symmetric_face_information_mpmath(t, p_e):
 
 def _face_point(result, problem):
     """A face design's unit-noise thresholds, with its kernel and box bound."""
-    kernel = bsc_kernel(problem.bits, problem.p_e, problem.mapping)
+    kernel = bsc_kernel(problem.bits, problem.p_e)
     return np.array(result.thresholds) / problem.sigma_n, kernel, problem.tau_max
 
 
@@ -624,10 +621,9 @@ class TestFaceDesign:
         p_e=st.just(0.0) | st.floats(1e-3, 0.5),
         sigma_n2=st.sampled_from((0.125, 1.0, 2.0)),
         tau_max=st.sampled_from((0.05, 1.0, 5.0)),
-        mapping=st.sampled_from((NATURAL, GRAY)),
     )
-    def test_winners_pass_the_kkt_certificate(self, bits, p_e, sigma_n2, tau_max, mapping):
-        problem = DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2, tau_max=tau_max, mapping=mapping)
+    def test_winners_pass_the_kkt_certificate(self, bits, p_e, sigma_n2, tau_max):
+        problem = DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2, tau_max=tau_max)
         result = design._design_faces([problem])[0]
         z, kernel, bound = _face_point(result, problem)
         unit = result.objective * sigma_n2
@@ -657,7 +653,7 @@ class TestFaceDesign:
         # The best error-free point on the face of levels {1, 2, 4, 8} gains
         # by opening its empty levels; the certificate must say so.
         problem = DesignProblem(bits=3, p_e=0.0)
-        kernel = bsc_kernel(3, 0.0, NATURAL)
+        kernel = bsc_kernel(3, 0.0)
         t = symmetric_face_argmax(0.1, 1.5, 0.0)
         z = np.array([-t, 0.0, 0.0, t, t, t, t])
         rate, push, room = design._kkt_opening(z, problem.tau_max, kernel)
@@ -721,8 +717,8 @@ class TestFaceDesign:
             build()
             cells.update(design._DESIGN_CACHE)
         assert len(cells) == 12 + 6 + 1
-        for (bits, p_e, sigma_n2, _, mapping), result in cells.items():
-            problem = DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2, mapping=mapping)
+        for (bits, p_e, sigma_n2, _), result in cells.items():
+            problem = DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2)
             assert result.objective == design_objective(result.thresholds, problem)
 
 
@@ -734,14 +730,13 @@ class TestScaleInvariance:
         bits=st.integers(1, 3),
         p_e=st.just(0.0) | st.floats(1e-3, 0.45),
         sigma_n2=st.floats(1e-6, 1e6),
-        mapping=st.sampled_from((NATURAL, GRAY)),
         data=st.data(),
     )
-    def test_kernels_are_the_unit_kernels_scaled(self, bits, p_e, sigma_n2, mapping, data):
+    def test_kernels_are_the_unit_kernels_scaled(self, bits, p_e, sigma_n2, data):
         n = 2**bits - 1
         z = np.sort(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n, unique=True)))
         assume(np.all(np.diff(z) > 1e-2))
-        problem = DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2, mapping=mapping)
+        problem = DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2)
         unit = replace(problem, sigma_n2=1.0)
         sigma = problem.sigma_n
         tau = z * sigma
@@ -753,8 +748,8 @@ class TestScaleInvariance:
         np.testing.assert_allclose(
             objective_gradient(tau, problem), objective_gradient(z, unit) / sigma_n2 / sigma, rtol=1e-14
         )
-        got = NetworkKernels(QuantizerSpec(bits, tuple(tau)), p_e, 1, 0, sigma_n2, mapping)
-        want = NetworkKernels(QuantizerSpec(bits, tuple(z)), p_e, 1, 0, 1.0, mapping)
+        got = NetworkKernels(QuantizerSpec(bits, tuple(tau)), p_e, 1, 0, sigma_n2)
+        want = NetworkKernels(QuantizerSpec(bits, tuple(z)), p_e, 1, 0, 1.0)
         np.testing.assert_allclose(got.received_probs, want.received_probs, rtol=1e-14)
         np.testing.assert_allclose(got.level_scores[1:], want.level_scores[1:] / sigma, rtol=1e-14)
         assert got.fisher_info == pytest.approx(want.fisher_info / sigma_n2, rel=1e-14)

@@ -12,6 +12,7 @@ from hybriddet.detection import (
     NetworkKernels,
     bsc_kernel,
     cell_tables,
+    received_information,
     reconstruction_table,
     theoretical_pd,
     threshold_for_pfa,
@@ -28,7 +29,13 @@ from hybriddet.model import (
 )
 from hybriddet.experiments import RocScenario, SweepScenario, run_roc
 
-from oracles import cell_centroid_quad, quantized_fi_oracle, upper_tail_inverse_bisect, upper_tail_quad
+from oracles import (
+    cell_centroid_quad,
+    quantized_fi_oracle,
+    received_information_sum,
+    upper_tail_inverse_bisect,
+    upper_tail_quad,
+)
 from roc_reference import null_scores
 
 PARAMS = SignalParams(theta=0.25, sigma_n2=1.0, sigma_h2=0.5)
@@ -130,23 +137,57 @@ class TestBscKernel:
     def test_doubly_stochastic(self):
         for bits in (1, 2, 3):
             for p in (0.0, 0.1, 0.37, 0.5):
-                for mapping in ("natural", "gray"):
-                    g = bsc_kernel(bits, p, mapping)
-                    np.testing.assert_allclose(g.sum(axis=0), 1.0, atol=1e-12)
-                    np.testing.assert_allclose(g.sum(axis=1), 1.0, atol=1e-12)
+                g = bsc_kernel(bits, p)
+                np.testing.assert_allclose(g.sum(axis=0), 1.0, atol=1e-12)
+                np.testing.assert_allclose(g.sum(axis=1), 1.0, atol=1e-12)
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(
         bits=st.integers(1, 8),
         p_e=st.floats(0.0, 0.5),
-        mapping=st.sampled_from(("natural", "gray")),
     )
-    def test_doubly_stochastic_property(self, bits, p_e, mapping):
-        g = bsc_kernel(bits, p_e, mapping)
+    def test_doubly_stochastic_property(self, bits, p_e):
+        g = bsc_kernel(bits, p_e)
         assert g.shape == (2**bits, 2**bits)
         assert np.all(g >= 0.0)
         np.testing.assert_allclose(g.sum(axis=0), 1.0, atol=1e-12)
         np.testing.assert_allclose(g.sum(axis=1), 1.0, atol=1e-12)
+
+
+class TestReceivedInformation:
+    """The channel sums accumulate in place, level by level; every element
+    must equal the Python ``sum`` of the same products."""
+
+    @staticmethod
+    def _tables(rng, shape):
+        z = np.sort(rng.uniform(-3.0, 3.0, shape), axis=-1)
+        return cell_tables(z)
+
+    @pytest.mark.parametrize("p_e", [0.0, 0.013, 0.2])
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_in_place_sums_equal_the_generator_sums(self, bits, p_e):
+        rng = np.random.default_rng(bits)
+        n = 2**bits - 1
+        kernel = bsc_kernel(bits, p_e)
+        channels = [bsc_kernel(bits, e) for e in (p_e, 0.0, 0.1, 0.45)]
+        cases = [
+            # Face rows (r, 7 at 3 bits), one kernel per row.
+            (*self._tables(rng, (9, n)), np.stack([channels[k % 4] for k in range(9)])),
+            # Swarm rows (S, 100, 1 at 1 bit), one kernel per swarm.
+            (*self._tables(rng, (3, 100, n)), np.stack(channels[:3])[:, None]),
+            # A single vector and its one kernel.
+            (*self._tables(rng, (n,)), kernel),
+        ]
+        for probs, scores, k in cases:
+            got, want = received_information(probs, scores, k), received_information_sum(probs, scores, k)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape
+                assert np.array_equal(a, b)
+        if p_e == 0.0:
+            # A negative score times a zero of the kernel is -0.0, which the
+            # sums meet.
+            _, scores, k = cases[2]
+            assert (np.signbit(scores[None, :] * k) & (k == 0.0)).any()
 
 
 class TestFisherInformation:
@@ -198,19 +239,16 @@ class TestKernelProperties:
         bits=st.integers(1, 5),
         sigma_n2=st.floats(0.1, 10.0),
         p_e=st.floats(0.0, 0.5, exclude_max=True),
-        mapping=st.sampled_from(("natural", "gray")),
         data=st.data(),
     )
-    def test_null_mean_information_bound_and_channel_monotonicity(
-        self, bits, sigma_n2, p_e, mapping, data
-    ):
+    def test_null_mean_information_bound_and_channel_monotonicity(self, bits, sigma_n2, p_e, data):
         n = 2**bits - 1
         tau = data.draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n, unique=True))
         p_worse = data.draw(st.floats(p_e, 0.5, exclude_max=True))
         spec = QuantizerSpec(bits, tuple(sorted(tau)))
         sigma_n = math.sqrt(sigma_n2)
-        k = NetworkKernels(spec, p_e, 1, 0, sigma_n2, mapping)
-        worse = NetworkKernels(spec, p_worse, 1, 0, sigma_n2, mapping)
+        k = NetworkKernels(spec, p_e, 1, 0, sigma_n2)
+        worse = NetworkKernels(spec, p_worse, 1, 0, sigma_n2)
         assert abs(k.received_probs @ k.level_scores[1:]) <= 1e-12 / sigma_n
         assert k.fisher_info <= 1.0 / sigma_n2
         assert worse.fisher_info <= k.fisher_info * (1.0 + 1e-12)

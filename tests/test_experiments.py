@@ -75,6 +75,11 @@ class TestEmit:
         emit(Table(("a", "b"), []), "csv", p)
         assert p.read_text() == "a,b\n"
 
+    def test_table_without_columns_is_refused(self):
+        # A row of no cells would need its own JSON layout.
+        with pytest.raises(ValueError, match="column"):
+            Table((), [()])
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             emit(self.SAMPLE, "yaml", tmp_path / "t")
@@ -89,7 +94,13 @@ class TestEmit:
         cells = self.MIXED + ([math.inf, -math.inf, math.nan] if fmt == "csv" else [])
         # Every cell in every column, and a row of a lone empty cell.
         rows = [tuple(cells[(i + k) % len(cells)] for k in range(3)) for i in range(len(cells))]
-        for table in (Table(("a", "b", "c"), rows), Table(("a",), [(None,), ("",), (1.5,)])):
+        tables = (
+            Table(("a", "b", "c"), rows),
+            Table(("a",), [(None,), ("",), (1.5,)]),
+            Table(("a",), [("x",)]),
+            Table(("a", "b"), []),
+        )
+        for table in tables:
             emit(table, fmt, tmp_path / "got")
             emit_per_cell(table, fmt, tmp_path / "want")
             assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes()
@@ -187,9 +198,9 @@ _NOISY_3BIT = (
 )
 
 
-def _roc_case(p_e, trials, detectors=(), mapping="natural", sigma_n2=1.0, sigma_h2=0.5):
+def _roc_case(p_e, trials, detectors=(), sigma_n2=1.0, sigma_h2=0.5):
     return RocScenario(
-        p_e=p_e, trials=trials, seed=11, detectors=detectors, mapping=mapping,
+        p_e=p_e, trials=trials, seed=11, detectors=detectors,
         sigma_n2=sigma_n2, sigma_h2=sigma_h2,
         thresholds_hybrid=_NOISY_3BIT if p_e else _CLEAN_3BIT, thresholds_low=(0.0,),
     )
@@ -214,10 +225,6 @@ class TestRocBlocksMatchPerTrialLoop:
     )
     def test_all_detectors(self, p_e, trials, noise):
         scenario = _roc_case(p_e, trials, **noise)
-        assert run_roc(scenario).rows == per_trial_roc(scenario).rows
-
-    def test_gray_mapping(self):
-        scenario = _roc_case(0.2, ROC_BLOCK + 1, mapping="gray")
         assert run_roc(scenario).rows == per_trial_roc(scenario).rows
 
     @pytest.mark.parametrize("detectors", [("1b",), ("r-3b-fp",), ("clairvoyant", "fp")])
@@ -261,7 +268,6 @@ class TestRocStreams:
         m_q=st.integers(0, 6),
         m_u=st.integers(0, 4),
         p_e=st.sampled_from((0.0, 0.05, 0.3)),
-        mapping=st.sampled_from(("natural", "gray")),
         # Block edges are drawn often: the last block is where a stream
         # key or a short block goes wrong.
         trials=st.integers(1, 2 * ROC_BLOCK + 1)
@@ -269,7 +275,7 @@ class TestRocStreams:
         chosen=st.sets(st.sampled_from(("clairvoyant", "1b", "3b", "fp", "3b-fp", "r-3b-fp"))),
     )
     def test_block_and_per_trial_roc_counts_agree_on_random_fleets(
-        self, m_q, m_u, p_e, mapping, trials, chosen
+        self, m_q, m_u, p_e, trials, chosen
     ):
         assume(m_q + m_u >= 1)
         valid = {"clairvoyant"}
@@ -282,7 +288,7 @@ class TestRocStreams:
         detectors = tuple(sorted(chosen & valid)) or ("clairvoyant",)
         scenario = RocScenario(
             m_quantized=m_q, m_full=m_u, p_e=p_e, trials=trials, seed=17,
-            detectors=detectors, mapping=mapping,
+            detectors=detectors,
             thresholds_hybrid=_NOISY_3BIT if p_e else _CLEAN_3BIT, thresholds_low=(0.0,),
         )
         assert run_roc(scenario).rows == per_trial_roc(scenario).rows
@@ -548,7 +554,7 @@ class TestLandscapeRunner:
     def test_rows_are_the_grid_cell_by_cell(self):
         scenario = LandscapeScenario(points=7, tau_lo=-2.0, tau_hi=3.0, tau2=0.5)
         axis = np.linspace(scenario.tau_lo, scenario.tau_hi, scenario.points)
-        grid = fi_landscape(DesignProblem(scenario.bits, scenario.p_e, scenario.sigma_n2), axis, axis, scenario.tau2)
+        grid = fi_landscape(DesignProblem(2, scenario.p_e, scenario.sigma_n2), axis, axis, scenario.tau2)
         want = [
             (float(t1), float(t3), float(grid[i, j]) if np.isfinite(grid[i, j]) else None)
             for i, t1 in enumerate(axis)
@@ -556,6 +562,21 @@ class TestLandscapeRunner:
         ]
         assert {v is None for *_, v in want} == {True, False}
         assert run_landscape(scenario).rows == want
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_estimate_covers_the_measured_peak(self, tmp_path, fmt):
+        # The estimate that ``LandscapeScenario`` refuses above the cap must
+        # hold the grid, its table rows and their text.  tracemalloc also
+        # counts about 0.14 MB of buffers that do not grow with the grid,
+        # which grids of 60 points and more outweigh.
+        for points in (60, 120, 180):
+            tracemalloc.start()
+            try:
+                emit(run_landscape(LandscapeScenario(points=points)), fmt, tmp_path / "grid")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= points**2 * experiments._LANDSCAPE_CELL_BYTES, (points, peak)
 
 
 class TestDesignRunner:

@@ -104,7 +104,7 @@ class TestGaussianPdf:
 
 
 class TestCodewords:
-    """The level-to-codeword mapping, seen through the channel code that uses it."""
+    """The natural binary codewords, seen through the channel code that uses them."""
 
     @pytest.mark.parametrize(
         "level,bits,expected",
@@ -114,35 +114,21 @@ class TestCodewords:
         # Distances to every natural codeword pin the codeword of ``level``.
         code = int(expected, 2)
         want = [bin(code ^ j).count("1") for j in range(2**bits)]
-        assert list(distance_matrix(bits, "natural")[level - 1]) == want
-
-    def test_roundtrip_both_mappings(self):
-        for mapping in ("natural", "gray"):
-            for bits in (1, 2, 3, 4):
-                levels = np.arange(1, 2**bits + 1)
-                back = bsc_corrupt_levels(levels, bits, 0.0, None, mapping)
-                np.testing.assert_array_equal(back, levels)
-
-    def test_gray_adjacent_levels_differ_by_one_bit(self):
-        for bits in (2, 3):
-            d = distance_matrix(bits, "gray")
-            for lv in range(1, 2**bits):
-                assert d[lv - 1, lv] == 1
+        assert list(distance_matrix(bits)[level - 1]) == want
 
     def test_hamming_distance(self):
-        # Gray codewords of levels 1..4 are 00, 01, 11, 10.
-        d = distance_matrix(2, "gray")
+        # The codewords of levels 1..4 are 00, 01, 10, 11.
+        d = distance_matrix(2)
         assert d[0, 0] == 0
-        assert d[0, 2] == 2
-        assert d[0, 3] == 1
-        assert d[1, 3] == 2
-        assert distance_matrix(3, "natural")[2, 7] == 2  # 010 against 111
+        assert d[0, 3] == 2
+        assert d[0, 2] == 1
+        assert d[1, 2] == 2
+        assert distance_matrix(3)[2, 7] == 2  # 010 against 111
 
     def test_distance_matrix_symmetric_zero_diagonal(self):
-        for mapping in ("natural", "gray"):
-            d = distance_matrix(3, mapping)
-            assert np.array_equal(d, d.T)
-            assert np.all(np.diag(d) == 0)
+        d = distance_matrix(3)
+        assert np.array_equal(d, d.T)
+        assert np.all(np.diag(d) == 0)
 
 
 class TestQuantize:
@@ -232,21 +218,23 @@ class TestBsc:
         before = rng.bit_generator.state
         np.testing.assert_array_equal(bsc_corrupt_levels(levels, 3, 0.0, rng), levels)
         assert rng.bit_generator.state == before  # nothing is drawn
+        for bits in (1, 2, 3, 4):
+            levels = np.arange(1, 2**bits + 1)
+            np.testing.assert_array_equal(bsc_corrupt_levels(levels, bits, 0.0, None), levels)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
         bits=st.integers(1, 8),
-        mapping=st.sampled_from(("natural", "gray")),
         crossover=st.sampled_from((0.05, 0.3, 0.5)),
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
-    def test_matches_bit_level_oracle(self, bits, mapping, crossover, seed, data):
+    def test_matches_bit_level_oracle(self, bits, crossover, seed, data):
         levels = np.array(data.draw(st.lists(st.integers(1, 2**bits), min_size=1, max_size=12)))
-        received = bsc_corrupt_levels(levels, bits, crossover, np.random.default_rng(seed), mapping)
+        received = bsc_corrupt_levels(levels, bits, crossover, np.random.default_rng(seed))
         # The contract: one uniform per bit, shape ``levels.shape + (bits,)``.
         flips = np.random.default_rng(seed).random(levels.shape + (bits,)) < crossover
-        want = [send_level(int(lv), bits, f, mapping) for lv, f in zip(levels, flips)]
+        want = [send_level(int(lv), bits, f) for lv, f in zip(levels, flips)]
         assert received.tolist() == want
 
     def test_intact_codeword_rate(self):
@@ -288,25 +276,19 @@ class TestDrawContract:
         np.testing.assert_array_equal(y, want)
         assert rng.bit_generator.state == twin.bit_generator.state
 
-    @pytest.mark.parametrize("mapping", ["natural", "gray"])
-    @pytest.mark.parametrize("bits", [1, 2, 3, 4])
-    def test_flips(self, bits, mapping):
+    # Each id names the codeword that the expected levels are built from.
+    @pytest.mark.parametrize("bits", [1, 2, 3, 4], ids=lambda bits: f"{bits}-natural")
+    def test_flips(self, bits):
         # Levels shaped as a block: one row of sensors per trial.
         levels = np.random.default_rng(bits).integers(1, 2**bits + 1, (37, 11))
         rng, twin = np.random.default_rng(5), np.random.default_rng(5)
-        received = bsc_corrupt_levels(levels, bits, 0.2, rng, mapping)
+        received = bsc_corrupt_levels(levels, bits, 0.2, rng)
         # One uniform per codeword bit; entry ``k`` flips the bit of weight ``2**k``.
         flips = twin.random(levels.shape + (bits,)) < 0.2
         code = levels - 1
-        if mapping == "gray":
-            code = code ^ (code >> 1)
         for k in range(bits):
             code = code ^ (flips[..., k].astype(int) << k)
-        index = code.copy()
-        if mapping == "gray":  # the prefix XOR of the Gray code's bits
-            for k in range(1, bits):
-                index ^= code >> k
-        np.testing.assert_array_equal(received, index + 1)
+        np.testing.assert_array_equal(received, code + 1)
         assert rng.bit_generator.state == twin.bit_generator.state
 
 
