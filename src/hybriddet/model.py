@@ -160,7 +160,7 @@ def distance_matrix(bits: int) -> np.ndarray:
     ``(i - 1, j - 1)`` is the popcount of ``(i - 1) ^ (j - 1)``.
     """
     index = np.arange(2**bits)
-    return np.bitwise_count(index[:, None] ^ index)
+    return np.vectorize(lambda v: bin(v).count("1"))(index[:, None] ^ index)
 
 
 def quantize_batch(y, spec: QuantizerSpec) -> np.ndarray:

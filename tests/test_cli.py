@@ -439,7 +439,9 @@ def test_sweep_case_without_freqs_rejected(tmp_path, capsys):
 
 #: Run in a fresh interpreter with the command and presets as ``sys.argv``.
 #: Records every scipy module looked up.  Prints the presets' exit codes, the
-#: scipy modules looked up and whether scipy was loaded at the end.
+#: scipy modules looked up, and whether scipy and ``numpy.ma`` were loaded at
+#: the end.  ``numpy.ma`` costs a fresh interpreter 8-10 ms and 0.7 MB;
+#: ``np.median`` and ``np.unique`` import it.
 _SCIPY_GUARD = """
 import sys
 
@@ -456,7 +458,7 @@ import hybriddet.cli
 command, out = sys.argv[1], sys.argv[2]
 extra = ["--trials", "200"] if command == "roc" else []
 codes = [hybriddet.cli.main([command, "--preset", preset, "--out", out] + extra) for preset in sys.argv[3:]]
-print(codes, Guard.stray, "scipy" in sys.modules)
+print(codes, Guard.stray, "scipy" in sys.modules, "numpy.ma" in sys.modules)
 """
 
 
@@ -474,25 +476,11 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert _run_python("-c", code) == ["False"]
 
 
-def test_no_preset_loads_numpy_ma(tmp_path):
-    # ``numpy.ma`` costs a fresh interpreter 8-10 ms and 0.7 MB; ``np.median``
-    # and ``np.unique`` import it.
-    script = """
-import sys
-import hybriddet.cli
-for command, preset in sorted(hybriddet.cli.PRESETS):
-    extra = ["--trials", "200"] if command == "roc" else []
-    assert hybriddet.cli.main([command, "--preset", preset, "--out", sys.argv[1]] + extra) == 0
-print("numpy.ma" in sys.modules)
-"""
-    assert _run_python("-c", script, str(tmp_path / "out.csv"))[-1] == "False"
-
-
 def test_errorprone_roc_leaves_scipy_optimize_unloaded(tmp_path):
     # Both roc presets, the error-prone one with its bit flips included, run
     # without importing any scipy module.
     lines = _run_python("-c", _SCIPY_GUARD, "roc", str(tmp_path / "out.csv"), "ideal", "errorprone")
-    assert lines[-1] == "[0, 0] [] False"
+    assert lines[-1] == "[0, 0] [] False False"
 
 
 @pytest.mark.parametrize(
@@ -509,4 +497,4 @@ def test_commands_load_scipy_only_through_the_solver(tmp_path, command, presets)
     # (``allocation.solve_ilp``) is only a test oracle, so no command loads
     # any scipy module, the allocation commands included.
     lines = _run_python("-c", _SCIPY_GUARD, command, str(tmp_path / "out.csv"), *presets)
-    assert lines[-1] == f"{[0] * len(presets)} [] False"
+    assert lines[-1] == f"{[0] * len(presets)} [] False False"
