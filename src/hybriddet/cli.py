@@ -192,7 +192,10 @@ def _run(args) -> int:
     if not isinstance(tables, tuple):
         tables = (tables,)
     for table, path in zip(tables, (args.out, _distribution_path(args.out))):
-        emit(table, args.format, path)
+        try:
+            emit(table, args.format, path)
+        except OSError as exc:
+            raise CliError(f"cannot write output file {path}: {exc.strerror or exc}") from None
         print(f"wrote {path}")
     return 0
 

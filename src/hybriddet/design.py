@@ -175,14 +175,16 @@ def _project_strictly_increasing(tau: np.ndarray, gap: float = 1e-9) -> np.ndarr
     return tau
 
 
-#: Gradient ascent stops once the unit-noise gradient's max-norm is at most
-#: ``_BGDA_TOL``, once no halved step improves, or after ``_BGDA_MAX_ITERS``
-#: steps.
+#: Gradient ascent tries a step of ``_BGDA_STEP`` times the gradient first,
+#: halving it until the objective improves.  It stops once the unit-noise
+#: gradient's max-norm is at most ``_BGDA_TOL``, once no halved step
+#: improves, or after ``_BGDA_MAX_ITERS`` steps.
+_BGDA_STEP = 0.5
 _BGDA_TOL = 1e-8
 _BGDA_MAX_ITERS = 10_000
 
 
-def design_bgda(problem: DesignProblem, init=None, step: float = 0.5) -> DesignResult:
+def design_bgda(problem: DesignProblem, init=None) -> DesignResult:
     """Projected gradient ascent for the error-free, unimodal objective.
 
     Steps along the closed-form gradient with halving when a step would
@@ -193,8 +195,6 @@ def design_bgda(problem: DesignProblem, init=None, step: float = 0.5) -> DesignR
     """
     if problem.p_e != 0.0:
         raise ValueError("bgda requires an error-free channel (p_e = 0)")
-    if step <= 0:
-        raise ValueError("step must be positive")
     unit = replace(problem, sigma_n2=1.0)
     if init is None:
         x = np.linspace(-1.0, 1.0, problem.n_thresholds + 2)[1:-1]
@@ -206,7 +206,7 @@ def design_bgda(problem: DesignProblem, init=None, step: float = 0.5) -> DesignR
         grad = objective_gradient(x, unit)
         if np.max(np.abs(grad)) <= _BGDA_TOL:
             break
-        s = step
+        s = _BGDA_STEP
         improved = False
         while s > 1e-14:
             cand = _project_strictly_increasing(x + s * grad)

@@ -23,6 +23,7 @@ import os
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,6 +75,10 @@ ROC_BLOCK = 256
 
 #: Most threads the pool runs; see ``_workers``.
 _MAX_WORKERS = 8
+
+#: Most bytes a command's estimate of its largest arrays and tables may
+#: reach; above it the configuration is refused before anything is allocated.
+_MEMORY_CAP = 2**30
 
 
 def _workers(jobs: int) -> int:
@@ -177,6 +182,14 @@ def _check_thresholds(name: str, bits: int, thresholds) -> None:
         raise ValueError(f"{name}: {exc}") from None
 
 
+class Reads(NamedTuple):
+    """What one ROC detector reads of a trial."""
+
+    kind: str  # "sum" of raw observations, "lmpt" (a NetworkKernels statistic) or "reconstruction"
+    bits: int | None  # depth of the received levels it reads; None for none
+    analog: bool  # whether it reads the analog observations' sum; a raw sum without it reads every sensor
+
+
 @dataclass(frozen=True)
 class RocScenario:
     """One ROC comparison run over a fixed sensor fleet.
@@ -184,7 +197,8 @@ class RocScenario:
     The fleet has ``m_quantized`` low-rate sensors (observed through
     ``bits_hybrid``- or ``bits_low``-bit quantizers depending on the
     detector) and ``m_full`` analog sensors.  Thresholds default to the
-    optimized designs for the scenario's channel quality.
+    optimized designs for the scenario's channel quality.  The fleet and
+    channel are checked against what the chosen detectors read (``roster``).
 
     ``theta`` is refused where an observation or a per-trial sum could
     overflow.  Under the alternative ``y = theta * (1 + sigma_h * g) +
@@ -194,6 +208,10 @@ class RocScenario:
     one over ``m_total`` observations and the hybrid detector's ``m_full``
     analog ones over ``sigma_n2``: ``max(m_total, m_full / sigma_n2)`` times
     that bound must be finite (the noncentralities are smaller).
+
+    A fleet is refused whose blocks of trials would take more than
+    ``_MEMORY_CAP`` bytes, ``_MAX_WORKERS`` blocks at once, by the estimate
+    of ``_trial_bytes``.
     """
 
     theta: float = 0.25
@@ -215,6 +233,8 @@ class RocScenario:
         SignalParams(self.theta, self.sigma_n2, self.sigma_h2)  # checks the three fields
         check_bits("bits_hybrid", self.bits_hybrid)
         check_bits("bits_low", self.bits_low)
+        if self.bits_low == self.bits_hybrid:
+            raise ValueError("bits_low and bits_hybrid must differ (labels collide)")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         grid = tuple(self.pfa_grid)
@@ -224,30 +244,35 @@ class RocScenario:
             raise ValueError("pfa_grid values must lie in (0, 1)")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("pfa_grid must be strictly increasing")
+        roster = self.roster()
         if not self.detectors:
-            object.__setattr__(self, "detectors", self.default_detectors())
+            object.__setattr__(self, "detectors", tuple(roster))
         if len(set(self.detectors)) != len(self.detectors):
             raise ValueError("detectors must not repeat a name")
-        unknown = set(self.detectors) - set(self.default_detectors())
+        unknown = set(self.detectors) - set(roster)
         if unknown:
             raise ValueError(f"unknown detectors {sorted(unknown)}")
         if self.m_quantized < 0 or self.m_full < 0 or self.m_quantized + self.m_full < 1:
             raise ValueError("the fleet must contain at least one sensor")
+        estimate = _MAX_WORKERS * min(ROC_BLOCK, self.trials) * self._trial_bytes()
+        if estimate > _MEMORY_CAP:
+            raise ValueError(
+                f"m_quantized = {self.m_quantized} and m_full = {self.m_full} are too many: the blocks of "
+                f"trials would take about {estimate / 2**30:.3g} GiB, above the {_MEMORY_CAP / 2**30:g} GiB cap"
+            )
         check_sigma_n2(self.sigma_n2, self.m_total)
         peak = (self.theta * (1.0 + math.sqrt(self.sigma_h2) * GAUSSIAN_REACH)
                 + math.sqrt(self.sigma_n2) * GAUSSIAN_REACH)
         if not math.isfinite(max(self.m_total, self.m_full / self.sigma_n2) * peak):
             raise ValueError(f"theta = {self.theta!r} is too large: the per-trial sums of observations overflow")
-        if self.bits_low == self.bits_hybrid:
-            raise ValueError("bits_low and bits_hybrid must differ (labels collide)")
-        needs_q = {self.label_low, self.label_hybrid_q, self.label_hybrid, self.label_reconstruction}
-        if self.m_quantized == 0 and needs_q & set(self.detectors):
+        chosen = [roster[det] for det in self.detectors]
+        if self.m_quantized == 0 and any(reads.bits for reads in chosen):
             raise ValueError("quantized detectors need m_quantized >= 1")
-        if self.m_full == 0 and {"fp", self.label_hybrid, self.label_reconstruction} & set(self.detectors):
+        if self.m_full == 0 and any(reads.analog for reads in chosen):
             raise ValueError("full-precision detectors need m_full >= 1")
         if not 0.0 <= self.p_e <= 0.5:
             raise ValueError("p_e must lie in [0, 0.5]")
-        blind = {self.label_low, self.label_hybrid_q} & set(self.detectors)
+        blind = [det for det in self.detectors if roster[det].kind == "lmpt" and not roster[det].analog]
         if self.p_e == 0.5 and blind:
             raise ValueError(f"p_e = 0.5 erases every level: detectors {sorted(blind)} carry no information")
         if self.thresholds_hybrid is not None:
@@ -255,41 +280,40 @@ class RocScenario:
         if self.thresholds_low is not None:
             _check_thresholds("thresholds_low", self.bits_low, self.thresholds_low)
 
-    @property
-    def label_low(self) -> str:
-        return f"{self.bits_low}b"
+    def roster(self) -> dict[str, Reads]:
+        """Every detector's label and what it reads, in the default order."""
+        return {
+            "clairvoyant": Reads("sum", None, False),
+            f"{self.bits_low}b": Reads("lmpt", self.bits_low, False),
+            f"{self.bits_hybrid}b": Reads("lmpt", self.bits_hybrid, False),
+            "fp": Reads("sum", None, True),
+            f"{self.bits_hybrid}b-fp": Reads("lmpt", self.bits_hybrid, True),
+            f"r-{self.bits_hybrid}b-fp": Reads("reconstruction", self.bits_hybrid, True),
+        }
 
-    @property
-    def label_hybrid_q(self) -> str:
-        return f"{self.bits_hybrid}b"
+    def _trial_bytes(self) -> int:
+        """Bytes one trial of a ``run_roc`` block may hold at its peak, read at both bit depths.
 
-    @property
-    def label_hybrid(self) -> str:
-        return f"{self.bits_hybrid}b-fp"
-
-    @property
-    def label_reconstruction(self) -> str:
-        return f"r-{self.bits_hybrid}b-fp"
-
-    def default_detectors(self) -> tuple[str, ...]:
-        return (
-            "clairvoyant",
-            self.label_low,
-            self.label_hybrid_q,
-            "fp",
-            self.label_hybrid,
-            self.label_reconstruction,
-        )
+        Per observation 32: the block's observations and, under H1, their
+        noise; the previous block's observations, which a worker holds until
+        the new ones replace them; and 8 of headroom.  Per quantized sensor
+        56 plus 9 per bit of each depth: both depths' received levels, twice
+        over for headroom, the sent levels and search temporaries of
+        the depth being drawn, the gather of its scores or centroids, and
+        per bit a flip uniform and its mask byte.  Per trial 128: the
+        detectors' statistics and their exceedances.
+        """
+        depths = self.bits_hybrid + self.bits_low
+        return 32 * self.m_total + self.m_quantized * (56 + 9 * depths) + 128
 
     @property
     def m_total(self) -> int:
         return self.m_quantized + self.m_full
 
 
-def _scenario_quantizer(
-    scenario: RocScenario, bits: int, thresholds: tuple[float, ...] | None
-) -> QuantizerSpec:
-    """The given thresholds, or else the optimized design for the scenario's channel."""
+def _scenario_quantizer(scenario: RocScenario, bits: int) -> QuantizerSpec:
+    """The scenario's thresholds at depth ``bits``, or else the optimized design for its channel."""
+    thresholds = scenario.thresholds_hybrid if bits == scenario.bits_hybrid else scenario.thresholds_low
     if thresholds is None:
         thresholds = optimized_thresholds(
             bits, scenario.p_e, scenario.sigma_n2, PsoSettings(seed=scenario.seed)
@@ -302,16 +326,16 @@ def run_roc(scenario: RocScenario) -> Table:
 
     Decision thresholds come from the asymptotic theory; the empirical
     false-alarm rate is reported next to the target to expose asymptotic
-    error.  Theory detection probabilities are filled for the locally
-    optimal detectors (the reconstruction baseline has none).
+    error.  Theory detection probabilities are filled for the raw sums and
+    the locally optimal detectors (the reconstruction baseline has none).
 
     Trials run in blocks of ``ROC_BLOCK``.  Block ``b`` under hypothesis
     ``h`` draws from ``trial_rng(seed, h, b)``: the block's ``n * m_total``
     observations (under H1 all gains, then all noise), reshaped to one row
     per trial; then, through ``bsc_corrupt_levels``, an ``(n, m_quantized,
-    bits_hybrid)`` flip mask if a ``bits_hybrid`` detector is requested;
-    then an ``(n, m_quantized, bits_low)`` mask if the ``bits_low``
-    detector is.  No flips are drawn when ``p_e == 0``.  These streams,
+    bits_hybrid)`` flip mask if a detector reads ``bits_hybrid`` levels;
+    then an ``(n, m_quantized, bits_low)`` mask if one reads ``bits_low``
+    levels.  No flips are drawn when ``p_e == 0``.  These streams,
     this draw order and ``ROC_BLOCK`` are the block kernel's whole output
     contract: the passes after the draws (quantizing, flipping, scoring)
     may change only so that every count stays the same.  Only exceedance
@@ -326,53 +350,34 @@ def run_roc(scenario: RocScenario) -> Table:
     sigma_n = math.sqrt(scenario.sigma_n2)
     params = SignalParams(scenario.theta, scenario.sigma_n2, scenario.sigma_h2)
     m_q, m_u, m_total = scenario.m_quantized, scenario.m_full, scenario.m_total
-    want = set(scenario.detectors)
+    roster = scenario.roster()
+    chosen = [roster[det] for det in scenario.detectors]
     norm = sigma_n * math.sqrt(m_total)
 
-    # Each detector maps a block's parts to one statistic per trial.  The
-    # parts are the observations, one row per trial; the received hybrid
-    # and low-rate levels; the per-trial sum of the analog observations;
-    # and the per-trial sum of the hybrid levels' scores.  The two sums are
-    # shared by several detectors and computed once per block.
-    detectors = {"clairvoyant": lambda y, hybrid, low_levels, analog, scores: y.sum(axis=1) / norm}
-    lam = {"clairvoyant": params.theta * math.sqrt(m_total / scenario.sigma_n2)}
-    if m_u:
-        detectors["fp"] = lambda y, hybrid, low_levels, analog, scores: analog / (sigma_n * math.sqrt(m_u))
-        lam["fp"] = params.theta * math.sqrt(m_u / scenario.sigma_n2)
-
-    spec_hybrid = spec_low = None
-    if {scenario.label_hybrid_q, scenario.label_hybrid, scenario.label_reconstruction} & want:
-        spec_hybrid = _scenario_quantizer(scenario, scenario.bits_hybrid, scenario.thresholds_hybrid)
-        full = NetworkKernels(spec_hybrid, scenario.p_e, m_q, m_u, scenario.sigma_n2)
-        quantized = NetworkKernels(spec_hybrid, scenario.p_e, m_q, 0, scenario.sigma_n2)
-        # Indexed by received level itself; entry 0 is never read.
-        recon = np.concatenate(([0.0], reconstruction_table(spec_hybrid, sigma_n)))
-        detectors[scenario.label_hybrid_q] = (
-            lambda y, hybrid, low_levels, analog, scores: quantized.statistic(scores)
-        )
-        detectors[scenario.label_hybrid] = (
-            lambda y, hybrid, low_levels, analog, scores: full.statistic(scores, analog)
-        )
-        detectors[scenario.label_reconstruction] = (
-            lambda y, hybrid, low_levels, analog, scores: (recon[hybrid].sum(axis=1) + analog) / norm
-        )
-        lam[scenario.label_hybrid] = params.theta * math.sqrt(full.fisher_info)
-        lam[scenario.label_hybrid_q] = params.theta * math.sqrt(quantized.fisher_info)
-    if scenario.label_low in want:
-        spec_low = _scenario_quantizer(scenario, scenario.bits_low, scenario.thresholds_low)
-        low = NetworkKernels(spec_low, scenario.p_e, m_q, 0, scenario.sigma_n2)
-        detectors[scenario.label_low] = (
-            lambda y, hybrid, low_levels, analog, scores: low.statistic(low.score_sums(low_levels))
-        )
-        lam[scenario.label_low] = params.theta * math.sqrt(low.fisher_info)
-    need_analog = m_u and {"fp", scenario.label_hybrid, scenario.label_reconstruction} & want
-    need_scores = {scenario.label_hybrid_q, scenario.label_hybrid} & want
-
-    def received(spec, y, rng):
-        if spec is None:
-            return None
-        sent = quantize_batch(y[:, :m_q], spec)
-        return bsc_corrupt_levels(sent, spec.bits, scenario.p_e, rng)
+    # The quantizers some detector reads, in draw order.
+    specs = {
+        bits: _scenario_quantizer(scenario, bits)
+        for bits in (scenario.bits_hybrid, scenario.bits_low)
+        if any(reads.bits == bits for reads in chosen)
+    }
+    # A kernel per LMPT detector, keyed by the (depth, reads analog) pair
+    # that tells the roster's LMPT entries apart; a centroid table per
+    # reconstruction depth; and the noncentrality of every detector but it.
+    kernels, recon, lam = {}, {}, {}
+    for det, (kind, bits, analog) in zip(scenario.detectors, chosen):
+        if kind == "sum":
+            lam[det] = params.theta * math.sqrt((m_u if analog else m_total) / scenario.sigma_n2)
+        elif kind == "lmpt":
+            kernel = kernels[bits, analog] = NetworkKernels(
+                specs[bits], scenario.p_e, m_q, m_u if analog else 0, scenario.sigma_n2)
+            lam[det] = params.theta * math.sqrt(kernel.fisher_info)
+        else:
+            # Indexed by received level itself; entry 0 is never read.
+            recon[bits] = np.concatenate(([0.0], reconstruction_table(specs[bits], sigma_n)))
+    # The score table depends on the quantizer and channel alone, so each
+    # depth's score sums come from one of its kernels and serve them all.
+    scorers = {bits: kernel for (bits, _), kernel in kernels.items()}
+    read_analog = any(reads.analog for reads in chosen)
 
     # Thresholds down a column, so each comparison runs along a contiguous row.
     etas = np.array([threshold_for_pfa(pfa) for pfa in scenario.pfa_grid])[:, None]
@@ -387,14 +392,23 @@ def run_roc(scenario: RocScenario) -> Table:
             n = min(ROC_BLOCK, scenario.trials - block_idx * ROC_BLOCK)
             rng = trial_rng(scenario.seed, hyp_idx, block_idx)
             y = simulate_observations(params, hypotheses[hyp_idx], n * m_total, rng).reshape(n, m_total)
-            # The flips are drawn in this order, after the observations.
-            hybrid = received(spec_hybrid, y, rng)
-            low_levels = received(spec_low, y, rng)
-            analog = y[:, m_q:].sum(axis=1) if need_analog else None
-            scores = quantized.score_sums(hybrid) if need_scores else None
-            stats = np.stack([detectors[det](y, hybrid, low_levels, analog, scores) for det in scenario.detectors])
-            exceed = np.zeros((2, len(scenario.detectors), len(etas)), dtype=np.int64)
-            exceed[hyp_idx] = (stats[:, None, :] > etas).sum(axis=2)
+            # The flips are drawn in this order, after the observations.  The
+            # previous block's levels are dropped before the new ones are drawn.
+            levels = {}
+            for bits, spec in specs.items():
+                levels[bits] = bsc_corrupt_levels(quantize_batch(y[:, :m_q], spec), bits, scenario.p_e, rng)
+            scores = {bits: kernel.score_sums(levels[bits]) for bits, kernel in scorers.items()}
+            analog = y[:, m_q:].sum(axis=1) if read_analog else None
+            stats = []
+            for kind, bits, reads_analog in chosen:
+                if kind == "sum":
+                    stats.append(analog / (sigma_n * math.sqrt(m_u)) if reads_analog else y.sum(axis=1) / norm)
+                elif kind == "lmpt":
+                    stats.append(kernels[bits, reads_analog].statistic(scores[bits], analog if reads_analog else None))
+                else:
+                    stats.append((recon[bits][levels[bits]].sum(axis=1) + analog) / norm)
+            exceed = np.zeros((2, len(chosen), len(etas)), dtype=np.int64)
+            exceed[hyp_idx] = (np.stack(stats)[:, None, :] > etas).sum(axis=2)
             counts.append(exceed)
         return counts
 
@@ -404,13 +418,12 @@ def run_roc(scenario: RocScenario) -> Table:
 
     rows = []
     for k, det in enumerate(scenario.detectors):
-        lam_det = lam.get(det)
         for j, pfa in enumerate(scenario.pfa_grid):
             eta = float(etas[j, 0])
             pfa_mc = int(exceed[0, k, j]) / scenario.trials
             pd_mc = int(exceed[1, k, j]) / scenario.trials
             stderr = math.sqrt(max(pd_mc * (1.0 - pd_mc), 0.0) / scenario.trials)
-            pd_theory = theoretical_pd(lam_det, eta) if lam_det is not None else None
+            pd_theory = theoretical_pd(lam[det], eta) if det in lam else None
             rows.append((det, float(pfa), eta, pd_theory, pfa_mc, pd_mc, stderr))
     return Table(ROC_COLUMNS, rows)
 
@@ -517,10 +530,6 @@ def run_sweep(scenario: SweepScenario) -> tuple[Table, Table]:
 # ---------------------------------------------------------------------------
 
 
-#: Most bytes a command's estimate of its largest arrays and tables may
-#: reach; above it the configuration is refused before anything is allocated.
-_MEMORY_CAP = 2**30
-
 #: Bytes per grid cell at the peak of ``run_landscape`` followed by ``emit``:
 #: the grid's float arrays, the table's Python rows and, for JSON, their
 #: encoded text, which peaks near 440 bytes a cell.
@@ -573,7 +582,6 @@ class DesignScenario:
     tau_max: float = 5.0
     methods: tuple[str, ...] = ("bgda", "pso")
     bgda_init: tuple[float, ...] | None = None
-    bgda_step: float = 0.5
     seed: int = 20260810
 
     def __post_init__(self):
@@ -585,8 +593,6 @@ class DesignScenario:
         unknown = set(self.methods) - {"bgda", "pso"}
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; expected 'bgda' or 'pso'")
-        if self.bgda_step <= 0:
-            raise ValueError("bgda_step must be positive")
         if "bgda" in self.methods and self.p_e != 0.0:
             raise ValueError("methods: bgda requires an error-free channel (p_e = 0)")
         if self.bgda_init is not None:
@@ -608,7 +614,7 @@ def run_design(scenario: DesignScenario) -> Table:
     rows = []
     for method in scenario.methods:
         if method == "bgda":
-            result = design_bgda(problem, scenario.bgda_init, step=scenario.bgda_step)
+            result = design_bgda(problem, scenario.bgda_init)
         else:
             result = design_pso(problem, PsoSettings(seed=scenario.seed))
         rows.append(

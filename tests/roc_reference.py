@@ -82,12 +82,18 @@ def per_trial_roc(scenario: RocScenario) -> Table:
     params = SignalParams(scenario.theta, scenario.sigma_n2, scenario.sigma_h2)
     m_q, m_u = scenario.m_quantized, scenario.m_full
     want = set(scenario.detectors)
+    # The labels are spelled here, not read from the scenario's roster, so
+    # that a wrong roster entry shows up as a mismatch.
+    label_low = f"{scenario.bits_low}b"
+    label_hybrid_q = f"{scenario.bits_hybrid}b"
+    label_hybrid = f"{scenario.bits_hybrid}b-fp"
+    label_reconstruction = f"r-{scenario.bits_hybrid}b-fp"
 
     spec_hybrid = spec_low = None
-    if {scenario.label_hybrid_q, scenario.label_hybrid, scenario.label_reconstruction} & want:
-        spec_hybrid = _scenario_quantizer(scenario, scenario.bits_hybrid, scenario.thresholds_hybrid)
-    if scenario.label_low in want:
-        spec_low = _scenario_quantizer(scenario, scenario.bits_low, scenario.thresholds_low)
+    if {label_hybrid_q, label_hybrid, label_reconstruction} & want:
+        spec_hybrid = _scenario_quantizer(scenario, scenario.bits_hybrid)
+    if label_low in want:
+        spec_low = _scenario_quantizer(scenario, scenario.bits_low)
     kernels = {}
     lam = {}
     if spec_hybrid is not None and m_q:
@@ -98,13 +104,13 @@ def per_trial_roc(scenario: RocScenario) -> Table:
     lam["clairvoyant"] = params.theta * math.sqrt(scenario.m_total / scenario.sigma_n2)
     lam["fp"] = params.theta * math.sqrt(m_u / scenario.sigma_n2) if m_u else None
     if "hybrid_full" in kernels:
-        lam[scenario.label_hybrid] = params.theta * math.sqrt(kernels["hybrid_full"].fisher_info)
-        lam[scenario.label_hybrid_q] = params.theta * math.sqrt(kernels["hybrid_q"].fisher_info)
+        lam[label_hybrid] = params.theta * math.sqrt(kernels["hybrid_full"].fisher_info)
+        lam[label_hybrid_q] = params.theta * math.sqrt(kernels["hybrid_q"].fisher_info)
     if "low" in kernels:
-        lam[scenario.label_low] = params.theta * math.sqrt(kernels["low"].fisher_info)
+        lam[label_low] = params.theta * math.sqrt(kernels["low"].fisher_info)
 
     recon = None
-    if scenario.label_reconstruction in want:
+    if label_reconstruction in want:
         recon = reconstruction_table(spec_hybrid, sigma_n)
 
     stats = {
@@ -142,16 +148,16 @@ def per_trial_roc(scenario: RocScenario) -> Table:
                         row[det][t] = y.sum() / (sigma_n * math.sqrt(scenario.m_total))
                     elif det == "fp":
                         row[det][t] = float(y_u.sum() / (sigma_n * math.sqrt(y_u.size)))
-                    elif det == scenario.label_low:
+                    elif det == label_low:
                         low = kernels["low"]
                         row[det][t] = float(low.statistic(low.score_sums(levels_low)))
-                    elif det == scenario.label_hybrid_q:
+                    elif det == label_hybrid_q:
                         hybrid_q = kernels["hybrid_q"]
                         row[det][t] = float(hybrid_q.statistic(hybrid_q.score_sums(levels_hybrid)))
-                    elif det == scenario.label_hybrid:
+                    elif det == label_hybrid:
                         full = kernels["hybrid_full"]
                         row[det][t] = float(full.statistic(full.score_sums(levels_hybrid), y_u.sum()))
-                    elif det == scenario.label_reconstruction:
+                    elif det == label_reconstruction:
                         restored = recon[levels_hybrid - 1].sum() + y_u.sum()
                         row[det][t] = restored / (sigma_n * math.sqrt(scenario.m_total))
 

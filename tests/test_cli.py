@@ -56,6 +56,21 @@ def test_unknown_preset_fails_with_json_error(tmp_path, capsys):
     assert "unknown preset" in err["error"]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_unwritable_output_path_fails_with_json_error(tmp_path, capsys, fmt):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"points": 5}))
+    out = tmp_path / "missing" / "x.csv"
+    code = main(["fi-landscape", "--config", str(cfg), "--format", fmt, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert str(out) in error
+    assert "No such file or directory" in error
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"not_a_key": 1}))
@@ -375,7 +390,8 @@ def _no_design(*_args, **_kwargs):
         ("design-quantizer", {"methods": []}, "methods"),
         ("design-quantizer", {"methods": ["pso", "pso"]}, "methods"),
         ("design-quantizer", {"methods": ["pso", "nope"]}, "methods"),
-        ("design-quantizer", {"bgda_step": 0}, "bgda_step"),
+        # The ascent's first step is a constant, not a config key.
+        ("design-quantizer", {"bgda_step": 0.5}, "bgda_step"),
         ("design-quantizer", {"p_e": 0.2, "methods": ["pso", "bgda"]}, "bgda"),
         ("design-quantizer", {"methods": ["pso", "bgda"], "bgda_init": [0.0, 1.0]}, "bgda_init"),
         # Landscape grids are 2-bit only, and every codeword is natural
@@ -384,6 +400,10 @@ def _no_design(*_args, **_kwargs):
         *[(command, {"mapping": "natural"}, "mapping") for command in ("roc", "sweep", "fi-landscape", "design-quantizer", "allocate")],
         # Refused by its estimated size, before the grid is allocated.
         ("fi-landscape", {"points": 20_000}, "points"),
+        # Refused by the estimated size of its blocks of trials, before any
+        # block is drawn.
+        ("roc", {"m_quantized": 10**7}, "m_quantized"),
+        ("roc", {"m_quantized": 0, "m_full": 10**7, "detectors": ["fp"]}, "m_full"),
     ],
 )
 def test_invalid_fields_rejected_before_any_design(tmp_path, capsys, monkeypatch, command, config, field):

@@ -45,14 +45,15 @@ FLOATS = st.one_of(
 #: Small draws for the integer fields that size the work, each with one
 #: value out of range (last: hypothesis draws the first values most); the
 #: fields of ``SIZES`` are set in every config, so that no default sizes it
-#: either.  ``points`` is also drawn above the landscape's memory cap, which
-#: is refused before anything is allocated, and never between.
+#: either.  ``points``, ``m_quantized`` and ``m_full`` are also drawn above
+#: the memory cap of the landscape or of the ROC blocks, which is refused
+#: before anything is allocated, and never between.
 BITS = st.sampled_from((2, 1, 3, 0))
 INTS = {
     "trials": st.sampled_from((10, 1, 20, 0)),
     "points": st.sampled_from((2, 1, 5, 20_000, 10**8, 0)),
-    "m_quantized": st.sampled_from((3, 1, 6, 0, -1)),
-    "m_full": st.sampled_from((3, 1, 6, 0, -1)),
+    "m_quantized": st.sampled_from((3, 1, 6, 0, 10**9, -1)),
+    "m_full": st.sampled_from((3, 1, 6, 0, 10**9, -1)),
     "m_total": st.sampled_from((10, 20, 7, 0)),
     "m_values": st.sampled_from((10, 20, 7, 0)),
     "bits": BITS,

@@ -251,10 +251,6 @@ class TestBgda:
         with pytest.raises(ValueError):
             design_bgda(DesignProblem(bits=1, p_e=0.2), (0.0,))
 
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            design_bgda(DesignProblem(bits=1, p_e=0.0), (0.0,), step=0.0)
-
 
 class TestPso:
     def test_one_bit(self):

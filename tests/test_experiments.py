@@ -188,6 +188,48 @@ class TestRoc:
         assert recs["clairvoyant"][0.2]["pd_theory"] is not None
 
 
+#: What each default detector reads, spelled out here rather than taken from
+#: ``RocScenario.roster``: received levels, the analog sums, and whether it
+#: is a locally optimal (LMPT) statistic.
+_READS = {
+    "clairvoyant": (False, False, False),
+    "1b": (True, False, True),
+    "3b": (True, False, True),
+    "fp": (False, True, False),
+    "3b-fp": (True, True, True),
+    "r-3b-fp": (True, True, False),
+}
+
+
+class TestRocRoster:
+    def test_default_detectors_are_the_roster(self):
+        scenario = RocScenario()
+        assert scenario.detectors == tuple(scenario.roster()) == tuple(_READS)
+        deeper = RocScenario(bits_hybrid=4, bits_low=2)
+        assert deeper.detectors == ("clairvoyant", "2b", "4b", "fp", "4b-fp", "r-4b-fp")
+
+    @pytest.mark.parametrize("detector", list(_READS))
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("m_quantized", 0, "quantized detectors need m_quantized >= 1"),
+            ("m_full", 0, "full-precision detectors need m_full >= 1"),
+            ("p_e", 0.5, "p_e = 0.5 erases every level: detectors"),
+        ],
+    )
+    def test_each_detector_alone_is_refused_exactly_where_it_reads_what_is_missing(
+        self, detector, field, value, message
+    ):
+        levels, analog, lmpt = _READS[detector]
+        refused = {"m_quantized": levels, "m_full": analog, "p_e": lmpt and not analog}[field]
+        config = {"detectors": (detector,), field: value}
+        if refused:
+            with pytest.raises(ValueError, match=message):
+                RocScenario(**config)
+        else:
+            assert RocScenario(**config).detectors == (detector,)
+
+
 #: Hybrid thresholds: a 3-bit design for a clean channel, and the swarm
 #: design of ``roc --preset errorprone``, which has near-empty cells.
 _CLEAN_3BIT = (-1.748, -1.05, -0.501, 0.0, 0.501, 1.05, 1.748)
@@ -367,6 +409,33 @@ class TestRocMemory:
             2 * scenario.m_total + scenario.m_quantized * (scenario.bits_hybrid + scenario.bits_low)
         )
         assert peak(20 * ROC_BLOCK) - peak(2 * ROC_BLOCK) <= block
+
+    @pytest.mark.parametrize(
+        "m_q, m_u, bits_hybrid, bits_low, trials",
+        [
+            (400, 100, 3, 1, ROC_BLOCK),
+            # Analog-heavy: the observations dominate.
+            (10, 2000, 3, 1, ROC_BLOCK),
+            # Deep quantizers and a short block: the flip uniforms dominate.
+            (600, 10, 8, 7, 100),
+        ],
+    )
+    def test_memory_estimate_covers_the_measured_peak(self, monkeypatch, m_q, m_u, bits_hybrid, bits_low, trials):
+        # One worker holds one block at a time; ``RocScenario`` refuses
+        # ``_MAX_WORKERS`` times this estimate above the cap.
+        monkeypatch.setattr(experiments, "_workers", lambda jobs: 1)
+        scenario = RocScenario(
+            m_quantized=m_q, m_full=m_u, bits_hybrid=bits_hybrid, bits_low=bits_low, p_e=0.2, trials=trials,
+            thresholds_hybrid=tuple(np.linspace(-1.5, 1.5, 2**bits_hybrid - 1)),
+            thresholds_low=tuple(np.linspace(-1.5, 1.5, 2**bits_low - 1)),
+        )
+        tracemalloc.start()
+        try:
+            run_roc(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= min(ROC_BLOCK, trials) * scenario._trial_bytes(), peak
 
 
 class TestSweepWorkers:
