@@ -46,6 +46,7 @@ __all__ = [
     "solve_ilp",
     "allocate",
     "allocate_sweep",
+    "program_bytes",
     "allocate_dp_oracle",
     "validate_allocation",
 ]
@@ -416,15 +417,7 @@ def allocate_sweep(
         raise ValueError("information table does not match the histogram")
     L, N = table.max_bits, table.n_categories
     hists = [[ErrorHistogram(epsilons, freqs, m) for m in m_values] for freqs in cases]
-    refused, spare = {}, {}
-    for m in m_values:
-        cap = m * max(l0, L)
-        if budget < m:
-            refused[m] = f"{budget} bits cannot give each of {m} sensors one bit"
-        elif budget_mode is BudgetMode.EXACT and budget > cap:
-            refused[m] = f"no assignment consumes exactly {budget} bits; none spends over {cap}"
-        else:
-            spare[m] = min(budget, cap) - m
+    refused, spare = _spare_bits(m_values, budget, l0, L, budget_mode)
     # The sensors of every fleet up to the largest solved, in the nested order.
     fleets = sorted(m for m in set(m_values) if m <= max(spare, default=0))
     # Every sensor spends at least one bit, so the program counts the bits
@@ -472,6 +465,40 @@ def allocate_sweep(
         validate_allocation(result, hist, budget, l0, budget_mode)
         outcomes.append(result)
     return outcomes
+
+
+def _spare_bits(m_values, budget, l0, L, budget_mode):
+    """Per fleet size of ``m_values``: why no assignment is tried, or the
+    spare bits, beyond one a sensor, that its program spans."""
+    refused, spare = {}, {}
+    for m in m_values:
+        cap = m * max(l0, L)
+        if budget < m:
+            refused[m] = f"{budget} bits cannot give each of {m} sensors one bit"
+        elif budget_mode is BudgetMode.EXACT and budget > cap:
+            refused[m] = f"no assignment consumes exactly {budget} bits; none spends over {cap}"
+        else:
+            spare[m] = min(budget, cap) - m
+    return refused, spare
+
+
+def program_bytes(m_values, rows: int, budget: int, l0: int, max_bits: int, budget_mode: BudgetMode) -> int:
+    """Bytes the arrays of :func:`allocate_sweep` may hold at once, from its
+    arguments alone, for ``rows`` (case, sense) rows.
+
+    The program runs over the sensors of the largest fleet solved, each row
+    as wide as the largest spare plus one.  Per sensor and row: the int8
+    choice of every column, the float64 gains of the ``max_bits + 1``
+    options, twice over while they are stacked, and an int64 category
+    index.  Per row and column: the float64 states, in two buffers, ``cand``
+    and one copy per fleet stop, and a mask byte.
+    """
+    _, spare = _spare_bits(m_values, budget, l0, max_bits, budget_mode)
+    if not spare:
+        return 0
+    sensors, width = max(spare), max(spare.values()) + 1
+    stops = sum(1 for m in set(m_values) if m <= sensors)
+    return rows * (sensors * (width + 16 * (max_bits + 1) + 8) + width * (8 * (3 + stops) + 1))
 
 
 def _sensor_program(gains, extra, spare, stops):

@@ -16,6 +16,7 @@ import dataclasses
 import enum
 import json
 import math
+import os
 import re
 import sys
 import types
@@ -185,9 +186,27 @@ def _distribution_path(out: str) -> str:
     return str(p.with_name(p.stem + "_distribution" + p.suffix))
 
 
+def _check_out_dir(out: str) -> None:
+    """Refuse an ``--out`` whose directory is missing or not writable.
+
+    Checked before the run, so that a bad path ends the command at once
+    rather than after the work; the ``_distribution`` file shares the
+    directory, so this covers it too.
+    """
+    directory = Path(out).parent
+    if not directory.is_dir():
+        reason = "Not a directory" if directory.exists() else "No such file or directory"
+    elif not os.access(directory, os.W_OK):
+        reason = "Permission denied"
+    else:
+        return
+    raise CliError(f"cannot write output file {out}: {reason}")
+
+
 def _run(args) -> int:
     _, cls, runner = _COMMANDS[args.command]
     scenario = _build_scenario(cls, _merge(args, cls))
+    _check_out_dir(args.out)
     tables = globals()[runner](scenario)
     if not isinstance(tables, tuple):
         tables = (tables,)

@@ -201,13 +201,14 @@ class RocScenario:
     channel are checked against what the chosen detectors read (``roster``).
 
     ``theta`` is refused where an observation or a per-trial sum could
-    overflow.  Under the alternative ``y = theta * (1 + sigma_h * g) +
-    sigma_n * w`` with standard normal ``g`` and ``w``, which pass ``R =
-    GAUSSIAN_REACH`` with probability below 1e-307, so ``|y| <= theta * (1
-    + sigma_h * R) + sigma_n * R``.  The largest sums are the clairvoyant
-    one over ``m_total`` observations and the hybrid detector's ``m_full``
-    analog ones over ``sigma_n2``: ``max(m_total, m_full / sigma_n2)`` times
-    that bound must be finite (the noncentralities are smaller).
+    overflow.  Under the alternative ``y = theta + hypot(theta * sigma_h,
+    sigma_n) * z`` with a standard normal ``z``, which passes ``R =
+    GAUSSIAN_REACH`` with probability below 1e-307; since ``hypot(a, b) <=
+    a + b``, ``|y| <= theta * (1 + sigma_h * R) + sigma_n * R``.  The
+    largest sums are the clairvoyant one over ``m_total`` observations and
+    the hybrid detector's ``m_full`` analog ones over ``sigma_n2``:
+    ``max(m_total, m_full / sigma_n2)`` times that bound must be finite
+    (the noncentralities are smaller).
 
     A fleet is refused whose blocks of trials would take more than
     ``_MEMORY_CAP`` bytes, ``_MAX_WORKERS`` blocks at once, by the estimate
@@ -294,14 +295,14 @@ class RocScenario:
     def _trial_bytes(self) -> int:
         """Bytes one trial of a ``run_roc`` block may hold at its peak, read at both bit depths.
 
-        Per observation 32: the block's observations and, under H1, their
-        noise; the previous block's observations, which a worker holds until
-        the new ones replace them; and 8 of headroom.  Per quantized sensor
-        56 plus 9 per bit of each depth: both depths' received levels, twice
-        over for headroom, the sent levels and search temporaries of
-        the depth being drawn, the gather of its scores or centroids, and
-        per bit a flip uniform and its mask byte.  Per trial 128: the
-        detectors' statistics and their exceedances.
+        Per observation 32: the block's observations; the previous block's
+        observations, which a worker holds until the new ones replace them;
+        and 16 of headroom.  Per quantized sensor 56 plus 9 per bit of each
+        depth: both depths' received levels, twice over for headroom, the
+        sent levels and search temporaries of the depth being drawn, the
+        gather of its scores or centroids, and per bit a flip uniform and
+        its mask byte.  Per trial 128: the detectors' statistics and their
+        exceedances.
         """
         depths = self.bits_hybrid + self.bits_low
         return 32 * self.m_total + self.m_quantized * (56 + 9 * depths) + 128
@@ -331,15 +332,15 @@ def run_roc(scenario: RocScenario) -> Table:
 
     Trials run in blocks of ``ROC_BLOCK``.  Block ``b`` under hypothesis
     ``h`` draws from ``trial_rng(seed, h, b)``: the block's ``n * m_total``
-    observations (under H1 all gains, then all noise), reshaped to one row
-    per trial; then, through ``bsc_corrupt_levels``, an ``(n, m_quantized,
-    bits_hybrid)`` flip mask if a detector reads ``bits_hybrid`` levels;
-    then an ``(n, m_quantized, bits_low)`` mask if one reads ``bits_low``
-    levels.  No flips are drawn when ``p_e == 0``.  These streams,
-    this draw order and ``ROC_BLOCK`` are the block kernel's whole output
-    contract: the passes after the draws (quantizing, flipping, scoring)
-    may change only so that every count stays the same.  Only exceedance
-    counts outlive a block.
+    observations (one normal each, under either hypothesis), reshaped to
+    one row per trial; then, through ``bsc_corrupt_levels``, an ``(n,
+    m_quantized, bits_hybrid)`` flip mask if a detector reads
+    ``bits_hybrid`` levels; then an ``(n, m_quantized, bits_low)`` mask if
+    one reads ``bits_low`` levels.  No flips are drawn when ``p_e == 0``.
+    These streams, this draw order and ``ROC_BLOCK`` are the block kernel's
+    whole output contract: the passes after the draws (quantizing,
+    flipping, scoring) may change only so that every count stays the same.
+    Only exceedance counts outlive a block.
 
     The ``(hypothesis, block)`` jobs run concurrently on the thread pool of
     ``_pool_map``, whose size comes from CPU affinity and no option sets.
@@ -433,6 +434,35 @@ def run_roc(scenario: RocScenario) -> Table:
 # ---------------------------------------------------------------------------
 
 
+#: Bytes per output row of ``allocate`` and ``sweep`` (its Python objects
+#: and its encoded text, near 60 a row), and for each command's fixed
+#: objects, among them the csv writer's record buffer (128 KiB).
+_ALLOCATION_ROW_BYTES = 256
+_ALLOCATION_BASE_BYTES = 2**18
+
+
+def _allocation_bytes(scenario, m_values, rows: int) -> int:
+    """Bytes an allocation scenario's run may hold at once, for ``rows``
+    (case, sense) rows over the fleets ``m_values``: the program's arrays
+    by the estimate of ``allocation.program_bytes``, plus each point's
+    output rows, one summary row and one per (depth or full precision,
+    category), plus the fixed objects."""
+    out_rows = rows * len(m_values) * (1 + (scenario.max_bits + 1) * len(scenario.epsilons))
+    return _ALLOCATION_BASE_BYTES + out_rows * _ALLOCATION_ROW_BYTES + alloc.program_bytes(
+        m_values, rows, scenario.budget, scenario.l0, scenario.max_bits, scenario.budget_mode)
+
+
+def _check_allocation_bytes(scenario, sizes: str, m_values, rows: int) -> None:
+    """Refuse an allocation scenario whose ``_allocation_bytes`` pass
+    ``_MEMORY_CAP``; ``sizes`` names the fleet field."""
+    estimate = _allocation_bytes(scenario, m_values, rows)
+    if estimate > _MEMORY_CAP:
+        raise ValueError(
+            f"{sizes} and budget = {scenario.budget} are too large: the allocation program would take "
+            f"about {estimate / 2**30:.3g} GiB, above the {_MEMORY_CAP / 2**30:g} GiB cap"
+        )
+
+
 @dataclass(frozen=True)
 class SweepCase:
     name: str
@@ -441,7 +471,12 @@ class SweepCase:
 
 @dataclass(frozen=True)
 class SweepScenario:
-    """Detection probability versus fleet size under a fixed bit budget."""
+    """Detection probability versus fleet size under a fixed bit budget.
+
+    A sweep is refused, naming ``m_values`` and ``budget``, whose run would
+    take more than ``_MEMORY_CAP`` bytes by the estimate of
+    ``_allocation_bytes``, before anything is designed or allocated.
+    """
 
     cases: tuple[SweepCase, ...]
     epsilons: tuple[float, ...] = (0.0, 0.01, 0.1, 0.2)
@@ -480,6 +515,8 @@ class SweepScenario:
         for case in self.cases:
             for m in self.m_values:
                 alloc.ErrorHistogram(self.epsilons, case.freqs, m)
+        rows = len(self.cases) * len(self.senses)
+        _check_allocation_bytes(self, f"m_values up to {max(self.m_values)}", self.m_values, rows)
 
 
 def _assignment_rows(result: alloc.AllocationResult, epsilons) -> Iterator[tuple]:
@@ -631,6 +668,10 @@ def run_design(scenario: DesignScenario) -> Table:
 
 @dataclass(frozen=True)
 class AllocateScenario:
+    """One allocation instance.  Refused, naming ``m_total`` and ``budget``,
+    where its run would take more than ``_MEMORY_CAP`` bytes by the estimate
+    of ``_allocation_bytes``, before anything is designed or allocated."""
+
     epsilons: tuple[float, ...] = (0.0, 0.01, 0.1, 0.2)
     freqs: tuple[float, ...] = (0.6, 0.2, 0.1, 0.1)
     m_total: int = 60
@@ -644,7 +685,10 @@ class AllocateScenario:
 
     def __post_init__(self):
         alloc.check_budget(self.budget, self.l0)
+        check_bits("max_bits", self.max_bits)
         check_sigma_n2(self.sigma_n2, max(self.m_total, 1))
+        alloc.ErrorHistogram(self.epsilons, self.freqs, self.m_total)
+        _check_allocation_bytes(self, f"m_total = {self.m_total}", (self.m_total,), 1)
 
 
 ALLOCATE_COLUMNS = ("level", "epsilon", "count", "total_fi", "bits_used")

@@ -3,6 +3,8 @@ and binary-symmetric-channel transport of natural-binary codewords.
 
 The network watches for a weak nonnegative amplitude that arrives through a
 unit-mean Gaussian multiplicative gain on top of additive Gaussian noise.
+Gain and noise are independent Gaussians, so each observation is Gaussian
+too, and it is drawn from that compound law with one standard normal.
 Low-rate sensors quantize each sample into one of ``2**q`` levels, encode
 level ``i`` as the ``q``-bit natural binary codeword of ``i - 1``, and
 report it over an error-prone binary symmetric channel.  Full-precision sensors report the raw sample over a
@@ -192,9 +194,12 @@ def simulate_observations(
 ) -> np.ndarray:
     """Draw ``count`` independent sensor observations under one hypothesis.
 
-    Under the null each sample is pure additive noise; under the
-    alternative the amplitude is scaled by an independent unit-mean gain
-    before the noise is added.  ``rng`` may be an integer seed or a numpy
+    Under the null each sample is pure additive noise, ``N(0, sigma_n2)``.
+    Under the alternative the amplitude is scaled by an independent
+    unit-mean gain before the noise is added, ``y = theta * h + w``, so
+    ``y`` is exactly ``N(theta, theta**2 * sigma_h2 + sigma_n2)``; each
+    sample is drawn from that law directly, one standard normal per sample
+    under either hypothesis.  ``rng`` may be an integer seed or a numpy
     ``Generator``; identical seeds give identical sequences.
     """
     if count < 1:
@@ -207,12 +212,10 @@ def simulate_observations(
     if hypothesis is Hypothesis.H0:
         y *= params.sigma_n
         return y
-    y *= math.sqrt(params.sigma_h2)
-    y += 1.0
-    y *= params.theta
-    noise = rng.standard_normal(count)
-    noise *= params.sigma_n
-    y += noise
+    # ``hypot``, not the square root of the variance: ``theta**2`` overflows
+    # long before ``theta * sigma_h`` does.
+    y *= math.hypot(params.theta * math.sqrt(params.sigma_h2), params.sigma_n)
+    y += params.theta
     return y
 
 

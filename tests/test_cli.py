@@ -71,6 +71,24 @@ def test_unwritable_output_path_fails_with_json_error(tmp_path, capsys, fmt):
     assert "No such file or directory" in error
 
 
+def _no_run(*_args, **_kwargs):
+    raise AssertionError("the command ran before its output directory was checked")
+
+
+@pytest.mark.parametrize("command, preset", [("roc", "errorprone"), ("sweep", "two-mixes")])
+@pytest.mark.parametrize("parent, reason", [("missing", "No such file or directory"), ("file", "Not a directory")])
+def test_bad_output_directory_is_refused_before_the_run(tmp_path, capsys, monkeypatch, command, preset, parent, reason):
+    for name in ("run_roc", "run_sweep"):
+        monkeypatch.setattr(cli, name, _no_run)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / parent / "x.csv"
+    code = main([command, "--preset", preset, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == f"cannot write output file {out}: {reason}"
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"not_a_key": 1}))
@@ -404,6 +422,11 @@ def _no_design(*_args, **_kwargs):
         # block is drawn.
         ("roc", {"m_quantized": 10**7}, "m_quantized"),
         ("roc", {"m_quantized": 0, "m_full": 10**7, "detectors": ["fp"]}, "m_full"),
+        # Refused by the estimated size of the allocation program, before
+        # the information table is built.
+        ("allocate", {"m_total": 10**9, "budget": 10**19}, "m_total"),
+        ("allocate", {"l0": 10**9, "budget": 10**12}, "budget"),
+        ("sweep", {"m_values": [10**9], "budget": 10**19}, "m_values"),
     ],
 )
 def test_invalid_fields_rejected_before_any_design(tmp_path, capsys, monkeypatch, command, config, field):

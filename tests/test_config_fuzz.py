@@ -47,23 +47,28 @@ FLOATS = st.one_of(
 #: fields of ``SIZES`` are set in every config, so that no default sizes it
 #: either.  ``points``, ``m_quantized`` and ``m_full`` are also drawn above
 #: the memory cap of the landscape or of the ROC blocks, which is refused
-#: before anything is allocated, and never between.
+#: before anything is allocated, and never between.  The allocation's
+#: sizes fall on both sides of its memory cap: ``m_total`` and ``m_values``
+#: are drawn small or at 10**9, and ``budget`` (a size too, since it sets
+#: the program's width) at 300 or less or at 10**19 or more, drawn first.
+#: 10**9 sensors pass the cap with the large budgets, and are infeasible
+#: with the small ones.
 BITS = st.sampled_from((2, 1, 3, 0))
 INTS = {
     "trials": st.sampled_from((10, 1, 20, 0)),
     "points": st.sampled_from((2, 1, 5, 20_000, 10**8, 0)),
     "m_quantized": st.sampled_from((3, 1, 6, 0, 10**9, -1)),
     "m_full": st.sampled_from((3, 1, 6, 0, 10**9, -1)),
-    "m_total": st.sampled_from((10, 20, 7, 0)),
-    "m_values": st.sampled_from((10, 20, 7, 0)),
+    "m_total": st.sampled_from((10, 10**9, 20, 7, 0)),
+    "m_values": st.sampled_from((10, 10**9, 20, 7, 0)),
     "bits": BITS,
     "bits_hybrid": BITS,
     "bits_low": BITS,
     "max_bits": BITS,
-    "budget": st.one_of(st.integers(-1, 300), st.sampled_from((10**19, 10**20, 10**30))),
+    "budget": st.one_of(st.sampled_from((10**19, 10**20, 10**30)), st.integers(-1, 300)),
     "l0": st.integers(-1, 40),
 }
-SIZES = {"trials", "points", "m_quantized", "m_full", "m_total", "m_values"}
+SIZES = {"trials", "points", "m_quantized", "m_full", "m_total", "m_values", "budget"}
 THETA = st.one_of(st.floats(1e300, sys.float_info.max), FLOATS)
 NAMES = ("clairvoyant", "1b", "2b", "3b", "fp", "3b-fp", "r-3b-fp", "2b-fp", "bgda", "pso", "x")
 #: Frequencies of the default four error categories, or any short list.
@@ -123,6 +128,8 @@ def _fits(m: int, config: dict) -> bool:
     budget, l0, max_bits, mode = (config[key] for key in ("budget", "l0", "max_bits", "budget_mode"))
     if getattr(mode, "value", mode) == "atmost":
         return m <= budget
+    if not m <= budget <= m * max(l0, max_bits):  # outside every split's range, without counting them
+        return False
     return any((m - k) + k * l0 <= budget <= (m - k) * max_bits + k * l0 for k in range(m + 1))
 
 

@@ -438,6 +438,81 @@ class TestRocMemory:
         assert peak <= min(ROC_BLOCK, trials) * scenario._trial_bytes(), peak
 
 
+class TestAllocationMemory:
+    """``AllocateScenario`` and ``SweepScenario`` refuse a run whose
+    estimate, ``experiments._allocation_bytes``, passes the cap; the
+    estimate must cover what a run and its output take."""
+
+    _CASES = (SweepCase("even", (0.5, 0.5)), SweepCase("skewed", (0.25, 0.75)))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            AllocateScenario(),
+            AllocateScenario(m_total=10, budget=20),
+            # The choices dominate.
+            AllocateScenario(epsilons=(0.0, 0.2), freqs=(0.25, 0.75), m_total=400, budget=4000),
+            AllocateScenario(
+                epsilons=(0.0, 0.2), freqs=(0.25, 0.75), m_total=400, budget=4000, budget_mode=BudgetMode.EXACT),
+            SweepScenario(_CASES, epsilons=(0.0, 0.2), m_values=(8,), budget=16),
+            # A hundred fleet stops, each a copy of the states.
+            SweepScenario(_CASES, epsilons=(0.0, 0.2), m_values=tuple(range(4, 404, 4)), budget=400),
+            SweepScenario(_CASES, epsilons=(0.0, 0.2), m_values=tuple(range(4, 404, 4)), budget=4000),
+        ],
+        ids=["allocate-preset", "allocate-tiny", "allocate-wide", "allocate-exact",
+             "sweep-tiny", "sweep-stops", "sweep-wide"],
+    )
+    def test_memory_estimate_covers_the_measured_peak(self, tmp_path, scenario, fmt):
+        if isinstance(scenario, AllocateScenario):
+            run, m_values, rows = run_allocate, (scenario.m_total,), 1
+        else:
+            run, m_values, rows = run_sweep, scenario.m_values, len(scenario.cases) * len(scenario.senses)
+
+        def run_and_emit():
+            tables = run(scenario)
+            for k, table in enumerate(tables if isinstance(tables, tuple) else (tables,)):
+                emit(table, fmt, tmp_path / f"out{k}")
+
+        run_and_emit()  # designs the information table, which the cache then serves
+        tracemalloc.start()
+        try:
+            run_and_emit()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= experiments._allocation_bytes(scenario, m_values, rows), peak
+
+    @pytest.mark.parametrize(
+        "make, fields",
+        [
+            (lambda: AllocateScenario(m_total=10**9, budget=10**19), ("m_total", "budget")),
+            (lambda: AllocateScenario(l0=10**9, budget=10**12), ("m_total", "budget")),
+            (lambda: SweepScenario(TestAllocationMemory._CASES, epsilons=(0.0, 0.2), m_values=(4, 10**9), budget=10**19),
+             ("m_values", "budget")),
+        ],
+    )
+    def test_refused_above_the_cap(self, make, fields):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="too large") as raised:
+                make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(field in str(raised.value) for field in fields)
+        assert "GiB cap" in str(raised.value)
+        assert peak < 2**20
+
+    def test_unsolved_fleets_cost_nothing(self):
+        # A budget below one bit a sensor solves no fleet: the point is
+        # infeasible, not too large.
+        scenario = AllocateScenario(m_total=10**9, budget=10**6)
+        assert allocation.program_bytes((scenario.m_total,), 1, 10**6, 32, 3, BudgetMode.AT_MOST) == 0
+        with pytest.raises(allocation.AllocationInfeasibleError):
+            run_allocate(scenario)
+
+
 class TestSweepWorkers:
     """The sweep points run in a plain loop, off the pool; the tables must
     not depend on its size."""

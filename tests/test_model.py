@@ -270,9 +270,8 @@ class TestDrawContract:
         if hypothesis is Hypothesis.H0:
             want = twin.normal(0.0, math.sqrt(sigma_n2), 5000)
         else:
-            gain = twin.normal(1.0, math.sqrt(sigma_h2), 5000)
-            noise = twin.normal(0.0, math.sqrt(sigma_n2), 5000)
-            want = 0.37 * gain + noise
+            # One normal per sample, from the compound law of ``0.37 * h + w``.
+            want = twin.normal(0.37, math.hypot(0.37 * math.sqrt(sigma_h2), math.sqrt(sigma_n2)), 5000)
         np.testing.assert_array_equal(y, want)
         assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -290,6 +289,30 @@ class TestDrawContract:
             code = code ^ (flips[..., k].astype(int) << k)
         np.testing.assert_array_equal(received, code + 1)
         assert rng.bit_generator.state == twin.bit_generator.state
+
+
+class TestObservationLaw:
+    """The law of the H1 draws, ``theta * h + w`` with ``h ~ N(1, sigma_h2)``
+    and ``w ~ N(0, sigma_n2)``, checked by its moments rather than by the
+    formula the draw uses, so that a scale slip written the same way in the
+    draw and in ``TestDrawContract`` cannot pass."""
+
+    @pytest.mark.parametrize("sigma_n2, sigma_h2", [(1.0, 0.5), (2.0, 0.0), (0.3, 1.7)])
+    def test_h1_law(self, sigma_n2, sigma_h2):
+        theta, n = 0.8, 10**6
+        y = simulate_observations(SignalParams(theta, sigma_n2, sigma_h2), Hypothesis.H1, n, np.random.default_rng(7))
+        var = theta**2 * sigma_h2 + sigma_n2
+        # The sample variance of n normals has variance 2 var**2 / (n - 1).
+        assert abs(y.mean() - theta) <= 5 * math.sqrt(var / n)
+        assert abs(y.var(ddof=1) - var) <= 5 * var * math.sqrt(2 / (n - 1))
+
+    def test_h1_draws_stay_finite_at_huge_theta(self):
+        # ``theta**2 * sigma_h2`` overflows at this theta; the scale must not.
+        params = SignalParams(1e300, 1.0, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = simulate_observations(params, Hypothesis.H1, 1000, np.random.default_rng(3))
+        assert np.all(np.isfinite(y))
 
 
 class TestTrialRng:
