@@ -47,6 +47,7 @@ __all__ = [
     "allocate",
     "allocate_sweep",
     "program_bytes",
+    "spare_bits",
     "allocate_dp_oracle",
     "validate_allocation",
 ]
@@ -318,9 +319,9 @@ def solve_ilp(problem: IlpProblem) -> IlpSolution:
     Raises :class:`AllocationInfeasibleError` when no integer point is
     feasible and ``RuntimeError`` on any other non-optimal outcome.
     """
-    # Deferred: this is the package's only scipy import, and it costs about
-    # 0.35 s (scipy.special comes with it).  Only the tests call this
-    # oracle, so no command pays for it.
+    # Deferred: this is the package's only scipy import, and scipy is a
+    # test-only dependency (the ``test`` extra).  Only the tests call this
+    # oracle, so no command needs scipy or pays the 0.35 s of its import.
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     res = milp(
@@ -417,7 +418,7 @@ def allocate_sweep(
         raise ValueError("information table does not match the histogram")
     L, N = table.max_bits, table.n_categories
     hists = [[ErrorHistogram(epsilons, freqs, m) for m in m_values] for freqs in cases]
-    refused, spare = _spare_bits(m_values, budget, l0, L, budget_mode)
+    refused, spare = spare_bits(m_values, budget, l0, L, budget_mode)
     # The sensors of every fleet up to the largest solved, in the nested order.
     fleets = sorted(m for m in set(m_values) if m <= max(spare, default=0))
     # Every sensor spends at least one bit, so the program counts the bits
@@ -467,9 +468,10 @@ def allocate_sweep(
     return outcomes
 
 
-def _spare_bits(m_values, budget, l0, L, budget_mode):
-    """Per fleet size of ``m_values``: why no assignment is tried, or the
-    spare bits, beyond one a sensor, that its program spans."""
+def spare_bits(m_values, budget, l0, L, budget_mode):
+    """``(refused, spare)`` by fleet size of ``m_values``: why counting alone
+    rules out every assignment of that fleet, or else the spare bits, beyond
+    one a sensor, that its program spans."""
     refused, spare = {}, {}
     for m in m_values:
         cap = m * max(l0, L)
@@ -493,7 +495,7 @@ def program_bytes(m_values, rows: int, budget: int, l0: int, max_bits: int, budg
     index.  Per row and column: the float64 states, in two buffers, ``cand``
     and one copy per fleet stop, and a mask byte.
     """
-    _, spare = _spare_bits(m_values, budget, l0, max_bits, budget_mode)
+    _, spare = spare_bits(m_values, budget, l0, max_bits, budget_mode)
     if not spare:
         return 0
     sensors, width = max(spare), max(spare.values()) + 1

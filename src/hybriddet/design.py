@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .detection import bsc_kernel, cell_tables, received_information
-from .model import GAUSSIAN_REACH, check_bits, check_sigma_n2, gaussian_pdf
+from .model import GAUSSIAN_REACH, QuantizerSpec, check_bits, check_sigma_n2, gaussian_pdf
 
 __all__ = [
     "DesignProblem",
@@ -125,20 +125,10 @@ def _information_terms(z: np.ndarray, kernel: np.ndarray) -> tuple:
     return info, grad, probs
 
 
-def _check_monotone(thresholds, problem: DesignProblem) -> np.ndarray:
-    tau = np.asarray(thresholds, dtype=float)
-    if tau.ndim != 1:
-        raise ValueError("thresholds must be one-dimensional")
-    if tau.size > 1 and not np.all(np.diff(tau) > 0):
-        raise ValueError("thresholds must be strictly increasing")
-    if tau.size != problem.n_thresholds:
-        raise ValueError(f"expected {problem.n_thresholds} thresholds, got {tau.size}")
-    return tau
-
-
 def design_objective(thresholds, problem: DesignProblem) -> float:
-    """Single-sensor information contribution at the given thresholds."""
-    tau = _check_monotone(thresholds, problem)
+    """Single-sensor information contribution at the given thresholds, which
+    ``QuantizerSpec`` must accept at the problem's depth."""
+    tau = np.array(QuantizerSpec(problem.bits, thresholds).thresholds)
     return float(_objective_rows(tau, problem)[0])
 
 
@@ -154,7 +144,7 @@ def objective_gradient(thresholds, problem: DesignProblem) -> np.ndarray:
     reduces to ``pdf(z_i) (r_i - r_{i+1}) (2 z_i - r_i - r_{i+1})`` with
     ``r`` the unit-noise score-to-mass ratio of each cell.
     """
-    tau = _check_monotone(thresholds, problem)
+    tau = np.array(QuantizerSpec(problem.bits, thresholds).thresholds)
     kernel = bsc_kernel(problem.bits, problem.p_e)
     return _information_terms(tau / problem.sigma_n, kernel)[1] / problem.sigma_n2 / problem.sigma_n
 
@@ -199,7 +189,7 @@ def design_bgda(problem: DesignProblem, init=None) -> DesignResult:
     if init is None:
         x = np.linspace(-1.0, 1.0, problem.n_thresholds + 2)[1:-1]
     else:
-        x = _check_monotone(init, problem) / problem.sigma_n
+        x = np.array(QuantizerSpec(problem.bits, init).thresholds) / problem.sigma_n
     obj = design_objective(x, unit)
     trace = [obj]
     for _ in range(_BGDA_MAX_ITERS):
@@ -699,8 +689,8 @@ def optimized_cells(
     detector's lattice statistic ties with its decision threshold.  The
     uncached cells of one call run as one batch.  Tied thresholds are moved
     apart (``_separate_ties``), and every cached objective is
-    ``design_objective`` at the cached thresholds.  Repeated calls (and
-    concurrent table builds) agree exactly.
+    ``design_objective`` at the cached thresholds.  Repeated calls agree
+    exactly.
     """
     keys = {p_e: (bits, float(p_e), float(sigma_n2), settings) for p_e in p_es}
     missing = [p_e for p_e, key in keys.items() if key not in _DESIGN_CACHE]

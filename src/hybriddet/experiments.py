@@ -28,7 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import allocation as alloc
-from .design import DesignProblem, PsoSettings, design_bgda, design_pso, fi_landscape, optimized_thresholds
+from .design import (
+    DesignProblem, PsoSettings, design_bgda, design_objective, design_pso, fi_landscape, optimized_thresholds)
 from .detection import (
     NetworkKernels,
     reconstruction_table,
@@ -89,6 +90,14 @@ def _workers(jobs: int) -> int:
     except AttributeError:  # not on every platform
         cpus = os.cpu_count() or 1
     return min(cpus, jobs, _MAX_WORKERS)
+
+
+def _refuse_above_cap(estimate: int, subject: str) -> None:
+    """Refuse a configuration whose estimated bytes, ``estimate``, pass
+    ``_MEMORY_CAP``; ``subject`` names what is too large."""
+    if estimate > _MEMORY_CAP:
+        raise ValueError(
+            f"{subject} would take about {estimate / 2**30:.3g} GiB, above the {_MEMORY_CAP / 2**30:g} GiB cap")
 
 
 def _pool_map(fn, jobs: list) -> list:
@@ -212,7 +221,10 @@ class RocScenario:
 
     A fleet is refused whose blocks of trials would take more than
     ``_MEMORY_CAP`` bytes, ``_MAX_WORKERS`` blocks at once, by the estimate
-    of ``_trial_bytes``.
+    of ``_trial_bytes``.  A given threshold set is refused, naming its
+    field, where the chosen LMPT detector that reads its levels without the
+    analog sums carries no information (``design_objective`` is 0), since
+    its statistic would divide by that information.
     """
 
     theta: float = 0.25
@@ -255,12 +267,8 @@ class RocScenario:
             raise ValueError(f"unknown detectors {sorted(unknown)}")
         if self.m_quantized < 0 or self.m_full < 0 or self.m_quantized + self.m_full < 1:
             raise ValueError("the fleet must contain at least one sensor")
-        estimate = _MAX_WORKERS * min(ROC_BLOCK, self.trials) * self._trial_bytes()
-        if estimate > _MEMORY_CAP:
-            raise ValueError(
-                f"m_quantized = {self.m_quantized} and m_full = {self.m_full} are too many: the blocks of "
-                f"trials would take about {estimate / 2**30:.3g} GiB, above the {_MEMORY_CAP / 2**30:g} GiB cap"
-            )
+        subject = f"m_quantized = {self.m_quantized} and m_full = {self.m_full} are too many: the blocks of trials"
+        _refuse_above_cap(_MAX_WORKERS * min(ROC_BLOCK, self.trials) * self._trial_bytes(), subject)
         check_sigma_n2(self.sigma_n2, self.m_total)
         peak = (self.theta * (1.0 + math.sqrt(self.sigma_h2) * GAUSSIAN_REACH)
                 + math.sqrt(self.sigma_n2) * GAUSSIAN_REACH)
@@ -276,10 +284,14 @@ class RocScenario:
         blind = [det for det in self.detectors if roster[det].kind == "lmpt" and not roster[det].analog]
         if self.p_e == 0.5 and blind:
             raise ValueError(f"p_e = 0.5 erases every level: detectors {sorted(blind)} carry no information")
-        if self.thresholds_hybrid is not None:
-            _check_thresholds("thresholds_hybrid", self.bits_hybrid, self.thresholds_hybrid)
-        if self.thresholds_low is not None:
-            _check_thresholds("thresholds_low", self.bits_low, self.thresholds_low)
+        for name, bits in (("thresholds_hybrid", self.bits_hybrid), ("thresholds_low", self.bits_low)):
+            thresholds = getattr(self, name)
+            if thresholds is None:
+                continue
+            _check_thresholds(name, bits, thresholds)
+            alone = [det for det in blind if roster[det].bits == bits]
+            if alone and design_objective(thresholds, DesignProblem(bits, self.p_e, self.sigma_n2)) <= 0:
+                raise ValueError(f"{name}: detectors {alone} carry no information at these thresholds")
 
     def roster(self) -> dict[str, Reads]:
         """Every detector's label and what it reads, in the default order."""
@@ -452,17 +464,6 @@ def _allocation_bytes(scenario, m_values, rows: int) -> int:
         m_values, rows, scenario.budget, scenario.l0, scenario.max_bits, scenario.budget_mode)
 
 
-def _check_allocation_bytes(scenario, sizes: str, m_values, rows: int) -> None:
-    """Refuse an allocation scenario whose ``_allocation_bytes`` pass
-    ``_MEMORY_CAP``; ``sizes`` names the fleet field."""
-    estimate = _allocation_bytes(scenario, m_values, rows)
-    if estimate > _MEMORY_CAP:
-        raise ValueError(
-            f"{sizes} and budget = {scenario.budget} are too large: the allocation program would take "
-            f"about {estimate / 2**30:.3g} GiB, above the {_MEMORY_CAP / 2**30:g} GiB cap"
-        )
-
-
 @dataclass(frozen=True)
 class SweepCase:
     name: str
@@ -516,7 +517,8 @@ class SweepScenario:
             for m in self.m_values:
                 alloc.ErrorHistogram(self.epsilons, case.freqs, m)
         rows = len(self.cases) * len(self.senses)
-        _check_allocation_bytes(self, f"m_values up to {max(self.m_values)}", self.m_values, rows)
+        _refuse_above_cap(_allocation_bytes(self, self.m_values, rows), f"m_values up to {max(self.m_values)} and "
+                          f"budget = {self.budget} are too large: the allocation program")
 
 
 def _assignment_rows(result: alloc.AllocationResult, epsilons) -> Iterator[tuple]:
@@ -588,12 +590,7 @@ class LandscapeScenario:
         DesignProblem(2, self.p_e, self.sigma_n2)  # checks p_e and sigma_n2
         if self.points < 1:
             raise ValueError("points must be >= 1")
-        estimate = self.points**2 * _LANDSCAPE_CELL_BYTES
-        if estimate > _MEMORY_CAP:
-            raise ValueError(
-                f"points = {self.points} is too many: the grid would take about {estimate / 2**30:.3g} GiB, "
-                f"above the {_MEMORY_CAP / 2**30:g} GiB cap"
-            )
+        _refuse_above_cap(self.points**2 * _LANDSCAPE_CELL_BYTES, f"points = {self.points} is too many: the grid")
 
 
 LANDSCAPE_COLUMNS = ("tau1", "tau3", "objective")
@@ -688,14 +685,20 @@ class AllocateScenario:
         check_bits("max_bits", self.max_bits)
         check_sigma_n2(self.sigma_n2, max(self.m_total, 1))
         alloc.ErrorHistogram(self.epsilons, self.freqs, self.m_total)
-        _check_allocation_bytes(self, f"m_total = {self.m_total}", (self.m_total,), 1)
+        subject = f"m_total = {self.m_total} and budget = {self.budget} are too large: the allocation program"
+        _refuse_above_cap(_allocation_bytes(self, (self.m_total,), 1), subject)
 
 
 ALLOCATE_COLUMNS = ("level", "epsilon", "count", "total_fi", "bits_used")
 
 
 def run_allocate(scenario: AllocateScenario) -> Table:
-    """Solve one allocation instance and emit the assignment tidily."""
+    """Solve one allocation instance and emit the assignment tidily; a budget
+    that counting refuses (``allocation.spare_bits``) raises before any design."""
+    refused, _ = alloc.spare_bits(
+        (scenario.m_total,), scenario.budget, scenario.l0, scenario.max_bits, scenario.budget_mode)
+    if refused:
+        raise alloc.AllocationInfeasibleError(refused[scenario.m_total])
     hist = alloc.ErrorHistogram(scenario.epsilons, scenario.freqs, scenario.m_total)
     settings = PsoSettings(seed=scenario.seed)
     table = alloc.build_fi_table(hist.epsilons, scenario.max_bits, scenario.sigma_n2, settings)

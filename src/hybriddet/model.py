@@ -127,9 +127,9 @@ class SignalParams:
 class QuantizerSpec:
     """A ``bits``-bit scalar quantizer defined by its interior thresholds.
 
-    The ``2**bits - 1`` thresholds must be strictly increasing; together
-    with the implicit sentinels at ``-inf`` and ``+inf`` they partition the
-    real line into half-open cells ``[t[i-1], t[i])``.
+    The ``2**bits - 1`` thresholds must be one-dimensional, finite and
+    strictly increasing; with the implicit sentinels at ``-inf`` and ``+inf``
+    they partition the real line into half-open cells ``[t[i-1], t[i])``.
     """
 
     bits: int
@@ -137,6 +137,8 @@ class QuantizerSpec:
 
     def __post_init__(self):
         check_bits("bits", self.bits)
+        if np.ndim(self.thresholds) != 1:
+            raise ValueError("thresholds must be one-dimensional")
         object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
         if len(self.thresholds) != 2**self.bits - 1:
             raise ValueError(

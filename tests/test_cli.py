@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import hybriddet
-from hybriddet import allocation, cli, experiments
+from hybriddet import allocation, cli, design, experiments
 from hybriddet.cli import PRESETS, main
 from hybriddet.model import GAUSSIAN_REACH, MAX_BITS
 
@@ -110,26 +110,35 @@ def test_infeasible_allocation_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "config",
+    "config, message",
     [
-        pytest.param({"m_total": 1_000_000}, id="budget-below-one-bit-each"),
-        pytest.param({"m_total": 100, "budget": 3201, "budget_mode": "exact"}, id="exact-above-every-assignment"),
+        pytest.param({"m_total": 1_000_000}, "500 bits cannot give each of 1000000 sensors one bit",
+                     id="budget-below-one-bit-each"),
+        pytest.param({"m_total": 60, "budget": 10}, "10 bits cannot give each of 60 sensors one bit",
+                     id="small-budget-below-one-bit-each"),
+        pytest.param({"m_total": 100, "budget": 3201, "budget_mode": "exact"},
+                     "no assignment consumes exactly 3201 bits; none spends over 3200",
+                     id="exact-above-every-assignment"),
     ],
 )
-def test_infeasible_budget_exits_before_the_dynamic_program(tmp_path, capsys, monkeypatch, config):
+def test_infeasible_budget_exits_before_the_dynamic_program(tmp_path, capsys, monkeypatch, config, message):
     # 500 bits cannot give a million sensors one bit each, and no assignment
-    # of 100 sensors spends more than 100 * 32 bits: both are settled before
-    # the dynamic program takes its first step.
+    # of 100 sensors spends more than 100 * 32 bits: both are settled by
+    # counting, before the information table is designed.
     def unexpected(*args):
-        raise AssertionError("the dynamic program ran")
+        raise AssertionError("the information table or the dynamic program ran")
 
-    monkeypatch.setattr(allocation, "_sensor_program", unexpected)
+    for owner, name in ((allocation, "_sensor_program"), (allocation, "build_fi_table"),
+                        (allocation, "optimized_cells"), (design, "optimized_cells")):
+        monkeypatch.setattr(owner, name, unexpected)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "x.csv"
     code = main(["allocate", "--preset", "mixed", "--config", str(cfg), "--out", str(out)])
     assert code == 3
-    assert "bits" in json.loads(capsys.readouterr().err)["error"]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == message
     assert not out.exists()
 
 
@@ -401,6 +410,9 @@ def _no_design(*_args, **_kwargs):
         ("roc", {"bits_low": 2, "thresholds_low": [0.5, 0.0, 1.0]}, "thresholds_low"),
         ("roc", {"thresholds_hybrid": [0.0, 1.0]}, "thresholds_hybrid"),
         ("roc", {"thresholds_hybrid": [1.5, 1.0, 0.5, 0.0, -0.5, -1.0, -1.5]}, "thresholds_hybrid"),
+        # Every sample lands in the bottom cell, so the 1b detector has no
+        # information: refused before its statistic divides by zero.
+        ("roc", {"thresholds_low": [1e308]}, "thresholds_low"),
         # The design commands check their fields before they design.
         ("fi-landscape", {"points": 0}, "points"),
         ("fi-landscape", {"points": -1}, "points"),
@@ -434,7 +446,7 @@ def test_invalid_fields_rejected_before_any_design(tmp_path, capsys, monkeypatch
     # statistics are rounding noise divided by rounding noise.
     monkeypatch.setattr(experiments, "optimized_thresholds", _no_design)
     monkeypatch.setattr(allocation, "build_fi_table", _no_design)
-    for name in ("design_pso", "design_bgda", "fi_landscape"):
+    for name in ("design_pso", "design_bgda", "fi_landscape", "simulate_observations"):
         monkeypatch.setattr(experiments, name, _no_design)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -451,9 +463,18 @@ def test_invalid_fields_rejected_before_any_design(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
-def test_uninformative_channel_keeps_the_hybrid_detectors(tmp_path):
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"p_e": 0.5},
+        # No sample passes the lowest threshold, so the levels tell nothing.
+        {"thresholds_hybrid": [k * 1e300 for k in range(1, 8)]},
+    ],
+    ids=["erasing-channel", "zero-information-thresholds"],
+)
+def test_uninformative_channel_keeps_the_hybrid_detectors(tmp_path, config):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"p_e": 0.5, "trials": 2000, "detectors": ["3b-fp", "fp"]}))
+    cfg.write_text(json.dumps({**config, "trials": 2000, "detectors": ["3b-fp", "fp"]}))
     out = tmp_path / "roc.csv"
     assert main(["roc", "--config", str(cfg), "--out", str(out)]) == 0
     assert {row[0] for row in load_table(out, "csv").rows} == {"3b-fp", "fp"}

@@ -55,10 +55,17 @@ class TestObjective:
         problem = DesignProblem(bits=2, p_e=0.5)
         assert design_objective((-1.0, 0.0, 1.0), problem) == pytest.approx(0.0, abs=1e-15)
 
-    def test_non_monotone_rejected(self):
-        problem = DesignProblem(bits=2, p_e=0.0)
+    @pytest.mark.parametrize(
+        "bits, thresholds",
+        [(2, (1.0, 0.0, -1.0)), (1, (math.nan,)), (1, (math.inf,)), (1, np.array([[0.0]]))],
+        ids=["non-monotone", "nan", "inf", "two-dimensional"],
+    )
+    def test_non_monotone_rejected(self, bits, thresholds):
+        problem = DesignProblem(bits=bits, p_e=0.0)
         with pytest.raises(ValueError):
-            design_objective((1.0, 0.0, -1.0), problem)
+            design_objective(thresholds, problem)
+        with pytest.raises(ValueError):
+            objective_gradient(thresholds, problem)
 
     def test_never_exceeds_analog_information(self):
         rng = np.random.default_rng(2)

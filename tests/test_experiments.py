@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hybriddet import allocation, experiments
+from hybriddet import allocation, design, experiments
 from hybriddet.allocation import BudgetMode, Sense
 from hybriddet.cli import PRESETS, main
 from hybriddet.experiments import (
@@ -215,13 +215,20 @@ class TestRocRoster:
             ("m_quantized", 0, "quantized detectors need m_quantized >= 1"),
             ("m_full", 0, "full-precision detectors need m_full >= 1"),
             ("p_e", 0.5, "p_e = 0.5 erases every level: detectors"),
+            # Every sample falls in the bottom cell, which tells nothing.
+            ("thresholds_low", (1e308,), r"thresholds_low: detectors \['1b'\] carry no information"),
+            ("thresholds_hybrid", tuple(k * 1e300 for k in range(1, 8)),
+             r"thresholds_hybrid: detectors \['3b'\] carry no information"),
         ],
     )
     def test_each_detector_alone_is_refused_exactly_where_it_reads_what_is_missing(
         self, detector, field, value, message
     ):
         levels, analog, lmpt = _READS[detector]
-        refused = {"m_quantized": levels, "m_full": analog, "p_e": lmpt and not analog}[field]
+        refused = {
+            "m_quantized": levels, "m_full": analog, "p_e": lmpt and not analog,
+            "thresholds_low": detector == "1b", "thresholds_hybrid": detector == "3b",
+        }[field]
         config = {"detectors": (detector,), field: value}
         if refused:
             with pytest.raises(ValueError, match=message):
@@ -504,12 +511,18 @@ class TestAllocationMemory:
         assert "GiB cap" in str(raised.value)
         assert peak < 2**20
 
-    def test_unsolved_fleets_cost_nothing(self):
+    def test_unsolved_fleets_cost_nothing(self, monkeypatch):
         # A budget below one bit a sensor solves no fleet: the point is
-        # infeasible, not too large.
+        # infeasible, not too large, and refused before any design.
+        def no_design(*_args):
+            raise AssertionError("the information table was designed")
+
+        monkeypatch.setattr(allocation, "build_fi_table", no_design)
+        monkeypatch.setattr(design, "optimized_cells", no_design)
+        monkeypatch.setattr(allocation, "optimized_cells", no_design)
         scenario = AllocateScenario(m_total=10**9, budget=10**6)
         assert allocation.program_bytes((scenario.m_total,), 1, 10**6, 32, 3, BudgetMode.AT_MOST) == 0
-        with pytest.raises(allocation.AllocationInfeasibleError):
+        with pytest.raises(allocation.AllocationInfeasibleError, match="cannot give each of 1000000000 sensors"):
             run_allocate(scenario)
 
 

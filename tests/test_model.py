@@ -184,6 +184,8 @@ class TestQuantize:
             QuantizerSpec(2, (0.0, 0.0, 1.0))
         with pytest.raises(ValueError):
             QuantizerSpec(2, (0.0, 1.0))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            QuantizerSpec(1, np.array([[0.0]]))
 
 
 class TestSimulateObservations:
