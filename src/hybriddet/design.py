@@ -232,11 +232,7 @@ _STALL_ITERS = 150
 _STALL_TOL = 1e-12
 
 
-def design_pso(
-    problem: DesignProblem,
-    settings: PsoSettings,
-    initial_guesses: tuple = (),
-) -> DesignResult:
+def design_pso(problem: DesignProblem, settings: PsoSettings) -> DesignResult:
     """Constriction-factor particle swarm over the threshold box.
 
     Particle coordinates are sorted before each objective evaluation, so
@@ -244,13 +240,8 @@ def design_pso(
     comes from one seeded stream in a fixed order; runs are reproducible.
     Stops by the first of the ``_PSO_*`` and ``_STALL_*`` rules to hold.
     The trace holds the initial best and one value per sweep run.
-
-    ``initial_guesses`` optionally overwrites the first few particles;
-    useful to seed the swarm with known-good candidates when the surface
-    has large flat regions.
     """
-    guesses = tuple(np.divide(guess, problem.sigma_n) for guess in initial_guesses)
-    unit = _run_swarms([problem], [settings.seed], guesses)[0]
+    unit = _run_swarms([problem], [settings.seed])[0]
     return _leave_unit_noise(unit.thresholds, unit.trace, problem)
 
 
@@ -263,12 +254,13 @@ def _run_swarms(
 
     The problems share bit depth, noise level and box and may differ in
     channel.  The swarms fly for unit noise, in the box ``+/-tau_max``,
-    from unit-noise ``initial_guesses``, and return unit-noise designs and
-    traces, which the callers scale.  Each swarm draws from
-    its own ``default_rng(seed)`` in a lone swarm's order, stops by a lone
-    swarm's rules and then leaves the batch.  All live swarms share one
-    cell-table call and one information call, with one channel kernel per
-    swarm; both act row by row, so every result equals its lone swarm's.
+    with unit-noise ``initial_guesses`` overwriting their first particles,
+    and return unit-noise designs and traces, which the callers scale.
+    Each swarm draws from its own ``default_rng(seed)`` in a lone swarm's
+    order, stops by a lone swarm's rules and then leaves the batch.  All
+    live swarms share one cell-table call and one information call, with
+    one channel kernel per swarm; both act row by row, so every result
+    equals its lone swarm's.
     """
     swarm, dim = _PSO_SIZE, problems[0].n_thresholds
     bound = problems[0].tau_max
@@ -445,7 +437,7 @@ def _design_faces(problems: list[DesignProblem]) -> list[DesignResult]:
     a cell closed, cells narrower than ``_FACE_WIDTH`` are closed and the
     smaller face climbed; until the check passes.  The
     thresholds are the face point scaled to the noise level, and the trace
-    the winning row's objective before each trial step.
+    holds its objective alone.
     """
     bits, bound = problems[0].bits, problems[0].tau_max
     used, slots = _faces(bits)
@@ -461,12 +453,12 @@ def _design_faces(problems: list[DesignProblem]) -> list[DesignResult]:
     x = starts[face]
     best: list = [None] * len(problems)
     for _ in range(2**bits):
-        z, f, traces = _climb(used[face], slots[face], kernels[channel], x, bound)
+        z, f = _climb(used[face], slots[face], kernels[channel], x, bound)
         for k in sorted(set(channel.tolist())):
-            rows = [(z[r], f[r], traces[r], face[r]) for r in np.flatnonzero(channel == k)]
+            rows = [(z[r], f[r], face[r]) for r in np.flatnonzero(channel == k)]
             best[k] = _first_best(rows if best[k] is None else [best[k], *rows])
         face, channel, x = [], [], []
-        for k, (z_k, f_k, _, _) in enumerate(best):
+        for k, (z_k, f_k, _) in enumerate(best):
             rate, push, room = _kkt_opening(z_k, bound, kernels[k])
             if rate <= _KKT_TOL * max(f_k, _FACE_FLOOR):
                 continue
@@ -484,11 +476,11 @@ def _design_faces(problems: list[DesignProblem]) -> list[DesignResult]:
         face, channel, x = np.array(face), np.array(channel), np.array(x)
     else:
         raise RuntimeError(f"face design of {problems} failed its optimality check")
-    return [_leave_unit_noise(z_k, trace, problem) for problem, (z_k, _, trace, _) in zip(problems, best)]
+    return [_leave_unit_noise(z_k, (f_k,), problem) for problem, (z_k, f_k, _) in zip(problems, best)]
 
 
 def _first_best(rows: list) -> tuple:
-    """The ``(z, objective, trace, face)`` row kept among rows that tie.
+    """The ``(z, objective, face)`` row kept among rows that tie.
 
     Faces can climb to the same optimum (at 3 bits and p_e = 0.1 or 0.2
     several do, within a few ulps), and which of them rounding puts on top
@@ -497,7 +489,7 @@ def _first_best(rows: list) -> tuple:
     equal faces the first listed.
     """
     top = max(row[1] for row in rows)
-    return min((row for row in rows if row[1] >= top - _FACE_TIE * abs(top)), key=lambda row: row[3])
+    return min((row for row in rows if row[1] >= top - _FACE_TIE * abs(top)), key=lambda row: row[2])
 
 
 def _place(x: np.ndarray, ends: np.ndarray, bound: float) -> np.ndarray:
@@ -515,8 +507,8 @@ def _climb(used, slots, kernels, x, bound) -> tuple:
     """Climb each row's face from its free edges ``x`` by BFGS, as one batch.
 
     A backtracking line search never lets a used cell close; rows leave
-    the batch by the ``_FACE_*`` rules.  Returns each row's thresholds,
-    objective and objective trace.
+    the batch by the ``_FACE_*`` rules.  Returns each row's thresholds and
+    objective.
     """
     x = x.copy()
     n = x.shape[1]
@@ -554,8 +546,7 @@ def _climb(used, slots, kernels, x, bound) -> tuple:
     d = direction(h, g)
     alpha = first_step(widths, d, everyone)
     live = np.ones(len(x), dtype=bool)
-    history, stop = [f.copy()], np.full(len(x), _FACE_MAX_ITERS)
-    for it in range(1, _FACE_MAX_ITERS + 1):
+    for _ in range(_FACE_MAX_ITERS):
         rows = np.flatnonzero(live)
         trial = x[rows] + alpha[rows, None] * d[rows]
         f_t, g_t, closing, widths_t = evaluate(trial, rows)
@@ -589,14 +580,10 @@ def _climb(used, slots, kernels, x, bound) -> tuple:
         gtol = _FACE_GTOL * np.maximum(f_t[accept], _FACE_FLOOR)
         done[took] = (np.abs(g_t[accept]).max(axis=1) <= gtol) | closing[accept] | flat
         done[reject] = alpha[reject] < _FACE_MIN_STEP
-        history.append(f.copy())
-        stop[done] = it
         live &= ~done
         if not live.any():
             break
-    history = np.array(history)
-    traces = [history[: stop[r] + 1, r] for r in everyone]
-    return _place(x, ends, bound)[:, 1:-1], f, traces
+    return _place(x, ends, bound)[:, 1:-1], f
 
 
 def _kkt_opening(z: np.ndarray, bound: float, kernel: np.ndarray) -> tuple:
@@ -701,9 +688,9 @@ def optimized_cells(
         else:
             designs = _swarm_designs(problems, settings.seed)
         for p_e, problem, design in zip(missing, problems, designs):
-            design = _separate_ties(design, problem)
-            objective = design_objective(design.thresholds, problem)
-            _DESIGN_CACHE[keys[p_e]] = replace(design, objective=objective)
+            thresholds = _separate_ties(design.thresholds)
+            objective = design_objective(thresholds, problem)
+            _DESIGN_CACHE[keys[p_e]] = replace(design, thresholds=thresholds, objective=objective)
     return [_DESIGN_CACHE[keys[p_e]] for p_e in p_es]
 
 
@@ -725,18 +712,14 @@ def _swarm_designs(problems: list[DesignProblem], seed: int) -> list[DesignResul
     return designs
 
 
-def _separate_ties(result: DesignResult, problem: DesignProblem) -> DesignResult:
+def _separate_ties(thresholds) -> tuple:
     """Move exactly tied thresholds apart by the fewest ulps.
 
     Swarm points and face points can repeat a value, which no quantizer
-    accepts.  Each repeat is raised to the next float above its predecessor
-    and the objective is re-evaluated there; results without ties are
-    returned unchanged.
+    accepts.  Each repeat is raised to the next float above its predecessor.
     """
-    tau = list(result.thresholds)
+    tau = list(thresholds)
     for i in range(1, len(tau)):
         if tau[i] <= tau[i - 1]:
             tau[i] = float(np.nextafter(tau[i - 1], np.inf))
-    if tau == list(result.thresholds):
-        return result
-    return replace(result, thresholds=tuple(tau), objective=design_objective(tau, problem))
+    return tuple(tau)

@@ -183,12 +183,17 @@ def emit(table: Table, fmt: str, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _check_thresholds(name: str, bits: int, thresholds) -> None:
-    """Reject a threshold set that ``QuantizerSpec`` refuses, naming its field."""
+def _check_thresholds(name: str, bits: int, thresholds, sigma_n2: float) -> None:
+    """Reject, naming its field, a threshold set that ``QuantizerSpec``
+    refuses or whose quotient by ``sigma_n`` overflows: every design and
+    detector reads the thresholds in noise deviations."""
     try:
         QuantizerSpec(bits, thresholds)
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
+    sigma_n = math.sqrt(sigma_n2)
+    if not all(math.isfinite(t / sigma_n) for t in thresholds):
+        raise ValueError(f"{name}: a threshold over sigma_n = {sigma_n!r} overflows")
 
 
 class Reads(NamedTuple):
@@ -288,7 +293,7 @@ class RocScenario:
             thresholds = getattr(self, name)
             if thresholds is None:
                 continue
-            _check_thresholds(name, bits, thresholds)
+            _check_thresholds(name, bits, thresholds, self.sigma_n2)
             alone = [det for det in blind if roster[det].bits == bits]
             if alone and design_objective(thresholds, DesignProblem(bits, self.p_e, self.sigma_n2)) <= 0:
                 raise ValueError(f"{name}: detectors {alone} carry no information at these thresholds")
@@ -521,6 +526,20 @@ class SweepScenario:
                           f"budget = {self.budget} are too large: the allocation program")
 
 
+def _allocation_outcomes(scenario, cases, m_values, senses) -> list:
+    """``allocation.allocate_sweep``'s outcome at every (case, fleet size,
+    sense) point of ``scenario``'s channel, budget and design seed.  The
+    information table is designed only where counting
+    (``allocation.spare_bits``) leaves a fleet to solve."""
+    refused, spare = alloc.spare_bits(m_values, scenario.budget, scenario.l0, scenario.max_bits, scenario.budget_mode)
+    if not spare:
+        return [alloc.AllocationInfeasibleError(refused[m]) for _ in cases for m in m_values for _ in senses]
+    settings = PsoSettings(seed=scenario.seed)
+    table = alloc.build_fi_table(scenario.epsilons, scenario.max_bits, scenario.sigma_n2, settings)
+    return alloc.allocate_sweep(scenario.epsilons, cases, m_values, table, scenario.budget, scenario.l0,
+                                scenario.budget_mode, senses)
+
+
 def _assignment_rows(result: alloc.AllocationResult, epsilons) -> Iterator[tuple]:
     """``(level, epsilon, count)`` per bit depth and category, then ``fp`` per category."""
     for level, counts in enumerate(result.x_matrix, start=1):
@@ -539,18 +558,15 @@ def run_sweep(scenario: SweepScenario) -> tuple[Table, Table]:
 
     Returns a summary table and the per-level sensor distribution table.
     Infeasible points are reported with status ``infeasible`` rather than
-    aborting the sweep.  The information table is built first; then one
-    call of ``allocation.allocate_sweep`` solves every point from one
-    dynamic program over the sensors of the largest fleet, the smaller
-    fleets being prefixes of it, and the rows come out in point order.
+    aborting the sweep.  The information table is built first, unless
+    counting refuses every point; then one call of
+    ``allocation.allocate_sweep`` solves every point from one dynamic
+    program over the sensors of the largest fleet, the smaller fleets being
+    prefixes of it, and the rows come out in point order.
     """
-    settings = PsoSettings(seed=scenario.seed)
-    table = alloc.build_fi_table(scenario.epsilons, scenario.max_bits, scenario.sigma_n2, settings)
     eta = threshold_for_pfa(scenario.pfa)
-    outcomes = alloc.allocate_sweep(
-        scenario.epsilons, [case.freqs for case in scenario.cases], scenario.m_values, table,
-        scenario.budget, scenario.l0, scenario.budget_mode, scenario.senses,
-    )
+    outcomes = _allocation_outcomes(
+        scenario, [case.freqs for case in scenario.cases], scenario.m_values, scenario.senses)
     points = [(case, m, sense) for case in scenario.cases for m in scenario.m_values for sense in scenario.senses]
     summary_rows, dist_rows = [], []
     for (case, m, sense), result in zip(points, outcomes):
@@ -630,7 +646,7 @@ class DesignScenario:
         if "bgda" in self.methods and self.p_e != 0.0:
             raise ValueError("methods: bgda requires an error-free channel (p_e = 0)")
         if self.bgda_init is not None:
-            _check_thresholds("bgda_init", self.bits, self.bgda_init)
+            _check_thresholds("bgda_init", self.bits, self.bgda_init, self.sigma_n2)
 
 
 def run_design(scenario: DesignScenario) -> Table:
@@ -695,16 +711,9 @@ ALLOCATE_COLUMNS = ("level", "epsilon", "count", "total_fi", "bits_used")
 def run_allocate(scenario: AllocateScenario) -> Table:
     """Solve one allocation instance and emit the assignment tidily; a budget
     that counting refuses (``allocation.spare_bits``) raises before any design."""
-    refused, _ = alloc.spare_bits(
-        (scenario.m_total,), scenario.budget, scenario.l0, scenario.max_bits, scenario.budget_mode)
-    if refused:
-        raise alloc.AllocationInfeasibleError(refused[scenario.m_total])
-    hist = alloc.ErrorHistogram(scenario.epsilons, scenario.freqs, scenario.m_total)
-    settings = PsoSettings(seed=scenario.seed)
-    table = alloc.build_fi_table(hist.epsilons, scenario.max_bits, scenario.sigma_n2, settings)
-    result = alloc.allocate(
-        hist, table, scenario.budget, scenario.l0, scenario.budget_mode, scenario.sense
-    )
+    (result,) = _allocation_outcomes(scenario, (scenario.freqs,), (scenario.m_total,), (scenario.sense,))
+    if isinstance(result, alloc.AllocationInfeasibleError):
+        raise result
     rows = [
         (*row, result.total_fi, result.bits_used)
         for row in _assignment_rows(result, scenario.epsilons)

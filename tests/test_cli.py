@@ -142,6 +142,32 @@ def test_infeasible_budget_exits_before_the_dynamic_program(tmp_path, capsys, mo
     assert not out.exists()
 
 
+def test_sweep_refused_at_every_fleet_designs_nothing(tmp_path, capsys, monkeypatch):
+    # 10 bits cannot give each sensor of any two-mixes fleet one bit: every
+    # point is infeasible by counting, and its rows need no information table.
+    def unexpected(*args):
+        raise AssertionError("the information table was designed")
+
+    for owner, name in ((allocation, "build_fi_table"), (allocation, "optimized_cells"),
+                        (design, "optimized_cells")):
+        monkeypatch.setattr(owner, name, unexpected)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"budget": 10}))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--preset", "two-mixes", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    defaults = experiments.SweepScenario
+    summary = load_table(out, "csv")
+    assert summary.columns == experiments.SWEEP_COLUMNS
+    assert summary.rows == [
+        (case, m, sense.value, "infeasible", None, None, None, None)
+        for case in ("favorable", "adverse") for m in defaults.m_values for sense in defaults.senses
+    ]
+    assert len(summary.rows) == 36
+    distribution = load_table(tmp_path / "sweep_distribution.csv", "csv")
+    assert (distribution.columns, distribution.rows) == (experiments.DISTRIBUTION_COLUMNS, [])
+
+
 #: Small configs of the commands whose noise level once overflowed a power of sigma_n.
 EXTREME_NOISE_CONFIGS = [
     ("roc", {"trials": 10}),
@@ -413,6 +439,11 @@ def _no_design(*_args, **_kwargs):
         # Every sample lands in the bottom cell, so the 1b detector has no
         # information: refused before its statistic divides by zero.
         ("roc", {"thresholds_low": [1e308]}, "thresholds_low"),
+        # A threshold over sigma_n that overflows is refused before numpy
+        # warns of it.
+        ("roc", {"sigma_n2": 1e-300, "thresholds_low": [1e300], "detectors": ["1b"]}, "thresholds_low"),
+        ("roc", {"sigma_n2": 1e-300, "thresholds_hybrid": [-1e300, -1.0, -0.5, 0.0, 0.5, 1.0, 1e300],
+                 "detectors": ["3b-fp", "r-3b-fp"]}, "thresholds_hybrid"),
         # The design commands check their fields before they design.
         ("fi-landscape", {"points": 0}, "points"),
         ("fi-landscape", {"points": -1}, "points"),
@@ -424,6 +455,8 @@ def _no_design(*_args, **_kwargs):
         ("design-quantizer", {"bgda_step": 0.5}, "bgda_step"),
         ("design-quantizer", {"p_e": 0.2, "methods": ["pso", "bgda"]}, "bgda"),
         ("design-quantizer", {"methods": ["pso", "bgda"], "bgda_init": [0.0, 1.0]}, "bgda_init"),
+        ("design-quantizer", {"sigma_n2": 1e-300, "bgda_init": [-1e300, 0.0, 1e300], "methods": ["bgda"]},
+         "bgda_init"),
         # Landscape grids are 2-bit only, and every codeword is natural
         # binary: neither is a config key.
         ("fi-landscape", {"bits": 2}, "bits"),

@@ -311,23 +311,15 @@ class TestPso:
         assert result.objective == design_objective(result.thresholds, problem)
 
     def test_separate_ties_moves_each_repeat_one_ulp(self):
-        problem = DesignProblem(bits=3, p_e=0.2)
-        tied = DesignResult((-1.0, -1.0, -1.0, 0.0, 0.5, 0.5, 2.0), -1.0, (-1.0,))
-        result = _separate_ties(tied, problem)
-        tau = result.thresholds
+        tau = _separate_ties((-1.0, -1.0, -1.0, 0.0, 0.5, 0.5, 2.0))
         expected = [-1.0]
         expected.append(float(np.nextafter(expected[-1], np.inf)))
         expected.append(float(np.nextafter(expected[-1], np.inf)))
         expected += [0.0, 0.5, float(np.nextafter(0.5, np.inf)), 2.0]
-        assert list(tau) == expected
-        assert result.objective == design_objective(tau, problem)
-        assert result.objective != tied.objective
-        assert result.trace == tied.trace
+        assert tau == tuple(expected)
 
-    def test_separate_ties_returns_untied_result_itself(self):
-        problem = DesignProblem(bits=2, p_e=0.2)
-        untied = DesignResult((-1.0, 0.0, 1.0), -1.0, (-1.0,))
-        assert _separate_ties(untied, problem) is untied
+    def test_separate_ties_keeps_untied_thresholds(self):
+        assert _separate_ties((-1.0, 0.0, 1.0)) == (-1.0, 0.0, 1.0)
 
     def test_settings_validation(self):
         assert design._PSO_CHI == pytest.approx(0.7298, abs=1e-4)
@@ -368,6 +360,12 @@ def _record_batches(monkeypatch):
     return batches
 
 
+def _settled(result, problem):
+    """A designer's point as ``optimized_cells`` caches it: ties moved apart, then scored."""
+    thresholds = _separate_ties(result.thresholds)
+    return replace(result, thresholds=thresholds, objective=design_objective(thresholds, problem))
+
+
 def _table_swarms(bits, p_es, settings):
     """Each unit-noise cell's swarm design, as the swarm path of the table designs it.
 
@@ -375,7 +373,7 @@ def _table_swarms(bits, p_es, settings):
     swarm on them with the restarts, seeds and guesses of that path.
     """
     problems = [DesignProblem(bits=bits, p_e=p_e) for p_e in p_es]
-    return [_separate_ties(r, p) for r, p in zip(design._swarm_designs(problems, settings.seed), problems)]
+    return [_settled(r, p) for r, p in zip(design._swarm_designs(problems, settings.seed), problems)]
 
 
 def _cell_swarms(monkeypatch, bits, p_e, settings):
@@ -424,7 +422,7 @@ class TestStallStop:
 def _assert_lone_swarms_agree(batch):
     """Every swarm of a recorded batch equals the lone swarm of its seed; returns the lone swarms."""
     problems, seeds, guesses, results = batch
-    lone = [design_pso(problem, PsoSettings(seed=seed), guesses) for problem, seed in zip(problems, seeds)]
+    lone = [design._run_swarms([problem], [seed], guesses)[0] for problem, seed in zip(problems, seeds)]
     assert results == lone
     return lone
 
@@ -447,7 +445,7 @@ class TestSwarmBatch:
         for n, cell in enumerate(cells):
             restarts = results[n * design._PSO_RESTARTS : (n + 1) * design._PSO_RESTARTS]
             best = next(r for r in restarts if r.objective == max(x.objective for x in restarts))
-            assert cell == _separate_ties(best, problems[n * design._PSO_RESTARTS])
+            assert cell == _settled(best, problems[n * design._PSO_RESTARTS])
 
     def test_swarms_leave_the_batch_at_their_own_sweeps(self, monkeypatch):
         # The 3-bit eps = 0.1 restarts run for about a thousand sweeps or
@@ -483,6 +481,30 @@ class TestTablePath:
         # One swarm batch for the 1-bit cells, seeded by a face climb, not
         # by gradient ascent; one face batch for each of 2 and 3 bits.
         assert counts == {"bgda": 0, "batches": 1, "faces": 2}
+
+    def test_cold_cells_are_scored_once(self, monkeypatch):
+        # A designer hands back its point; ``optimized_cells`` moves its
+        # ties apart and scores each new cell once, tied or not.
+        tied = (-1.2, -0.6, -0.25, -0.25, 0.25, 0.6, 1.2)
+        calls = []
+
+        def faces(problems):
+            return [DesignResult(tied, 0.4, (0.4,))] * len(problems)
+
+        def objective(thresholds, problem):
+            calls.append(problem.p_e)
+            return design_objective(thresholds, problem)
+
+        monkeypatch.setattr(design, "_DESIGN_CACHE", {})
+        monkeypatch.setattr(design, "_design_faces", faces)
+        monkeypatch.setattr(design, "design_objective", objective)
+        cells = optimized_cells(3, (0.1, 0.2), 1.0, PsoSettings(seed=SWEEP_SEED))
+        assert calls == [0.1, 0.2]
+        for cell, p_e in zip(cells, (0.1, 0.2)):
+            assert cell.thresholds == _separate_ties(tied)
+            assert cell.objective == design_objective(cell.thresholds, DesignProblem(bits=3, p_e=p_e))
+        optimized_cells(3, (0.1, 0.2), 1.0, PsoSettings(seed=SWEEP_SEED))
+        assert calls == [0.1, 0.2]
 
     def test_sweep_leaves_every_cell_in_the_cache(self, monkeypatch):
         # perfbench re-reads each table cell after a sweep and counts a
@@ -597,9 +619,9 @@ class TestFaceDesign:
         climb, nudges, rows = design._climb, [], []
 
         def nudged(*args):
-            z, f, traces = climb(*args)
+            z, f = climb(*args)
             rows.append(f)
-            return z, np.nextafter(f, np.inf * nudges[-1][: len(f)]), traces
+            return z, np.nextafter(f, np.inf * nudges[-1][: len(f)])
 
         monkeypatch.setattr(design, "_climb", nudged)
         rng = np.random.default_rng(7)
@@ -683,11 +705,11 @@ class TestFaceDesign:
         batches = []
 
         def full_face_only(used, slots, kernels, x, bound):
-            z, f, traces = climb(used, slots, kernels, x, bound)
+            z, f = climb(used, slots, kernels, x, bound)
             if not batches:
                 f = np.where(used.all(axis=1), f, -np.inf)
             batches.append(len(x))
-            return z, f, traces
+            return z, f
 
         monkeypatch.setattr(design, "_climb", full_face_only)
         problem = DesignProblem(bits=3, p_e=p_e)
