@@ -3,9 +3,10 @@
 Subcommands: ``roc``, ``fi-landscape``, ``design-quantizer``, ``allocate``,
 ``sweep``.  Each takes a named preset and/or a JSON config file; explicit
 flags override both.  Every config value must have the type its scenario
-field declares.  Outputs are deterministic for a fixed seed.  On
-validation errors or infeasible instances a machine-readable JSON object
-is printed to stderr and the exit code is nonzero.
+field declares.  Outputs are deterministic, for a fixed seed where the
+scenario has one.  On validation errors or infeasible instances a
+machine-readable JSON object is printed to stderr and the exit code is
+nonzero.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def _load_config(path: str | None) -> dict:
 
 
 def _merge(args, cls) -> dict:
-    """Preset, then config file, then flags; ``seed`` only if scenario ``cls`` has one."""
+    """Preset, then config file, then the flags scenario ``cls`` registered."""
     fields = {f.name for f in dataclasses.fields(cls)}
     cfg: dict = {}
     if args.preset is not None:
@@ -122,8 +123,6 @@ def _merge(args, cls) -> dict:
             cfg["senses"] = [args.sense]
         else:
             cfg["sense"] = args.sense
-    if "seed" not in fields:
-        cfg.pop("seed", None)
     return cfg
 
 
@@ -231,9 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--preset", help="named built-in configuration")
         p.add_argument("--config", help="JSON config file merged over the preset")
-        p.add_argument("--seed", type=int, help="master random seed")
         p.add_argument("--out", required=True, help="output file path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if "seed" in fields:
+            p.add_argument("--seed", type=int, help="master random seed")
         if "trials" in fields:
             p.add_argument("--trials", type=int, help="Monte Carlo trials per hypothesis")
         if "budget_mode" in fields:

@@ -74,9 +74,10 @@ class DesignProblem:
 
 @dataclass(frozen=True)
 class PsoSettings:
-    """The design seed; every other swarm rule is a module constant (``_PSO_*``)."""
+    """The design seed, by default the one every command's table designs use;
+    every other swarm rule is a module constant (``_PSO_*``)."""
 
-    seed: int = 0
+    seed: int = 20260810
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Experiment runners and table emission.
 
-Everything here is deterministic given the master seed: the ROC Monte
-Carlo draws each block of ``ROC_BLOCK`` trials from one stream keyed by
-``(seed, hypothesis, block)``, swarm threshold designs derive their seeds
-from the same master seed, and emitted files are byte-stable across runs.
+Everything here is deterministic: the ROC Monte Carlo draws each block of
+``ROC_BLOCK`` trials from one stream keyed by ``(seed, hypothesis,
+block)``, every table and ROC threshold design uses the one design seed of
+``PsoSettings()``, and emitted files are byte-stable across runs.
 The ROC blocks run concurrently on a thread pool with as many threads as
 the CPUs this process may use (no option sets the count); the output does
 not depend on that count, and ROC memory is bounded by workers times a
@@ -211,8 +211,10 @@ class RocScenario:
     The fleet has ``m_quantized`` low-rate sensors (observed through
     ``bits_hybrid``- or ``bits_low``-bit quantizers depending on the
     detector) and ``m_full`` analog sensors.  Thresholds default to the
-    optimized designs for the scenario's channel quality.  The fleet and
-    channel are checked against what the chosen detectors read (``roster``).
+    optimized designs for the scenario's channel quality, made with
+    ``PsoSettings()``, so ``seed`` seeds only the Monte Carlo streams.  The
+    fleet and channel are checked against what the chosen detectors read
+    (``roster``).
 
     ``theta`` is refused where an observation or a per-trial sum could
     overflow.  Under the alternative ``y = theta + hypot(theta * sigma_h,
@@ -333,9 +335,7 @@ def _scenario_quantizer(scenario: RocScenario, bits: int) -> QuantizerSpec:
     """The scenario's thresholds at depth ``bits``, or else the optimized design for its channel."""
     thresholds = scenario.thresholds_hybrid if bits == scenario.bits_hybrid else scenario.thresholds_low
     if thresholds is None:
-        thresholds = optimized_thresholds(
-            bits, scenario.p_e, scenario.sigma_n2, PsoSettings(seed=scenario.seed)
-        ).thresholds
+        thresholds = optimized_thresholds(bits, scenario.p_e, scenario.sigma_n2, PsoSettings()).thresholds
     return QuantizerSpec(bits, thresholds)
 
 
@@ -495,7 +495,6 @@ class SweepScenario:
     pfa: float = 0.1
     budget_mode: alloc.BudgetMode = alloc.BudgetMode.AT_MOST
     senses: tuple[alloc.Sense, ...] = (alloc.Sense.MAXIMIZE_FI, alloc.Sense.MINIMIZE_FI)
-    seed: int = 20260810
 
     def __post_init__(self):
         if self.theta < 0:
@@ -528,14 +527,13 @@ class SweepScenario:
 
 def _allocation_outcomes(scenario, cases, m_values, senses) -> list:
     """``allocation.allocate_sweep``'s outcome at every (case, fleet size,
-    sense) point of ``scenario``'s channel, budget and design seed.  The
-    information table is designed only where counting
-    (``allocation.spare_bits``) leaves a fleet to solve."""
+    sense) point of ``scenario``'s channel and budget.  The information
+    table is designed only where counting (``allocation.spare_bits``)
+    leaves a fleet to solve."""
     refused, spare = alloc.spare_bits(m_values, scenario.budget, scenario.l0, scenario.max_bits, scenario.budget_mode)
     if not spare:
         return [alloc.AllocationInfeasibleError(refused[m]) for _ in cases for m in m_values for _ in senses]
-    settings = PsoSettings(seed=scenario.seed)
-    table = alloc.build_fi_table(scenario.epsilons, scenario.max_bits, scenario.sigma_n2, settings)
+    table = alloc.build_fi_table(scenario.epsilons, scenario.max_bits, scenario.sigma_n2, PsoSettings())
     return alloc.allocate_sweep(scenario.epsilons, cases, m_values, table, scenario.budget, scenario.l0,
                                 scenario.budget_mode, senses)
 
@@ -694,7 +692,6 @@ class AllocateScenario:
     sigma_n2: float = 1.0
     budget_mode: alloc.BudgetMode = alloc.BudgetMode.AT_MOST
     sense: alloc.Sense = alloc.Sense.MAXIMIZE_FI
-    seed: int = 20260810
 
     def __post_init__(self):
         alloc.check_budget(self.budget, self.l0)

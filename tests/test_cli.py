@@ -289,8 +289,24 @@ def test_sweep_sense_flag_selects_one_sense(tmp_path):
 def test_budget_mode_flag(tmp_path):
     out = tmp_path / "a.csv"
     code = main(["allocate", "--preset", "mixed", "--budget-mode", "exact",
-                 "--sense", "min", "--out", str(out), "--seed", "4"])
+                 "--sense", "min", "--out", str(out)])
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["fi-landscape", "allocate", "sweep"])
+def test_seed_flag_is_refused_where_no_runner_reads_it(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "5", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_seed_flag_is_registered_exactly_for_scenarios_with_a_seed():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    offered = {command for command, p in sub.choices.items() if "--seed" in p._option_string_actions}
+    seeded = {command for command, (_, cls, _) in cli._COMMANDS.items()
+              if "seed" in {f.name for f in dataclasses.fields(cls)}}
+    assert offered == seeded == {"roc", "design-quantizer"}
 
 
 def test_every_preset_is_registered_for_a_real_command():
@@ -461,6 +477,9 @@ def _no_design(*_args, **_kwargs):
         # binary: neither is a config key.
         ("fi-landscape", {"bits": 2}, "bits"),
         *[(command, {"mapping": "natural"}, "mapping") for command in ("roc", "sweep", "fi-landscape", "design-quantizer", "allocate")],
+        # The table designs take one fixed seed, so only the commands whose
+        # runner reads a seed have one.
+        *[(command, {"seed": 5}, "seed") for command in ("fi-landscape", "allocate", "sweep")],
         # Refused by its estimated size, before the grid is allocated.
         ("fi-landscape", {"points": 20_000}, "points"),
         # Refused by the estimated size of its blocks of trials, before any

@@ -514,7 +514,7 @@ class TestTablePath:
         run_sweep(scenario)
         cached = len(design._DESIGN_CACHE)
         assert cached == len(SWEEP_CELLS)
-        settings = PsoSettings(seed=scenario.seed)
+        settings = PsoSettings(seed=SWEEP_SEED)
         for bits, p_e in SWEEP_CELLS:
             optimized_thresholds(bits, p_e, scenario.sigma_n2, settings)
         assert len(design._DESIGN_CACHE) == cached
@@ -524,6 +524,26 @@ class TestTablePath:
         assert design._error_free_optimum(2) is tau
         with pytest.raises(ValueError):
             tau[0] = 0.0
+
+
+class TestOracleFreeCells:
+    """Checks of the table cells that need no quadrature oracle, so they hold at every depth."""
+
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_no_cell_design_beats_a_cell_in_its_own_channel(self, bits):
+        p_es = (0.0, 0.01, 0.05, 0.1, 0.2, 0.3)
+        cells = optimized_cells(bits, p_es, 1.0, PsoSettings())
+        for p_e, own in zip(p_es, cells):
+            problem = DesignProblem(bits=bits, p_e=p_e)
+            for other in cells:
+                assert design_objective(other.thresholds, problem) <= own.objective * (1 + 1e-12), (p_e, other)
+
+    @pytest.mark.parametrize("p_e", [0.0, 0.01, 0.1, 0.2, 0.3, 0.45])
+    def test_one_bit_cell_reaches_the_sign_detector_information(self, p_e):
+        # tau = 0 is optimal for every p_e < 1/2, with information
+        # (1 - 2 p_e)^2 * 2 / pi.
+        (cell,) = optimized_cells(1, (p_e,), 1.0, PsoSettings())
+        assert cell.objective == pytest.approx((1 - 2 * p_e) ** 2 * 2 / math.pi, rel=1e-12, abs=0)
 
 
 #: Best objective of the swarm design of each sweep-table cell over the

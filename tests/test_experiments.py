@@ -617,6 +617,26 @@ class TestRocDesigns:
         run_roc(scenario)
         assert calls == designed
 
+    def test_seed_reaches_only_the_monte_carlo(self, monkeypatch):
+        # Runs at two seeds are replicates of one detector: both read the
+        # table designs of ``PsoSettings()``, and the second designs nothing.
+        monkeypatch.setattr(design, "_DESIGN_CACHE", {})
+        real, read = experiments._scenario_quantizer, []
+
+        def spy(scenario, bits):
+            spec = real(scenario, bits)
+            read.append((scenario.seed, bits, tuple(spec.thresholds)))
+            return spec
+
+        monkeypatch.setattr(experiments, "_scenario_quantizer", spy)
+        cached = []
+        for seed in (1, 20260810):
+            run_roc(RocScenario(**PRESETS[("roc", "errorprone")], trials=10, seed=seed))
+            cached.append(len(design._DESIGN_CACHE))
+        assert cached[0] == cached[1] > 0
+        first = [(bits, t) for seed, bits, t in read if seed == 1]
+        assert first and first == [(bits, t) for seed, bits, t in read if seed == 20260810]
+
 
 class TestRocClosedForm:
     """The two Gaussian detectors have exact ROCs: under H0 the statistic is
@@ -651,7 +671,6 @@ class TestSweep:
     SCENARIO = SweepScenario(
         cases=(SweepCase("favorable", (0.6, 0.2, 0.1, 0.1)),),
         m_values=(20, 40),
-        seed=6,
     )
 
     def test_summary_and_distribution(self):
@@ -693,7 +712,6 @@ class TestSweep:
             cases=(SweepCase("favorable", (0.6, 0.2, 0.1, 0.1)),),
             m_values=(20,),
             budget=10,  # below one bit per sensor
-            seed=6,
         )
         summary, dist = run_sweep(scenario)
         assert all(r[3] == "infeasible" for r in summary.rows)
@@ -752,7 +770,7 @@ class TestDesignRunner:
 
 class TestAllocateRunner:
     def test_counts_add_up(self):
-        table = run_allocate(AllocateScenario(m_total=20, budget=120, seed=4))
+        table = run_allocate(AllocateScenario(m_total=20, budget=120))
         total = sum(r[2] for r in table.rows)
         assert total == 20
         bits = table.rows[0][4]
@@ -762,7 +780,7 @@ class TestAllocateRunner:
         table = run_allocate(
             AllocateScenario(
                 epsilons=(0.0,), freqs=(1.0,), m_total=2, budget=64,
-                budget_mode=BudgetMode.EXACT, sense=Sense.MAXIMIZE_FI, seed=4,
+                budget_mode=BudgetMode.EXACT, sense=Sense.MAXIMIZE_FI,
             )
         )
         rec = {r[0]: r for r in table.rows if r[0] == "fp"}
