@@ -166,6 +166,10 @@ def _build_scenario(cls, cfg: dict, where: str = ""):
     unknown = set(cfg) - set(hints)
     if unknown:
         raise CliError(f"{where}unknown config keys {sorted(unknown)} for {cls.__name__}")
+    missing = {f.name for f in dataclasses.fields(cls)
+               if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING} - set(cfg)
+    if missing:
+        raise CliError(f"{where}missing config keys {sorted(missing)} for {cls.__name__}")
     values = {}
     for name, value in cfg.items():
         hint = hints[name]

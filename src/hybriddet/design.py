@@ -6,10 +6,12 @@ and a projected gradient ascent (BGDA) suffices; with channel errors the
 surface grows multiple peaks, and its best points leave some levels
 empty.  The cached designs of 2 and 3 bits therefore climb every face of
 the ordered threshold box (every set of used levels) with batched BFGS on
-the closed-form gradient and certify the winner; the constriction-factor
-particle swarm designs the other bit depths and serves
-``design-quantizer``.  A grid evaluator reproduces the information
-landscape for 2-bit designs.
+the closed-form gradient and certify the winner.  At 1 bit the
+information peaks at a threshold of 0 over every channel, so every cached
+1-bit cell takes the thresholds of the error-free cell.  The
+constriction-factor particle swarm designs that cell and the cells of 4 or
+more bits, and serves ``design-quantizer``.  A grid evaluator reproduces
+the information landscape for 2-bit designs.
 """
 
 from __future__ import annotations
@@ -629,7 +631,8 @@ _DESIGN_CACHE: dict[tuple, DesignResult] = {}
 
 #: Bit depths designed on their faces.  The face count grows as
 #: ``2**(2**bits) / 2``: 7 at 2 bits, 131 at 3 and 32,890 at 4, so deeper
-#: cells keep the swarm.  1-bit cells keep it too (see ``optimized_cells``).
+#: cells keep the swarm.  1-bit cells share one swarm design (see
+#: ``optimized_cells``).
 _FACE_BITS = (2, 3)
 
 #: Shrink/stretch factors applied to the error-free optimum when seeding
@@ -669,16 +672,21 @@ def optimized_cells(
     """Best design for each channel in ``p_es`` at one bit depth, cached.
 
     Cells of 2 and 3 bits come from the face design (``_design_faces``),
-    which does not read ``settings``.  Any other cell runs a few independent
-    swarms whose seeds derive deterministically from the design seed and
-    the cell coordinates, each seeded with scaled copies of the
-    error-free optimum, and keeps the first best objective.  At 1 bit the
-    face design would put the threshold exactly on 0, where the ``1b``
-    detector's lattice statistic ties with its decision threshold.  The
-    uncached cells of one call run as one batch.  Tied thresholds are moved
-    apart (``_separate_ties``), and every cached objective is
-    ``design_objective`` at the cached thresholds.  Repeated calls agree
-    exactly.
+    which does not read ``settings``.  A 1-bit cell's information peaks at a
+    threshold of 0 for every ``p_e < 0.5``, so every other 1-bit cell takes
+    the thresholds of the error-free cell at its noise level and settings,
+    designed or read from the cache under its own key; a copy's trace is its
+    own objective alone, as a face design's is.  The error-free 1-bit cell
+    and every cell of 4 or more bits run a few independent swarms whose
+    seeds derive deterministically from the design seed and the cell
+    coordinates, each seeded with scaled copies of the error-free optimum,
+    and keep the first best objective.  At 1 bit the face design would put
+    the threshold exactly on 0, where the ``1b`` detector's lattice
+    statistic ties with its decision threshold.  The uncached cells of one
+    call run as one batch.  Tied thresholds are moved apart
+    (``_separate_ties``), and every cached objective is ``design_objective``
+    at the cached thresholds, in the cell's own channel.  Repeated calls
+    agree exactly.
     """
     keys = {p_e: (bits, float(p_e), float(sigma_n2), settings) for p_e in p_es}
     missing = [p_e for p_e, key in keys.items() if key not in _DESIGN_CACHE]
@@ -686,12 +694,18 @@ def optimized_cells(
         problems = [DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2) for p_e in missing]
         if bits in _FACE_BITS:
             designs = _design_faces(problems)
+        elif bits == 1 and missing != [0.0]:  # the error-free cell alone runs the swarm
+            shared = optimized_thresholds(1, 0.0, sigma_n2, settings).thresholds
+            designs = [DesignResult(shared, math.nan, ())] * len(problems)
         else:
             designs = _swarm_designs(problems, settings.seed)
         for p_e, problem, design in zip(missing, problems, designs):
+            if keys[p_e] in _DESIGN_CACHE:  # the error-free 1-bit cell, settled by its own call
+                continue
             thresholds = _separate_ties(design.thresholds)
             objective = design_objective(thresholds, problem)
-            _DESIGN_CACHE[keys[p_e]] = replace(design, thresholds=thresholds, objective=objective)
+            trace = design.trace or (objective,)
+            _DESIGN_CACHE[keys[p_e]] = DesignResult(thresholds, objective, trace)
     return [_DESIGN_CACHE[keys[p_e]] for p_e in p_es]
 
 

@@ -553,6 +553,27 @@ def test_sweep_case_without_freqs_rejected(tmp_path, capsys):
     assert "sweep case 0" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize(
+    "config, error",
+    [
+        ({}, "missing config keys ['cases'] for SweepScenario"),
+        ({"cases": [{"freqs": [1.0]}]}, "sweep case 0: missing config keys ['name'] for SweepCase"),
+        ({"cases": [{"name": "a", "freqs": [1.0]}, {"name": "b"}]},
+         "sweep case 1: missing config keys ['freqs'] for SweepCase"),
+    ],
+)
+def test_missing_config_keys_are_named(tmp_path, capsys, config, error):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "x.csv"
+    code = main(["sweep", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == error
+    assert not out.exists()
+
+
 #: Run in a fresh interpreter with the command and presets as ``sys.argv``.
 #: Records every scipy module looked up.  Prints the presets' exit codes, the
 #: scipy modules looked up, and whether scipy and ``numpy.ma`` were loaded at

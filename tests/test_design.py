@@ -436,7 +436,11 @@ class TestSwarmBatch:
         if bits in design._FACE_BITS:
             cells = _table_swarms(bits, p_es, settings)
         else:
+            # Every 1-bit cell takes the error-free cell's thresholds, so the
+            # one batch holds that cell's restarts alone.
             cells = design.optimized_cells(bits, p_es, 1.0, settings)
+            assert p_es[0] == 0.0 and all(cell.thresholds == cells[0].thresholds for cell in cells)
+            p_es, cells = p_es[:1], cells[:1]
         assert len(batches) == 1
         problems, _, _, results = batches[0]
         assert [p.p_e for p in problems] == [p_e for p_e in p_es for _ in range(design._PSO_RESTARTS)]
@@ -544,6 +548,40 @@ class TestOracleFreeCells:
         # (1 - 2 p_e)^2 * 2 / pi.
         (cell,) = optimized_cells(1, (p_e,), 1.0, PsoSettings())
         assert cell.objective == pytest.approx((1 - 2 * p_e) ** 2 * 2 / math.pi, rel=1e-12, abs=0)
+
+
+class TestSharedOneBitCells:
+    """Every 1-bit cell takes the thresholds of the error-free cell at its noise level."""
+
+    @pytest.mark.parametrize("sigma_n2", [1.0, 0.25])
+    def test_every_channel_takes_the_error_free_thresholds(self, monkeypatch, sigma_n2):
+        monkeypatch.setattr(design, "_DESIGN_CACHE", {})
+        settings, p_es = PsoSettings(), (0.01, 0.1, 0.2, 0.3, 0.45)
+        cells = optimized_cells(1, p_es, sigma_n2, settings)
+        (zero,) = optimized_cells(1, (0.0,), sigma_n2, settings)
+        # The error-free cell is the swarm design, settled as any cell is.
+        problem = DesignProblem(bits=1, p_e=0.0, sigma_n2=sigma_n2)
+        assert zero == _settled(design._swarm_designs([problem], settings.seed)[0], problem)
+        for p_e, cell in zip(p_es, cells):
+            assert cell.thresholds == zero.thresholds
+            own = design_objective(cell.thresholds, replace(problem, p_e=p_e))
+            assert cell.objective == own
+            assert cell.trace == (own,)
+
+    @pytest.mark.parametrize("p_es", [(0.0, 0.01, 0.1, 0.2), (0.2, 0.1, 0.01, 0.0), (0.2,)])
+    def test_a_cold_table_runs_the_error_free_swarms_alone(self, monkeypatch, p_es):
+        settings = PsoSettings(seed=SWEEP_SEED)
+        batches = _record_batches(monkeypatch)
+        cells = optimized_cells(1, p_es, 1.0, settings)
+        assert len(batches) == 1
+        problems = batches[0][0]
+        assert [p.p_e for p in problems] == [0.0] * design._PSO_RESTARTS
+        zero = design._DESIGN_CACHE[(1, 0.0, 1.0, settings)]
+        assert all(cell.thresholds == zero.thresholds for cell in cells)
+        assert len(design._DESIGN_CACHE) == len(set(p_es) | {0.0})
+        # Later cells read the error-free cell from the cache.
+        optimized_cells(1, (0.0, 0.01, 0.1, 0.2, 0.3), 1.0, settings)
+        assert len(batches) == 1
 
 
 #: Best objective of the swarm design of each sweep-table cell over the
@@ -750,7 +788,8 @@ class TestFaceDesign:
         # thresholds bit for bit: the 12 sweep-table cells, the two
         # threshold sets of the errorprone ROC preset, 2- and 3-bit cells
         # away from unit noise, where the face design's own value is scaled,
-        # and a 4-bit cell from the swarm branch.
+        # with the error-free 1-bit cell that its 1-bit cells share, and a
+        # 4-bit cell from the swarm branch.
         cells = {}
         for build in (
             lambda: build_fi_table((0.0, 0.01, 0.1, 0.2), 3, 1.0, PsoSettings(seed=SWEEP_SEED)),
@@ -761,7 +800,7 @@ class TestFaceDesign:
             monkeypatch.setattr(design, "_DESIGN_CACHE", {})
             build()
             cells.update(design._DESIGN_CACHE)
-        assert len(cells) == 12 + 6 + 1
+        assert len(cells) == 12 + 7 + 1
         for (bits, p_e, sigma_n2, _), result in cells.items():
             problem = DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2)
             assert result.objective == design_objective(result.thresholds, problem)

@@ -637,6 +637,14 @@ class TestRocDesigns:
         first = [(bits, t) for seed, bits, t in read if seed == 1]
         assert first and first == [(bits, t) for seed, bits, t in read if seed == 20260810]
 
+    def test_ideal_and_errorprone_read_one_one_bit_threshold(self, monkeypatch):
+        # Every 1-bit cell takes the error-free cell's thresholds, so the two
+        # presets' ``1b`` detectors differ only in their channel.
+        monkeypatch.setattr(design, "_DESIGN_CACHE", {})
+        read = {name: experiments._scenario_quantizer(RocScenario(**PRESETS[("roc", name)]), 1).thresholds
+                for name in ("errorprone", "ideal")}
+        assert read["errorprone"] == read["ideal"]
+
 
 class TestRocClosedForm:
     """The two Gaussian detectors have exact ROCs: under H0 the statistic is
