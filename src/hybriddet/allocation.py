@@ -154,21 +154,17 @@ class FiTable:
         return self.gamma.shape[1]
 
 
-def build_fi_table(
-    epsilons,
-    max_bits: int,
-    sigma_n2: float,
-    settings: PsoSettings,
-) -> FiTable:
+def build_fi_table(epsilons, max_bits: int, sigma_n2: float) -> FiTable:
     """Optimize thresholds per (bit depth, channel in ``epsilons``) and tabulate the values.
 
-    Deterministic given the design seed; cell designs are cached across
-    calls.  A full-precision sensor contributes ``1 / sigma_n2``.
+    Cells are designed with the one design seed of ``PsoSettings()``, which
+    only cells of 4 or more bits read, and are cached across calls.  A
+    full-precision sensor contributes ``1 / sigma_n2``.
     """
     check_bits("max_bits", max_bits)
     gamma = np.zeros((max_bits, len(epsilons)))
     for li in range(max_bits):
-        cells = optimized_cells(li + 1, epsilons, sigma_n2, settings)
+        cells = optimized_cells(li + 1, epsilons, sigma_n2, PsoSettings())
         gamma[li] = [cell.objective for cell in cells]
     return FiTable(gamma=gamma, gamma0=1.0 / sigma_n2)
 

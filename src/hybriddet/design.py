@@ -8,10 +8,10 @@ empty.  The cached designs of 2 and 3 bits therefore climb every face of
 the ordered threshold box (every set of used levels) with batched BFGS on
 the closed-form gradient and certify the winner.  At 1 bit the
 information peaks at a threshold of 0 over every channel, so every cached
-1-bit cell takes the thresholds of the error-free cell.  The
-constriction-factor particle swarm designs that cell and the cells of 4 or
-more bits, and serves ``design-quantizer``.  A grid evaluator reproduces
-the information landscape for 2-bit designs.
+1-bit cell takes that threshold in closed form, moved up by the tie rule
+``_ONE_BIT_OFFSET``.  The constriction-factor particle swarm designs the
+cells of 4 or more bits and serves ``design-quantizer``.  A grid evaluator
+reproduces the information landscape for 2-bit designs.
 """
 
 from __future__ import annotations
@@ -631,9 +631,13 @@ _DESIGN_CACHE: dict[tuple, DesignResult] = {}
 
 #: Bit depths designed on their faces.  The face count grows as
 #: ``2**(2**bits) / 2``: 7 at 2 bits, 131 at 3 and 32,890 at 4, so deeper
-#: cells keep the swarm.  1-bit cells share one swarm design (see
+#: cells keep the swarm.  1-bit cells are designed in closed form (see
 #: ``optimized_cells``).
 _FACE_BITS = (2, 3)
+
+#: The 1-bit threshold in noise deviations, a tie rule (see
+#: ``optimized_cells``).  A power of two, it scales by ``sigma_n`` exactly.
+_ONE_BIT_OFFSET = 2.0**-30
 
 #: Shrink/stretch factors applied to the error-free optimum when seeding
 #: error-prone swarms; informative thresholds contract as channels worsen.
@@ -671,46 +675,44 @@ def optimized_cells(
 ) -> list[DesignResult]:
     """Best design for each channel in ``p_es`` at one bit depth, cached.
 
-    Cells of 2 and 3 bits come from the face design (``_design_faces``),
-    which does not read ``settings``.  A 1-bit cell's information peaks at a
-    threshold of 0 for every ``p_e < 0.5``, so every other 1-bit cell takes
-    the thresholds of the error-free cell at its noise level and settings,
-    designed or read from the cache under its own key; a copy's trace is its
-    own objective alone, as a face design's is.  The error-free 1-bit cell
-    and every cell of 4 or more bits run a few independent swarms whose
-    seeds derive deterministically from the design seed and the cell
-    coordinates, each seeded with scaled copies of the error-free optimum,
-    and keep the first best objective.  At 1 bit the face design would put
-    the threshold exactly on 0, where the ``1b`` detector's lattice
-    statistic ties with its decision threshold.  The uncached cells of one
-    call run as one batch.  Tied thresholds are moved apart
+    A 1-bit cell's information peaks at a threshold of 0 for every ``p_e <
+    0.5``, with value ``(1 - 2 p_e)**2 * 2 / (pi sigma_n2)``, so every 1-bit
+    cell takes ``_ONE_BIT_OFFSET * sigma_n``.  At 0 the two level scores
+    cancel exactly, and the sign of the ``1b`` statistic of a fleet with as
+    many ones as twos would follow the order of a float sum.  The offset
+    makes the scores differ by about ``1.6 (1 - 2 p_e)`` times it, relative,
+    above the rounding of any such sum (about 1.4e-16) for every ``p_e``
+    below 0.4999999, so that statistic is positive in every order; it costs
+    about its square of the information, relative, below one ulp.  Cells of
+    2 and 3 bits come from the face design (``_design_faces``).  Neither
+    reads ``settings``.  Every cell of 4 or more bits runs a few independent
+    swarms whose seeds derive deterministically from the design seed and
+    the cell coordinates, each seeded with scaled copies of the error-free
+    optimum, and keeps the first best objective.  The uncached cells of one
+    call are designed as one batch.  Tied thresholds are moved apart
     (``_separate_ties``), and every cached objective is ``design_objective``
-    at the cached thresholds, in the cell's own channel.  Repeated calls
-    agree exactly.
+    at the cached thresholds, in the cell's own channel; a cached trace
+    holds that objective alone.  Repeated calls agree exactly.
     """
     keys = {p_e: (bits, float(p_e), float(sigma_n2), settings) for p_e in p_es}
     missing = [p_e for p_e, key in keys.items() if key not in _DESIGN_CACHE]
     if missing:
         problems = [DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2) for p_e in missing]
-        if bits in _FACE_BITS:
-            designs = _design_faces(problems)
-        elif bits == 1 and missing != [0.0]:  # the error-free cell alone runs the swarm
-            shared = optimized_thresholds(1, 0.0, sigma_n2, settings).thresholds
-            designs = [DesignResult(shared, math.nan, ())] * len(problems)
+        if bits == 1:
+            designs = [(_ONE_BIT_OFFSET * problems[0].sigma_n,)] * len(problems)
+        elif bits in _FACE_BITS:
+            designs = [design.thresholds for design in _design_faces(problems)]
         else:
             designs = _swarm_designs(problems, settings.seed)
-        for p_e, problem, design in zip(missing, problems, designs):
-            if keys[p_e] in _DESIGN_CACHE:  # the error-free 1-bit cell, settled by its own call
-                continue
-            thresholds = _separate_ties(design.thresholds)
+        for p_e, problem, thresholds in zip(missing, problems, designs):
+            thresholds = _separate_ties(thresholds)
             objective = design_objective(thresholds, problem)
-            trace = design.trace or (objective,)
-            _DESIGN_CACHE[keys[p_e]] = DesignResult(thresholds, objective, trace)
+            _DESIGN_CACHE[keys[p_e]] = DesignResult(thresholds, objective, (objective,))
     return [_DESIGN_CACHE[keys[p_e]] for p_e in p_es]
 
 
-def _swarm_designs(problems: list[DesignProblem], seed: int) -> list[DesignResult]:
-    """The first best of ``_PSO_RESTARTS`` seeded swarms per problem, as one batch."""
+def _swarm_designs(problems: list[DesignProblem], seed: int) -> list[tuple]:
+    """The thresholds of the first best of ``_PSO_RESTARTS`` seeded swarms per problem, as one batch."""
     base = _error_free_optimum(problems[0].bits)
     guesses = tuple(tuple(base * s) for s in _GUESS_SCALES)
     seeds = []
@@ -723,7 +725,7 @@ def _swarm_designs(problems: list[DesignProblem], seed: int) -> list[DesignResul
     designs = []
     for i, problem in enumerate(problems):
         best = max(runs[i * _PSO_RESTARTS : (i + 1) * _PSO_RESTARTS], key=lambda result: result.objective)
-        designs.append(_leave_unit_noise(best.thresholds, best.trace, problem))
+        designs.append(tuple(float(t) for t in np.multiply(best.thresholds, problem.sigma_n)))
     return designs
 
 

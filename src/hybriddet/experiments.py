@@ -533,7 +533,7 @@ def _allocation_outcomes(scenario, cases, m_values, senses) -> list:
     refused, spare = alloc.spare_bits(m_values, scenario.budget, scenario.l0, scenario.max_bits, scenario.budget_mode)
     if not spare:
         return [alloc.AllocationInfeasibleError(refused[m]) for _ in cases for m in m_values for _ in senses]
-    table = alloc.build_fi_table(scenario.epsilons, scenario.max_bits, scenario.sigma_n2, PsoSettings())
+    table = alloc.build_fi_table(scenario.epsilons, scenario.max_bits, scenario.sigma_n2)
     return alloc.allocate_sweep(scenario.epsilons, cases, m_values, table, scenario.budget, scenario.l0,
                                 scenario.budget_mode, senses)
 

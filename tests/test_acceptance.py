@@ -310,7 +310,7 @@ class TestC06IlpCorrectness:
                 assert abs(a_fi - d_fi) <= 1e-9
             agreements += 1
 
-        fi_table = build_fi_table((0.0, 0.01, 0.1, 0.2), 3, 1.0, PsoSettings(seed=SEED))
+        fi_table = build_fi_table((0.0, 0.01, 0.1, 0.2), 3, 1.0)
         paper_points = 0
         for freqs in self.CASES.values():
             for m in range(20, 101, 10):

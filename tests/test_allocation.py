@@ -22,7 +22,7 @@ from hybriddet.allocation import (
     solve_ilp,
     validate_allocation,
 )
-from hybriddet.design import DesignProblem, PsoSettings, _error_free_optimum, design_objective
+from hybriddet.design import DesignProblem, _error_free_optimum, design_objective
 
 from oracles import enumerate_ilp
 
@@ -147,20 +147,20 @@ class TestCategorize:
 
 class TestFiTable:
     def test_values(self):
-        table = build_fi_table((0.0, 0.5), 1, 1.0, PsoSettings(seed=2))
+        table = build_fi_table((0.0, 0.5), 1, 1.0)
         assert table.gamma[0, 0] == pytest.approx(2 / math.pi, abs=1e-6)
         assert table.gamma[0, 1] == pytest.approx(0.0, abs=1e-12)
         assert table.gamma0 == pytest.approx(1.0, abs=1e-15)
 
     def test_monotone_in_channel_and_bits(self):
-        table = build_fi_table((0.0, 0.01, 0.1, 0.2), 3, 1.0, PsoSettings(seed=2))
+        table = build_fi_table((0.0, 0.01, 0.1, 0.2), 3, 1.0)
         assert np.all(np.diff(table.gamma, axis=1) <= 1e-6)   # worse channel
         assert np.all(np.diff(table.gamma, axis=0) >= -1e-6)  # more bits
         assert table.gamma0 >= table.gamma.max() - 1e-9
 
     def test_deterministic(self):
-        a = build_fi_table((0.0, 0.2), 2, 1.0, PsoSettings(seed=5))
-        b = build_fi_table((0.0, 0.2), 2, 1.0, PsoSettings(seed=5))
+        a = build_fi_table((0.0, 0.2), 2, 1.0)
+        b = build_fi_table((0.0, 0.2), 2, 1.0)
         np.testing.assert_array_equal(a.gamma, b.gamma)
 
 

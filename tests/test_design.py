@@ -27,6 +27,7 @@ from hybriddet.design import (
 )
 
 from hybriddet.allocation import build_fi_table
+from hybriddet.cli import main
 from hybriddet.detection import NetworkKernels, bsc_kernel, reconstruction_table
 from hybriddet.experiments import RocScenario, SweepCase, SweepScenario, run_roc, run_sweep
 from hybriddet.model import QuantizerSpec
@@ -360,20 +361,22 @@ def _record_batches(monkeypatch):
     return batches
 
 
-def _settled(result, problem):
-    """A designer's point as ``optimized_cells`` caches it: ties moved apart, then scored."""
-    thresholds = _separate_ties(result.thresholds)
-    return replace(result, thresholds=thresholds, objective=design_objective(thresholds, problem))
+def _settled(thresholds, problem):
+    """A designer's thresholds as ``optimized_cells`` caches them: ties moved apart, then scored."""
+    thresholds = _separate_ties(thresholds)
+    objective = design_objective(thresholds, problem)
+    return DesignResult(thresholds, objective, (objective,))
 
 
 def _table_swarms(bits, p_es, settings):
     """Each unit-noise cell's swarm design, as the swarm path of the table designs it.
 
-    The cells of 2 and 3 bits are designed on their faces; this runs the
-    swarm on them with the restarts, seeds and guesses of that path.
+    The cells of 1 bit are designed in closed form and those of 2 and 3
+    bits on their faces; this runs the swarm on them with the restarts,
+    seeds and guesses of that path.
     """
     problems = [DesignProblem(bits=bits, p_e=p_e) for p_e in p_es]
-    return [_settled(r, p) for r, p in zip(design._swarm_designs(problems, settings.seed), problems)]
+    return [_settled(t, p) for t, p in zip(design._swarm_designs(problems, settings.seed), problems)]
 
 
 def _cell_swarms(monkeypatch, bits, p_e, settings):
@@ -433,14 +436,7 @@ class TestSwarmBatch:
         settings = PsoSettings(seed=SWEEP_SEED)
         batches = _record_batches(monkeypatch)
         p_es = [p_e for b, p_e in SWEEP_CELLS if b == bits]
-        if bits in design._FACE_BITS:
-            cells = _table_swarms(bits, p_es, settings)
-        else:
-            # Every 1-bit cell takes the error-free cell's thresholds, so the
-            # one batch holds that cell's restarts alone.
-            cells = design.optimized_cells(bits, p_es, 1.0, settings)
-            assert p_es[0] == 0.0 and all(cell.thresholds == cells[0].thresholds for cell in cells)
-            p_es, cells = p_es[:1], cells[:1]
+        cells = _table_swarms(bits, p_es, settings)
         assert len(batches) == 1
         problems, _, _, results = batches[0]
         assert [p.p_e for p in problems] == [p_e for p_e in p_es for _ in range(design._PSO_RESTARTS)]
@@ -449,7 +445,7 @@ class TestSwarmBatch:
         for n, cell in enumerate(cells):
             restarts = results[n * design._PSO_RESTARTS : (n + 1) * design._PSO_RESTARTS]
             best = next(r for r in restarts if r.objective == max(x.objective for x in restarts))
-            assert cell == _settled(best, problems[n * design._PSO_RESTARTS])
+            assert cell == _settled(best.thresholds, problems[n * design._PSO_RESTARTS])
 
     def test_swarms_leave_the_batch_at_their_own_sweeps(self, monkeypatch):
         # The 3-bit eps = 0.1 restarts run for about a thousand sweeps or
@@ -481,10 +477,10 @@ class TestTablePath:
         monkeypatch.setattr(design, "design_bgda", count("bgda", bgda))
         monkeypatch.setattr(design, "_run_swarms", count("batches", engine))
         monkeypatch.setattr(design, "_design_faces", count("faces", faces))
-        build_fi_table((0.0, 0.01, 0.1, 0.2), 3, 1.0, PsoSettings(seed=SWEEP_SEED))
-        # One swarm batch for the 1-bit cells, seeded by a face climb, not
-        # by gradient ascent; one face batch for each of 2 and 3 bits.
-        assert counts == {"bgda": 0, "batches": 1, "faces": 2}
+        build_fi_table((0.0, 0.01, 0.1, 0.2), 3, 1.0)
+        # No swarm and no gradient ascent: the 1-bit cells are closed
+        # form, and one face batch designs each of 2 and 3 bits.
+        assert counts == {"bgda": 0, "batches": 0, "faces": 2}
 
     def test_cold_cells_are_scored_once(self, monkeypatch):
         # A designer hands back its point; ``optimized_cells`` moves its
@@ -523,6 +519,16 @@ class TestTablePath:
             optimized_thresholds(bits, p_e, scenario.sigma_n2, settings)
         assert len(design._DESIGN_CACHE) == cached
 
+    def test_a_swarm_cell_keeps_its_objective_alone_as_trace(self, monkeypatch):
+        # The swarm's trace, scaled to the noise level before the cell is
+        # settled and scored again, ends one ulp off the objective here
+        # (0.4952494959959041 against 0.49524949599590407); a cached cell's
+        # trace holds its objective alone.
+        monkeypatch.setattr(design, "_DESIGN_CACHE", {})
+        cell = optimized_thresholds(4, 0.0, 2.0, PsoSettings())
+        assert cell.objective == design_objective(cell.thresholds, DesignProblem(bits=4, p_e=0.0, sigma_n2=2.0))
+        assert cell.trace == (cell.objective,)
+
     def test_error_free_optimum_is_read_only(self):
         tau = design._error_free_optimum(2)
         assert design._error_free_optimum(2) is tau
@@ -550,38 +556,68 @@ class TestOracleFreeCells:
         assert cell.objective == pytest.approx((1 - 2 * p_e) ** 2 * 2 / math.pi, rel=1e-12, abs=0)
 
 
-class TestSharedOneBitCells:
-    """Every 1-bit cell takes the thresholds of the error-free cell at its noise level."""
+#: The 1-bit table channels of the closed-form tests, and two design seeds.
+ONE_BIT_P_ES = (0.0, 0.01, 0.1, 0.2, 0.3, 0.45)
+DESIGN_SEEDS = (SWEEP_SEED, 1)
 
-    @pytest.mark.parametrize("sigma_n2", [1.0, 0.25])
-    def test_every_channel_takes_the_error_free_thresholds(self, monkeypatch, sigma_n2):
+
+def _no_swarm(*_args, **_kwargs):
+    raise AssertionError("the swarm ran")
+
+
+class TestClosedFormOneBitCells:
+    """Every 1-bit cell is ``2**-30 * sigma_n``, whatever its channel and design seed."""
+
+    @pytest.mark.parametrize("seed", DESIGN_SEEDS)
+    @pytest.mark.parametrize("sigma_n2", [1.0, 0.25, 2.0])
+    def test_every_cell_is_the_closed_form_scored_in_its_own_channel(self, monkeypatch, sigma_n2, seed):
         monkeypatch.setattr(design, "_DESIGN_CACHE", {})
-        settings, p_es = PsoSettings(), (0.01, 0.1, 0.2, 0.3, 0.45)
-        cells = optimized_cells(1, p_es, sigma_n2, settings)
-        (zero,) = optimized_cells(1, (0.0,), sigma_n2, settings)
-        # The error-free cell is the swarm design, settled as any cell is.
-        problem = DesignProblem(bits=1, p_e=0.0, sigma_n2=sigma_n2)
-        assert zero == _settled(design._swarm_designs([problem], settings.seed)[0], problem)
-        for p_e, cell in zip(p_es, cells):
-            assert cell.thresholds == zero.thresholds
-            own = design_objective(cell.thresholds, replace(problem, p_e=p_e))
+        monkeypatch.setattr(design, "_run_swarms", _no_swarm)
+        settings = PsoSettings(seed=seed)
+        cells = optimized_cells(1, ONE_BIT_P_ES, sigma_n2, settings)
+        for p_e, cell in zip(ONE_BIT_P_ES, cells):
+            assert cell.thresholds == (2**-30 * math.sqrt(sigma_n2),)
+            own = design_objective(cell.thresholds, DesignProblem(bits=1, p_e=p_e, sigma_n2=sigma_n2))
             assert cell.objective == own
             assert cell.trace == (own,)
 
-    @pytest.mark.parametrize("p_es", [(0.0, 0.01, 0.1, 0.2), (0.2, 0.1, 0.01, 0.0), (0.2,)])
-    def test_a_cold_table_runs_the_error_free_swarms_alone(self, monkeypatch, p_es):
-        settings = PsoSettings(seed=SWEEP_SEED)
-        batches = _record_batches(monkeypatch)
-        cells = optimized_cells(1, p_es, 1.0, settings)
-        assert len(batches) == 1
-        problems = batches[0][0]
-        assert [p.p_e for p in problems] == [0.0] * design._PSO_RESTARTS
-        zero = design._DESIGN_CACHE[(1, 0.0, 1.0, settings)]
-        assert all(cell.thresholds == zero.thresholds for cell in cells)
-        assert len(design._DESIGN_CACHE) == len(set(p_es) | {0.0})
-        # Later cells read the error-free cell from the cache.
-        optimized_cells(1, (0.0, 0.01, 0.1, 0.2, 0.3), 1.0, settings)
-        assert len(batches) == 1
+    @pytest.mark.parametrize("seed", DESIGN_SEEDS)
+    @pytest.mark.parametrize("p_es", [(0.01, 0.1, 0.2, 0.3, 0.45), (0.2,), ONE_BIT_P_ES])
+    def test_a_cold_call_caches_the_cells_it_asks_for(self, monkeypatch, p_es, seed):
+        monkeypatch.setattr(design, "_DESIGN_CACHE", {})
+        settings = PsoSettings(seed=seed)
+        optimized_cells(1, p_es, 1.0, settings)
+        assert set(design._DESIGN_CACHE) == {(1, p_e, 1.0, settings) for p_e in p_es}
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("roc", "--preset", "ideal"),
+            ("roc", "--preset", "errorprone"),
+            ("fi-landscape", "--preset", "ideal"),
+            ("fi-landscape", "--preset", "errorprone"),
+            ("allocate", "--preset", "mixed"),
+            ("sweep", "--preset", "two-mixes"),
+        ],
+    )
+    def test_no_preset_runs_the_swarm(self, monkeypatch, tmp_path, args):
+        monkeypatch.setattr(design, "_DESIGN_CACHE", {})
+        monkeypatch.setattr(design, "_run_swarms", _no_swarm)
+        assert main([*args, "--out", str(tmp_path / "out.csv")]) == 0
+
+    @pytest.mark.parametrize("seed", DESIGN_SEEDS)
+    @pytest.mark.parametrize("p_e", [0.0, 0.2])
+    def test_cancelling_scores_land_above_zero_in_every_order(self, p_e, seed):
+        # With 40 of the 80 sensors of a ROC preset on each level, the two
+        # scores nearly cancel; at a threshold of exactly 0 the sign of
+        # their float sum would depend on the sensors' order.  The offset
+        # puts it above a decision threshold of 0 in every order.
+        thresholds = optimized_thresholds(1, p_e, 1.0, PsoSettings(seed=seed)).thresholds
+        kernel = NetworkKernels(QuantizerSpec(1, thresholds), p_e, 80, 0, 1.0)
+        levels = np.repeat((1, 2), 40)
+        rng = np.random.default_rng(seed)
+        orders = np.array([rng.permutation(levels) for _ in range(2000)])
+        assert np.all(kernel.statistic(kernel.score_sums(orders)) > 0.0)
 
 
 #: Best objective of the swarm design of each sweep-table cell over the
@@ -786,21 +822,21 @@ class TestFaceDesign:
     def test_cached_objective_is_design_objective(self, monkeypatch):
         # Each cached objective must be ``design_objective`` at the cached
         # thresholds bit for bit: the 12 sweep-table cells, the two
-        # threshold sets of the errorprone ROC preset, 2- and 3-bit cells
-        # away from unit noise, where the face design's own value is scaled,
-        # with the error-free 1-bit cell that its 1-bit cells share, and a
-        # 4-bit cell from the swarm branch.
+        # threshold sets of the errorprone ROC preset (both among those
+        # cells), the six cells of a table away from unit noise, where the
+        # face design's own value is scaled, and a 4-bit cell from the
+        # swarm branch.
         cells = {}
         for build in (
-            lambda: build_fi_table((0.0, 0.01, 0.1, 0.2), 3, 1.0, PsoSettings(seed=SWEEP_SEED)),
+            lambda: build_fi_table((0.0, 0.01, 0.1, 0.2), 3, 1.0),
             lambda: run_roc(replace(RocScenario(p_e=0.2), trials=50)),
-            lambda: build_fi_table((0.01, 0.1), 3, 2.0, PsoSettings(seed=SWEEP_SEED)),
+            lambda: build_fi_table((0.01, 0.1), 3, 2.0),
             lambda: optimized_thresholds(4, 0.1, 1.0, PsoSettings(seed=SWEEP_SEED)),
         ):
             monkeypatch.setattr(design, "_DESIGN_CACHE", {})
             build()
             cells.update(design._DESIGN_CACHE)
-        assert len(cells) == 12 + 7 + 1
+        assert len(cells) == 12 + 6 + 1
         for (bits, p_e, sigma_n2, _), result in cells.items():
             problem = DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2)
             assert result.objective == design_objective(result.thresholds, problem)
@@ -859,8 +895,8 @@ class TestScaleInvariance:
     @pytest.mark.parametrize("sigma_n2", [1e-300, 1e-6, 1e6, 1e300])
     def test_designs_at_extreme_noise_are_the_unit_designs_scaled(self, monkeypatch, sigma_n2):
         # The box is tau_max noise deviations wide at every noise level, so
-        # the swarm of 1 bit, the face design of 2 and 3 bits and a lone
-        # unseeded swarm all make the unit design, scaled.  Thresholds are
+        # the closed form of 1 bit, the face design of 2 and 3 bits and a
+        # lone unseeded swarm all make the unit design, scaled.  Thresholds are
         # compared in deviations, where a tie moved apart at 0 is one ulp
         # of 0 at every scale.
         monkeypatch.setattr(design, "_DESIGN_CACHE", {})

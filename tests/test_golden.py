@@ -90,5 +90,11 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         sums = {key: _sums(key, Path(tmp)) for key in KEYS}
+    old = _golden()["sha256"] if GOLDEN.exists() else {}
+    for key in KEYS:
+        before = old.get(key, {})
+        for role in sorted(set(before) | set(sums[key])):
+            if before.get(role) != sums[key].get(role):
+                print(f"{key} [{role}]: {before.get(role)} -> {sums[key].get(role)}", file=sys.stderr)
     GOLDEN.write_text(json.dumps({**_versions(), "sha256": sums}, indent=2) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)
