@@ -5,9 +5,9 @@ cell centroids of the reconstruction baseline.
 ``NetworkKernels`` is the locally most powerful test (LMPT) of one fleet:
 it sums the received-level scores of the quantized sensors and
 ``y / sigma_n2`` over the analog sensors, and divides by the square root
-of the fleet's Fisher information.  ``experiments.run_roc`` gathers the
-score sums of each block of trials and hands them, with its analog sums,
-to ``NetworkKernels.statistic``.
+of the fleet's Fisher information.  ``experiments.run_roc`` scores each
+block of trials' level counts with ``level_scores`` and hands the sums,
+with its analog sums, to ``NetworkKernels.statistic``.
 
 All kernels are evaluated at amplitude zero, where the locally optimal
 statistic lives.  Thresholds scale with the noise deviation ``sigma_n``,

@@ -3,14 +3,17 @@
 Everything here is deterministic: the ROC Monte Carlo draws each block of
 ``ROC_BLOCK`` trials from one stream keyed by ``(seed, hypothesis,
 block)``, every table and ROC threshold design uses the one design seed of
-``PsoSettings()``, and emitted files are byte-stable across runs.
-The ROC blocks run concurrently on a thread pool with as many threads as
-the CPUs this process may use (no option sets the count); the output does
-not depend on that count, and ROC memory is bounded by workers times a
-block.  The sweep solves all its allocation points from one dynamic
-program (``allocation.allocate_sweep``).  Every runner returns ``Table``s of
-plain ``None``, ``str``, ``int`` and ``float`` cells, which ``emit`` hands to
-the csv and json modules unconverted.
+``PsoSettings()``, and emitted files are byte-stable across runs.  A ROC
+trial draws what its detectors read, two sums of observations and the
+counts of its received levels, not its sensors, so its cost is set by the
+bit depths and not by the fleet.  The ROC blocks run concurrently on a
+thread pool with as many threads as the CPUs this process may use (no
+option sets the count); the output does not depend on that count, and ROC
+memory is bounded by workers times a block.  The sweep solves all its
+allocation points from one dynamic program (``allocation.allocate_sweep``).
+Every runner returns ``Table``s of plain ``None``, ``str``, ``int`` and
+``float`` cells, which ``emit`` hands to the csv and json modules
+unconverted.
 """
 
 from __future__ import annotations
@@ -32,22 +35,17 @@ from .design import (
     DesignProblem, PsoSettings, design_bgda, design_objective, design_pso, fi_landscape, optimized_thresholds)
 from .detection import (
     NetworkKernels,
+    bsc_kernel,
+    cell_tables,
     reconstruction_table,
     theoretical_pd,
     threshold_for_pfa,
 )
-from .model import (
-    GAUSSIAN_REACH,
-    Hypothesis,
-    QuantizerSpec,
-    SignalParams,
-    bsc_corrupt_levels,
-    check_bits,
-    check_sigma_n2,
-    quantize_batch,
-    simulate_observations,
-    trial_rng,
-)
+from .model import GAUSSIAN_REACH, QuantizerSpec, SignalParams, check_bits, check_sigma_n2, trial_rng
+
+# The sensor-by-sensor chain is not called here: ``run_roc`` draws what its
+# detectors read instead.  perfbench's tracer wraps these names on this module.
+from .model import bsc_corrupt_levels, quantize_batch, simulate_observations  # noqa: F401
 
 __all__ = [
     "Table",
@@ -100,22 +98,20 @@ def _refuse_above_cap(estimate: int, subject: str) -> None:
             f"{subject} would take about {estimate / 2**30:.3g} GiB, above the {_MEMORY_CAP / 2**30:g} GiB cap")
 
 
-def _pool_map(fn, jobs: list) -> list:
-    """One result per job, in job order, computed on ``_workers(len(jobs))`` threads.
+def _pool_map(fn, jobs: range) -> list:
+    """``fn`` of each thread's share of ``jobs``, on ``_workers(len(jobs))`` threads.
 
-    ``fn`` maps a list of jobs to the list of their results.  Thread ``w``
-    calls it once, on the share ``jobs[w::workers]``, so a thread keeps its
-    loop's state from one job to the next.  Results land in job order
-    whatever the scheduling.  A job's exception ends its thread's share and
-    is raised here once every thread has stopped.
+    Thread ``w`` calls ``fn`` once, on the share ``jobs[w::workers]``, so a
+    thread keeps its loop's state from one job to the next, and returns one
+    result for its whole share; the results come back in thread order.  A
+    ``range`` of jobs and its shares take no memory per job.  A job's
+    exception ends its thread's share and is raised here once every thread
+    has stopped.
     """
     workers = _workers(len(jobs))
-    results = [None] * len(jobs)
     with ThreadPoolExecutor(workers) as pool:
         futures = [pool.submit(fn, jobs[w::workers]) for w in range(workers)]
-        for w, future in enumerate(futures):
-            results[w::workers] = future.result()
-    return results
+        return [future.result() for future in futures]
 
 
 #: The exact types of a table cell: the ones csv and json write alike.
@@ -216,22 +212,27 @@ class RocScenario:
     fleet and channel are checked against what the chosen detectors read
     (``roster``).
 
-    ``theta`` is refused where an observation or a per-trial sum could
-    overflow.  Under the alternative ``y = theta + hypot(theta * sigma_h,
-    sigma_n) * z`` with a standard normal ``z``, which passes ``R =
-    GAUSSIAN_REACH`` with probability below 1e-307; since ``hypot(a, b) <=
-    a + b``, ``|y| <= theta * (1 + sigma_h * R) + sigma_n * R``.  The
-    largest sums are the clairvoyant one over ``m_total`` observations and
-    the hybrid detector's ``m_full`` analog ones over ``sigma_n2``:
-    ``max(m_total, m_full / sigma_n2)`` times that bound must be finite
-    (the noncentralities are smaller).
+    ``theta`` is refused where a per-trial sum could overflow.  Under the
+    alternative a sum of ``m`` observations is ``m * theta + sqrt(m) *
+    hypot(theta * sigma_h, sigma_n) * z`` with a standard normal ``z``,
+    which passes ``R = GAUSSIAN_REACH`` with probability below 1e-307;
+    since ``hypot(a, b) <= a + b`` and ``sqrt(m) <= m``, its magnitude is at
+    most ``m * (theta * (1 + sigma_h * R) + sigma_n * R)``.  The largest
+    sums are the clairvoyant one over ``m_total`` observations and the
+    hybrid detector's ``m_full`` analog ones over ``sigma_n2``: ``max(m_total,
+    m_full / sigma_n2)`` times that bound must be finite (the
+    noncentralities are smaller).  A head count of ``2**63`` or more is
+    refused, since the level counts are drawn as 64-bit integers.
 
-    A fleet is refused whose blocks of trials would take more than
-    ``_MEMORY_CAP`` bytes, ``_MAX_WORKERS`` blocks at once, by the estimate
-    of ``_trial_bytes``.  A given threshold set is refused, naming its
-    field, where the chosen LMPT detector that reads its levels without the
-    analog sums carries no information (``design_objective`` is 0), since
-    its statistic would divide by that information.
+    The fleet's size does not set the cost or the memory of a trial, which
+    draws its sums and level counts rather than its sensors.  A scenario is
+    refused whose tables and blocks of trials would take more than
+    ``_MEMORY_CAP`` bytes, ``_MAX_WORKERS`` blocks at once, by the estimates
+    of ``_table_bytes`` and ``_trial_bytes``; only a very long ``pfa_grid``
+    gets there.  A given threshold set is refused, naming its field, where
+    the chosen LMPT detector that reads its levels without the analog sums
+    carries no information (``design_objective`` is 0), since its statistic
+    would divide by that information.
     """
 
     theta: float = 0.25
@@ -274,8 +275,11 @@ class RocScenario:
             raise ValueError(f"unknown detectors {sorted(unknown)}")
         if self.m_quantized < 0 or self.m_full < 0 or self.m_quantized + self.m_full < 1:
             raise ValueError("the fleet must contain at least one sensor")
-        subject = f"m_quantized = {self.m_quantized} and m_full = {self.m_full} are too many: the blocks of trials"
-        _refuse_above_cap(_MAX_WORKERS * min(ROC_BLOCK, self.trials) * self._trial_bytes(), subject)
+        if max(self.m_quantized, self.m_full) >= 2**63:
+            raise ValueError("m_quantized and m_full must each be below 2**63: counts are drawn as 64-bit integers")
+        subject = f"pfa_grid of {len(grid)} values is too long: the blocks of trials"
+        block_bytes = min(ROC_BLOCK, self.trials) * self._trial_bytes()
+        _refuse_above_cap(self._table_bytes() + _MAX_WORKERS * block_bytes, subject)
         check_sigma_n2(self.sigma_n2, self.m_total)
         peak = (self.theta * (1.0 + math.sqrt(self.sigma_h2) * GAUSSIAN_REACH)
                 + math.sqrt(self.sigma_n2) * GAUSSIAN_REACH)
@@ -312,19 +316,27 @@ class RocScenario:
         }
 
     def _trial_bytes(self) -> int:
-        """Bytes one trial of a ``run_roc`` block may hold at its peak, read at both bit depths.
+        """Bytes one trial of a ``run_roc`` block may hold at its peak, with both depths' counts drawn.
 
-        Per observation 32: the block's observations; the previous block's
-        observations, which a worker holds until the new ones replace them;
-        and 16 of headroom.  Per quantized sensor 56 plus 9 per bit of each
-        depth: both depths' received levels, twice over for headroom, the
-        sent levels and search temporaries of the depth being drawn, the
-        gather of its scores or centroids, and per bit a flip uniform and
-        its mask byte.  Per trial 128: the detectors' statistics and their
-        exceedances.
+        Per trial 96: the two normals, their sums and the temporaries
+        between, with the previous block's sums, which a worker holds until
+        the new ones replace them.  Per received level of each depth 32: its
+        count, the previous block's, and the term and running sum that score
+        it.  Per detector 64: its score or centroid sum and the temporaries
+        of its statistic, the statistic, and its copy among the stacked
+        statistics; and per detector and pfa target 9, its exceedances and
+        their 64-bit copy in the count.  None of it grows with the fleet.
         """
-        depths = self.bits_hybrid + self.bits_low
-        return 32 * self.m_total + self.m_quantized * (56 + 9 * depths) + 128
+        levels = 2**self.bits_hybrid + 2**self.bits_low
+        return 96 + 32 * levels + len(self.detectors) * (64 + 9 * len(self.pfa_grid))
+
+    def _table_bytes(self) -> int:
+        """Bytes ``run_roc`` holds once, whatever its trials and workers:
+        per depth 4 arrays of ``4**bits`` floats, its channel kernel and the
+        temporaries that build it; 512 per output row; and 64 KiB for the
+        thread pool and the small tables."""
+        rows = len(self.detectors) * len(self.pfa_grid)
+        return 32 * (4**self.bits_hybrid + 4**self.bits_low) + 512 * rows + 2**16
 
     @property
     def m_total(self) -> int:
@@ -339,6 +351,36 @@ def _scenario_quantizer(scenario: RocScenario, bits: int) -> QuantizerSpec:
     return QuantizerSpec(bits, thresholds)
 
 
+def _observation_moments(params: SignalParams) -> list[tuple[float, float]]:
+    """Mean and deviation of one observation under H0 and under H1.
+
+    Under H1 ``y = theta * h + w`` with independent Gaussians ``h ~ N(1,
+    sigma_h2)`` and ``w ~ N(0, sigma_n2)``, so ``y`` is exactly ``N(theta,
+    theta**2 * sigma_h2 + sigma_n2)``; its deviation is taken by ``hypot``,
+    not as the square root of the variance, since ``theta**2`` overflows
+    long before ``theta * sigma_h`` does.
+    """
+    theta, sigma_n = params.theta, params.sigma_n
+    return [(0.0, sigma_n), (theta, math.hypot(theta * math.sqrt(params.sigma_h2), sigma_n))]
+
+
+def _received_law(spec: QuantizerSpec, p_e: float, mean: float, deviation: float) -> np.ndarray:
+    """Probability of each received level, indexed by ``level - 1``, of one
+    sensor whose sample is ``N(mean, deviation**2)``, sent over a channel of
+    crossover ``p_e``."""
+    return bsc_kernel(spec.bits, p_e) @ cell_tables((np.asarray(spec.thresholds) - mean) / deviation)[0]
+
+
+def _level_sums(counts: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``sum_k counts[:, k] * table[k]`` for each row of level counts.
+
+    The sum runs level by level, in level order: a running sum keeps every
+    partial, so no pairwise or BLAS order can enter, and a row's value does
+    not depend on how many rows share the call.
+    """
+    return np.add.accumulate(counts * table, axis=1)[:, -1]
+
+
 def run_roc(scenario: RocScenario) -> Table:
     """Monte Carlo ROC table for the scenario's detector roster.
 
@@ -347,23 +389,32 @@ def run_roc(scenario: RocScenario) -> Table:
     error.  Theory detection probabilities are filled for the raw sums and
     the locally optimal detectors (the reconstruction baseline has none).
 
+    Every detector reads the quantized sensors only through a sum of
+    per-level scores or centroids, and the sensors are independent and
+    alike, so a trial draws its sums of observations and the counts of its
+    received levels, which are multinomial, instead of its sensors.
+
     Trials run in blocks of ``ROC_BLOCK``.  Block ``b`` under hypothesis
-    ``h`` draws from ``trial_rng(seed, h, b)``: the block's ``n * m_total``
-    observations (one normal each, under either hypothesis), reshaped to
-    one row per trial; then, through ``bsc_corrupt_levels``, an ``(n,
-    m_quantized, bits_hybrid)`` flip mask if a detector reads
-    ``bits_hybrid`` levels; then an ``(n, m_quantized, bits_low)`` mask if
-    one reads ``bits_low`` levels.  No flips are drawn when ``p_e == 0``.
-    These streams, this draw order and ``ROC_BLOCK`` are the block kernel's
-    whole output contract: the passes after the draws (quantizing,
-    flipping, scoring) may change only so that every count stays the same.
-    Only exceedance counts outlive a block.
+    ``h`` draws from ``trial_rng(seed, h, b)``: an ``(n, 2)`` array of
+    standard normals ``z``, making the raw sum of the quantized sensors,
+    ``m_quantized * mu_h + sqrt(m_quantized) * s_h * z[:, 0]``, and the
+    analog sum, ``m_full * mu_h + sqrt(m_full) * s_h * z[:, 1]``, with one
+    observation's ``(mu_h, s_h)`` from ``_observation_moments``; then
+    ``multinomial(m_quantized, law, size=n)`` with the ``bits_hybrid``
+    ``_received_law`` if a detector reads ``bits_hybrid`` levels; then the
+    same at ``bits_low`` if one reads ``bits_low`` levels.  Detectors share
+    a draw only where they read the same quantity, and no output reads
+    across detectors.  These streams, this draw order and ``ROC_BLOCK``
+    are the block kernel's whole output contract: the passes after the
+    draws may change only so that every count stays the same.  The counts
+    are scored level by level (``_level_sums``), so a trial's statistic
+    does not depend on its block.  Only exceedance counts outlive a block.
 
     The ``(hypothesis, block)`` jobs run concurrently on the thread pool of
     ``_pool_map``, whose size comes from CPU affinity and no option sets.
-    Each job returns its own integer counts, which are summed at the end,
-    so the table does not depend on the worker count or the scheduling, and
-    memory is bounded by workers times a block.
+    Each thread sums its own blocks' integer counts, and the threads' sums
+    are added at the end, so the table does not depend on the worker count
+    or the scheduling, and memory is bounded by workers times a block.
     """
     sigma_n = math.sqrt(scenario.sigma_n2)
     params = SignalParams(scenario.theta, scenario.sigma_n2, scenario.sigma_h2)
@@ -390,49 +441,47 @@ def run_roc(scenario: RocScenario) -> Table:
                 specs[bits], scenario.p_e, m_q, m_u if analog else 0, scenario.sigma_n2)
             lam[det] = params.theta * math.sqrt(kernel.fisher_info)
         else:
-            # Indexed by received level itself; entry 0 is never read.
-            recon[bits] = np.concatenate(([0.0], reconstruction_table(specs[bits], sigma_n)))
+            recon[bits] = reconstruction_table(specs[bits], sigma_n)
     # The score table depends on the quantizer and channel alone, so each
     # depth's score sums come from one of its kernels and serve them all.
     scorers = {bits: kernel for (bits, _), kernel in kernels.items()}
-    read_analog = any(reads.analog for reads in chosen)
+
+    means, deviations = zip(*_observation_moments(params))
+    laws = {bits: [_received_law(spec, scenario.p_e, mu, s) for mu, s in zip(means, deviations)]
+            for bits, spec in specs.items()}
+    # The raw and analog sums of a trial are ``z * scales[h] + shifts[h]``.
+    scales = [np.array([math.sqrt(m_q) * s, math.sqrt(m_u) * s]) for s in deviations]
+    shifts = [np.array([m_q * mu, m_u * mu]) for mu in means]
 
     # Thresholds down a column, so each comparison runs along a contiguous row.
     etas = np.array([threshold_for_pfa(pfa) for pfa in scenario.pfa_grid])[:, None]
-    hypotheses = (Hypothesis.H0, Hypothesis.H1)
 
-    def run_blocks(jobs) -> list[np.ndarray]:
-        # One loop per thread: a block's arrays live until the next block
-        # replaces them, so the allocator reuses their memory instead of
-        # returning it to the system and faulting it back in.
-        counts = []
-        for hyp_idx, block_idx in jobs:
+    def run_blocks(jobs: range) -> np.ndarray:
+        # One loop per thread, summing its blocks' counts into one array: a
+        # block's arrays live until the next block replaces them, so the
+        # allocator reuses their memory, and nothing grows with the trials.
+        exceed = np.zeros((len(means), len(chosen), len(etas)), dtype=np.int64)
+        for job in jobs:
+            hyp_idx, block_idx = divmod(job, blocks)
             n = min(ROC_BLOCK, scenario.trials - block_idx * ROC_BLOCK)
             rng = trial_rng(scenario.seed, hyp_idx, block_idx)
-            y = simulate_observations(params, hypotheses[hyp_idx], n * m_total, rng).reshape(n, m_total)
-            # The flips are drawn in this order, after the observations.  The
-            # previous block's levels are dropped before the new ones are drawn.
-            levels = {}
-            for bits, spec in specs.items():
-                levels[bits] = bsc_corrupt_levels(quantize_batch(y[:, :m_q], spec), bits, scenario.p_e, rng)
-            scores = {bits: kernel.score_sums(levels[bits]) for bits, kernel in scorers.items()}
-            analog = y[:, m_q:].sum(axis=1) if read_analog else None
+            raw, analog = (rng.standard_normal((n, 2)) * scales[hyp_idx] + shifts[hyp_idx]).T
+            # The counts are drawn in this order, after the normals.
+            counts = {bits: rng.multinomial(m_q, law[hyp_idx], size=n) for bits, law in laws.items()}
+            scores = {bits: _level_sums(counts[bits], kernel.level_scores[1:]) for bits, kernel in scorers.items()}
             stats = []
             for kind, bits, reads_analog in chosen:
                 if kind == "sum":
-                    stats.append(analog / (sigma_n * math.sqrt(m_u)) if reads_analog else y.sum(axis=1) / norm)
+                    stats.append(analog / (sigma_n * math.sqrt(m_u)) if reads_analog else (raw + analog) / norm)
                 elif kind == "lmpt":
                     stats.append(kernels[bits, reads_analog].statistic(scores[bits], analog if reads_analog else None))
                 else:
-                    stats.append((recon[bits][levels[bits]].sum(axis=1) + analog) / norm)
-            exceed = np.zeros((2, len(chosen), len(etas)), dtype=np.int64)
-            exceed[hyp_idx] = (np.stack(stats)[:, None, :] > etas).sum(axis=2)
-            counts.append(exceed)
-        return counts
+                    stats.append((_level_sums(counts[bits], recon[bits]) + analog) / norm)
+            exceed[hyp_idx] += (np.stack(stats)[:, None, :] > etas).sum(axis=2)
+        return exceed
 
     blocks = -(-scenario.trials // ROC_BLOCK)
-    jobs = [(h, b) for h in range(len(hypotheses)) for b in range(blocks)]
-    exceed = sum(_pool_map(run_blocks, jobs))
+    exceed = sum(_pool_map(run_blocks, range(len(means) * blocks)))
 
     rows = []
     for k, det in enumerate(scenario.detectors):

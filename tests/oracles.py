@@ -110,6 +110,48 @@ def quantized_fi_oracle(thresholds, p_e: float, sigma_n2: float) -> float:
     return total / sigma**6
 
 
+def received_law_quad(thresholds, p_e: float, theta: float, sigma_n2: float, sigma_h2: float) -> np.ndarray:
+    """Probability of each received level of one sensor whose sample is
+    ``theta * h + w``, with gain ``h ~ N(1, sigma_h2)`` and noise ``w ~ N(0,
+    sigma_n2)``, by 2-D quadrature.
+
+    A cell's probability is the outer integral over the gain of the inner
+    integral of the noise density over the cell shifted by ``theta * h``; the
+    sample's Gaussian law is never used.  Without fading the outer integral
+    is the value at ``h = 1``.  The channel sums loop over sent levels with
+    a local Hamming-weight kernel.
+    """
+    sigma_n, sigma_h = math.sqrt(sigma_n2), math.sqrt(sigma_h2)
+    edges = [-math.inf, *(float(t) for t in thresholds), math.inf]
+    opts = dict(epsabs=1e-15, epsrel=1e-12, limit=200)
+
+    def noise_mass(lo: float, hi: float) -> float:
+        value, _ = integrate.quad(normal_pdf, lo / sigma_n, hi / sigma_n, **opts)
+        return value
+
+    def cell(lo: float, hi: float) -> float:
+        if theta * sigma_h == 0.0:
+            return noise_mass(lo - theta, hi - theta)
+
+        def gain_weighted(u: float) -> float:
+            shift = theta * (1.0 + sigma_h * u)
+            return normal_pdf(u) * noise_mass(lo - shift, hi - shift)
+
+        value, _ = integrate.quad(gain_weighted, -math.inf, math.inf, **opts)
+        return value
+
+    probs = [cell(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    bits = int(round(math.log2(len(probs))))
+    received = []
+    for i in range(len(probs)):
+        total = 0.0
+        for j, p in enumerate(probs):
+            dist = bin(i ^ j).count("1")
+            total += p_e**dist * (1.0 - p_e) ** (bits - dist) * p
+        received.append(total)
+    return np.array(received)
+
+
 def received_information_sum(probs, scores, kernel) -> tuple:
     """``detection.received_information`` with its channel sums written as
     Python ``sum``s of one product per sent level, starting from 0."""

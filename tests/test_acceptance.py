@@ -231,7 +231,7 @@ class TestC04VarianceIdentity:
     def test_c04_score_variance_matches_information(self, sigma_n2, p_e):
         spec = _hybrid_quantizer(p_e, sigma_n2)
         fi = NetworkKernels(spec, p_e, 80, 20, sigma_n2).fisher_info
-        # The hybrid detector's own null draws: ``run_roc``'s H0 streams.
+        # The hybrid detector's null score sums, drawn sensor by sensor.
         scores = null_scores(spec, p_e, 80, 20, sigma_n2, 10**6, seed=SEED)
         ratio = scores.var() / fi
         ok = abs(ratio - 1.0) <= 0.02

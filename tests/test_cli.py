@@ -482,15 +482,18 @@ def _no_design(*_args, **_kwargs):
         *[(command, {"seed": 5}, "seed") for command in ("fi-landscape", "allocate", "sweep")],
         # Refused by its estimated size, before the grid is allocated.
         ("fi-landscape", {"points": 20_000}, "points"),
-        # Refused by the estimated size of its blocks of trials, before any
-        # block is drawn.
-        ("roc", {"m_quantized": 10**7}, "m_quantized"),
-        ("roc", {"m_quantized": 0, "m_full": 10**7, "detectors": ["fp"]}, "m_full"),
+        # A trial draws its sums and level counts, not its sensors, so no
+        # fleet is too large to run; the counts are 64-bit integers.
+        ("roc", {"m_quantized": 2**63}, "m_quantized"),
+        ("roc", {"m_quantized": 0, "m_full": 2**63, "detectors": ["fp"]}, "m_full"),
         # Refused by the estimated size of the allocation program, before
         # the information table is built.
         ("allocate", {"m_total": 10**9, "budget": 10**19}, "m_total"),
         ("allocate", {"l0": 10**9, "budget": 10**12}, "budget"),
         ("sweep", {"m_values": [10**9], "budget": 10**19}, "m_values"),
+        # Refused by the estimated size of its tables and blocks of trials,
+        # before any block is drawn.
+        ("roc", {"pfa_grid": [k / 100_001 for k in range(1, 100_001)]}, "pfa_grid"),
     ],
 )
 def test_invalid_fields_rejected_before_any_design(tmp_path, capsys, monkeypatch, command, config, field):
@@ -498,7 +501,7 @@ def test_invalid_fields_rejected_before_any_design(tmp_path, capsys, monkeypatch
     # statistics are rounding noise divided by rounding noise.
     monkeypatch.setattr(experiments, "optimized_thresholds", _no_design)
     monkeypatch.setattr(allocation, "build_fi_table", _no_design)
-    for name in ("design_pso", "design_bgda", "fi_landscape", "simulate_observations"):
+    for name in ("design_pso", "design_bgda", "fi_landscape", "trial_rng"):
         monkeypatch.setattr(experiments, name, _no_design)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

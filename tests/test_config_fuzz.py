@@ -5,7 +5,7 @@ dataclass, the types the CLI's coercion reads, with extreme finite floats
 among the draws.  Each config sets the required fields, the fields that
 size the work and at most two others, so that many get past validation and
 run.  ``theta`` is set in every config that has it, near the float
-maximum half the time, where the observations and sums of ``roc`` and the
+maximum half the time, where the per-trial sums of ``roc`` and the
 noncentralities of ``sweep`` overflow unless the config is refused.  No
 run may print a warning.  Counts, fleet sizes and
 bit depths stay small, so that no draw allocates or designs much.  Only
@@ -45,9 +45,11 @@ FLOATS = st.one_of(
 #: Small draws for the integer fields that size the work, each with one
 #: value out of range (last: hypothesis draws the first values most); the
 #: fields of ``SIZES`` are set in every config, so that no default sizes it
-#: either.  ``points``, ``m_quantized`` and ``m_full`` are also drawn above
-#: the memory cap of the landscape or of the ROC blocks, which is refused
-#: before anything is allocated, and never between.  The allocation's
+#: either.  ``points`` is also drawn above the memory cap of the landscape,
+#: which is refused before anything is allocated, and never between.
+#: ``m_quantized`` and ``m_full`` are drawn at 10**9 too, which ``roc``
+#: runs: a trial draws its sums and level counts, so no fleet size sets its
+#: cost or its memory, and no fleet is refused for them.  The allocation's
 #: sizes fall on both sides of its memory cap: ``m_total`` and ``m_values``
 #: are drawn small or at 10**9, and ``budget`` (a size too, since it sets
 #: the program's width) at 300 or less or at 10**19 or more, drawn first.

@@ -35,10 +35,10 @@ from hybriddet.experiments import (
 )
 from hybriddet.design import DesignProblem, fi_landscape
 from hybriddet.detection import NetworkKernels
-from hybriddet.model import QuantizerSpec, gaussian_upper_tail
+from hybriddet.model import QuantizerSpec, SignalParams, gaussian_upper_tail
 
-from oracles import emit_per_cell, load_table
-from roc_reference import null_scores, per_trial_roc
+from oracles import emit_per_cell, load_table, received_law_quad
+from roc_reference import per_trial_roc, physical_roc
 
 
 def by_detector(table):
@@ -247,19 +247,19 @@ _NOISY_3BIT = (
 )
 
 
-def _roc_case(p_e, trials, detectors=(), sigma_n2=1.0, sigma_h2=0.5):
+def _roc_case(p_e, trials, detectors=(), sigma_n2=1.0, sigma_h2=0.5, theta=0.25):
     return RocScenario(
-        p_e=p_e, trials=trials, seed=11, detectors=detectors,
+        p_e=p_e, trials=trials, seed=11, detectors=detectors, theta=theta,
         sigma_n2=sigma_n2, sigma_h2=sigma_h2,
         thresholds_hybrid=_NOISY_3BIT if p_e else _CLEAN_3BIT, thresholds_low=(0.0,),
     )
 
 
 class TestRocBlocksMatchPerTrialLoop:
-    """``run_roc`` quantizes, sends and scores whole blocks of ``ROC_BLOCK``
-    trials at once; its rows must be exactly those of ``roc_reference``,
-    which draws from the same per-block streams and then handles one trial
-    at a time with the scalar quantizer and codeword code."""
+    """``run_roc`` makes and scores the sums and level counts of whole
+    blocks of ``ROC_BLOCK`` trials at once; its rows must be exactly those
+    of ``roc_reference``, which draws from the same per-block streams and
+    then handles one trial at a time in Python floats."""
 
     @pytest.mark.parametrize(
         "p_e, trials, noise",
@@ -297,21 +297,6 @@ class TestRocStreams:
         run_roc(_roc_case(0.2, 2 * ROC_BLOCK + 1))
         assert sorted(keys) == [(11, h, b) for h in (0, 1) for b in (0, 1, 2)]
 
-    @pytest.mark.parametrize("p_e", [0.0, 0.2])
-    def test_null_scores_are_the_hybrid_detectors_null_draws(self, p_e):
-        # ``null_scores`` carries the variance identity of the acceptance
-        # suite; it must replay the engine's H0 streams exactly.
-        trials = 2 * ROC_BLOCK + 1
-        scenario = _roc_case(p_e, trials, detectors=("3b-fp",))
-        spec = QuantizerSpec(scenario.bits_hybrid, scenario.thresholds_hybrid)
-        fleet = (spec, p_e, scenario.m_quantized, scenario.m_full, scenario.sigma_n2)
-        fi = NetworkKernels(*fleet).fisher_info
-        stats = null_scores(*fleet, trials, scenario.seed) / math.sqrt(fi)
-        table = run_roc(scenario)
-        for row in table.rows:
-            rec = dict(zip(table.columns, row))
-            assert np.count_nonzero(stats > rec["eta"]) == round(rec["pfa_mc"] * trials)
-
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
         m_q=st.integers(0, 6),
@@ -341,6 +326,48 @@ class TestRocStreams:
             thresholds_hybrid=_NOISY_3BIT if p_e else _CLEAN_3BIT, thresholds_low=(0.0,),
         )
         assert run_roc(scenario).rows == per_trial_roc(scenario).rows
+
+
+#: Thresholds at 1 to 3 bits, none symmetric about the amplitude.
+_LAW_THRESHOLDS = {1: (0.3,), 2: (-0.7, 0.1, 0.9), 3: _CLEAN_3BIT}
+
+
+class TestRocLaws:
+    """The laws ``run_roc`` draws from, checked from outside its contract:
+    against quadrature over the gain and the noise, and against a Monte
+    Carlo of every sensor through the physical chain."""
+
+    @pytest.mark.parametrize("sigma_h2", [0.0, 0.5])
+    @pytest.mark.parametrize("p_e", [0.0, 0.2])
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_received_level_laws_match_quadrature(self, bits, p_e, sigma_h2):
+        theta, sigma_n2 = 0.6, 1.3
+        spec = QuantizerSpec(bits, _LAW_THRESHOLDS[bits])
+        moments = experiments._observation_moments(SignalParams(theta, sigma_n2, sigma_h2))
+        for amplitude, (mean, deviation) in zip((0.0, theta), moments):
+            got = experiments._received_law(spec, p_e, mean, deviation)
+            want = received_law_quad(spec.thresholds, p_e, amplitude, sigma_n2, sigma_h2)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "p_e, noise",
+        [
+            (0.2, {}),
+            (0.0, {"sigma_n2": 2.0, "sigma_h2": 0.0}),
+            # Strong fading: the H1 deviation is 1.3 noise deviations.
+            (0.2, {"theta": 0.6, "sigma_h2": 2.0}),
+        ],
+    )
+    def test_rates_match_a_monte_carlo_of_every_sensor(self, p_e, noise):
+        scenario = _roc_case(p_e, 4000, **noise)
+        engine, physical = run_roc(scenario), physical_roc(scenario)
+        trials = scenario.trials
+        for got, want in zip(engine.rows, physical.rows):
+            assert got[:4] == want[:4]
+            for col in (4, 5):  # pfa_mc, pd_mc
+                p = min(max(0.5 * (got[col] + want[col]), 1.0 / trials), 1.0 - 1.0 / trials)
+                se = math.sqrt(2.0 * p * (1.0 - p) / trials)
+                assert abs(got[col] - want[col]) <= 5.0 * se, (got, want)
 
 
 class TestRocWorkers:
@@ -393,8 +420,9 @@ class TestRocWorkers:
 
 
 class TestRocMemory:
-    """Only exceedance counts outlive a block, so memory is bounded by the
-    worker count times a block, not by the trial count."""
+    """Each worker sums its blocks' exceedance counts into one array, so
+    memory is bounded by the worker count times a block, not by the trial
+    count, and a block holds sums and level counts, not sensors."""
 
     def test_peak_does_not_grow_with_the_trial_count(self, monkeypatch):
         # One worker, so that the peak does not depend on how the threads'
@@ -409,30 +437,31 @@ class TestRocMemory:
             finally:
                 tracemalloc.stop()
 
-        scenario = _roc_case(0.2, ROC_BLOCK)
-        # The float64 draws of one H1 block: gains and noise, then one
-        # uniform per codeword bit of either quantizer.
-        block = 8 * ROC_BLOCK * (
-            2 * scenario.m_total + scenario.m_quantized * (scenario.bits_hybrid + scenario.bits_low)
-        )
-        assert peak(20 * ROC_BLOCK) - peak(2 * ROC_BLOCK) <= block
+        run_roc(_roc_case(0.2, 1))  # fills the caches that only a first run allocates
+        assert peak(1000 * ROC_BLOCK) - peak(2 * ROC_BLOCK) < 64 * 1024
 
     @pytest.mark.parametrize(
-        "m_q, m_u, bits_hybrid, bits_low, trials",
+        "m_q, m_u, bits_hybrid, bits_low, trials, pfa_points",
         [
-            (400, 100, 3, 1, ROC_BLOCK),
-            # Analog-heavy: the observations dominate.
-            (10, 2000, 3, 1, ROC_BLOCK),
-            # Deep quantizers and a short block: the flip uniforms dominate.
-            (600, 10, 8, 7, 100),
+            (400, 100, 3, 1, ROC_BLOCK, 6),
+            (10, 2000, 3, 1, ROC_BLOCK, 6),
+            # Deep quantizers and a short block: the channel tables dominate.
+            (600, 10, 8, 7, 100, 6),
+            # A large fleet costs what any fleet costs.
+            (100_000, 20, 3, 1, ROC_BLOCK, 6),
+            # A long pfa grid: the exceedances and the output rows dominate.
+            (80, 20, 3, 1, ROC_BLOCK, 60),
         ],
     )
-    def test_memory_estimate_covers_the_measured_peak(self, monkeypatch, m_q, m_u, bits_hybrid, bits_low, trials):
-        # One worker holds one block at a time; ``RocScenario`` refuses
-        # ``_MAX_WORKERS`` times this estimate above the cap.
+    def test_memory_estimate_covers_the_measured_peak(
+        self, monkeypatch, m_q, m_u, bits_hybrid, bits_low, trials, pfa_points
+    ):
+        # One worker holds one block at a time; ``RocScenario`` refuses the
+        # tables plus ``_MAX_WORKERS`` times this block above the cap.
         monkeypatch.setattr(experiments, "_workers", lambda jobs: 1)
         scenario = RocScenario(
             m_quantized=m_q, m_full=m_u, bits_hybrid=bits_hybrid, bits_low=bits_low, p_e=0.2, trials=trials,
+            pfa_grid=tuple(np.linspace(0.01, 0.99, pfa_points)),
             thresholds_hybrid=tuple(np.linspace(-1.5, 1.5, 2**bits_hybrid - 1)),
             thresholds_low=tuple(np.linspace(-1.5, 1.5, 2**bits_low - 1)),
         )
@@ -442,7 +471,21 @@ class TestRocMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= min(ROC_BLOCK, trials) * scenario._trial_bytes(), peak
+        assert peak <= scenario._table_bytes() + min(ROC_BLOCK, trials) * scenario._trial_bytes(), peak
+
+    def test_a_large_fleet_runs(self, tmp_path):
+        # A trial draws its sums and level counts, so the fleet's size sets
+        # neither its cost nor its memory.
+        config = tmp_path / "roc.json"
+        config.write_text(json.dumps({"m_quantized": 100_000}))
+        out = tmp_path / "roc.csv"
+        assert main(["roc", "--config", str(config), "--out", str(out)]) == 0
+        trials = RocScenario.trials
+        for rec in load_table(out, "csv").rows:
+            row = dict(zip(ROC_COLUMNS, rec))
+            if row["detector"] in ("3b", "3b-fp"):
+                p = row["pfa_target"]
+                assert abs(row["pfa_mc"] - p) <= 5 * math.sqrt(p * (1 - p) / trials), row
 
 
 class TestAllocationMemory:

@@ -256,11 +256,13 @@ class TestBsc:
 
 
 class TestDrawContract:
-    """What one ROC block draws, pinned to explicit formulas on a twin generator.
+    """What the sensor-by-sensor chain draws, pinned to explicit formulas on
+    a twin generator.
 
-    ``roc_reference.per_trial_roc`` draws its observations through
-    ``simulate_observations``, as ``run_roc`` does, so it cannot see a
-    change in what these functions draw; these tests can.
+    ``run_roc`` draws each trial's sums and level counts rather than its
+    sensors; this chain is what ``roc_reference.physical_roc`` and
+    ``null_scores`` check its laws against, so a change in what these
+    functions draw must show here.
     """
 
     @pytest.mark.parametrize("sigma_n2, sigma_h2", [(1.0, 0.5), (2.0, 0.0), (0.3, 1.7)])
