@@ -15,10 +15,12 @@ import argparse
 import contextlib
 import dataclasses
 import enum
+import itertools
 import json
 import math
 import os
 import re
+import stat
 import sys
 import types
 import typing
@@ -61,16 +63,16 @@ PRESETS: dict[tuple[str, str], dict] = {
     },
 }
 
-#: Subcommand -> (help text, scenario class, name of its runner here).  The
-#: runner is looked up by name when the command runs.  A runner that returns
-#: two tables writes the second next to ``--out`` with a ``_distribution``
-#: suffix.
+#: Subcommand -> (help text, scenario class, name of its runner here, number
+#: of tables it returns).  The runner is looked up by name when the command
+#: runs.  A second table is written next to ``--out`` with a
+#: ``_distribution`` suffix.
 _COMMANDS = {
-    "roc": ("Monte Carlo ROC comparison of the detector roster", RocScenario, "run_roc"),
-    "fi-landscape": ("information surface over a 2-bit threshold grid", LandscapeScenario, "run_landscape"),
-    "design-quantizer": ("optimize one sensor's thresholds", DesignScenario, "run_design"),
-    "allocate": ("solve one bandwidth allocation instance", AllocateScenario, "run_allocate"),
-    "sweep": ("detection probability versus fleet size", SweepScenario, "run_sweep"),
+    "roc": ("Monte Carlo ROC comparison of the detector roster", RocScenario, "run_roc", 1),
+    "fi-landscape": ("information surface over a 2-bit threshold grid", LandscapeScenario, "run_landscape", 1),
+    "design-quantizer": ("optimize one sensor's thresholds", DesignScenario, "run_design", 1),
+    "allocate": ("solve one bandwidth allocation instance", AllocateScenario, "run_allocate", 1),
+    "sweep": ("detection probability versus fleet size", SweepScenario, "run_sweep", 2),
 }
 
 
@@ -189,35 +191,86 @@ def _distribution_path(out: str) -> str:
     return str(p.with_name(p.stem + "_distribution" + p.suffix))
 
 
-def _check_out_dir(out: str) -> None:
-    """Refuse an ``--out`` whose directory is missing or not writable.
+def _check_out_path(path: str) -> None:
+    """Refuse an output path that is a directory, or whose directory is
+    missing or not writable.
 
     Checked before the run, so that a bad path ends the command at once
-    rather than after the work; the ``_distribution`` file shares the
-    directory, so this covers it too.
+    rather than after the work.
     """
-    directory = Path(out).parent
+    directory = Path(path).parent
     if not directory.is_dir():
         reason = "Not a directory" if directory.exists() else "No such file or directory"
     elif not os.access(directory, os.W_OK):
         reason = "Permission denied"
+    elif Path(path).is_dir():
+        reason = "Is a directory"
     else:
         return
-    raise CliError(f"cannot write output file {out}: {reason}")
+    raise CliError(f"cannot write output file {path}: {reason}")
+
+
+def _new_file_beside(path: str) -> str | None:
+    """An empty file in ``path``'s directory under a name no file has, to
+    take ``path``'s name once written, or ``None`` where ``path`` is written
+    in place.
+
+    Only a path that names no file, or a regular file of ours with no other
+    link, is replaced; the new file takes that file's permissions, or those
+    ``open`` gives a new file.  Any other file (a device, a FIFO, a file
+    with more links or another owner) would lose what it is by a rename.
+    """
+    try:
+        old = os.stat(path)
+    except FileNotFoundError:
+        old = None
+    if old is not None and not (stat.S_ISREG(old.st_mode) and old.st_nlink == 1 and old.st_uid == os.geteuid()):
+        return None
+    for k in itertools.count():
+        candidate = f"{path}.{os.getpid()}-{k}.tmp"
+        try:
+            fd = os.open(candidate, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+        try:
+            if old is not None:
+                os.fchmod(fd, stat.S_IMODE(old.st_mode))
+        finally:
+            os.close(fd)
+        return candidate
 
 
 def _run(args) -> int:
-    _, cls, runner = _COMMANDS[args.command]
+    _, cls, runner, n_tables = _COMMANDS[args.command]
     scenario = _build_scenario(cls, _merge(args, cls))
-    _check_out_dir(args.out)
+    paths = (args.out, _distribution_path(args.out))[:n_tables]
+    for path in paths:
+        _check_out_path(path)
     tables = globals()[runner](scenario)
     if not isinstance(tables, tuple):
         tables = (tables,)
-    for table, path in zip(tables, (args.out, _distribution_path(args.out))):
-        try:
-            emit(table, args.format, path)
-        except OSError as exc:
-            raise CliError(f"cannot write output file {path}: {exc.strerror or exc}") from None
+    # A table goes to a new file of its own first where its path may be
+    # replaced (``_new_file_beside``), and the new files take their names
+    # only once every table is written, so a failed write leaves those
+    # paths as they were: ``sweep`` writes both tables or neither.  Other
+    # paths are written in place.  An output path that is a symbolic link
+    # keeps it: its target is written.
+    staged = {}
+    try:
+        for table, path in zip(tables, paths, strict=True):
+            target = os.path.realpath(path)
+            staged[path] = _new_file_beside(target)
+            emit(table, args.format, staged[path] or path)
+        for path, temporary in staged.items():
+            if temporary is not None:
+                os.replace(temporary, os.path.realpath(path))
+    except OSError as exc:
+        raise CliError(f"cannot write output file {path}: {exc.strerror or exc}") from None
+    finally:
+        for temporary in staged.values():
+            if temporary is not None:
+                Path(temporary).unlink(missing_ok=True)
+    for path in paths:
         print(f"wrote {path}")
     return 0
 
@@ -229,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         "quantizer design, information landscapes, and bandwidth allocation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, cls, _) in _COMMANDS.items():
+    for command, (help_text, cls, _, _) in _COMMANDS.items():
         fields = {f.name for f in dataclasses.fields(cls)}
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--preset", help="named built-in configuration")

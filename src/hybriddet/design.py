@@ -4,9 +4,11 @@ A quantized sensor's information contribution is maximized over its
 threshold vector.  Over an error-free channel the objective is unimodal
 and a projected gradient ascent (BGDA) suffices; with channel errors the
 surface grows multiple peaks, and its best points leave some levels
-empty.  The cached designs of 2 and 3 bits therefore climb every face of
-the ordered threshold box (every set of used levels) with batched BFGS on
-the closed-form gradient and certify the winner.  At 1 bit the
+empty.  The cached designs of 2 and 3 bits therefore search every face of
+the ordered threshold box (every set of used levels), climbing one face
+of each class that a relabelling of the codeword bits maps onto each
+other, with batched BFGS on the closed-form gradient, and certify the
+winner.  At 1 bit the
 information peaks at a threshold of 0 over every channel, so every cached
 1-bit cell takes that threshold in closed form, moved up by the tie rule
 ``_ONE_BIT_OFFSET``.  The constriction-factor particle swarm designs the
@@ -21,6 +23,7 @@ import itertools
 import math
 import statistics
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -360,8 +363,35 @@ def fi_landscape(
     return out
 
 
+class _FaceTable(NamedTuple):
+    """One bit depth's faces; see ``_faces``."""
+
+    used: np.ndarray
+    slots: np.ndarray
+    lookup: dict
+    classes: np.ndarray
+    error_free: np.ndarray
+
+
+#: The first face of each class (``_faces``), by index in face order, per
+#: bit depth.  Relabelling every face under every bit permutation, as
+#: ``tests/oracles.face_classes_loop`` does, costs a cold process more than
+#: half a millisecond at 3 bits, so the orbits are stated here.
+_FACE_CLASSES = {
+    1: (0, 1),
+    2: (0, 1, 2, 3, 4, 6, 7, 8),
+    3: (
+        0, 3, 4, 5, 6, 8, 10, 11, 13, 20, 23, 24, 25, 29, 30, 35, 38, 40, 41, 42, 48,
+        50, 51, 52, 57, 58, 59, 60, 61, 62, 63, 64, 65, 66, 67, 72, 74, 77, 80, 81, 82,
+        84, 86, 88, 91, 92, 94, 96, 97, 98, 99, 100, 101, 102, 103, 104, 105, 106, 108,
+        111, 112, 113, 114, 115, 116, 117, 119, 120, 121, 122, 123, 124, 125, 126, 127,
+        128, 129, 130, 131, 132, 133, 134,
+    ),
+}
+
+
 @functools.cache
-def _faces(bits: int) -> tuple[np.ndarray, np.ndarray]:
+def _faces(bits: int) -> _FaceTable:
     """The faces of the ordered threshold box that the face design searches.
 
     A face is the set of levels whose cells keep a positive width; every
@@ -380,10 +410,29 @@ def _faces(bits: int) -> tuple[np.ndarray, np.ndarray]:
     level, every threshold on the bound: 2 and 4), which matter only in a
     box a few hundredths of a deviation wide.
 
-    Returns ``(used, slots)``.  ``used[f]`` marks the used levels of face
+    More faces pose the same problem.  Along the line a face's cells send
+    the codewords ``0`` (the lower tail), those of its used levels in
+    increasing order, and ``2**bits - 1`` (the upper tail).  A permutation
+    of the codeword bits keeps every Hamming distance and fixes both tail
+    codewords; where it keeps the order of the used levels' codewords, the
+    image face, with the same edges, has the same information over every
+    binary symmetric channel.  With the complement (the mirror) these are
+    the ``2 * bits!`` cube automorphisms that fix the set of the two tail
+    codewords.  A codeword XOR, the rest of the cube's ``2**bits * bits!``,
+    would move a tail codeword to another level and change the problem
+    where the tails beyond the box carry mass.  The orbits of the kept
+    faces under these automorphisms are the classes: 8 at 2 bits and 82 at
+    3, stated in ``_FACE_CLASSES``.
+
+    Returns a ``_FaceTable``.  ``used[f]`` marks the used levels of face
     ``f``.  ``slots[f, j]`` places threshold ``j`` in the vector
     ``(-tau_max, e_1, ..., e_n, tau_max)``, where ``e_1 < ... < e_{|S|-1}``
     are the face's free edges and ``e_k`` past those is never read.
+    ``lookup`` maps each kept level tuple to its face.  ``classes`` holds
+    the first face of each class in this order, which ``_first_best``'s tie
+    rule would keep of the class, and ``error_free`` the face of every
+    level, the one the design climbs over an error-free channel (see
+    ``_design_faces``).
     """
     levels = 2**bits
     faces = [
@@ -397,7 +446,14 @@ def _faces(bits: int) -> tuple[np.ndarray, np.ndarray]:
     # Threshold j (between levels j and j + 1) sits after the face's used
     # levels up to j, or on the upper bound once they are all of them.
     below = np.cumsum(used, axis=1)[:, :-1]
-    return used, np.where(below < used.sum(axis=1, keepdims=True), below, levels)
+    slots = np.where(below < used.sum(axis=1, keepdims=True), below, levels)
+    return _FaceTable(
+        used,
+        slots,
+        {face: f for f, face in enumerate(faces)},
+        np.array(_FACE_CLASSES[bits]),
+        np.array([len(faces) - 1]),
+    )
 
 
 #: Face design rules, in units of the noise deviation.  Derivatives are
@@ -430,11 +486,18 @@ def _design_faces(problems: list[DesignProblem]) -> list[DesignResult]:
     """Best design of each problem over every face of its threshold box, as one batch.
 
     The problems share bit depth, noise level and box and may differ in
-    channel.  Every face (``_faces``) of every problem is one row, started
-    from evenly spread edges and climbed by ``_climb``, in unit-noise
-    coordinates.  Each problem keeps its best row (of rows that tie, the
-    first face: ``_first_best``), which must pass the optimality check of
-    ``_kkt_opening``.  Where opening an empty level still raises the
+    channel.  Each problem climbs the first face of every class
+    (``_faces``), one row each, started from evenly spread edges and
+    climbed by ``_climb``, in unit-noise coordinates: the other faces of a
+    class pose the same problem, and the tie rule would keep the first.
+    An error-free problem climbs the face of every level alone.  Refining a
+    quantizer never loses information, and over an error-free channel the
+    objective is unimodal, so a stationary point inside the box on that
+    face is the best of every face.  If the row ends elsewhere (in a narrow
+    box the optimum presses against the bound), the problem climbs the
+    other classes too.  Each problem keeps its best row (of rows that tie,
+    the first face: ``_first_best``), which must pass the optimality check
+    of ``_kkt_opening``.  Where opening an empty level still raises the
     objective (a face can hold more than one peak), that level is opened
     and the larger face climbed from there; where the best row stopped as
     a cell closed, cells narrower than ``_FACE_WIDTH`` are closed and the
@@ -443,34 +506,48 @@ def _design_faces(problems: list[DesignProblem]) -> list[DesignResult]:
     holds its objective alone.
     """
     bits, bound = problems[0].bits, problems[0].tau_max
-    used, slots = _faces(bits)
-    lookup = {tuple(np.flatnonzero(row) + 1): f for f, row in enumerate(used)}
+    table = _faces(bits)
     kernels = np.stack([bsc_kernel(p.bits, p.p_e) for p in problems])
-    n_faces, n = slots.shape
+    n = table.slots.shape[1]
     spread = min(2.0, bound)
-    starts = np.zeros((n_faces, n))
-    for f, m in enumerate(used.sum(axis=1) - 1):
-        starts[f, :m] = np.linspace(-spread, spread, m + 2)[1:-1]
-    face = np.tile(np.arange(n_faces), len(problems))
-    channel = np.repeat(np.arange(len(problems)), n_faces)
+    # Row m: m evenly spread free edges.
+    spreads = np.zeros((n + 1, n))
+    for m in range(1, n + 1):
+        spreads[m, :m] = np.linspace(-spread, spread, m + 2)[1:-1]
+    starts = spreads[table.used.sum(axis=1) - 1]
+    # An error-free channel climbs the other classes only if its one row
+    # ends on the bound or away from a stationary point.
+    others = [f for f in table.classes.tolist() if f not in table.error_free]
+    unchecked = {k for k, p in enumerate(problems) if p.p_e == 0.0}
+    first = [table.error_free if k in unchecked else table.classes for k in range(len(problems))]
+    face = np.concatenate(first)
+    channel = np.repeat(np.arange(len(problems)), [len(rows) for rows in first])
     x = starts[face]
     best: list = [None] * len(problems)
-    for _ in range(2**bits):
-        z, f = _climb(used[face], slots[face], kernels[channel], x, bound)
+    for _ in range(2**bits + 1):
+        z, f = _climb(table.used[face], table.slots[face], kernels[channel], x, bound)
         for k in sorted(set(channel.tolist())):
             rows = [(z[r], f[r], face[r]) for r in np.flatnonzero(channel == k)]
             best[k] = _first_best(rows if best[k] is None else [best[k], *rows])
         face, channel, x = [], [], []
         for k, (z_k, f_k, _) in enumerate(best):
             rate, push, room = _kkt_opening(z_k, bound, kernels[k])
-            if rate <= _KKT_TOL * max(f_k, _FACE_FLOOR):
+            settled = rate <= _KKT_TOL * max(f_k, _FACE_FLOOR)
+            if k in unchecked and others:
+                unchecked.discard(k)
+                if not (settled and np.diff((-bound, *z_k, bound)).min() > _FACE_WIDTH):
+                    face += others
+                    channel += [k] * len(others)
+                    x += list(starts[others])
+                    continue
+            if settled:
                 continue
             for step in _OPEN_STEPS:
                 opened = z_k + push * min(step, 0.5 * room)
                 levels = tuple(np.flatnonzero(np.diff((-bound, *opened, bound)) > _FACE_WIDTH) + 1)
-                if levels not in lookup:
+                if levels not in table.lookup:
                     opened, levels = -opened[::-1], tuple(sorted(2**bits + 1 - lv for lv in levels))
-                face.append(lookup[levels])
+                face.append(table.lookup[levels])
                 channel.append(k)
                 x.append(np.zeros(n))
                 x[-1][: len(levels) - 1] = opened[np.array(levels[:-1]) - 1]
@@ -485,9 +562,10 @@ def _design_faces(problems: list[DesignProblem]) -> list[DesignResult]:
 def _first_best(rows: list) -> tuple:
     """The ``(z, objective, face)`` row kept among rows that tie.
 
-    Faces can climb to the same optimum (at 3 bits and p_e = 0.1 or 0.2
-    several do, within a few ulps), and which of them rounding puts on top
-    would decide the design.  Of the rows within ``_FACE_TIE`` (relative)
+    Faces can climb to the same optimum within a few ulps (the faces of a
+    class pose one problem; at 3 bits and p_e = 0.1 or 0.2 a class of
+    three holds the best), and which of them rounding puts on top would
+    decide the design.  Of the rows within ``_FACE_TIE`` (relative)
     of the best objective, the first in ``_faces`` order is kept, and of
     equal faces the first listed.
     """
@@ -523,16 +601,18 @@ def _climb(used, slots, kernels, x, bound) -> tuple:
         """Objective, free-edge gradient, whether a used cell closes, and the cell widths."""
         bounded = _place(x, ends[rows], bound)
         info, grad, probs = _information_terms(bounded[:, 1:-1], kernels[rows])
-        widths = np.diff(bounded, axis=1)
-        closing = (np.where(used[rows], widths, np.inf).min(axis=1) <= _FACE_WIDTH) | (
-            np.where(used[rows], probs, np.inf).min(axis=1) <= _FACE_MASS
-        )
+        widths = bounded[:, 1:] - bounded[:, :-1]
+        # A float difference is at most 0 exactly when the first float is at
+        # most the second, so this is each used cell's width and mass
+        # against its floor.
+        closing = np.where(used[rows], np.minimum(widths - _FACE_WIDTH, probs - _FACE_MASS), np.inf).min(axis=1) <= 0.0
         return info, np.einsum("rj,rjk->rk", grad, onto[rows]), closing, widths
 
     def first_step(widths: np.ndarray, d: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Unit step from points with cell ``widths``, shortened so that no used
         cell closes or edge leaves the box."""
-        rates = np.diff(_place(d, ends[rows], 0.0), axis=1)
+        moved = _place(d, ends[rows], 0.0)
+        rates = moved[:, 1:] - moved[:, :-1]
         shrinking = used[rows] & (rates < 0.0)
         limit = np.where(shrinking, widths / np.where(shrinking, -rates, 1.0), np.inf).min(axis=1)
         return np.minimum(1.0, 0.999 * limit)
@@ -552,13 +632,15 @@ def _climb(used, slots, kernels, x, bound) -> tuple:
     for _ in range(_FACE_MAX_ITERS):
         rows = np.flatnonzero(live)
         trial = x[rows] + alpha[rows, None] * d[rows]
-        f_t, g_t, closing, widths_t = evaluate(trial, rows)
+        f_t, g_t, closing, widths = evaluate(trial, rows)
         slope = np.einsum("rk,rk->r", g[rows], d[rows])
         accept = f_t >= f[rows] + 1e-4 * alpha[rows] * slope
-        took = rows[accept]
-        flat = f_t[accept] <= f[took]
+        took, reject = rows[accept], rows[~accept]
+        alpha[reject] *= 0.5
+        live[reject[alpha[reject] < _FACE_MIN_STEP]] = False
         if took.size:
-            s, y = trial[accept] - x[took], g[took] - g_t[accept]
+            x_t, f_t, g_t = trial[accept], f_t[accept], g_t[accept]
+            s, y = x_t - x[took], g[took] - g_t
             sy = np.einsum("rk,rk->r", s, y)
             curved = sy > 0.0
             if curved.any():
@@ -569,21 +651,18 @@ def _climb(used, slots, kernels, x, bound) -> tuple:
                 a = eye - s[:, :, None] * y[:, None, :] / sy[:, None, None]
                 h[r] = a @ (h[r] * h0) @ a.transpose(0, 2, 1) + s[:, :, None] * s[:, None, :] / sy[:, None, None]
                 fresh[r] = False
-            x[took], f[took], g[took], widths[took] = trial[accept], f_t[accept], g_t[accept], widths_t[accept]
-            d[took] = direction(h[took], g[took])
-            uphill = np.einsum("rk,rk->r", g[took], d[took]) > 0.0
-            if not uphill.all():
-                reset = took[~uphill]
+            flat = f_t <= f[took]
+            x[took], f[took], g[took] = x_t, f_t, g_t
+            d_t = direction(h[took], g_t)
+            downhill = ~(np.einsum("rk,rk->r", g_t, d_t) > 0.0)
+            if downhill.any():
+                reset = took[downhill]
                 h[reset], fresh[reset] = eye * free[reset, None, :], True
-                d[reset] = direction(h[reset], g[reset])
-            alpha[took] = first_step(widths[took], d[took], took)
-        reject = rows[~accept]
-        alpha[reject] *= 0.5
-        done = np.zeros(len(x), dtype=bool)
-        gtol = _FACE_GTOL * np.maximum(f_t[accept], _FACE_FLOOR)
-        done[took] = (np.abs(g_t[accept]).max(axis=1) <= gtol) | closing[accept] | flat
-        done[reject] = alpha[reject] < _FACE_MIN_STEP
-        live &= ~done
+                d_t[downhill] = direction(h[reset], g_t[downhill])
+            d[took] = d_t
+            alpha[took] = first_step(widths[accept], d_t, took)
+            gtol = _FACE_GTOL * np.maximum(f_t, _FACE_FLOOR)
+            live[took[(np.abs(g_t).max(axis=1) <= gtol) | closing[accept] | flat]] = False
         if not live.any():
             break
     return _place(x, ends, bound)[:, 1:-1], f
@@ -630,9 +709,12 @@ def _kkt_opening(z: np.ndarray, bound: float, kernel: np.ndarray) -> tuple:
 _DESIGN_CACHE: dict[tuple, DesignResult] = {}
 
 #: Bit depths designed on their faces.  The face count grows as
-#: ``2**(2**bits) / 2``: 7 at 2 bits, 131 at 3 and 32,890 at 4, so deeper
-#: cells keep the swarm.  1-bit cells are designed in closed form (see
-#: ``optimized_cells``).
+#: ``2**(2**bits) / 2``: 7 at 2 bits, 131 at 3 and 32,890 at 4, besides
+#: the vertices.  A class (``_faces``) merges at most ``bits!`` faces, and
+#: ``_design_faces`` climbs one row per class and channel, 8, 82 and 23,450
+#: with the vertices, so deeper cells keep the swarm.  Over an error-free
+#: channel it climbs one row, unless the box is too narrow for the optimum.
+#: 1-bit cells are designed in closed form (see ``optimized_cells``).
 _FACE_BITS = (2, 3)
 
 #: The 1-bit threshold in noise deviations, a tie rule (see

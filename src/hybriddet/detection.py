@@ -60,7 +60,7 @@ def cell_tables(z) -> tuple[np.ndarray, np.ndarray]:
     # layout at the end; every element is computed as in that layout.
     z = np.empty((rows.shape[-1] + 2,) + rows.shape[:-1])
     z[0], z[-1] = -np.inf, np.inf
-    z[1:-1] = np.moveaxis(rows, -1, 0)
+    z[1:-1] = rows.transpose(-1, *range(rows.ndim - 1))
     # The tails at the infinite edges are exactly 0; only the interior
     # thresholds need a tail evaluation.
     tail = np.zeros_like(z)
@@ -69,7 +69,8 @@ def cell_tables(z) -> tuple[np.ndarray, np.ndarray]:
     probs = np.where(z[:-1] >= 0.0, lo - hi, np.where(z[1:] <= 0.0, hi - lo, 1.0 - lo - hi))
     dens = gaussian_pdf(z)
     scores = dens[:-1] - dens[1:]
-    return np.moveaxis(probs, 0, -1).copy(), np.moveaxis(scores, 0, -1).copy()
+    back = (*range(1, rows.ndim), 0)
+    return probs.transpose(back).copy(), scores.transpose(back).copy()
 
 
 def bsc_kernel(bits: int, p_e: float) -> np.ndarray:
@@ -95,13 +96,17 @@ def received_information(probs: np.ndarray, scores: np.ndarray, kernel: np.ndarr
     received[k]``; received levels of probability 0 contribute nothing.
     The channel sums run level by level, so a row's value does not depend
     on how many rows share the call (a BLAS product rounds one row and a
-    batch differently).
+    batch differently).  Both tables are stacked and pass through the
+    kernel together, one sent level at a time, so no temporary is larger
+    than the result.
     """
-    received = probs[..., 0, None] * kernel[..., 0]
-    numerators = scores[..., 0, None] * kernel[..., 0]
+    tables = np.stack((probs, scores))
+    # After the stacking axis, give the tables the kernel batch axes they lack.
+    tables = tables.reshape((2,) + (1,) * (kernel.ndim - 1 - probs.ndim) + tables.shape[1:])
+    sums = tables[..., 0, None] * kernel[..., 0]
     for j in range(1, kernel.shape[-1]):
-        received += probs[..., j, None] * kernel[..., j]
-        numerators += scores[..., j, None] * kernel[..., j]
+        sums += tables[..., j, None] * kernel[..., j]
+    received, numerators = sums
     live = received > 0.0
     terms = np.where(live, numerators**2 / np.where(live, received, 1.0), 0.0)
     return received, numerators, terms.sum(axis=-1)

@@ -360,3 +360,25 @@ def faces_loop(bits: int) -> tuple[np.ndarray, np.ndarray]:
             slots.append(np.where(below < size, below, levels))
             used.append(np.isin(np.arange(1, levels + 1), face))
     return np.array(used), np.array(slots)
+
+
+def face_classes_loop(bits: int) -> list[int]:
+    """For each face of ``faces_loop``, by index, the first face of its class:
+    every face that a permutation of the codeword bits maps, in order, onto
+    it or onto its mirror, found by relabelling one face at a time."""
+    levels = 2**bits
+    used, _ = faces_loop(bits)
+    faces = [tuple(int(level) for level in np.flatnonzero(row) + 1) for row in used]
+    index = {face: f for f, face in enumerate(faces)}
+    first = []
+    for face in faces:
+        found = []
+        for perm in itertools.permutations(range(bits)):
+            # Level l sends the codeword l - 1; bit b of it moves to bit perm[b].
+            image = [1 + sum(((level - 1) >> b & 1) << perm[b] for b in range(bits)) for level in face]
+            if image != sorted(image):
+                continue
+            mirror = tuple(sorted(levels + 1 - level for level in image))
+            found.append(index[tuple(image)] if tuple(image) in index else index[mirror])
+        first.append(min(found))
+    return first

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -87,6 +88,94 @@ def test_bad_output_directory_is_refused_before_the_run(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == f"cannot write output file {out}: {reason}"
+
+
+@pytest.mark.parametrize(
+    "command, preset, directory",
+    [("roc", "errorprone", "x.csv"), ("sweep", "two-mixes", "x.csv"), ("sweep", "two-mixes", "x_distribution.csv")],
+)
+def test_output_path_that_is_a_directory_is_refused_before_the_run(
+    tmp_path, capsys, monkeypatch, command, preset, directory
+):
+    for name in ("run_roc", "run_sweep"):
+        monkeypatch.setattr(cli, name, _no_run)
+    (tmp_path / directory).mkdir()
+    code = main([command, "--preset", preset, "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == f"cannot write output file {tmp_path / directory}: Is a directory"
+    assert sorted(path.name for path in tmp_path.iterdir()) == [directory]
+
+
+@pytest.mark.parametrize("earlier", [False, True])
+def test_sweep_writes_both_tables_or_neither(tmp_path, capsys, monkeypatch, earlier):
+    out, second = tmp_path / "s.csv", tmp_path / "s_distribution.csv"
+    if earlier:
+        out.write_text("earlier\n")
+    emit, written = cli.emit, []
+
+    def second_fails(table, fmt, path):
+        written.append(path)
+        if len(written) == 2:
+            raise OSError(28, "No space left on device")
+        emit(table, fmt, path)
+
+    monkeypatch.setattr(cli, "emit", second_fails)
+    code = main(["sweep", "--preset", "two-mixes", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "wrote" not in captured.out
+    assert json.loads(captured.err)["error"] == f"cannot write output file {second}: No space left on device"
+    # Each table went to a new file of its own in the target directory,
+    # and none is left behind.
+    assert [Path(path).parent for path in written] == [tmp_path, tmp_path]
+    assert not {out, second} & {Path(path) for path in written}
+    assert sorted(path.name for path in tmp_path.iterdir()) == (["s.csv"] if earlier else [])
+    if earlier:
+        assert out.read_text() == "earlier\n"
+
+
+def test_output_through_a_symbolic_link_writes_its_target(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("earlier\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main(["design-quantizer", "--preset", "ideal", "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert load_table(target, "csv").columns[0] == "method"
+
+
+def test_output_to_a_fifo_is_written_into_it(tmp_path):
+    # A FIFO is no file to replace: the table goes through it.  The read end
+    # is open first, so the write does not wait for a reader and the test
+    # cannot hang; a replaced FIFO would leave it empty.
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(["design-quantizer", "--preset", "ideal", "--out", str(fifo)]) == 0
+        text = os.read(reader, 1 << 16).decode()
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert text.startswith("method,")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["pipe.csv"]
+
+
+def test_an_earlier_output_keeps_its_permissions_and_links(tmp_path):
+    private, shared, link = tmp_path / "private.csv", tmp_path / "shared.csv", tmp_path / "link.csv"
+    for path in (private, shared):
+        path.write_text("earlier\n")
+    private.chmod(0o600)
+    os.link(shared, link)
+    for path in (private, shared):
+        assert main(["design-quantizer", "--preset", "ideal", "--out", str(path)]) == 0
+    assert stat.S_IMODE(private.stat().st_mode) == 0o600
+    # A file with another link is written in place, so the link sees it.
+    assert os.path.samefile(shared, link)
+    assert load_table(link, "csv").columns[0] == "method"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.csv", "private.csv", "shared.csv"]
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -304,7 +393,7 @@ def test_seed_flag_is_refused_where_no_runner_reads_it(tmp_path, command):
 def test_seed_flag_is_registered_exactly_for_scenarios_with_a_seed():
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     offered = {command for command, p in sub.choices.items() if "--seed" in p._option_string_actions}
-    seeded = {command for command, (_, cls, _) in cli._COMMANDS.items()
+    seeded = {command for command, (_, cls, _, _) in cli._COMMANDS.items()
               if "seed" in {f.name for f in dataclasses.fields(cls)}}
     assert offered == seeded == {"roc", "design-quantizer"}
 
@@ -323,7 +412,7 @@ def test_preset_scenario_survives_a_json_round_trip(command, preset):
     # Every field written out the way a config file states it (enums as
     # their values, tuples as lists, nested dataclasses as objects) builds
     # the same scenario again.
-    _, cls, _ = cli._COMMANDS[command]
+    _, cls, _, _ = cli._COMMANDS[command]
     scenario = cli._build_scenario(cls, PRESETS[command, preset])
     text = json.dumps(dataclasses.asdict(scenario), default=lambda member: member.value)
     assert cli._build_scenario(cls, json.loads(text)) == scenario

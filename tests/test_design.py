@@ -34,6 +34,7 @@ from hybriddet.model import QuantizerSpec
 
 from oracles import (
     central_difference,
+    face_classes_loop,
     faces_loop,
     find_local_maxima,
     quantized_fi_oracle,
@@ -664,7 +665,7 @@ def _face_point(result, problem):
 class TestFaceDesign:
     def test_faces_keep_one_of_each_mirror_pair(self):
         for bits, count, vertices in ((2, 7, 2), (3, 131, 4)):
-            used, slots = design._faces(bits)
+            used, slots = design._faces(bits)[:2]
             levels = 2**bits
             faces = {tuple(np.flatnonzero(row) + 1) for row in used}
             assert len(used) == len(faces) == count + vertices
@@ -683,11 +684,43 @@ class TestFaceDesign:
 
     @pytest.mark.parametrize("bits", [1, 2, 3])
     def test_faces_match_the_per_face_search(self, bits):
-        used, slots = design._faces(bits)
+        used, slots = design._faces(bits)[:2]
         want_used, want_slots = faces_loop(bits)
         for got, want in ((used, want_used), (slots, want_slots)):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("bits, count", [(1, 2), (2, 8), (3, 82)])
+    def test_classes_match_the_per_face_search(self, bits, count):
+        table = design._faces(bits)
+        first = face_classes_loop(bits)
+        np.testing.assert_array_equal(table.classes, [f for f, rep in enumerate(first) if rep == f])
+        assert len(table.classes) == count
+        np.testing.assert_array_equal(table.error_free, [len(table.used) - 1])
+        assert table.used[table.error_free[0]].all()
+        assert table.lookup == {tuple(int(v) for v in np.flatnonzero(row) + 1): f for f, row in enumerate(table.used)}
+
+    @pytest.mark.parametrize("bits", [2, 3])
+    def test_faces_of_a_class_carry_the_same_information(self, bits):
+        # Each face and its class's first, at the same free edges in a box
+        # of one deviation, where the tails beyond it carry mass.  The edges
+        # are symmetric about 0, so that a mirror keeps them.
+        table = design._faces(bits)
+        n = 2**bits - 1
+        edges = np.zeros((len(table.used), n))
+        for f, m in enumerate(table.used.sum(axis=1) - 1):
+            edges[f, :m] = np.linspace(-0.8, 0.8, m + 2)[1:-1]
+        ends = np.pad(table.slots, ((0, 0), (1, 1)), constant_values=(0, n + 1))
+        thresholds = design._place(edges, ends, 1.0)[:, 1:-1]
+        for p_e in (0.05, 0.3):
+            info = [quantized_fi_oracle(t, p_e, 1.0) for t in thresholds]
+            for f, rep in enumerate(face_classes_loop(bits)):
+                assert info[f] == pytest.approx(info[rep], rel=1e-12)
+        if bits == 2:
+            # A codeword XOR is no such automorphism: XOR with 1 maps face
+            # {2, 3} onto {1, 4}, in order, but moves the tail codewords.
+            two_three, one_four = (thresholds[table.lookup[face]] for face in ((2, 3), (1, 4)))
+            assert quantized_fi_oracle(two_three, 0.1, 1.0) != pytest.approx(quantized_fi_oracle(one_four, 0.1, 1.0), rel=1e-3)
 
     @pytest.mark.parametrize("p_e, value", [(0.1, 0.658599217841), (0.2, 0.446241320195)])
     def test_noisy_three_bit_cells_reach_the_symmetric_face_optimum(self, p_e, value):
@@ -706,27 +739,35 @@ class TestFaceDesign:
 
     @pytest.mark.parametrize("p_e", (0.1, 0.2))
     def test_kept_face_survives_one_ulp_on_every_row(self, monkeypatch, p_e):
-        # Faces {1, 3, 7, 8}, {1, 5, 6, 8} and {1, 5, 7, 8} climb to within
-        # a few ulps of each other here; the first in ``_faces`` order is
-        # kept however rounding moves each row.
+        # Faces {1, 3, 7, 8}, {1, 5, 6, 8} and {1, 5, 7, 8} form one class
+        # and climb to within a few ulps of each other here.  The design
+        # climbs the first alone, and keeps it however rounding moves each
+        # row it climbs.
         problem = DesignProblem(bits=3, p_e=p_e)
-        climb, nudges, rows = design._climb, [], []
+        table = design._faces(3)
+        tied = [table.lookup[face] for face in ((1, 3, 7, 8), (1, 5, 6, 8), (1, 5, 7, 8))]
+        assert tied == sorted(tied)
+        assert tied[0] in table.classes and not set(tied[1:]) & set(table.classes.tolist())
+        x = np.zeros((3, 7))
+        x[:, :3] = np.linspace(-2.0, 2.0, 5)[1:-1]
+        kernels = np.stack([bsc_kernel(3, p_e)] * 3)
+        f = design._climb(table.used[tied], table.slots[tied], kernels, x, problem.tau_max)[1]
+        assert f.max() - f.min() <= design._FACE_TIE * f.max()
+
+        climb, nudges = design._climb, []
 
         def nudged(*args):
             z, f = climb(*args)
-            rows.append(f)
             return z, np.nextafter(f, np.inf * nudges[-1][: len(f)])
 
         monkeypatch.setattr(design, "_climb", nudged)
         rng = np.random.default_rng(7)
-        n_faces = len(design._faces(3)[0])
-        for nudge in [np.ones(n_faces), -np.ones(n_faces)] + [rng.choice((-1.0, 1.0), n_faces) for _ in range(4)]:
+        n_rows = len(table.classes)
+        for nudge in [np.ones(n_rows), -np.ones(n_rows)] + [rng.choice((-1.0, 1.0), n_rows) for _ in range(4)]:
             nudges.append(nudge)
             z, _, bound = _face_point(design._design_faces([problem])[0], problem)
             widths = np.diff(z, prepend=-bound, append=bound)
             assert tuple(np.flatnonzero(widths > design._FACE_WIDTH) + 1) == (1, 3, 7, 8)
-        best = rows[0].max()
-        assert np.count_nonzero(rows[0] >= best - design._FACE_TIE * best) >= 2
 
     @pytest.mark.parametrize("bits, p_e", SWEEP_CELLS)
     def test_table_cells_reach_every_swarm_seed(self, monkeypatch, bits, p_e):
@@ -840,6 +881,70 @@ class TestFaceDesign:
         for (bits, p_e, sigma_n2, _), result in cells.items():
             problem = DesignProblem(bits=bits, p_e=p_e, sigma_n2=sigma_n2)
             assert result.objective == design_objective(result.thresholds, problem)
+
+
+def _every_face(faces):
+    """``design._faces`` with every face its own class, climbed over every channel."""
+
+    def table(bits):
+        every = np.arange(len(faces(bits).used))
+        return faces(bits)._replace(classes=every, error_free=every)
+
+    return table
+
+
+def _counting_rows(monkeypatch) -> dict:
+    """Count the rows every ``_climb`` call climbs, by thresholds per row."""
+    climb, rows = design._climb, {}
+
+    def counted(used, *args):
+        rows[used.shape[1] - 1] = rows.get(used.shape[1] - 1, 0) + len(used)
+        return climb(used, *args)
+
+    monkeypatch.setattr(design, "_climb", counted)
+    return rows
+
+
+class TestFaceRows:
+    """The face design climbs one row per class, one over an error-free
+    channel, and gives the design of every face bit for bit."""
+
+    @pytest.mark.parametrize("bits", [2, 3])
+    def test_class_rows_give_the_every_face_design(self, monkeypatch, bits):
+        # 50 channels from 0, in boxes where the error-free optimum lies
+        # inside (5 deviations) and presses on the bound (1 and 0.05).
+        grid = [
+            [DesignProblem(bits=bits, p_e=float(p_e), sigma_n2=sigma_n2, tau_max=tau_max) for p_e in np.arange(50) / 100]
+            for sigma_n2 in (1.0, 2.0)
+            for tau_max in (5.0, 1.0, 0.05)
+        ]
+        designs = [design._design_faces(problems) for problems in grid]
+        monkeypatch.setattr(design, "_faces", _every_face(design._faces))
+        assert designs == [design._design_faces(problems) for problems in grid]
+
+    def test_a_cold_table_climbs_one_row_per_class(self, monkeypatch):
+        # 4 channels at 2 bits (8 classes) and at 3 (82); the error-free
+        # channel climbs one row at each.  Every face: 36 and 540.
+        monkeypatch.setattr(design, "_DESIGN_CACHE", {})
+        rows = _counting_rows(monkeypatch)
+        build_fi_table((0.0, 0.01, 0.1, 0.2), 3, 1.0)
+        assert rows == {3: 25, 7: 247}
+
+    def test_the_errorprone_roc_preset_climbs_one_row_per_class(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(design, "_DESIGN_CACHE", {})
+        rows = _counting_rows(monkeypatch)
+        assert main(["roc", "--preset", "errorprone", "--trials", "50", "--out", str(tmp_path / "roc.csv")]) == 0
+        assert rows == {7: 82}
+
+    @pytest.mark.parametrize("bits, tau_max, count", [(2, 5.0, 1), (3, 5.0, 1), (3, 1.0, 82), (3, 0.05, 82)])
+    def test_an_error_free_channel_climbs_the_full_face_first(self, monkeypatch, bits, tau_max, count):
+        # In a narrow box the full face's row ends on the bound, and the
+        # other classes are climbed too.
+        rows = _counting_rows(monkeypatch)
+        result = design._design_faces([DesignProblem(bits=bits, p_e=0.0, tau_max=tau_max)])[0]
+        assert sum(rows.values()) == count
+        if count == 1:
+            assert len(set(result.thresholds)) == 2**bits - 1
 
 
 class TestScaleInvariance:

@@ -1,6 +1,7 @@
 """Fusion-center kernel tests: cell tables, information sums, statistics."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybriddet import design
 from hybriddet.detection import (
     NetworkKernels,
     bsc_kernel,
@@ -188,6 +190,22 @@ class TestReceivedInformation:
             # sums meet.
             _, scores, k = cases[2]
             assert (np.signbit(scores[None, :] * k) & (k == 0.0)).any()
+
+    def test_an_eight_bit_swarm_evaluation_holds_no_product_per_level_pair(self):
+        # One channel's swarms at 8 bits, shaped as ``design._run_swarms``
+        # evaluates them.  The two result tables are 2 * 300 * 256 floats
+        # (1.2 MB); a product over every (received, sent) level pair before
+        # summing would be 256 times that.
+        bits, rows = 8, design._PSO_RESTARTS * design._PSO_SIZE
+        probs, scores = self._tables(np.random.default_rng(8), (design._PSO_RESTARTS, design._PSO_SIZE, 2**bits - 1))
+        kernels = np.stack([bsc_kernel(bits, 0.2)] * design._PSO_RESTARTS)[:, None]
+        tracemalloc.start()
+        try:
+            received_information(probs, scores, kernels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (2 * rows * 2**bits * 8)
 
 
 class TestFisherInformation:
